@@ -118,6 +118,24 @@ func BenchmarkMinimizeEnergyDual(b *testing.B) {
 	}
 }
 
+// BenchmarkMinimizeEnergyPerClass measures the decomposed C3b solve at the
+// canonical scenario's SLA bounds, from cold multipliers — the per-epoch
+// re-solve of the online controller.
+func BenchmarkMinimizeEnergyPerClass(b *testing.B) {
+	c := Enterprise3Tier(1)
+	bounds := make([]float64, len(c.Classes))
+	for k, cl := range c.Classes {
+		bounds[k] = cl.SLA.MaxMeanDelay
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: bounds}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- micro-benchmarks -------------------------------------------------------
 
 // BenchmarkEvaluate measures one analytical evaluation of the canonical

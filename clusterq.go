@@ -242,7 +242,8 @@ func MinimizeEnergy(c *Cluster, o EnergyOptions) (*Solution, error) {
 }
 
 // MinimizeEnergyPerClass solves problem C3b: minimize average power subject
-// to per-class delay bounds.
+// to per-class delay bounds, exactly, by Lagrangian dual decomposition with
+// one multiplier per bounded class.
 func MinimizeEnergyPerClass(c *Cluster, o EnergyOptions) (*Solution, error) {
 	return core.MinimizeEnergyPerClass(c, o)
 }
@@ -254,9 +255,9 @@ func MinimizeCost(c *Cluster, o CostOptions) (*Solution, error) {
 }
 
 // MinimizeEnergyDual solves C3a by Lagrangian dual decomposition, exploiting
-// the model's separability across tiers: per-tier golden-section searches
-// plus a single multiplier bisection. Exact for the separable model and far
-// faster than MinimizeEnergy; prefer it for aggregate bounds.
+// the model's separability across tiers: per-tier one-dimensional
+// minimizations plus a single multiplier bisection. Exact for the separable
+// model and far faster than MinimizeEnergy; prefer it for aggregate bounds.
 func MinimizeEnergyDual(c *Cluster, o EnergyOptions) (*Solution, error) {
 	return core.MinimizeEnergyDual(c, o)
 }

@@ -31,9 +31,7 @@ func main() {
 		mFast.Delay[0], mFast.Delay[1], mFast.Delay[2])
 
 	solve := func(bounds []float64) {
-		sol, err := clusterq.MinimizeEnergyPerClass(c, clusterq.EnergyOptions{
-			MaxClassDelay: bounds, Starts: 3,
-		})
+		sol, err := clusterq.MinimizeEnergyPerClass(c, clusterq.EnergyOptions{MaxClassDelay: bounds})
 		if err != nil {
 			fmt.Printf("  bounds %v: infeasible (%v)\n", bounds, err)
 			return

@@ -96,8 +96,10 @@ type Config struct {
 	// zero margin (the negative-sentinel convention again).
 	Margin float64
 	// Starts is the solvers' multi-start count (default: the solvers').
+	// EnergySLA's solver is exact and single-start; it ignores Starts.
 	Starts int
 	// AugLag configures the solvers' inner augmented-Lagrangian solves.
+	// EnergySLA's solver is a dual decomposition; AugLag does not affect it.
 	AugLag opt.AugLagOptions
 }
 
@@ -114,6 +116,7 @@ type Controller struct {
 	anchorF float64   // margin·drain factor at the last solve
 	lastT   float64   // previous epoch's time (drain-rate denominator)
 	solved  bool      // an initial solve has produced a plan
+	nu      []float64 // the last C3b solve's multipliers, the next one's start
 
 	fallback sim.PlanDecision // max speeds (and full pools): the safe plan
 
@@ -342,8 +345,11 @@ func (a *Controller) solve(factor float64) (sim.PlanDecision, bool) {
 			bounds[k] = cl.SLA.MaxMeanDelay
 		}
 		sol, err = core.MinimizeEnergyPerClass(c, core.EnergyOptions{
-			MaxClassDelay: bounds, Starts: a.cfg.Starts, AugLag: a.cfg.AugLag,
+			MaxClassDelay: bounds, WarmStart: a.nu,
 		})
+		if err == nil {
+			a.nu = sol.Multipliers
+		}
 	case EnergyAggregate:
 		sol, err = core.MinimizeEnergy(c, core.EnergyOptions{
 			MaxWeightedDelay: a.cfg.MaxWeightedDelay, Starts: a.cfg.Starts, AugLag: a.cfg.AugLag,

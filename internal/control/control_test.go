@@ -183,3 +183,36 @@ func TestStatsAndName(t *testing.T) {
 		t.Errorf("Stats.String() = %q", got)
 	}
 }
+
+// TestEnergySLAWarmStartMatchesCold: the C3b re-solve starts from the
+// previous epoch's multipliers. The warm start may only change how fast the
+// solve converges, never the plan: each epoch's speeds must match a fresh
+// controller's cold solve at the same estimates.
+func TestEnergySLAWarmStartMatchesCold(t *testing.T) {
+	c := workload.Enterprise3Tier(1)
+	cfg := Config{Smoothing: 1, Deadband: -1}
+	warm, err := New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range []float64{1, 1.3, 0.7, 1.6, 1.1} {
+		rates := c.Lambdas()
+		for k := range rates {
+			rates[k] *= f
+		}
+		got := warm.DecidePlan(mkObs(40*float64(i+1), rates...))
+		if i > 0 && warm.nu == nil {
+			t.Fatalf("epoch %d: no multipliers carried", i)
+		}
+		cold, err := New(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cold.DecidePlan(mkObs(40*float64(i+1), rates...))
+		for j := range want.Speeds {
+			if math.Abs(got.Speeds[j]-want.Speeds[j]) > 1e-6*want.Speeds[j] {
+				t.Errorf("epoch %d tier %d: warm speed %.9g, cold %.9g", i, j, got.Speeds[j], want.Speeds[j])
+			}
+		}
+	}
+}

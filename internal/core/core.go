@@ -37,6 +37,13 @@ type Solution struct {
 	Objective float64
 	// Result carries solver diagnostics (iterations, evaluations).
 	Result opt.Result
+	// Multipliers[k] is the dual multiplier of class k's delay bound in a
+	// MinimizeEnergyPerClass solution (0 for unbounded or slack classes):
+	// the marginal power of tightening the bound, per unit of relative
+	// bound. Passed back as EnergyOptions.WarmStart it starts the next
+	// solve of a nearby problem close to its answer. Nil for the other
+	// solvers.
+	Multipliers []float64
 }
 
 func (s *Solution) String() string {

@@ -17,9 +17,13 @@ type EnergyOptions struct {
 	// MaxClassDelay[k] bounds class k's average end-to-end delay; used by
 	// MinimizeEnergyPerClass. Entries ≤ 0 mean "unconstrained".
 	MaxClassDelay []float64
-	// Starts is the number of multi-start points (default 4).
+	// WarmStart optionally gives MinimizeEnergyPerClass its initial
+	// per-class multipliers, typically a previous solution's Multipliers;
+	// nil starts from zero.
+	WarmStart []float64
+	// Starts is MinimizeEnergy's number of multi-start points (default 4).
 	Starts int
-	// Solver options for the inner augmented-Lagrangian solves.
+	// AugLag configures MinimizeEnergy's inner augmented-Lagrangian solves.
 	AugLag opt.AugLagOptions
 }
 
@@ -86,6 +90,12 @@ func MinimizeEnergy(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
 // Per-class bounds interact with priority: tight bounds on low-priority
 // classes are the expensive ones, since the only lever that helps them — more
 // speed — also overshoots the already-easy high-priority bounds.
+//
+// Every D_k is a sum of per-tier terms, so the problem is solved exactly by
+// dual decomposition with one multiplier per bounded class (see
+// decomposed.go); Starts and AugLag do not apply. A power table that is not
+// convex splits the speed box into parts, each solved by the dual, and the
+// cheapest feasible part wins.
 func MinimizeEnergyPerClass(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
 	if len(o.MaxClassDelay) != len(c.Classes) {
 		return nil, fmt.Errorf("core: %d delay bounds for %d classes", len(o.MaxClassDelay), len(c.Classes))
@@ -99,61 +109,52 @@ func MinimizeEnergyPerClass(c *cluster.Cluster, o EnergyOptions) (*Solution, err
 	if !anyBound {
 		return nil, fmt.Errorf("core: no positive delay bound given")
 	}
-	ev, err := newEvaluator(c)
+	t, err := newTierFns(c, nil)
 	if err != nil {
 		return nil, err
 	}
-	box, err := ev.box()
-	if err != nil {
-		return nil, err
-	}
-	// Feasibility at maximum speed.
-	if mFast := ev.metricsAt(box.Hi); mFast == nil {
-		return nil, fmt.Errorf("core: cluster invalid at maximum speeds")
-	} else {
-		for k, b := range o.MaxClassDelay {
-			if b > 0 && mFast.Delay[k] > b {
-				return nil, fmt.Errorf("core: class %d bound %g s infeasible: best achievable is %g s",
-					k, b, mFast.Delay[k])
-			}
-		}
-	}
-
-	objective := func(s []float64) float64 { return ev.power(s) }
-	var gs []opt.Constraint
+	// Feasibility at maximum speed: every delay is non-increasing in every
+	// tier speed, so the fastest point is the least-delay point.
+	delays := make([]float64, len(c.Classes))
+	pow := t.evalAt(t.hi, delays)
 	for k, b := range o.MaxClassDelay {
-		if b <= 0 {
-			continue
+		if b > 0 && !(delays[k] <= b) {
+			return nil, fmt.Errorf("core: class %d bound %g s infeasible: best achievable is %g s",
+				k, b, delays[k])
 		}
-		k, b := k, b
-		gs = append(gs, func(s []float64) float64 {
-			m := ev.metricsAt(s)
-			if m == nil || math.IsInf(m.Delay[k], 1) {
-				return math.Inf(1)
+	}
+	if math.IsInf(pow, 1) {
+		return nil, fmt.Errorf("core: cluster unstable at maximum speeds")
+	}
+	// Each convex part is solved exactly; a part whose fastest point misses
+	// a bound holds no feasible point.
+	var (
+		best      *perClassPoint
+		bestT     *tierFns
+		converged bool
+		evals     int
+		trace     []opt.TraceEntry
+	)
+parts:
+	for _, part := range t.convexParts() {
+		part.evalAt(part.hi, delays)
+		for k, b := range o.MaxClassDelay {
+			if b > 0 && !(delays[k] <= b) {
+				continue parts
 			}
-			// Normalize so the multiplier scale is comparable across
-			// classes with very different bounds.
-			return (m.Delay[k] - b) / b
-		})
-	}
-
-	starts := o.Starts
-	if starts <= 0 {
-		starts = 4
-	}
-	solve := func(x0 []float64) opt.Result {
-		return opt.AugmentedLagrangian(objective, gs, box, x0, o.AugLag)
-	}
-	r := opt.MultiStart(solve, box, starts)
-	if math.IsInf(r.F, 1) {
-		return nil, fmt.Errorf("core: no feasible configuration found")
-	}
-	for i, g := range gs {
-		if v := g(r.X); v > 1e-3 {
-			return nil, fmt.Errorf("core: solver left constraint %d violated by %g (relative)", i, v)
+		}
+		p, conv, n, tr := part.perClassDual(o.MaxClassDelay, o.WarmStart)
+		evals += n
+		if best == nil || p.pow < best.pow {
+			best, bestT, converged, trace = p, part, conv, tr
 		}
 	}
-	return ev.finish(r.X, r.F, r)
+	sol, err := finishDual(bestT, best.speeds, evals, powerObjective, trace, converged)
+	if err != nil {
+		return nil, err
+	}
+	sol.Multipliers = best.nu
+	return sol, nil
 }
 
 // BindingClasses reports which bounded classes sit within tol (relative) of

@@ -214,9 +214,7 @@ func (E16) Run(cfg Config) ([]*Table, error) {
 	mults := []float64{3, 5, 8}
 	rows, err := sweep(cfg, len(mults), func(i int) ([]any, error) {
 		x := mFast.Delay[2] * mults[i]
-		meanSol, err := core.MinimizeEnergyPerClass(c, core.EnergyOptions{
-			MaxClassDelay: []float64{0, 0, x}, Starts: starts, AugLag: al,
-		})
+		meanSol, err := core.MinimizeEnergyPerClass(c, core.EnergyOptions{MaxClassDelay: []float64{0, 0, x}})
 		if err != nil {
 			return []any{x, "infeasible", "-", "-", "-", "-"}, nil
 		}

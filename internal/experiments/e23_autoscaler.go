@@ -104,7 +104,6 @@ func e23Scenarios(base *cluster.Cluster, horizon float64) ([]e23Scenario, error)
 }
 
 func e23Rows(cfg Config) ([]*e23Row, error) {
-	starts, al := solverScale(cfg)
 	horizon, _ := cfg.simScale()
 	horizon *= 2 // cover several diurnal periods / the whole flash-crowd arc
 	controlPeriod := horizon / 40
@@ -122,9 +121,7 @@ func e23Rows(cfg Config) ([]*e23Row, error) {
 	for _, sc := range scenarios {
 		// The static baseline: C3b provisioned for the scenario's peak.
 		peakCluster := workload.ScaleArrivals(base, sc.peak)
-		sol, err := core.MinimizeEnergyPerClass(peakCluster, core.EnergyOptions{
-			MaxClassDelay: slaBounds, Starts: starts, AugLag: al,
-		})
+		sol, err := core.MinimizeEnergyPerClass(peakCluster, core.EnergyOptions{MaxClassDelay: slaBounds})
 		if err != nil {
 			return nil, fmt.Errorf("E23 %s: static peak solve: %w", sc.name, err)
 		}
@@ -183,7 +180,6 @@ func e23Rows(cfg Config) ([]*e23Row, error) {
 		// its bound during ramps.
 		ctl, err := control.New(base, control.Config{
 			Objective: control.EnergySLA, Smoothing: 0.7, Margin: 0.35,
-			Starts: starts, AugLag: al,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E23 %s: controller: %w", sc.name, err)

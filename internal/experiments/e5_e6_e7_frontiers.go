@@ -124,7 +124,6 @@ func (E7) Title() string {
 }
 
 func (E7) Run(cfg Config) ([]*Table, error) {
-	starts, al := solverScale(cfg)
 	c := workload.Enterprise3Tier(1)
 
 	// Best achievable per-class delays at max speed set the bound scale.
@@ -145,7 +144,7 @@ func (E7) Run(cfg Config) ([]*Table, error) {
 			mFast.Delay[1] * 6, // loose
 			mFast.Delay[2] * mults[i],
 		}
-		sol, err := core.MinimizeEnergyPerClass(c, core.EnergyOptions{MaxClassDelay: bounds, Starts: starts, AugLag: al})
+		sol, err := core.MinimizeEnergyPerClass(c, core.EnergyOptions{MaxClassDelay: bounds})
 		if err != nil {
 			return []any{bounds[2], bounds[0], bounds[1], "infeasible", "-"}, nil
 		}

@@ -137,23 +137,28 @@ func TestE17DualMatchesAugLag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tables[0].Rows {
-		dualP, err1 := strconv.ParseFloat(row[2], 64)
-		alP, err2 := strconv.ParseFloat(row[5], 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("unparsable row %v", row)
-		}
-		// The dual is exact; the general solver can only tie or lose.
-		if alP < dualP*0.995 {
-			t.Errorf("auglag %g beat the dual %g — separability assumption broken?", alP, dualP)
-		}
-		if dualP > alP*1.01 {
-			t.Errorf("dual %g clearly worse than auglag %g", dualP, alP)
-		}
-		dualEv, _ := strconv.ParseFloat(row[4], 64)
-		alEv, _ := strconv.ParseFloat(row[7], 64)
-		if !(dualEv*10 < alEv) {
-			t.Errorf("dual evals %g not far below auglag %g", dualEv, alEv)
+	if len(tables) != 2 {
+		t.Fatalf("%d tables, want C3a and C3b", len(tables))
+	}
+	for _, tab := range tables {
+		for _, row := range tab.Rows {
+			dualP, err1 := strconv.ParseFloat(row[2], 64)
+			alP, err2 := strconv.ParseFloat(row[5], 64)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s: unparsable row %v", tab.Title, row)
+			}
+			// The dual is exact; the general solver can only tie or lose.
+			if alP < dualP*0.995 {
+				t.Errorf("%s: auglag %g beat the dual %g — separability assumption broken?", tab.Title, alP, dualP)
+			}
+			if dualP > alP*1.01 {
+				t.Errorf("%s: dual %g clearly worse than auglag %g", tab.Title, dualP, alP)
+			}
+			dualEv, _ := strconv.ParseFloat(row[4], 64)
+			alEv, _ := strconv.ParseFloat(row[7], 64)
+			if !(dualEv*10 < alEv) {
+				t.Errorf("%s: dual evals %g not far below auglag %g", tab.Title, dualEv, alEv)
+			}
 		}
 	}
 }
