@@ -37,7 +37,6 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "seed offset for all simulations")
 		parallel   = flag.Bool("parallel", false, "run independent experiments concurrently (wall-time figures in E9/E17 will be inflated)")
 		workers    = flag.Int("sweep-workers", 0, "max concurrent sweep points within one experiment (0 = one per CPU, 1 = serial); results are identical at every setting")
-		calendar   = flag.String("calendar", "", "simulator event-calendar implementation: heap (default) or ladder; results are bit-identical, only speed differs")
 		progress   = flag.Bool("progress", false, "print a periodic experiment-progress heartbeat to stderr")
 		metricsOut = flag.String("metrics-out", "", "write per-experiment wall-time metrics to this file (.prom/.txt for Prometheus text, else JSON)")
 		httpAddr   = flag.String("http", "", "serve /metrics, /metrics.json and /debug/pprof on this address while the suite runs")
@@ -67,7 +66,7 @@ func main() {
 		toRun = append(toRun, e)
 	}
 
-	cfg := experiments.Config{Quick: *quick, Seed: *seed, Workers: *workers, Calendar: *calendar}
+	cfg := experiments.Config{Quick: *quick, Seed: *seed, Workers: *workers}
 
 	reg := obs.NewRegistry()
 	if *httpAddr != "" {

@@ -85,8 +85,6 @@ func main() {
 
 		tracePath = flag.String("trace", "", "write a CSV event trace to this file (forces 1 replication)")
 
-		calendar = flag.String("calendar", "", "event-calendar implementation: heap (default) or ladder; results are bit-identical, only speed differs")
-
 		fleetN      = flag.Int("fleet", 0, "run this many cluster replicas under one shared clock instead of independent replications (0 disables; dynamic flags apply to every replica)")
 		fleetSpread = flag.Float64("fleet-spread", 0, "heterogeneity of the fleet: replica speeds spread evenly across [1-s, 1+s] times the configured speed (with -fleet, in [0,1))")
 
@@ -164,7 +162,7 @@ func main() {
 		fatal(fmt.Errorf("-fleet-spread requires -fleet"))
 	}
 
-	opts := sim.Options{Horizon: *horizon, Replications: *reps, Seed: *seed, Calendar: *calendar}
+	opts := sim.Options{Horizon: *horizon, Replications: *reps, Seed: *seed}
 	if *q > 0 && *q < 1 {
 		opts.Quantiles = []float64{*q}
 	}

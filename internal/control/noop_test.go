@@ -12,8 +12,7 @@ import (
 
 // TestNoOpIsPerturbationFree pins satellite 3 from the control side, with
 // the exported NoOp itself: attaching it (with window sensors) must leave
-// the entire Result exactly equal to a controller-free run on both
-// calendars. The comparison formats every field with %#v — the default
+// the entire Result exactly equal to a controller-free run. The comparison formats every field with %#v — the default
 // float formatting is the shortest round-trippable representation, so two
 // distinct bit patterns render distinctly — instead of reflect.DeepEqual,
 // whose NaN ≠ NaN rule trips on the single-replication confidence
@@ -33,27 +32,24 @@ func TestNoOpIsPerturbationFree(t *testing.T) {
 		Horizon: 2000, Replications: 1, Seed: 9,
 		Warmup: sim.ZeroWarmup, // control events must not shift the warmup reset
 	}
-	for _, calKind := range []string{sim.CalendarHeap, sim.CalendarLadder} {
-		o := base
-		o.Calendar = calKind
-		free, err := sim.Run(c, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		win, err := window.NewSet(window.Config{Width: 100}, len(c.Classes), len(c.Tiers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.PlanController = NoOp{}
-		o.ControlPeriod = 31
-		o.Windows = win
-		withNoOp, err := sim.Run(c, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := fmt.Sprintf("%#v", *free), fmt.Sprintf("%#v", *withNoOp)
-		if a != b {
-			t.Errorf("%s: NoOp plan controller perturbed the Result:\nfree: %s\nnoop: %s", calKind, a, b)
-		}
+	free, err := sim.Run(c, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win, err := window.NewSet(window.Config{Width: 100}, len(c.Classes), len(c.Tiers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := base
+	o.PlanController = NoOp{}
+	o.ControlPeriod = 31
+	o.Windows = win
+	withNoOp, err := sim.Run(c, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := fmt.Sprintf("%#v", *free), fmt.Sprintf("%#v", *withNoOp)
+	if a != b {
+		t.Errorf("NoOp plan controller perturbed the Result:\nfree: %s\nnoop: %s", a, b)
 	}
 }

@@ -50,15 +50,15 @@ func (E10) Run(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rF, err := sim.Run(fcfs, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 10, Calendar: cfg.Calendar})
+	rF, err := sim.Run(fcfs, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 10})
 	if err != nil {
 		return nil, err
 	}
-	rN, err := sim.Run(np, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 11, Calendar: cfg.Calendar})
+	rN, err := sim.Run(np, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 11})
 	if err != nil {
 		return nil, err
 	}
-	rP, err := sim.Run(pr, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 12, Calendar: cfg.Calendar})
+	rP, err := sim.Run(pr, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 12})
 	if err != nil {
 		return nil, err
 	}

@@ -73,7 +73,7 @@ func (E12) Run(cfg Config) ([]*Table, error) {
 
 	t := NewTable("strategies under a ±70% diurnal swing (simulated)",
 		"strategy", "power (W)", "weighted delay (s)", "gold delay (s)", "bronze delay (s)")
-	simOpts := sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 12, Profiles: profiles, Calendar: cfg.Calendar}
+	simOpts := sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 12, Profiles: profiles}
 
 	addRow := func(name string, c *cluster.Cluster, o sim.Options) error {
 		res, err := sim.Run(c, o)

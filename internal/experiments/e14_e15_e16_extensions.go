@@ -59,7 +59,7 @@ func (E14) Run(cfg Config) ([]*Table, error) {
 			}
 			pool := onePool(mus[i])
 			pool.Classes[0].Lambda = xi
-			res, err := sim.Run(pool, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 14 + uint64(i), Calendar: cfg.Calendar})
+			res, err := sim.Run(pool, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 14 + uint64(i)})
 			if err != nil {
 				return point{}, err
 			}
@@ -146,7 +146,7 @@ func (E15) Run(cfg Config) ([]*Table, error) {
 			return point{}, err
 		}
 		res, err := sim.Run(mk(lam), sim.Options{
-			Horizon: horizon, Replications: reps, Seed: cfg.Seed + 15, Calendar: cfg.Calendar,
+			Horizon: horizon, Replications: reps, Seed: cfg.Seed + 15,
 			Sleep: []*sim.SleepConfig{{Setup: setup, SleepPower: sleepW}},
 		})
 		if err != nil {
@@ -230,7 +230,7 @@ func (E16) Run(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		res, err := sim.Run(tailSol.Cluster, sim.Options{
-			Horizon: horizon, Replications: reps, Seed: cfg.Seed + 16, Calendar: cfg.Calendar,
+			Horizon: horizon, Replications: reps, Seed: cfg.Seed + 16,
 			Quantiles: []float64{0.95},
 		})
 		simQ := math.NaN()

@@ -51,7 +51,7 @@ func (E18) Run(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return point{}, err
 		}
-		res, err := sim.Run(c, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 18, Calendar: cfg.Calendar})
+		res, err := sim.Run(c, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 18})
 		if err != nil {
 			return point{}, err
 		}

@@ -31,7 +31,7 @@ func runValidationPoint(cfg Config, frac float64, seed uint64) (validationPoint,
 	if err != nil {
 		return validationPoint{}, err
 	}
-	res, err := sim.Run(c, sim.Options{Horizon: horizon, Replications: reps, Seed: seed, Calendar: cfg.Calendar})
+	res, err := sim.Run(c, sim.Options{Horizon: horizon, Replications: reps, Seed: seed})
 	if err != nil {
 		return validationPoint{}, err
 	}
@@ -91,7 +91,7 @@ func e1WindowTable(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	res, err := sim.Run(c, sim.Options{
-		Horizon: horizon, Replications: 1, Seed: cfg.Seed + 10, Calendar: cfg.Calendar,
+		Horizon: horizon, Replications: 1, Seed: cfg.Seed + 10,
 		Windows: w, Probe: &sim.Probe{Period: horizon / 200},
 	})
 	if err != nil {

@@ -85,7 +85,7 @@ func runE21Point(cfg Config, a float64, seed uint64) (e21Point, error) {
 	// eventually completes, so delay and power compare one-to-one.
 	c := e21Cluster()
 	plain, err := sim.Run(c, sim.Options{
-		Horizon: horizon, Replications: reps, Seed: seed, Calendar: cfg.Calendar,
+		Horizon: horizon, Replications: reps, Seed: seed,
 		Failures: e21Failures(c, a),
 	})
 	if err != nil {
@@ -96,7 +96,7 @@ func runE21Point(cfg Config, a float64, seed uint64) (e21Point, error) {
 	// multiples above each class's nominal delay; bronze has no retry budget
 	// and is first in line for shedding.
 	degraded, err := sim.Run(c, sim.Options{
-		Horizon: horizon, Replications: reps, Seed: seed + 1, Calendar: cfg.Calendar,
+		Horizon: horizon, Replications: reps, Seed: seed + 1,
 		Failures: e21Failures(c, a),
 		Deadlines: []*sim.DeadlineConfig{
 			{Deadline: 8, MaxRetries: 2, RetryBackoff: 0.5},
@@ -124,7 +124,7 @@ func runE21Recorder(cfg Config, a float64, seed uint64) (*trace.Recorder, error)
 	c := e21Cluster()
 	rec := trace.NewRecorder(1 << 17)
 	_, err := sim.Run(c, sim.Options{
-		Horizon: horizon, Replications: 1, Seed: seed, Calendar: cfg.Calendar,
+		Horizon: horizon, Replications: 1, Seed: seed,
 		Recorder: rec,
 		Failures: e21Failures(c, a),
 		Deadlines: []*sim.DeadlineConfig{

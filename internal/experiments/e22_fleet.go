@@ -50,7 +50,7 @@ func e22Fleet(cfg Config) []multi.Replica {
 	replicas := make([]multi.Replica, len(e22Generations))
 	for i, g := range e22Generations {
 		c := e22Cluster(g.speedFactor)
-		o := sim.Options{Horizon: horizon, Calendar: cfg.Calendar}
+		o := sim.Options{Horizon: horizon}
 		if g.availability < 1 {
 			o.Failures = e21Failures(c, g.availability)
 		}

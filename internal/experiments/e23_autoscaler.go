@@ -134,7 +134,7 @@ func e23Rows(cfg Config) ([]*e23Row, error) {
 		// (the plan controller's contract), same seed, same profiles.
 		opts := sim.Options{
 			Horizon: horizon, Replications: 1, Seed: cfg.Seed + 23,
-			Profiles: sc.profiles, Calendar: cfg.Calendar,
+			Profiles: sc.profiles,
 		}
 
 		addRun := func(strategy string, o sim.Options, ctl *control.Controller) error {

@@ -57,7 +57,7 @@ func (E8) Run(cfg Config) ([]*Table, error) {
 			modelOK = modelOK && rep.Satisfied()
 		}
 		simOK := "-"
-		res, err := sim.Run(sol.Cluster, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 8, Calendar: cfg.Calendar})
+		res, err := sim.Run(sol.Cluster, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 8})
 		if err == nil {
 			ok := true
 			for k, cl := range sol.Cluster.Classes {
@@ -74,7 +74,7 @@ func (E8) Run(cfg Config) ([]*Table, error) {
 	detail := NewTable("greedy allocation: per-class delays vs SLA bounds",
 		"class", "bound (s)", "model delay (s)", "sim delay (s)")
 	if greedy != nil {
-		res, err := sim.Run(greedy.Cluster, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 9, Calendar: cfg.Calendar})
+		res, err := sim.Run(greedy.Cluster, sim.Options{Horizon: horizon, Replications: reps, Seed: cfg.Seed + 9})
 		for k, cl := range greedy.Cluster.Classes {
 			simD := "-"
 			if err == nil {

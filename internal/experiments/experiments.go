@@ -23,11 +23,6 @@ type Config struct {
 	// points serially. The output is identical at every setting — sweep
 	// seeds are derived per point, so parallelism only changes wall time.
 	Workers int
-	// Calendar selects the simulator's event-calendar implementation for
-	// every experiment run (sim.CalendarHeap, sim.CalendarLadder, or empty
-	// for the default). Results are bit-identical either way; the knob
-	// exists so the whole suite can be benchmarked on either scheduler.
-	Calendar string
 }
 
 // simScale returns (horizon, replications) for the fidelity level.

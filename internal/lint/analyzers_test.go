@@ -62,17 +62,16 @@ const hotallocTranscript = `# sim
 ./engine.go:6:9: &calendar{} escapes to heap
 ./engine.go:12:9: &tracker{} escapes to heap
 ./helper.go:9:9: &ignored{} escapes to heap
-./ladder.go:10:14: make([][]int, nb) escapes to heap
-./ladder.go:16:9: &spill{} escapes to heap
+./deque.go:10:10: make([]int, c) escapes to heap
+./deque.go:16:9: &cursor{} escapes to heap
 `
 
-// hotallocAllow admits the calendar escape and the ladder rung's reusable
-// bucket table, and carries one stale entry the transcript no longer
-// reports.
+// hotallocAllow admits the calendar escape and the deque's growable backing
+// array, and carries one stale entry the transcript no longer reports.
 const hotallocAllow = `
 engine.go: &calendar{} escapes to heap
 engine.go: &ghost{} escapes to heap
-ladder.go: make([][]int, nb) escapes to heap
+deque.go: make([]int, c) escapes to heap
 `
 
 func TestHotAlloc(t *testing.T) {
@@ -81,7 +80,7 @@ func TestHotAlloc(t *testing.T) {
 	facts := linttest.Run(t, fixtures, lint.HotAlloc, "hotalloc/internal/sim")
 
 	const pkg = "hotalloc/internal/sim"
-	for _, fn := range []string{"newCalendar", "leak", "ladderRung.initRung", "newSpill"} {
+	for _, fn := range []string{"newCalendar", "leak", "deque.grow", "newCursor"} {
 		if _, ok := facts.Get(pkg, fn, "hotpath"); !ok {
 			t.Errorf("missing hotpath fact for %s", fn)
 		}
@@ -89,7 +88,7 @@ func TestHotAlloc(t *testing.T) {
 	if _, ok := facts.Get(pkg, "makeIgnored", "hotpath"); ok {
 		t.Error("helper.go is not a hot-path file; makeIgnored must not carry a hotpath fact")
 	}
-	for _, fn := range []string{"newCalendar", "leak", "ladderRung.initRung", "newSpill"} {
+	for _, fn := range []string{"newCalendar", "leak", "deque.grow", "newCursor"} {
 		if _, ok := facts.Get(pkg, fn, "allocates"); !ok {
 			t.Errorf("missing allocates fact for %s (allowlisted or not, the escape is a fact)", fn)
 		}

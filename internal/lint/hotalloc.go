@@ -17,7 +17,7 @@ import (
 // (TestSteadyStateAllocationsBounded): it runs the compiler's escape
 // analysis (`go build -gcflags=-m=2`) over internal/sim and fails on any
 // heap escape in the pooled hot path — engine.go, pool.go, deque.go,
-// station.go, arrivals.go, ladder.go — that is not recorded in the checked-in
+// station.go, arrivals.go — that is not recorded in the checked-in
 // allowlist (hotalloc_allow.txt). The allowlist is exact in both
 // directions: a new escape fails lint until it is either eliminated or
 // deliberately admitted, and a stale entry (an escape the compiler no
@@ -45,7 +45,7 @@ var HotAlloc = &Analyzer{
 // hotPathFiles are the allocation-free-by-design files of the event loop.
 var hotPathFiles = map[string]bool{
 	"engine.go": true, "pool.go": true, "deque.go": true,
-	"station.go": true, "arrivals.go": true, "ladder.go": true,
+	"station.go": true, "arrivals.go": true,
 }
 
 //go:embed hotalloc_allow.txt

@@ -7,7 +7,6 @@ package sim
 // ns/op and B/op alongside).
 
 import (
-	"fmt"
 	"testing"
 
 	"clusterq/internal/cluster"
@@ -68,8 +67,7 @@ func BenchmarkEventLoopControlled(b *testing.B) {
 // BenchmarkCalendar isolates the heap itself: schedule/next round-trips over
 // a live set of 512 events, the pattern the simulator drives it with. Do not
 // change its workload: TestDisabledRecorderOverheadGate runs it as the
-// machine-speed calibration probe against recorded baselines. The
-// cross-scheduler comparison lives in BenchmarkCalendarScaling.
+// machine-speed calibration probe against recorded baselines.
 func BenchmarkCalendar(b *testing.B) {
 	const live = 512
 	cal := newCalendar()
@@ -83,31 +81,5 @@ func BenchmarkCalendar(b *testing.B) {
 		e := cal.next()
 		cal.recycle(e)
 		cal.schedule(cal.now+rng.Float64()*10, evArrival, 0, nil, 0, nil)
-	}
-}
-
-// BenchmarkCalendarScaling puts both schedulers through the identical
-// hold-model workload (pop one, schedule one) at growing live-set sizes.
-// This is the table results/BENCH_sim2.json records: the heap's O(log n)
-// sift cost grows with the live set while the ladder's amortized-O(1)
-// bucket walk stays flat, so the ratio is the point of the benchmark.
-func BenchmarkCalendarScaling(b *testing.B) {
-	for _, kind := range []string{CalendarHeap, CalendarLadder} {
-		for _, live := range []int{512, 8 << 10, 64 << 10} {
-			b.Run(fmt.Sprintf("%s/%d", kind, live), func(b *testing.B) {
-				cal := newCalendarKind(kind)
-				rng := NewRNG(7)
-				for i := 0; i < live; i++ {
-					cal.schedule(rng.Float64()*100, evArrival, 0, nil, 0, nil)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e := cal.next()
-					cal.recycle(e)
-					cal.schedule(cal.now+rng.Float64()*10, evArrival, 0, nil, 0, nil)
-				}
-			})
-		}
 	}
 }

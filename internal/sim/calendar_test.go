@@ -1,0 +1,184 @@
+package sim
+
+import (
+	"sort"
+	"testing"
+)
+
+// refEvent is the reference model's copy of a scheduled event: the fields
+// the calendar must hand back unchanged, in (time, seq) order.
+type refEvent struct {
+	time float64
+	seq  uint64
+	gen  uint64
+	kind eventKind
+}
+
+// refLess is eventLess on the reference model's values.
+func refLess(a, b refEvent) bool {
+	//lint:waive floateq reason="the reference must break exact time ties on seq, like eventLess" until=2027-08-01
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.seq < b.seq
+}
+
+// driveCalendarAgainstSorted runs the calendar through a randomized
+// workload — schedules (plain and gen-stamped, with far-future, near-term,
+// exactly-tied and exactly-now times), single pops, and AdvanceTo-style
+// drains — next to a sorted slice holding the same events, and asserts that
+// every peekTime and every pop agrees with the slice's head, gen stamps
+// included. ops bounds the workload length so the fuzz harness stays fast.
+func driveCalendarAgainstSorted(t *testing.T, seed uint64, ops int) {
+	t.Helper()
+	cal := newCalendar()
+	var ref []refEvent
+	rng := NewRNG(seed)
+	pops := 0
+
+	popBoth := func() bool {
+		pt, ok := cal.peekTime()
+		if ok != (len(ref) > 0) {
+			t.Fatalf("pop %d: peekTime ok=%v with %d scheduled", pops, ok, len(ref))
+		}
+		if !ok {
+			if e := cal.next(); e != nil {
+				t.Fatalf("pop %d: next returned t=%v from an empty calendar", pops, e.time)
+			}
+			return false
+		}
+		want := ref[0]
+		ref = ref[1:]
+		if pt != want.time {
+			t.Fatalf("pop %d: peekTime %v, want %v", pops, pt, want.time)
+		}
+		e := cal.next()
+		if e == nil {
+			t.Fatalf("pop %d: nil with %d scheduled", pops, len(ref)+1)
+		}
+		if got := (refEvent{e.time, e.seq, e.gen, e.kind}); got != want {
+			t.Fatalf("pop %d: got (t=%v seq=%d gen=%d kind=%d), want (t=%v seq=%d gen=%d kind=%d)",
+				pops, got.time, got.seq, got.gen, got.kind, want.time, want.seq, want.gen, want.kind)
+		}
+		if cal.now != want.time {
+			t.Fatalf("pop %d: clock %v, want %v", pops, cal.now, want.time)
+		}
+		cal.recycle(e)
+		pops++
+		return true
+	}
+
+	schedule := func() {
+		// A mix biased toward the simulator's schedule-at-now+Δ pattern,
+		// with deliberate exact time ties so the seq tie-break is exercised
+		// on every run.
+		var at float64
+		switch rng.Uint64() % 6 {
+		case 0: // far future
+			at = cal.now + rng.Float64()*1e4
+		case 1: // mid range
+			at = cal.now + rng.Float64()*100
+		case 2: // near term
+			at = cal.now + rng.Float64()
+		case 3: // exact tie grid: many bitwise-equal times
+			at = cal.now + float64(rng.Uint64()%16)
+		case 4: // tight non-equal cluster
+			at = cal.now + 10 + rng.Float64()*0.01
+		default: // exactly now: ordering is pure seq
+			at = cal.now
+		}
+		r := refEvent{time: at, seq: cal.seq, kind: evArrival}
+		if rng.Uint64()%4 == 0 {
+			// The gen-stamped path deadlines use (scheduleGen): the stamp
+			// must ride along unperturbed for staleness checks to work.
+			r.gen, r.kind = rng.Uint64()%8, evTimeout
+			cal.scheduleGen(at, r.kind, 0, nil, 0, r.gen)
+		} else {
+			cal.schedule(at, r.kind, 0, nil, 0, nil)
+		}
+		i := sort.Search(len(ref), func(i int) bool { return refLess(r, ref[i]) })
+		ref = append(ref, refEvent{})
+		copy(ref[i+1:], ref[i:])
+		ref[i] = r
+	}
+
+	for i := 0; i < ops; i++ {
+		switch op := rng.Uint64() % 10; {
+		case op < 5 || len(ref) == 0:
+			schedule()
+		case op < 8:
+			popBoth()
+		default:
+			// AdvanceTo-style drain: pop everything at or before a target
+			// time, exactly how the step engine and the shared-clock
+			// orchestrator consume the calendar.
+			target := cal.now + rng.Float64()*50
+			for {
+				et, ok := cal.peekTime()
+				if !ok || et > target {
+					break
+				}
+				popBoth()
+			}
+		}
+	}
+	// Drain completely: the tail must match too.
+	for popBoth() {
+	}
+	if !cal.empty() {
+		t.Fatal("calendar reports non-empty after a full drain")
+	}
+}
+
+// TestCalendarMatchesSortedPopOrder is the property test: across many seeds
+// the calendar pops exactly the (time, seq) order of a sorted slice holding
+// the same events. Every golden hash rests on this order.
+func TestCalendarMatchesSortedPopOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		driveCalendarAgainstSorted(t, seed, 4000)
+	}
+}
+
+// TestCalendarMatchesSortedLargeLiveSet pushes one big batch, with heavy
+// exact-tie pileups, and drains it against the sorted batch.
+func TestCalendarMatchesSortedLargeLiveSet(t *testing.T) {
+	cal := newCalendar()
+	rng := NewRNG(99)
+	const n = 200000
+	ref := make([]refEvent, 0, n)
+	for i := 0; i < n; i++ {
+		var at float64
+		if rng.Uint64()%3 == 0 {
+			at = float64(rng.Uint64() % 64) // massive equal-time pileups
+		} else {
+			at = rng.Float64() * 1000
+		}
+		ref = append(ref, refEvent{time: at, seq: cal.seq, kind: evArrival})
+		cal.schedule(at, evArrival, 0, nil, 0, nil)
+	}
+	sort.Slice(ref, func(i, j int) bool { return refLess(ref[i], ref[j]) })
+	for i, want := range ref {
+		e := cal.next()
+		if e.time != want.time || e.seq != want.seq {
+			t.Fatalf("pop %d: got (t=%v seq=%d), want (t=%v seq=%d)", i, e.time, e.seq, want.time, want.seq)
+		}
+		cal.recycle(e)
+	}
+	if !cal.empty() {
+		t.Fatal("calendar non-empty after a full drain")
+	}
+}
+
+// FuzzCalendarMatchesSorted lets the fuzzer search the workload space for a
+// seed whose pop sequence departs from the sorted reference. The corpus
+// seeds cover the regimes the property test already walks;
+// `go test -fuzz FuzzCalendarMatchesSorted` digs further.
+func FuzzCalendarMatchesSorted(f *testing.F) {
+	f.Add(uint64(1))
+	f.Add(uint64(7))
+	f.Add(uint64(42))
+	f.Add(uint64(0xdeadbeef))
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		driveCalendarAgainstSorted(t, seed, 1500)
+	})
+}

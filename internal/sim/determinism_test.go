@@ -59,54 +59,47 @@ func TestResultIdenticalAcrossGOMAXPROCS(t *testing.T) {
 // at the same seeds, immediately after the warmup/stats bugfixes landed. If
 // either hash drifts, pooling has leaked state between recycled objects —
 // fail loudly, do not re-record without understanding why.
-//
-// The test runs once per calendar implementation: the ladder queue pops the
-// identical (time, seq) sequence, so the SAME unpooled goldens must hold
-// bit for bit on both — the acceptance criterion of Options.Calendar.
 func TestPooledCalendarGoldenHash(t *testing.T) {
 	classes := []cluster.Class{{Name: "hi", Lambda: 0.3}, {Name: "lo", Lambda: 0.4}}
 	demands := []queueing.Demand{{Work: 1, CV2: 1}, {Work: 1.5, CV2: 2}}
 	quantiles := []float64{0.9, 0.95}
 
-	for _, calKind := range []string{CalendarHeap, CalendarLadder} {
-		t.Run(calKind, func(t *testing.T) {
-			// Non-preemptive two-server station with probe counters attached:
-			// exercises arrival/start/visit/exit recycling plus the probe path.
-			np := oneTier(2, 1, queueing.NonPreemptive, classes, demands)
-			resNP, err := Run(np, Options{
-				Horizon:      3000,
-				Replications: 6,
-				Seed:         42,
-				Quantiles:    quantiles,
-				Probe:        &Probe{Period: 10},
-				Calendar:     calKind,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const goldenNP = "2931bffdb52d5f3373575a5897bf6cf450f89930c84b7a6f1354b1f2b15809ef"
-			if h := hashResult(resNP, quantiles); h != goldenNP {
-				t.Errorf("non-preemptive Result hash drifted from the unpooled golden:\n got %s\nwant %s", h, goldenNP)
-			}
-
-			// Preemptive-resume under a DVFS controller: exercises the cancelled-
-			// run paths (preempt and retune both strand stale departure events
-			// whose runs are recycled on pop).
-			pr := oneTier(2, 1, queueing.PreemptiveResume, classes, demands)
-			resPR, err := Run(pr, Options{
-				Horizon: 2000, Replications: 3, Seed: 7, Quantiles: quantiles,
-				Controller: UtilizationPolicy{Target: 0.6}, ControlPeriod: 25,
-				Calendar: calKind,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const goldenPR = "38b43cd3bc675302a8eca783d4ef1ac9b0a9948eaf2635c14c8a46b48560d59d"
-			if h := hashResult(resPR, quantiles); h != goldenPR {
-				t.Errorf("preemptive-resume Result hash drifted from the unpooled golden:\n got %s\nwant %s", h, goldenPR)
-			}
+	// The subtest is named after the one calendar, the indexed binary heap.
+	t.Run("heap", func(t *testing.T) {
+		// Non-preemptive two-server station with probe counters attached:
+		// exercises arrival/start/visit/exit recycling plus the probe path.
+		np := oneTier(2, 1, queueing.NonPreemptive, classes, demands)
+		resNP, err := Run(np, Options{
+			Horizon:      3000,
+			Replications: 6,
+			Seed:         42,
+			Quantiles:    quantiles,
+			Probe:        &Probe{Period: 10},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		const goldenNP = "2931bffdb52d5f3373575a5897bf6cf450f89930c84b7a6f1354b1f2b15809ef"
+		if h := hashResult(resNP, quantiles); h != goldenNP {
+			t.Errorf("non-preemptive Result hash drifted from the unpooled golden:\n got %s\nwant %s", h, goldenNP)
+		}
+
+		// Preemptive-resume under a DVFS controller: exercises the cancelled-
+		// run paths (preempt and retune both strand stale departure events
+		// whose runs are recycled on pop).
+		pr := oneTier(2, 1, queueing.PreemptiveResume, classes, demands)
+		resPR, err := Run(pr, Options{
+			Horizon: 2000, Replications: 3, Seed: 7, Quantiles: quantiles,
+			Controller: UtilizationPolicy{Target: 0.6}, ControlPeriod: 25,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const goldenPR = "38b43cd3bc675302a8eca783d4ef1ac9b0a9948eaf2635c14c8a46b48560d59d"
+		if h := hashResult(resPR, quantiles); h != goldenPR {
+			t.Errorf("preemptive-resume Result hash drifted from the unpooled golden:\n got %s\nwant %s", h, goldenPR)
+		}
+	})
 }
 
 // hashResult digests every numeric field of a Result bit-exactly ('x' format

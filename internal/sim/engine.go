@@ -34,9 +34,9 @@ type event struct {
 }
 
 // eventLess is the calendar's one total order: ascending time with the
-// sequence number as a deterministic tie-breaker. Every scheduler
-// implementation pops in exactly this order, which is why the calendar
-// choice cannot perturb results.
+// sequence number as a deterministic tie-breaker. Pop order is a pure
+// function of this order, so the heap's internal layout cannot perturb
+// results.
 func eventLess(a, b *event) bool {
 	//lint:waive floateq reason="deliberate exact compare: bitwise-equal times fall through to the seq tie-break" until=2027-08-01
 	if a.time != b.time {
@@ -45,33 +45,11 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// scheduler is the priority-structure half of the calendar: a multiset of
-// events popped in eventLess order. Two implementations exist — the binary
-// min-heap below (O(log n), cache-friendly at small live sets) and the
-// ladder queue in ladder.go (amortized O(1), wins at large live sets). Both
-// pop the identical (time, seq) sequence for any push sequence, so the
-// choice is purely a performance knob; the equivalence property/fuzz tests
-// in calendar_equiv_test.go pin this.
-type scheduler interface {
-	// push inserts e; the caller has already assigned e.time and e.seq.
-	push(e *event)
-	// pop removes and returns the eventLess-minimum event, nil when empty.
-	pop() *event
-	// peekTime reports the minimum event's time without removing it; ok is
-	// false when the scheduler is empty. Implementations may reorganize
-	// internal state, so peekTime is not safe for concurrent use.
-	peekTime() (float64, bool)
-	// size reports how many events are scheduled.
-	size() int
-}
-
 // eventHeap is a concrete binary min-heap of events ordered by eventLess.
 // It deliberately does not implement container/heap: the stdlib interface
 // boxes every Push/Pop operand through `any`, which heap-allocates one
 // escape per scheduled event. With concrete methods the sift loops stay
-// monomorphic and the calendar's steady state allocates nothing. Pop order
-// is a pure function of the (time, seq) total order, so the heap's internal
-// layout cannot affect determinism.
+// monomorphic and the calendar's steady state allocates nothing.
 type eventHeap []*event
 
 func (h eventHeap) less(i, j int) bool {
@@ -110,13 +88,13 @@ func (h eventHeap) down(i int) {
 	}
 }
 
-// push implements scheduler.
+// push inserts e; the caller has already assigned e.time and e.seq.
 func (h *eventHeap) push(e *event) {
 	*h = append(*h, e)
 	h.up(len(*h) - 1)
 }
 
-// pop implements scheduler.
+// pop removes and returns the eventLess-minimum event, nil when empty.
 func (h *eventHeap) pop() *event {
 	s := *h
 	if len(s) == 0 {
@@ -133,45 +111,20 @@ func (h *eventHeap) pop() *event {
 	return e
 }
 
-// peekTime implements scheduler.
-func (h *eventHeap) peekTime() (float64, bool) {
-	if len(*h) == 0 {
-		return 0, false
-	}
-	return (*h)[0].time, true
-}
-
-// size implements scheduler.
-func (h *eventHeap) size() int { return len(*h) }
-
-// calendar wraps a scheduler with a monotone clock, sequence numbering, and
-// an event free list. Popped events are recycled via recycle(), so once the
-// scheduler and free list reach the replication's high-water mark the
+// calendar wraps the event heap with a monotone clock, sequence numbering,
+// and an event free list. Popped events are recycled via recycle(), so once
+// the heap and free list reach the replication's high-water mark the
 // calendar stops allocating: the live event set, not the event count, bounds
 // memory.
 type calendar struct {
-	sched scheduler
-	seq   uint64
-	now   float64
-	free  []*event
+	events eventHeap
+	seq    uint64
+	now    float64
+	free   []*event
 }
 
-// newCalendar builds a calendar on the default scheduler (the binary heap).
-func newCalendar() *calendar { return newCalendarKind(CalendarHeap) }
-
-// newCalendarKind builds a calendar on the named scheduler: CalendarLadder
-// selects the ladder queue, anything else (including the zero value) the
-// binary heap — callers that bypass Options.defaults still get a working
-// calendar.
-func newCalendarKind(kind string) *calendar {
-	c := &calendar{}
-	if kind == CalendarLadder {
-		c.sched = newLadderQueue()
-	} else {
-		c.sched = new(eventHeap)
-	}
-	return c
-}
+// newCalendar builds an empty calendar.
+func newCalendar() *calendar { return &calendar{} }
 
 // schedule enqueues a pooled event at absolute time t. The fields not used
 // by the kind are zeroed.
@@ -204,7 +157,7 @@ func (c *calendar) at(t float64, e *event) {
 	e.time = t
 	e.seq = c.seq
 	c.seq++
-	c.sched.push(e)
+	c.events.push(e)
 }
 
 // peekTime reports the earliest scheduled event time without popping the
@@ -213,12 +166,15 @@ func (c *calendar) at(t float64, e *event) {
 // BEFORE committing the clock to it — popping first would advance now past
 // the horizon and strand the event outside the free list.
 func (c *calendar) peekTime() (float64, bool) {
-	return c.sched.peekTime()
+	if len(c.events) == 0 {
+		return 0, false
+	}
+	return c.events[0].time, true
 }
 
 // next pops the earliest event and advances the clock; nil when empty.
 func (c *calendar) next() *event {
-	e := c.sched.pop()
+	e := c.events.pop()
 	if e == nil {
 		return nil
 	}
@@ -234,4 +190,4 @@ func (c *calendar) recycle(e *event) {
 }
 
 // empty reports whether any events remain.
-func (c *calendar) empty() bool { return c.sched.size() == 0 }
+func (c *calendar) empty() bool { return len(c.events) == 0 }

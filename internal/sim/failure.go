@@ -69,7 +69,8 @@ type SheddingConfig struct {
 	// ResumeBelow is the utilization under which shedding relaxes; it must
 	// be below Threshold (hysteresis). 0 selects 0.8·Threshold.
 	ResumeBelow float64
-	// Period is the measurement epoch in simulated seconds (required, > 0).
+	// Period is the measurement epoch in simulated seconds (required,
+	// finite, > 0).
 	Period float64
 	// MaxShedClasses caps how many classes may be shed at once; 0 selects
 	// the maximum, every class but class 0.
@@ -137,13 +138,14 @@ func (o *Options) validateShedding(numClasses int) error {
 	if !(sc.Threshold > 0) || sc.Threshold > 1 {
 		return fmt.Errorf("sim: shedding threshold %g out of (0, 1]", sc.Threshold)
 	}
-	if sc.ResumeBelow < 0 || sc.ResumeBelow >= sc.Threshold {
-		if sc.ResumeBelow != 0 {
-			return fmt.Errorf("sim: shedding resume level %g must lie in (0, threshold %g)", sc.ResumeBelow, sc.Threshold)
-		}
+	// Zero selects the default resume level; anything else must lie inside
+	// the band. The negated form also rejects NaN, which would otherwise
+	// pass both comparisons and keep shedding from ever relaxing.
+	if sc.ResumeBelow != 0 && !(sc.ResumeBelow > 0 && sc.ResumeBelow < sc.Threshold) {
+		return fmt.Errorf("sim: shedding resume level %g must lie in (0, threshold %g)", sc.ResumeBelow, sc.Threshold)
 	}
-	if !(sc.Period > 0) {
-		return fmt.Errorf("sim: shedding period %g must be positive", sc.Period)
+	if !(sc.Period > 0) || math.IsInf(sc.Period, 1) {
+		return fmt.Errorf("sim: shedding period %g must be positive and finite", sc.Period)
 	}
 	if sc.MaxShedClasses < 0 || sc.MaxShedClasses > numClasses-1 {
 		return fmt.Errorf("sim: shedding may drop at most %d classes, got %d", numClasses-1, sc.MaxShedClasses)

@@ -161,40 +161,6 @@ func TestFleetIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestFleetMixedCalendars pins the orchestrator over heterogeneous event
-// calendars: per-replica sim.Options carry their own Calendar, so one fleet
-// can mix heap and ladder replicas — and because both schedulers pop the
-// identical (time, seq) order, the per-replica hashes must be bit-identical
-// to the all-default (heap) fleet's, on every mixture.
-func TestFleetMixedCalendars(t *testing.T) {
-	base := fleetHashes(t)
-	mixtures := [][]string{
-		{sim.CalendarLadder, sim.CalendarLadder, sim.CalendarLadder},
-		{sim.CalendarLadder, sim.CalendarHeap, sim.CalendarLadder},
-		{sim.CalendarHeap, sim.CalendarLadder, sim.CalendarHeap},
-	}
-	for _, mix := range mixtures {
-		replicas := heterogeneousFleet()
-		for i := range replicas {
-			replicas[i].Options.Calendar = mix[i]
-		}
-		orch, err := multi.New(replicas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, err := orch.Results()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, res := range results {
-			if got := hashResult(res); got != base[i] {
-				t.Errorf("mixture %v: replica %d hash differs from the all-heap fleet:\n got %s\nwant %s",
-					mix, i, got, base[i])
-			}
-		}
-	}
-}
-
 // TestFleetMatchesStandaloneRun pins non-interference: interleaving replicas
 // under the shared clock must not perturb any of them — each replica's
 // Result is bit-identical to running the same cluster, options and seed as a

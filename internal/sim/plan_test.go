@@ -25,7 +25,7 @@ func (p fixedPlan) DecidePlan(PlanObservation) PlanDecision { return p.d }
 
 // TestPlanControllerNoOpPerturbationFree pins satellite 3's property: a plan
 // controller that holds every knob must leave the Result bit-identical to a
-// controller-free run — on both calendars, driven closed or AdvanceTo-sliced,
+// controller-free run — driven closed or AdvanceTo-sliced,
 // with the window sensors attached (sensor reads only advance expiry
 // bookkeeping). The run uses ZeroWarmup because the warmup reset otherwise
 // lands on the first event past the warmup time, and control events would
@@ -35,7 +35,7 @@ func TestPlanControllerNoOpPerturbationFree(t *testing.T) {
 	quantiles := []float64{0.9, 0.95}
 	base := Options{
 		Horizon: 3000, Replications: 1, Seed: 42,
-		Quantiles: quantiles, Warmup: ZeroWarmup, Calendar: CalendarHeap,
+		Quantiles: quantiles, Warmup: ZeroWarmup,
 	}
 	free, err := Run(stepCluster(2, queueing.NonPreemptive), base)
 	if err != nil {
@@ -43,9 +43,8 @@ func TestPlanControllerNoOpPerturbationFree(t *testing.T) {
 	}
 	want := hashResult(free, quantiles)
 
-	mkOpts := func(calKind string) Options {
+	mkOpts := func() Options {
 		o := base
-		o.Calendar = calKind
 		o.PlanController = holdAllPlan{}
 		o.ControlPeriod = 37
 		win, err := window.NewSet(window.Config{Width: 200}, 2, 1)
@@ -55,31 +54,29 @@ func TestPlanControllerNoOpPerturbationFree(t *testing.T) {
 		o.Windows = win
 		return o
 	}
-	for _, calKind := range []string{CalendarHeap, CalendarLadder} {
-		closed, err := Run(stepCluster(2, queueing.NonPreemptive), mkOpts(calKind))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := hashResult(closed, quantiles); got != want {
-			t.Errorf("%s/closed: no-op plan controller perturbed the run:\n got %s\nwant %s", calKind, got, want)
-		}
+	closed, err := Run(stepCluster(2, queueing.NonPreemptive), mkOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hashResult(closed, quantiles); got != want {
+		t.Errorf("closed: no-op plan controller perturbed the run:\n got %s\nwant %s", got, want)
+	}
 
-		o := mkOpts(calKind)
-		rep, err := NewReplication(stepCluster(2, queueing.NonPreemptive), o, o.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tt := 250.0; tt <= o.Horizon; tt += 250 {
-			rep.AdvanceTo(tt)
-		}
-		rep.AdvanceTo(math.Inf(1))
-		res, err := rep.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := hashResult(res, quantiles); got != want {
-			t.Errorf("%s/sliced: no-op plan controller perturbed the run:\n got %s\nwant %s", calKind, got, want)
-		}
+	o := mkOpts()
+	rep, err := NewReplication(stepCluster(2, queueing.NonPreemptive), o, o.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tt := 250.0; tt <= o.Horizon; tt += 250 {
+		rep.AdvanceTo(tt)
+	}
+	rep.AdvanceTo(math.Inf(1))
+	res, err := rep.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hashResult(res, quantiles); got != want {
+		t.Errorf("sliced: no-op plan controller perturbed the run:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -137,33 +137,30 @@ func TestTierStatsMatchEndToEnd(t *testing.T) {
 // allocates only setup state plus the high-water free lists, far below one
 // allocation per event. The pre-pooling loop allocated ~3 objects per event
 // and blows this bound by two orders of magnitude.
-// Both calendars are gated: the ladder's rung/bucket reuse must keep it as
-// setup-bounded as the heap.
 func TestSteadyStateAllocationsBounded(t *testing.T) {
 	c := regressionCluster()
-	for _, calKind := range []string{CalendarHeap, CalendarLadder} {
-		t.Run(calKind, func(t *testing.T) {
-			o := Options{Horizon: 15000, Warmup: 100, Replications: 1, Seed: 5, Calendar: calKind}
-			if err := o.defaults(); err != nil {
+	// The subtest is named after the one calendar, the indexed binary heap.
+	t.Run("heap", func(t *testing.T) {
+		o := Options{Horizon: 15000, Warmup: 100, Replications: 1, Seed: 5}
+		if err := o.defaults(); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			s, err := newSimulator(c, o, o.Seed, false)
+			if err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(3, func() {
-				s, err := newSimulator(c, o, o.Seed, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.run()
-				if s.summarize().completed[0] == 0 {
-					t.Fatal("replication produced no completions")
-				}
-			})
-			// Generous ceiling over the measured ~300 setup allocations; one
-			// allocation per event would be ~40000.
-			if allocs > 2000 {
-				t.Errorf("full replication made %.0f allocations, want setup-only (<2000)", allocs)
+			s.run()
+			if s.summarize().completed[0] == 0 {
+				t.Fatal("replication produced no completions")
 			}
 		})
-	}
+		// Generous ceiling over the measured ~300 setup allocations; one
+		// allocation per event would be ~40000.
+		if allocs > 2000 {
+			t.Errorf("full replication made %.0f allocations, want setup-only (<2000)", allocs)
+		}
+	})
 }
 
 // TestConfidenceDefaults pins the fix for silently rewritten confidence
@@ -193,4 +190,83 @@ func TestConfidenceDefaults(t *testing.T) {
 			t.Errorf("confidence %g accepted, want error", level)
 		}
 	}
+}
+
+// hostileOptions are option values that used to pass validation and then
+// broke the run: an infinite horizon never let Run return, a NaN warmup
+// filtered out every arrival and reported NaN delays with a nil error, and
+// a NaN resume level passed both shedding range checks yet never compared
+// true, so shedding could tighten but never relax, and an infinite shedding
+// period scheduled its first epoch at +Inf, silently turning shedding off.
+var hostileOptions = []struct {
+	name string
+	o    Options
+}{
+	{"infinite horizon", Options{Horizon: math.Inf(1)}},
+	{"NaN warmup", Options{Horizon: 1000, Warmup: math.NaN()}},
+	{"NaN shedding resume level", Options{Horizon: 1000,
+		Shedding: &SheddingConfig{Threshold: 0.9, ResumeBelow: math.NaN(), Period: 25}}},
+	{"infinite shedding period", Options{Horizon: 1000,
+		Shedding: &SheddingConfig{Threshold: 0.9, Period: math.Inf(1)}}},
+}
+
+// TestHostileOptionsRejected pins that each hostile value is now an error
+// from the shared validation path instead of a hung or silently empty run.
+func TestHostileOptionsRejected(t *testing.T) {
+	c := regressionCluster()
+	for _, tc := range hostileOptions {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.o
+			if err := o.validate(c); err == nil {
+				t.Error("accepted, want an error")
+			}
+		})
+	}
+}
+
+// FuzzOptionsDefaults drives the horizon, warmup, confidence and shedding
+// floats through defaults() and validation. Every input must either be
+// rejected or leave a finite positive horizon, a warmup in [0, horizon), a
+// confidence level in (0, 1) and a shedding band the event loop can act on;
+// none may panic. The corpus starts from the hostile values above.
+func FuzzOptionsDefaults(f *testing.F) {
+	for _, tc := range hostileOptions {
+		sc := SheddingConfig{Threshold: 0.9, Period: 25}
+		if tc.o.Shedding != nil {
+			sc = *tc.o.Shedding
+		}
+		f.Add(tc.o.Horizon, tc.o.Warmup, tc.o.Confidence, sc.Threshold, sc.ResumeBelow, sc.Period)
+	}
+	f.Add(1000.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(1000.0, -1.0, 0.99, 1.0, 0.5, 10.0)
+	c := regressionCluster()
+	f.Fuzz(func(t *testing.T, horizon, warmup, confidence, threshold, resume, period float64) {
+		o := Options{Horizon: horizon, Warmup: warmup, Confidence: confidence}
+		if threshold != 0 {
+			o.Shedding = &SheddingConfig{Threshold: threshold, ResumeBelow: resume, Period: period}
+		}
+		if err := o.validate(c); err != nil {
+			return
+		}
+		if !(o.Horizon > 0) || math.IsInf(o.Horizon, 0) {
+			t.Errorf("horizon %g accepted, want finite and positive", o.Horizon)
+		}
+		if !(o.Warmup >= 0 && o.Warmup < o.Horizon) {
+			t.Errorf("warmup %g accepted for horizon %g, want it in [0, horizon)", o.Warmup, o.Horizon)
+		}
+		if !(o.Confidence > 0 && o.Confidence < 1) {
+			t.Errorf("confidence %g accepted, want it in (0, 1)", o.Confidence)
+		}
+		if sc := o.Shedding; sc != nil {
+			if !(sc.Threshold > 0 && sc.Threshold <= 1) {
+				t.Errorf("shedding threshold %g accepted, want it in (0, 1]", sc.Threshold)
+			}
+			if sc.ResumeBelow != 0 && !(sc.ResumeBelow > 0 && sc.ResumeBelow < sc.Threshold) {
+				t.Errorf("shedding resume level %g accepted for threshold %g", sc.ResumeBelow, sc.Threshold)
+			}
+			if !(sc.Period > 0) || math.IsInf(sc.Period, 0) {
+				t.Errorf("shedding period %g accepted, want finite and positive", sc.Period)
+			}
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,29 +23,9 @@ import (
 // explicit request is spelled with a negative sentinel instead.
 const ZeroWarmup = -1.0
 
-// Calendar implementation names for Options.Calendar.
-const (
-	// CalendarHeap is the concrete binary min-heap: O(log n) per
-	// operation, the default, and the fastest at small live event sets.
-	CalendarHeap = "heap"
-	// CalendarLadder is the ladder queue (see ladder.go): amortized O(1)
-	// per operation, overtaking the heap as the live set grows into the
-	// thousands. Pop order is identical, so results are bit-identical.
-	CalendarLadder = "ladder"
-)
-
-// calendarEnv reads the CLUSTERQ_CALENDAR override. The environment variable
-// exists so a whole test suite or experiment batch can be re-run on the other
-// calendar without threading an option through every construction site (CI
-// runs the E1 smoke and the allocation gate this way). It is read afresh on
-// every defaults() call — once per Run, nowhere near any hot path — so
-// t.Setenv in a later test is honored even after an earlier test resolved
-// options.
-func calendarEnv() string { return os.Getenv("CLUSTERQ_CALENDAR") }
-
 // Options configures a simulation experiment.
 type Options struct {
-	// Horizon is the simulated time per replication (required, > 0).
+	// Horizon is the simulated time per replication (required, finite, > 0).
 	Horizon float64
 	// Warmup is the initial transient discarded from every replication.
 	// Leaving it at zero selects the default of 10% of the horizon; to
@@ -137,13 +116,6 @@ type Options struct {
 	// measured utilization crosses the threshold, the lowest-priority
 	// classes' arrivals are refused first.
 	Shedding *SheddingConfig
-	// Calendar selects the event-calendar implementation: CalendarHeap
-	// (the default) or CalendarLadder. Both pop events in the identical
-	// (time, seq) total order, so every result — including golden hashes —
-	// is bit-identical across the two; the choice is purely a performance
-	// knob. Leaving it empty defers to the CLUSTERQ_CALENDAR environment
-	// variable, then to the heap.
-	Calendar string
 }
 
 // SleepConfig parameterizes a tier's instant-off sleep policy.
@@ -156,10 +128,15 @@ type SleepConfig struct {
 }
 
 func (o *Options) defaults() error {
-	if !(o.Horizon > 0) {
-		return fmt.Errorf("sim: horizon %g must be positive", o.Horizon)
+	if !(o.Horizon > 0) || math.IsInf(o.Horizon, 1) {
+		// An infinite horizon would never stop the event loop.
+		return fmt.Errorf("sim: horizon %g must be positive and finite", o.Horizon)
 	}
 	switch {
+	case math.IsNaN(o.Warmup):
+		// NaN compares false against every event time, so the warmup would
+		// never end and every arrival would be filtered out.
+		return fmt.Errorf("sim: warmup %g is not a number", o.Warmup)
 	case o.Warmup < 0:
 		// ZeroWarmup (or any negative value): an explicit zero-warmup run.
 		o.Warmup = 0
@@ -179,23 +156,6 @@ func (o *Options) defaults() error {
 		// mistake, not a request for the default: reject it like a bad
 		// warmup instead of silently rewriting it.
 		return fmt.Errorf("sim: confidence level %g out of (0, 1)", o.Confidence)
-	}
-	switch o.Calendar {
-	case "":
-		switch env := calendarEnv(); env {
-		case "", CalendarHeap:
-			o.Calendar = CalendarHeap
-		case CalendarLadder:
-			o.Calendar = CalendarLadder
-		default:
-			// A typo in the environment override should fail loudly, not
-			// silently benchmark the wrong calendar.
-			return fmt.Errorf("sim: CLUSTERQ_CALENDAR=%q: unknown calendar (want %q or %q)",
-				env, CalendarHeap, CalendarLadder)
-		}
-	case CalendarHeap, CalendarLadder:
-	default:
-		return fmt.Errorf("sim: unknown calendar %q (want %q or %q)", o.Calendar, CalendarHeap, CalendarLadder)
 	}
 	if (o.Controller != nil || o.PlanController != nil) && !(o.ControlPeriod > 0) {
 		return fmt.Errorf("sim: a controller requires a positive control period")

@@ -97,7 +97,7 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 	root := NewRNG(seed)
 	s := &simulator{
 		c:              c,
-		cal:            newCalendarKind(o.Calendar),
+		cal:            newCalendar(),
 		warmup:         o.Warmup,
 		warmupDone:     o.Warmup <= 0, // explicit zero warmup: never reset, measure from t=0
 		horizon:        o.Horizon,

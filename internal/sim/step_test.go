@@ -21,9 +21,7 @@ func stepCluster(servers int, disc queueing.Discipline) *cluster.Cluster {
 // TestStepEquivalenceGoldenBaseline pins the tentpole claim of the step
 // refactor: a step-driven replication is the SAME engine, so draining it
 // event by event must produce a bit-identical Result to the closed Run() on
-// the E1-style baseline config — including the probe's event counters. It
-// runs once per calendar, and the closed-run hash is computed once on the
-// heap: every (calendar, drive-mode) pair must land on those same bits.
+// the E1-style baseline config — including the probe's event counters.
 func TestStepEquivalenceGoldenBaseline(t *testing.T) {
 	quantiles := []float64{0.9, 0.95}
 	opts := Options{
@@ -32,7 +30,6 @@ func TestStepEquivalenceGoldenBaseline(t *testing.T) {
 		Seed:         42,
 		Quantiles:    quantiles,
 		Probe:        &Probe{Period: 10},
-		Calendar:     CalendarHeap,
 	}
 
 	closed, err := Run(stepCluster(2, queueing.NonPreemptive), opts)
@@ -42,7 +39,7 @@ func TestStepEquivalenceGoldenBaseline(t *testing.T) {
 	want := hashResult(closed, quantiles)
 
 	// Drive the same replication three different ways; every stepping
-	// granularity on either calendar must land on the same bits.
+	// granularity must land on the same bits.
 	drive := map[string]func(r *Replication){
 		"event-by-event": func(r *Replication) {
 			for r.HasPendingEvents() {
@@ -59,23 +56,18 @@ func TestStepEquivalenceGoldenBaseline(t *testing.T) {
 		},
 		"drain": func(r *Replication) { r.Run() },
 	}
-	for _, calKind := range []string{CalendarHeap, CalendarLadder} {
-		stepped := opts
-		stepped.Calendar = calKind
-		for name, fn := range drive {
-			rep, err := NewReplication(stepCluster(2, queueing.NonPreemptive), stepped, stepped.Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fn(rep)
-			res, err := rep.Result()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := hashResult(res, quantiles); got != want {
-				t.Errorf("%s/%s: stepped Result hash differs from closed heap Run:\n got %s\nwant %s",
-					calKind, name, got, want)
-			}
+	for name, fn := range drive {
+		rep, err := NewReplication(stepCluster(2, queueing.NonPreemptive), opts, opts.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(rep)
+		res, err := rep.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hashResult(res, quantiles); got != want {
+			t.Errorf("%s: stepped Result hash differs from closed Run:\n got %s\nwant %s", name, got, want)
 		}
 	}
 }
@@ -84,13 +76,10 @@ func TestStepEquivalenceGoldenBaseline(t *testing.T) {
 // E21-style config — breakdowns, deadlines and shedding all on — with the
 // flight recorder, window sensors and probe attached, the configuration an
 // online controller would actually step. Both the Result hash and the
-// sensors' final readings must match the closed run bit for bit. The closed
-// reference runs on the heap; the stepped replication runs on each calendar
-// in turn, so the failure+deadline+shedding+recorder+windows event stream is
-// pinned identical across schedulers too.
+// sensors' final readings must match the closed run bit for bit.
 func TestStepEquivalenceDegradedWithSensors(t *testing.T) {
 	quantiles := []float64{0.9}
-	mkOpts := func(calKind string) (Options, *trace.Recorder, *window.Set) {
+	mkOpts := func() (Options, *trace.Recorder, *window.Set) {
 		rec := trace.NewRecorder(1 << 15)
 		win, err := window.NewSet(window.Config{Width: 200}, 2, 1)
 		if err != nil {
@@ -110,40 +99,37 @@ func TestStepEquivalenceDegradedWithSensors(t *testing.T) {
 				{Deadline: 12},
 			},
 			Shedding: &SheddingConfig{Threshold: 0.9, Period: 25},
-			Calendar: calKind,
 		}, rec, win
 	}
 
-	optsA, recA, winA := mkOpts(CalendarHeap)
+	optsA, recA, winA := mkOpts()
 	closed, err := Run(stepCluster(3, queueing.NonPreemptive), optsA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := hashResult(closed, quantiles)
 
-	for _, calKind := range []string{CalendarHeap, CalendarLadder} {
-		optsB, recB, winB := mkOpts(calKind)
-		rep, err := NewReplication(stepCluster(3, queueing.NonPreemptive), optsB, optsB.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rep.ProcessNextEvent() {
-		}
-		res, err := rep.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := hashResult(res, quantiles); got != want {
-			t.Errorf("%s: stepped Result hash differs from closed heap Run:\n got %s\nwant %s", calKind, got, want)
-		}
-		if a, b := len(recA.Spans()), len(recB.Spans()); a != b {
-			t.Errorf("%s: recorder spans differ: closed %d, stepped %d", calKind, a, b)
-		}
-		ua, ub := winA.Utilization(optsA.Horizon, 0), winB.Utilization(optsB.Horizon, 0)
-		//lint:waive floateq reason="bit-identical window readings are the point of the equivalence test" until=2027-08-01
-		if ua != ub {
-			t.Errorf("%s: window utilization differs: closed %v, stepped %v", calKind, ua, ub)
-		}
+	optsB, recB, winB := mkOpts()
+	rep, err := NewReplication(stepCluster(3, queueing.NonPreemptive), optsB, optsB.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep.ProcessNextEvent() {
+	}
+	res, err := rep.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hashResult(res, quantiles); got != want {
+		t.Errorf("stepped Result hash differs from closed Run:\n got %s\nwant %s", got, want)
+	}
+	if a, b := len(recA.Spans()), len(recB.Spans()); a != b {
+		t.Errorf("recorder spans differ: closed %d, stepped %d", a, b)
+	}
+	ua, ub := winA.Utilization(optsA.Horizon, 0), winB.Utilization(optsB.Horizon, 0)
+	//lint:waive floateq reason="bit-identical window readings are the point of the equivalence test" until=2027-08-01
+	if ua != ub {
+		t.Errorf("window utilization differs: closed %v, stepped %v", ua, ub)
 	}
 }
 
