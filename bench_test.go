@@ -101,23 +101,6 @@ func BenchmarkE22Fleet(b *testing.B) { benchExperiment(b, "E22") }
 // Reference cost lives in results/BENCH_control.json.
 func BenchmarkE23Autoscaler(b *testing.B) { benchExperiment(b, "E23") }
 
-// BenchmarkMinimizeEnergyDual measures the decomposed C3a solve — the
-// production path for aggregate bounds.
-func BenchmarkMinimizeEnergyDual(b *testing.B) {
-	c := Enterprise3Tier(1)
-	m, err := Evaluate(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bound := m.WeightedDelay * 1.5
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MinimizeEnergyDual(c, EnergyOptions{MaxWeightedDelay: bound}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMinimizeEnergyPerClass measures the decomposed C3b solve at the
 // canonical scenario's SLA bounds, from cold multipliers — the per-epoch
 // re-solve of the online controller.
@@ -164,8 +147,8 @@ func BenchmarkSimulate1k(b *testing.B) {
 	}
 }
 
-// BenchmarkMinimizeEnergy measures one full C3a solve at reduced solver
-// settings (the per-point cost of frontier sweeps).
+// BenchmarkMinimizeEnergy measures one C3a solve by dual decomposition (the
+// per-point cost of frontier sweeps).
 func BenchmarkMinimizeEnergy(b *testing.B) {
 	c := Enterprise3Tier(1)
 	m, err := Evaluate(c)
@@ -175,7 +158,7 @@ func BenchmarkMinimizeEnergy(b *testing.B) {
 	bound := m.WeightedDelay * 1.5
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: bound, Starts: 1}); err != nil {
+		if _, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: bound}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,6 +171,19 @@ func BenchmarkMinimizeCost(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := MinimizeCost(c, CostOptions{SkipSpeedTuning: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMinimizeCostTuned measures one full C4 run including the speed
+// tuning stage (C3b at the sized server counts, by dual decomposition).
+func BenchmarkMinimizeCostTuned(b *testing.B) {
+	c := ScaleArrivals(Enterprise3Tier(1), 2.2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MinimizeCost(c, CostOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

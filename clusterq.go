@@ -230,13 +230,15 @@ func DelayQuantile(c *Cluster, m *Metrics, k int, p float64) (float64, error) {
 func TotalCost(c *Cluster) float64 { return cluster.TotalCost(c) }
 
 // MinimizeDelay solves problem C2: minimize average end-to-end delay subject
-// to an average energy (power) budget.
+// to an average energy (power) budget, exactly, by Lagrangian dual
+// decomposition with one multiplier.
 func MinimizeDelay(c *Cluster, o DelayOptions) (*Solution, error) {
 	return core.MinimizeDelay(c, o)
 }
 
 // MinimizeEnergy solves problem C3a: minimize average power subject to a
-// bound on the aggregate average end-to-end delay.
+// bound on the aggregate average end-to-end delay, exactly, by Lagrangian
+// dual decomposition with one multiplier.
 func MinimizeEnergy(c *Cluster, o EnergyOptions) (*Solution, error) {
 	return core.MinimizeEnergy(c, o)
 }
@@ -254,17 +256,18 @@ func MinimizeCost(c *Cluster, o CostOptions) (*Solution, error) {
 	return core.MinimizeCost(c, o)
 }
 
-// MinimizeEnergyDual solves C3a by Lagrangian dual decomposition, exploiting
-// the model's separability across tiers: per-tier one-dimensional
-// minimizations plus a single multiplier bisection. Exact for the separable
-// model and far faster than MinimizeEnergy; prefer it for aggregate bounds.
+// MinimizeEnergyDual is MinimizeEnergy.
+//
+// Deprecated: MinimizeEnergy is the dual decomposition; call it.
 func MinimizeEnergyDual(c *Cluster, o EnergyOptions) (*Solution, error) {
-	return core.MinimizeEnergyDual(c, o)
+	return core.MinimizeEnergy(c, o)
 }
 
-// MinimizeDelayDual is the decomposed counterpart of MinimizeDelay (C2).
+// MinimizeDelayDual is MinimizeDelay.
+//
+// Deprecated: MinimizeDelay is the dual decomposition; call it.
 func MinimizeDelayDual(c *Cluster, o DelayOptions) (*Solution, error) {
-	return core.MinimizeDelayDual(c, o)
+	return core.MinimizeDelay(c, o)
 }
 
 // MinimizeEnergyTail is the percentile flavour of C3: minimize average power

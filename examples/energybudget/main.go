@@ -51,7 +51,7 @@ func main() {
 		"budget (W)", "opt delay (s)", "naive delay", "saving", "tier speeds (web/app/db)")
 	for _, f := range []float64{0.10, 0.25, 0.45, 0.70, 1.0} {
 		budget := mSlow.TotalPower*1.02 + f*(mFast.TotalPower-mSlow.TotalPower*1.02)
-		sol, err := clusterq.MinimizeDelay(c, clusterq.DelayOptions{EnergyBudget: budget, Starts: 3})
+		sol, err := clusterq.MinimizeDelay(c, clusterq.DelayOptions{EnergyBudget: budget})
 		if err != nil {
 			fmt.Printf("%-12.0f infeasible (%v)\n", budget, err)
 			continue

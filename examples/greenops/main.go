@@ -36,12 +36,12 @@ func main() {
 		log.Fatal(err)
 	}
 	bound := m.WeightedDelay // hold today's delay as the target
-	solMean, err := clusterq.MinimizeEnergyDual(c, clusterq.EnergyOptions{MaxWeightedDelay: bound})
+	solMean, err := clusterq.MinimizeEnergy(c, clusterq.EnergyOptions{MaxWeightedDelay: bound})
 	if err != nil {
 		log.Fatal(err)
 	}
 	peak := clusterq.ScaleArrivals(c, 1.7)
-	solPeak, err := clusterq.MinimizeEnergyDual(peak, clusterq.EnergyOptions{MaxWeightedDelay: bound})
+	solPeak, err := clusterq.MinimizeEnergy(peak, clusterq.EnergyOptions{MaxWeightedDelay: bound})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -95,11 +95,11 @@ type Config struct {
 	// underestimate. Default 0.15; any negative value means an explicit
 	// zero margin (the negative-sentinel convention again).
 	Margin float64
-	// Starts is the solvers' multi-start count (default: the solvers').
-	// EnergySLA's solver is exact and single-start; it ignores Starts.
+	// Starts and AugLag configure CostServers' augmented-Lagrangian speed
+	// tuning, which runs only when some class carries a percentile bound
+	// (core.CostOptions). Every other re-solve is an exact dual
+	// decomposition and ignores both.
 	Starts int
-	// AugLag configures the solvers' inner augmented-Lagrangian solves.
-	// EnergySLA's solver is a dual decomposition; AugLag does not affect it.
 	AugLag opt.AugLagOptions
 }
 
@@ -351,13 +351,9 @@ func (a *Controller) solve(factor float64) (sim.PlanDecision, bool) {
 			a.nu = sol.Multipliers
 		}
 	case EnergyAggregate:
-		sol, err = core.MinimizeEnergy(c, core.EnergyOptions{
-			MaxWeightedDelay: a.cfg.MaxWeightedDelay, Starts: a.cfg.Starts, AugLag: a.cfg.AugLag,
-		})
+		sol, err = core.MinimizeEnergy(c, core.EnergyOptions{MaxWeightedDelay: a.cfg.MaxWeightedDelay})
 	case DelayBudget:
-		sol, err = core.MinimizeDelay(c, core.DelayOptions{
-			EnergyBudget: a.cfg.PowerBudget, Starts: a.cfg.Starts, AugLag: a.cfg.AugLag,
-		})
+		sol, err = core.MinimizeDelay(c, core.DelayOptions{EnergyBudget: a.cfg.PowerBudget})
 	case CostServers:
 		sol, err = core.MinimizeCost(c, core.CostOptions{
 			Starts: a.cfg.Starts, AugLag: a.cfg.AugLag,

@@ -52,7 +52,7 @@ func UniformDelayBaseline(c *cluster.Cluster, budget float64) (*Solution, error)
 		f = root * 0.999999 // stay strictly inside the budget
 	}
 	s := speedsAt(f)
-	d := ev.weightedDelay(s, nil)
+	d := ev.weightedDelay(s)
 	return ev.finish(s, d, opt.Result{Converged: true})
 }
 
@@ -78,7 +78,7 @@ func UniformEnergyBaseline(c *cluster.Cluster, maxDelay float64) (*Solution, err
 		}
 		return s
 	}
-	delayAt := func(f float64) float64 { return ev.weightedDelay(speedsAt(f), nil) }
+	delayAt := func(f float64) float64 { return ev.weightedDelay(speedsAt(f)) }
 	if delayAt(1) > maxDelay {
 		return nil, fmt.Errorf("core: delay bound %g s infeasible: best achievable is %g s", maxDelay, delayAt(1))
 	}

@@ -11,6 +11,12 @@
 //     percentile end-to-end delay — is guaranteed, choosing both integer
 //     server counts and tier speeds.
 //
+// Every mean-delay problem — C2, C3a, C3b and C4's speed tuning under mean
+// SLAs — is separable across tiers and is solved exactly by Lagrangian dual
+// decomposition (decomposed.go). Percentile bounds are not separable; they
+// go to a multi-start augmented Lagrangian (MinimizeEnergyTail, and C4's
+// tuning when a class carries one).
+//
 // All solvers operate on a clone of the input cluster; the input is never
 // mutated. Baseline allocators (uniform, load-proportional) used in the
 // paper-style comparisons live in baselines.go.
@@ -78,31 +84,14 @@ func (e *evaluator) metricsAt(speeds []float64) *cluster.Metrics {
 	return m
 }
 
-// weightedDelay returns the class-weighted mean delay at the candidate
-// speeds, +Inf when unstable/invalid. Weights default to arrival rates.
-func (e *evaluator) weightedDelay(speeds, weights []float64) float64 {
+// weightedDelay returns the arrival-rate-weighted mean delay at the
+// candidate speeds, +Inf when unstable/invalid.
+func (e *evaluator) weightedDelay(speeds []float64) float64 {
 	m := e.metricsAt(speeds)
-	if m == nil {
+	if m == nil || !m.Stable() {
 		return math.Inf(1)
 	}
-	if weights == nil {
-		if !m.Stable() {
-			return math.Inf(1)
-		}
-		return m.WeightedDelay
-	}
-	var num, den float64
-	for k, w := range weights {
-		if math.IsInf(m.Delay[k], 1) {
-			return math.Inf(1)
-		}
-		num += w * m.Delay[k]
-		den += w
-	}
-	if den == 0 {
-		return math.Inf(1)
-	}
-	return num / den
+	return m.WeightedDelay
 }
 
 // power returns total average power at the candidate speeds, +Inf on failure.

@@ -41,7 +41,7 @@ func symCluster(j, k int, lam float64) *cluster.Cluster {
 
 func TestMinimizeDelayRespectsBudget(t *testing.T) {
 	c := symCluster(3, 2, 0.7)
-	sol, err := MinimizeDelay(c, DelayOptions{EnergyBudget: 900, Starts: 2})
+	sol, err := MinimizeDelay(c, DelayOptions{EnergyBudget: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestMinimizeDelayRespectsBudget(t *testing.T) {
 func TestMinimizeDelaySymmetricOptimumIsSymmetric(t *testing.T) {
 	// With identical tiers the optimal speeds must be (nearly) equal.
 	c := symCluster(3, 1, 0.8)
-	sol, err := MinimizeDelay(c, DelayOptions{EnergyBudget: 700, Starts: 4})
+	sol, err := MinimizeDelay(c, DelayOptions{EnergyBudget: 700})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMinimizeDelayMonotoneInBudget(t *testing.T) {
 	c := symCluster(2, 2, 0.6)
 	var prev float64 = math.Inf(1)
 	for _, budget := range []float64{300, 450, 700, 1100} {
-		sol, err := MinimizeDelay(c, DelayOptions{EnergyBudget: budget, Starts: 2})
+		sol, err := MinimizeDelay(c, DelayOptions{EnergyBudget: budget})
 		if err != nil {
 			t.Fatalf("budget %g: %v", budget, err)
 		}
@@ -118,7 +118,7 @@ func TestMinimizeDelayBeatsUniformBaseline(t *testing.T) {
 	c.Tiers[2].MaxSpeed = 24
 
 	budget := 1200.0
-	optSol, err := MinimizeDelay(c, DelayOptions{EnergyBudget: budget, Starts: 4})
+	optSol, err := MinimizeDelay(c, DelayOptions{EnergyBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestBindingClasses(t *testing.T) {
 func TestDelayFrontierShape(t *testing.T) {
 	c := symCluster(2, 2, 0.6)
 	budgets := []float64{10, 350, 500, 800}
-	delays, sols, err := DelayFrontier(c, budgets, DelayOptions{Starts: 2})
+	delays, sols, err := DelayFrontier(c, budgets, DelayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,13 +313,13 @@ func TestMinimizeDelayCustomWeights(t *testing.T) {
 	c := symCluster(2, 2, 0.6)
 	budget := 520.0
 	wLow, err := MinimizeDelay(c, DelayOptions{
-		EnergyBudget: budget, Weights: []float64{0, 1}, Starts: 2,
+		EnergyBudget: budget, Weights: []float64{0, 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wHigh, err := MinimizeDelay(c, DelayOptions{
-		EnergyBudget: budget, Weights: []float64{1, 0}, Starts: 2,
+		EnergyBudget: budget, Weights: []float64{1, 0},
 	})
 	if err != nil {
 		t.Fatal(err)

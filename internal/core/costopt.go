@@ -37,9 +37,11 @@ type CostOptions struct {
 	// over server counts (with speed re-tuning per candidate) explores it.
 	// Implies speed tuning regardless of SkipSpeedTuning.
 	EnergyPrice float64
-	// Starts for the speed-tuning solve (default 3).
+	// Starts (default 3) and AugLag configure the augmented-Lagrangian
+	// speed tuning used when some class carries a percentile bound. With
+	// mean bounds alone the tuning is an exact dual decomposition and
+	// ignores both.
 	Starts int
-	// AugLag configures the speed-tuning solver.
 	AugLag opt.AugLagOptions
 }
 
@@ -120,8 +122,7 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 	// current server counts, all tiers at maximum speed (the best case for
 	// every delay-type guarantee). ≤ 0 means feasible.
 	violationAt := func(w *cluster.Cluster) float64 {
-		lo, hi := w.SpeedBounds()
-		_ = lo
+		_, hi := w.SpeedBounds()
 		if err := w.SetSpeeds(hi); err != nil {
 			return math.Inf(1)
 		}
@@ -155,8 +156,7 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 	// Start from the smallest stable counts at max speed.
 	for j, t := range work.Tiers {
 		t.Servers = 1
-		lo, hi := work.SpeedBounds()
-		_ = lo
+		_, hi := work.SpeedBounds()
 		// Grow until the tier alone is stable at max speed.
 		for t.Servers < maxServers {
 			st := t.Station()
@@ -168,15 +168,14 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 		}
 	}
 
-	// Greedy growth to feasibility.
+	// Greedy growth to feasibility. The violation after a step is the
+	// winning candidate's, already evaluated.
 	added := 0
-	for violationAt(work) > 0 {
-		bestTier := -1
-		bestGain := 0.0
-		cur := violationAt(work)
+	for cur := violationAt(work); cur > 0; {
 		if math.IsInf(cur, 1) {
 			cur = 1e6 // treat as a huge violation so any finite result wins
 		}
+		bestTier, bestGain, bestV := -1, 0.0, 0.0
 		for j, t := range work.Tiers {
 			if t.Servers >= maxServers {
 				continue
@@ -189,8 +188,7 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 			}
 			gain := (cur - v) / math.Max(t.CostPerServer, 1e-9)
 			if gain > bestGain {
-				bestGain = gain
-				bestTier = j
+				bestTier, bestGain, bestV = j, gain, v
 			}
 		}
 		if bestTier < 0 {
@@ -205,6 +203,11 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 		added++
 		if added > maxServers*len(work.Tiers) {
 			return nil, fmt.Errorf("core: SLAs unreachable within %d servers per tier", maxServers)
+		}
+		if bestGain > 0 {
+			cur = bestV
+		} else {
+			cur = violationAt(work)
 		}
 	}
 
@@ -322,9 +325,59 @@ func tcoHillClimb(c *cluster.Cluster, o CostOptions, maxServers int) (*cluster.C
 	return best, nil
 }
 
+// tuneMargin is the fraction of each SLA bound speed tuning plans against:
+// tuned speeds must satisfy the SLAs *strictly* (CheckSLAs has no
+// tolerance), so the tuning targets a hair inside each bound.
+const tuneMargin = 0.998
+
 // tuneSpeedsForSLA lowers tier speeds to minimize power while keeping every
-// SLA satisfied, holding the server counts fixed.
+// SLA satisfied, holding the server counts fixed. Mean bounds alone make the
+// problem C3b, solved exactly by MinimizeEnergyPerClass; a percentile bound
+// is not separable across tiers and goes to the augmented Lagrangian.
 func tuneSpeedsForSLA(c *cluster.Cluster, o CostOptions) (*cluster.Cluster, error) {
+	bounds := make([]float64, len(c.Classes))
+	tail := false
+	for k, cl := range c.Classes {
+		if cl.SLA.HasMeanBound() {
+			bounds[k] = cl.SLA.MaxMeanDelay * tuneMargin
+		}
+		tail = tail || cl.SLA.HasPercentileBound()
+	}
+	var out *cluster.Cluster
+	if tail {
+		var err error
+		if out, err = tuneSpeedsAugLag(c, o); err != nil {
+			return nil, err
+		}
+	} else {
+		sol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: bounds})
+		if err != nil {
+			return nil, err
+		}
+		out = sol.Cluster
+	}
+	// Strict verification: the margin should leave every SLA met exactly;
+	// if the solver still overshot, reject the tuning.
+	m, err := cluster.Evaluate(out)
+	if err != nil {
+		return nil, err
+	}
+	reports, err := cluster.CheckSLAs(out, m)
+	if err != nil {
+		return nil, err
+	}
+	for _, rep := range reports {
+		if !rep.Satisfied() {
+			return nil, fmt.Errorf("core: speed tuning left an SLA violated")
+		}
+	}
+	return out, nil
+}
+
+// tuneSpeedsAugLag is tuneSpeedsForSLA's solver when some class carries a
+// percentile bound: multi-start augmented Lagrangian over the full cluster
+// evaluation, one normalized constraint per mean or percentile bound.
+func tuneSpeedsAugLag(c *cluster.Cluster, o CostOptions) (*cluster.Cluster, error) {
 	ev, err := newEvaluator(c)
 	if err != nil {
 		return nil, err
@@ -333,16 +386,11 @@ func tuneSpeedsForSLA(c *cluster.Cluster, o CostOptions) (*cluster.Cluster, erro
 	if err != nil {
 		return nil, err
 	}
-	objective := func(s []float64) float64 { return ev.power(s) }
-	// Tuned speeds must satisfy the SLAs *strictly* (CheckSLAs has no
-	// tolerance), so the constraints target a hair inside each bound.
-	const margin = 0.998
 	var gs []opt.Constraint
 	for k := range c.Classes {
-		k := k
 		sla := c.Classes[k].SLA
 		if sla.HasMeanBound() {
-			b := sla.MaxMeanDelay * margin
+			b := sla.MaxMeanDelay * tuneMargin
 			gs = append(gs, func(s []float64) float64 {
 				m := ev.metricsAt(s)
 				if m == nil || math.IsInf(m.Delay[k], 1) {
@@ -352,7 +400,7 @@ func tuneSpeedsForSLA(c *cluster.Cluster, o CostOptions) (*cluster.Cluster, erro
 			})
 		}
 		if sla.HasPercentileBound() {
-			b, p := sla.PercentileDelay*margin, sla.Percentile
+			b, p := sla.PercentileDelay*tuneMargin, sla.Percentile
 			gs = append(gs, func(s []float64) float64 {
 				m := ev.metricsAt(s)
 				if m == nil {
@@ -370,31 +418,15 @@ func tuneSpeedsForSLA(c *cluster.Cluster, o CostOptions) (*cluster.Cluster, erro
 	if starts <= 0 {
 		starts = 3
 	}
-	solve := func(x0 []float64) opt.Result {
-		return opt.AugmentedLagrangian(objective, gs, box, x0, o.AugLag)
-	}
-	r := opt.MultiStart(solve, box, starts)
+	r := opt.MultiStart(func(x0 []float64) opt.Result {
+		return opt.AugmentedLagrangian(ev.power, gs, box, x0, o.AugLag)
+	}, box, starts)
 	if math.IsInf(r.F, 1) || !r.Converged {
 		return nil, fmt.Errorf("core: speed tuning failed")
 	}
 	out := ev.c.Clone()
 	if err := out.SetSpeeds(r.X); err != nil {
 		return nil, err
-	}
-	// Strict verification: the margin above should leave every SLA met
-	// exactly; if the solver still overshot, reject the tuning.
-	m, err := cluster.Evaluate(out)
-	if err != nil {
-		return nil, err
-	}
-	reports, err := cluster.CheckSLAs(out, m)
-	if err != nil {
-		return nil, err
-	}
-	for _, rep := range reports {
-		if !rep.Satisfied() {
-			return nil, fmt.Errorf("core: speed tuning left an SLA violated")
-		}
 	}
 	return out, nil
 }

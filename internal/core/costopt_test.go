@@ -312,3 +312,84 @@ func TestMinimizeCostAvailabilityMargin(t *testing.T) {
 		}
 	}
 }
+
+// TestTuneSpeedsPercentileGoesToAugLag: a percentile bound is not separable
+// across tiers, so C4's speed tuning must take the augmented-Lagrangian path
+// and still meet every SLA strictly, at no more power than maximum speed.
+func TestTuneSpeedsPercentileGoesToAugLag(t *testing.T) {
+	c := slaCluster()
+	c.Classes[0].SLA = cluster.SLA{PercentileDelay: 6, Percentile: 0.95, PricePerRequest: 5}
+	sized, err := MinimizeCost(c, CostOptions{SkipSpeedTuning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := CostOptions{Starts: 2}
+	tuned, err := tuneSpeedsForSLA(sized.Cluster, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := tuneSpeedsAugLag(sized.Cluster, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, s := range tuned.Speeds() {
+		if s != direct.Speeds()[j] {
+			t.Errorf("tier %d: tuned speed %g is not the augmented Lagrangian's %g", j, s, direct.Speeds()[j])
+		}
+	}
+	m, err := cluster.Evaluate(tuned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := cluster.CheckSLAs(tuned, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reports {
+		if !r.Satisfied() {
+			t.Errorf("tuned speeds violate an SLA: %+v", r)
+		}
+	}
+	if !(m.TotalPower <= sized.Metrics.TotalPower) {
+		t.Errorf("tuned power %g W above max-speed power %g W", m.TotalPower, sized.Metrics.TotalPower)
+	}
+}
+
+// TestTuneSpeedsMeanOnlyIsExact: with mean bounds alone C4's speed tuning is
+// C3b at the tightened bounds, solved by the dual. The tuned speeds must meet
+// every SLA strictly, at no more power than maximum speed and than the
+// augmented-Lagrangian reference on the same problem.
+func TestTuneSpeedsMeanOnlyIsExact(t *testing.T) {
+	c := slaCluster()
+	sized, err := MinimizeCost(c, CostOptions{SkipSpeedTuning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned, err := MinimizeCost(c, CostOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := cluster.CheckSLAs(tuned.Cluster, tuned.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reports {
+		if !r.Satisfied() {
+			t.Errorf("tuned speeds violate an SLA: %+v", r)
+		}
+	}
+	if !(tuned.Metrics.TotalPower <= sized.Metrics.TotalPower) {
+		t.Errorf("tuned power %g W above max-speed power %g W", tuned.Metrics.TotalPower, sized.Metrics.TotalPower)
+	}
+	bounds := make([]float64, len(c.Classes))
+	for k, cl := range c.Classes {
+		bounds[k] = cl.SLA.MaxMeanDelay * tuneMargin
+	}
+	ref, err := augLagReference(sized.Cluster, totalPower, classBounds(bounds), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tuned.Metrics.TotalPower > ref.Objective*(1+1e-3) {
+		t.Errorf("tuned power %.6g W above reference %.6g W", tuned.Metrics.TotalPower, ref.Objective)
+	}
+}

@@ -10,10 +10,11 @@ import (
 	"clusterq/internal/queueing"
 )
 
-// This file implements the Lagrangian dual decomposition solvers for C2, C3a
-// and C3b — the approach the paper's analytical setting makes natural. Under
-// the Poisson-arrival coupling each tier's response times depend only on that
-// tier's speed, so every quantity the problems constrain is a sum of per-tier
+// This file implements the Lagrangian dual decomposition behind every
+// mean-delay solver: C2 (MinimizeDelay), C3a (MinimizeEnergy), C3b
+// (MinimizeEnergyPerClass) and C4's speed tuning. Under the Poisson-arrival
+// coupling each tier's response times depend only on that tier's speed, so
+// every quantity these problems constrain or minimize is a sum of per-tier
 // terms:
 //
 //	D_k(s) = Σ_j v_kj·r_kj(s_j)   (class k's mean end-to-end delay)
@@ -27,10 +28,11 @@ import (
 // solved globally on the tier's speed range. C2 and C3a have one multiplier,
 // found by bisection on their single constraint; C3b has one multiplier per
 // bounded class, found by projected Newton ascent on the concave dual
-// function. The results are exact for the separable model and orders of
-// magnitude cheaper than the augmented-Lagrangian path, which remains the
-// solver for percentile bounds and C4's speed tuning, and the cross-check
-// for C2 and C3a (MinimizeDelay, MinimizeEnergy).
+// function. A power table that is not convex in 1/s splits the speed box into
+// convex parts, each solved by the dual. The results are exact for the
+// separable model. The augmented Lagrangian remains only where the problem is
+// not separable: percentile bounds (MinimizeEnergyTail, and C4's tuning when
+// a class carries one).
 
 // tierFn is one tier's separable share of the model. Its arrival vector,
 // visit rates and queueing station depend only on the cluster, so they are
@@ -420,55 +422,42 @@ func bisectMultiplier(solve func(float64) ([]float64, float64, float64), limit, 
 	return speeds, evals, trace, nil
 }
 
-// MinimizeEnergyDual solves C3a by Lagrangian dual decomposition: bisect the
-// multiplier β ≥ 0 so the delay of the per-tier Lagrangian minimizers meets
-// the bound. Exact for the separable model; use MinimizeEnergy (augmented
-// Lagrangian) for cross-checking or as a general fallback.
-func MinimizeEnergyDual(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
-	bound := o.MaxWeightedDelay
-	if !(bound > 0) {
-		return nil, fmt.Errorf("core: delay bound %g must be positive", bound)
-	}
-	t, err := newTierFns(c, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Feasibility: the fastest point gives the least delay.
+// singleDualParts solves a one-multiplier problem on every convex part of the
+// speed box (convexParts) and returns the minimizers of the part with the
+// best objective: C3a (delayForm false) bounds the weighted delay by limit,
+// C2 (delayForm true) the power. A part whose extreme point — the fastest for
+// C3a, the slowest for C2 — misses the limit is skipped. The caller has
+// checked that the whole box's extreme point meets it, so the part holding
+// that point is solved.
+func (t *tierFns) singleDualParts(delayForm bool, limit, betaHi float64) (speeds []float64, evals int, trace []opt.TraceEntry, err error) {
 	delays := make([]float64, len(t.wBy))
-	t.evalAt(t.hi, delays)
-	if dMin := t.weighted(delays); !(dMin <= bound) {
-		return nil, fmt.Errorf("core: delay bound %g s infeasible: best achievable is %g s", bound, dMin)
+	// at returns the constrained value and the objective at s.
+	at := func(part *tierFns, s []float64) (value, obj float64) {
+		pow := part.evalAt(s, delays)
+		if delayForm {
+			return pow, part.weighted(delays)
+		}
+		return part.weighted(delays), pow
 	}
-	speeds, evals, trace, err := bisectMultiplier(t.singleDual(false), bound, 1)
-	if err != nil {
-		return nil, err
+	best := math.Inf(1)
+	for _, part := range t.convexParts() {
+		extreme := part.hi
+		if delayForm {
+			extreme = part.lo
+		}
+		if v, _ := at(part, extreme); !(v <= limit) {
+			continue
+		}
+		s, n, tr, err := bisectMultiplier(part.singleDual(delayForm), limit, betaHi)
+		evals += n
+		if err != nil {
+			return nil, evals, nil, err
+		}
+		if _, obj := at(part, s); speeds == nil || obj < best {
+			speeds, best, trace = s, obj, tr
+		}
 	}
-	return finishDual(t, speeds, evals, powerObjective, trace, true)
-}
-
-// MinimizeDelayDual solves C2 by the symmetric dual: bisect β ≥ 0 so the
-// power of the per-tier minimizers of f_j + β·g_j meets the energy budget.
-func MinimizeDelayDual(c *cluster.Cluster, o DelayOptions) (*Solution, error) {
-	budget := o.EnergyBudget
-	if !(budget > 0) {
-		return nil, fmt.Errorf("core: energy budget %g must be positive", budget)
-	}
-	if o.Weights != nil && len(o.Weights) != len(c.Classes) {
-		return nil, fmt.Errorf("core: %d weights for %d classes", len(o.Weights), len(c.Classes))
-	}
-	t, err := newTierFns(c, o.Weights)
-	if err != nil {
-		return nil, err
-	}
-	// Feasibility: the cheapest point.
-	if pMin := t.evalAt(t.lo, make([]float64, len(t.wBy))); pMin > budget {
-		return nil, fmt.Errorf("core: energy budget %g W infeasible: minimum stable power is %g W", budget, pMin)
-	}
-	speeds, evals, trace, err := bisectMultiplier(t.singleDual(true), budget, 1e-6)
-	if err != nil {
-		return nil, err
-	}
-	return finishDual(t, speeds, evals, delayObjective, trace, true)
+	return speeds, evals, trace, nil
 }
 
 // dualObjective selects what the assembled Solution reports as Objective.

@@ -3,6 +3,9 @@ package core
 import (
 	"testing"
 	"time"
+
+	"clusterq/internal/cluster"
+	"clusterq/internal/power"
 )
 
 func TestDualMatchesAugLagOnEnergy(t *testing.T) {
@@ -16,7 +19,7 @@ func TestDualMatchesAugLagOnEnergy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%dx%d dual: %v", shape.j, shape.k, err)
 		}
-		al, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: bound, Starts: 3})
+		al, err := augLagReference(c, totalPower, []metricFn{atMost(weightedDelay, bound)}, 3)
 		if err != nil {
 			t.Fatalf("%dx%d auglag: %v", shape.j, shape.k, err)
 		}
@@ -36,7 +39,7 @@ func TestDualMatchesAugLagOnDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	al, err := MinimizeDelay(c, DelayOptions{EnergyBudget: budget, Starts: 3})
+	al, err := augLagReference(c, weightedDelay, []metricFn{atMost(totalPower, budget)}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func TestDualMuchFasterThanAugLag(t *testing.T) {
 	dualTime := time.Since(t0)
 	//lint:waive simdeterm reason="wall-clock measurement is the subject of this test" until=2027-08-01
 	t0 = time.Now()
-	if _, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: bound, Starts: 2}); err != nil {
+	if _, err := augLagReference(c, totalPower, []metricFn{atMost(weightedDelay, bound)}, 2); err != nil {
 		t.Fatal(err)
 	}
 	//lint:waive simdeterm reason="wall-clock measurement is the subject of this test" until=2027-08-01
@@ -156,5 +159,84 @@ func TestDualDelayObjectiveIsWeightedDelay(t *testing.T) {
 	}
 	if !almostEq(sol.Objective, sol.Metrics.WeightedDelay, 1e-9) {
 		t.Errorf("objective %g != weighted delay %g", sol.Objective, sol.Metrics.WeightedDelay)
+	}
+}
+
+// TestMeanDualsNonConvexTable: a power table that is not convex in 1/s gives
+// the one-multiplier duals of C2 and C3a a duality gap when they search the
+// whole speed box at once; split into convex parts as C3b is, they must match
+// the augmented-Lagrangian reference on the table of
+// TestPerClassNonConvexTable. The deprecated *Dual names must too.
+func TestMeanDualsNonConvexTable(t *testing.T) {
+	c := symCluster(2, 2, 0.5)
+	tb, err := power.NewTable(30, []float64{1, 2.5, 4, 5.5, 8}, []float64{40, 46, 69, 134, 226})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Tiers[1].Power = tb
+	lo, hi := c.SpeedBounds()
+	at := func(speeds []float64) *cluster.Metrics {
+		x := c.Clone()
+		if err := x.SetSpeeds(speeds); err != nil {
+			t.Fatal(err)
+		}
+		m, err := cluster.Evaluate(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	mLo, mHi := at(lo), at(hi)
+
+	energy := []struct {
+		name  string
+		solve func(*cluster.Cluster, EnergyOptions) (*Solution, error)
+	}{{"MinimizeEnergy", MinimizeEnergy}, {"MinimizeEnergyDual", MinimizeEnergyDual}}
+	for _, f := range []float64{1.5, 3, 5} {
+		bound := f * mHi.WeightedDelay
+		ref, err := augLagReference(c, totalPower, []metricFn{atMost(weightedDelay, bound)}, 4)
+		if err != nil {
+			t.Fatalf("C3a bound ×%g: reference: %v", f, err)
+		}
+		for _, e := range energy {
+			name := e.name
+			sol, err := e.solve(c, EnergyOptions{MaxWeightedDelay: bound})
+			if err != nil {
+				t.Fatalf("%s bound ×%g: %v", name, f, err)
+			}
+			if !(sol.Metrics.WeightedDelay <= bound*(1+1e-6)) {
+				t.Errorf("%s bound ×%g: delay %g exceeds bound %g", name, f, sol.Metrics.WeightedDelay, bound)
+			}
+			if sol.Objective > ref.Objective*(1+1e-3) {
+				t.Errorf("%s bound ×%g: power %.6g W above reference %.6g W (%+.2f%%)",
+					name, f, sol.Objective, ref.Objective, 100*(sol.Objective/ref.Objective-1))
+			}
+		}
+	}
+
+	delay := []struct {
+		name  string
+		solve func(*cluster.Cluster, DelayOptions) (*Solution, error)
+	}{{"MinimizeDelay", MinimizeDelay}, {"MinimizeDelayDual", MinimizeDelayDual}}
+	for _, level := range []float64{0.1, 0.3, 0.6} {
+		budget := mLo.TotalPower + level*(mHi.TotalPower-mLo.TotalPower)
+		ref, err := augLagReference(c, weightedDelay, []metricFn{atMost(totalPower, budget)}, 4)
+		if err != nil {
+			t.Fatalf("C2 level %g: reference: %v", level, err)
+		}
+		for _, d := range delay {
+			name := d.name
+			sol, err := d.solve(c, DelayOptions{EnergyBudget: budget})
+			if err != nil {
+				t.Fatalf("%s level %g: %v", name, level, err)
+			}
+			if !(sol.Metrics.TotalPower <= budget*(1+1e-6)) {
+				t.Errorf("%s level %g: power %g W exceeds budget %g W", name, level, sol.Metrics.TotalPower, budget)
+			}
+			if sol.Objective > ref.Objective*(1+1e-3) {
+				t.Errorf("%s level %g: delay %.6g s above reference %.6g s (%+.2f%%)",
+					name, level, sol.Objective, ref.Objective, 100*(sol.Objective/ref.Objective-1))
+			}
+		}
 	}
 }

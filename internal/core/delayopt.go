@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"clusterq/internal/cluster"
-	"clusterq/internal/opt"
 )
 
 // DelayOptions configures MinimizeDelay (problem C2).
@@ -15,10 +14,6 @@ type DelayOptions struct {
 	// Weights optionally reweights the per-class delays in the objective;
 	// nil uses arrival-rate weighting (the paper's all-class average).
 	Weights []float64
-	// Starts is the number of multi-start points (default 4).
-	Starts int
-	// Solver options for the inner augmented-Lagrangian solves.
-	AugLag opt.AugLagOptions
 }
 
 // MinimizeDelay solves the paper's C2 problem: choose per-tier speeds to
@@ -28,53 +23,39 @@ type DelayOptions struct {
 //	min_s  Σ_k w_k D_k(s) / Σ_k w_k
 //	s.t.   P(s) ≤ EnergyBudget,  s ∈ [s_min, s_max] per tier
 //
-// Delay decreases and power increases in every speed, so the budget
-// constraint is active at the optimum whenever it bites; the augmented
-// Lagrangian handles the trade-off, multi-start guards against the
-// non-convexity introduced by priority interactions across tiers.
+// Delay and power are both sums of per-tier terms, so the problem is solved
+// exactly by dual decomposition (see decomposed.go): bisect one multiplier
+// β ≥ 0 until the power of the per-tier minimizers of D̄ + β·P meets the
+// budget. A power table that is not convex splits the speed box into parts,
+// each solved by the dual, and the fastest wins.
 func MinimizeDelay(c *cluster.Cluster, o DelayOptions) (*Solution, error) {
-	if !(o.EnergyBudget > 0) {
-		return nil, fmt.Errorf("core: energy budget %g must be positive", o.EnergyBudget)
+	budget := o.EnergyBudget
+	if !(budget > 0) {
+		return nil, fmt.Errorf("core: energy budget %g must be positive", budget)
 	}
 	if o.Weights != nil && len(o.Weights) != len(c.Classes) {
 		return nil, fmt.Errorf("core: %d weights for %d classes", len(o.Weights), len(c.Classes))
 	}
-	ev, err := newEvaluator(c)
+	t, err := newTierFns(c, o.Weights)
 	if err != nil {
 		return nil, err
 	}
-	box, err := ev.box()
+	// Feasibility: the cheapest point.
+	if pMin := t.evalAt(t.lo, make([]float64, len(t.wBy))); pMin > budget {
+		return nil, fmt.Errorf("core: energy budget %g W infeasible: minimum stable power is %g W", budget, pMin)
+	}
+	speeds, evals, trace, err := t.singleDualParts(true, budget, 1e-6)
 	if err != nil {
 		return nil, err
 	}
+	return finishDual(t, speeds, evals, delayObjective, trace, true)
+}
 
-	// The cheapest stable configuration must fit the budget, or the
-	// problem is infeasible outright.
-	if minPow := ev.power(box.Lo); minPow > o.EnergyBudget {
-		return nil, fmt.Errorf("core: energy budget %g W infeasible: minimum stable power is %g W",
-			o.EnergyBudget, minPow)
-	}
-
-	objective := func(s []float64) float64 { return ev.weightedDelay(s, o.Weights) }
-	budget := func(s []float64) float64 { return ev.power(s) - o.EnergyBudget }
-
-	starts := o.Starts
-	if starts <= 0 {
-		starts = 4
-	}
-	solve := func(x0 []float64) opt.Result {
-		return opt.AugmentedLagrangian(objective, []opt.Constraint{budget}, box, x0, o.AugLag)
-	}
-	r := opt.MultiStart(solve, box, starts)
-	if math.IsInf(r.F, 1) {
-		return nil, fmt.Errorf("core: no stable configuration found within the energy budget")
-	}
-	// Guard: the returned point must respect the budget (small tolerance
-	// inherent to the multiplier method).
-	if v := budget(r.X); v > 1e-3*(1+o.EnergyBudget) {
-		return nil, fmt.Errorf("core: solver left budget violated by %g W", v)
-	}
-	return ev.finish(r.X, r.F, r)
+// MinimizeDelayDual is MinimizeDelay.
+//
+// Deprecated: MinimizeDelay is the dual decomposition; call it.
+func MinimizeDelayDual(c *cluster.Cluster, o DelayOptions) (*Solution, error) {
+	return MinimizeDelay(c, o)
 }
 
 // DelayFrontier sweeps MinimizeDelay over a list of energy budgets and

@@ -21,9 +21,9 @@ type EnergyOptions struct {
 	// per-class multipliers, typically a previous solution's Multipliers;
 	// nil starts from zero.
 	WarmStart []float64
-	// Starts is MinimizeEnergy's number of multi-start points (default 4).
+	// Starts and AugLag are ignored: both solvers are exact dual
+	// decompositions, with no multi-start and no inner solves.
 	Starts int
-	// AugLag configures MinimizeEnergy's inner augmented-Lagrangian solves.
 	AugLag opt.AugLagOptions
 }
 
@@ -34,51 +34,38 @@ type EnergyOptions struct {
 //	min_s  P(s)
 //	s.t.   D̄(s) ≤ MaxWeightedDelay,  s ∈ [s_min, s_max]
 //
-// Power increases and delay decreases in every speed, so the optimum runs
-// the cluster as slowly as the delay bound allows.
+// The weighted delay is a sum of per-tier terms, so the problem is solved
+// exactly by dual decomposition (see decomposed.go): bisect one multiplier
+// β ≥ 0 until the per-tier minimizers of P + β·D̄ meet the bound. A power
+// table that is not convex splits the speed box into parts, each solved by
+// the dual, and the cheapest wins.
 func MinimizeEnergy(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
-	if !(o.MaxWeightedDelay > 0) {
-		return nil, fmt.Errorf("core: delay bound %g must be positive", o.MaxWeightedDelay)
+	bound := o.MaxWeightedDelay
+	if !(bound > 0) {
+		return nil, fmt.Errorf("core: delay bound %g must be positive", bound)
 	}
-	ev, err := newEvaluator(c)
+	t, err := newTierFns(c, nil)
 	if err != nil {
 		return nil, err
 	}
-	box, err := ev.box()
+	// Feasibility: the fastest point gives the least delay.
+	delays := make([]float64, len(t.wBy))
+	t.evalAt(t.hi, delays)
+	if dMin := t.weighted(delays); !(dMin <= bound) {
+		return nil, fmt.Errorf("core: delay bound %g s infeasible: best achievable is %g s", bound, dMin)
+	}
+	speeds, evals, trace, err := t.singleDualParts(false, bound, 1)
 	if err != nil {
 		return nil, err
 	}
-	// Feasibility: the fastest configuration gives the smallest achievable
-	// delay.
-	if dMin := ev.weightedDelay(box.Hi, nil); dMin > o.MaxWeightedDelay {
-		return nil, fmt.Errorf("core: delay bound %g s infeasible: best achievable is %g s",
-			o.MaxWeightedDelay, dMin)
-	}
+	return finishDual(t, speeds, evals, powerObjective, trace, true)
+}
 
-	objective := func(s []float64) float64 { return ev.power(s) }
-	bound := func(s []float64) float64 {
-		d := ev.weightedDelay(s, nil)
-		if math.IsInf(d, 1) {
-			return math.Inf(1)
-		}
-		return d - o.MaxWeightedDelay
-	}
-
-	starts := o.Starts
-	if starts <= 0 {
-		starts = 4
-	}
-	solve := func(x0 []float64) opt.Result {
-		return opt.AugmentedLagrangian(objective, []opt.Constraint{bound}, box, x0, o.AugLag)
-	}
-	r := opt.MultiStart(solve, box, starts)
-	if math.IsInf(r.F, 1) {
-		return nil, fmt.Errorf("core: no feasible configuration found")
-	}
-	if v := bound(r.X); v > 1e-3*(1+o.MaxWeightedDelay) {
-		return nil, fmt.Errorf("core: solver left delay bound violated by %g s", v)
-	}
-	return ev.finish(r.X, r.F, r)
+// MinimizeEnergyDual is MinimizeEnergy.
+//
+// Deprecated: MinimizeEnergy is the dual decomposition; call it.
+func MinimizeEnergyDual(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
+	return MinimizeEnergy(c, o)
 }
 
 // MinimizeEnergyPerClass solves the paper's C3b problem: minimize power with
@@ -93,9 +80,8 @@ func MinimizeEnergy(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
 //
 // Every D_k is a sum of per-tier terms, so the problem is solved exactly by
 // dual decomposition with one multiplier per bounded class (see
-// decomposed.go); Starts and AugLag do not apply. A power table that is not
-// convex splits the speed box into parts, each solved by the dual, and the
-// cheapest feasible part wins.
+// decomposed.go). A power table that is not convex splits the speed box into
+// parts, each solved by the dual, and the cheapest feasible part wins.
 func MinimizeEnergyPerClass(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
 	if len(o.MaxClassDelay) != len(c.Classes) {
 		return nil, fmt.Errorf("core: %d delay bounds for %d classes", len(o.MaxClassDelay), len(c.Classes))

@@ -13,11 +13,43 @@ import (
 	"clusterq/internal/queueing"
 )
 
-// augLagPerClass is the general-purpose reference for C3b at default options:
-// 4-start augmented Lagrangian over the full cluster evaluation, one
-// normalized constraint (D_k − b_k)/b_k per bounded class. The dual solver
-// must match or beat it.
-func augLagPerClass(c *cluster.Cluster, bounds []float64) (*Solution, error) {
+// metricFn reads one quantity off the cluster's metrics at a candidate speed
+// vector.
+type metricFn func(*cluster.Metrics) float64
+
+func totalPower(m *cluster.Metrics) float64 { return m.TotalPower }
+
+// weightedDelay is the arrival-rate-weighted mean delay, +Inf when any class
+// is unstable.
+func weightedDelay(m *cluster.Metrics) float64 {
+	if !m.Stable() {
+		return math.Inf(1)
+	}
+	return m.WeightedDelay
+}
+
+// atMost returns the normalized constraint (f − limit)/limit.
+func atMost(f metricFn, limit float64) metricFn {
+	return func(m *cluster.Metrics) float64 { return (f(m) - limit) / limit }
+}
+
+// classBounds returns one atMost constraint on D_k per bounded class.
+func classBounds(bounds []float64) []metricFn {
+	var gs []metricFn
+	for k, b := range bounds {
+		if b > 0 {
+			gs = append(gs, atMost(func(m *cluster.Metrics) float64 { return m.Delay[k] }, b))
+		}
+	}
+	return gs
+}
+
+// augLagReference is the general-purpose reference for the mean-delay
+// problems: multi-start augmented Lagrangian at default inner options over
+// the full cluster evaluation, minimizing objective subject to every
+// constraint ≤ 0. Speeds the evaluation rejects count as +Inf. The dual
+// solvers must match or beat it.
+func augLagReference(c *cluster.Cluster, objective metricFn, constraints []metricFn, starts int) (*Solution, error) {
 	ev, err := newEvaluator(c)
 	if err != nil {
 		return nil, err
@@ -26,26 +58,25 @@ func augLagPerClass(c *cluster.Cluster, bounds []float64) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	var gs []opt.Constraint
-	for k, b := range bounds {
-		if b <= 0 {
-			continue
-		}
-		k, b := k, b
-		gs = append(gs, func(s []float64) float64 {
+	at := func(f metricFn) func([]float64) float64 {
+		return func(s []float64) float64 {
 			m := ev.metricsAt(s)
-			if m == nil || math.IsInf(m.Delay[k], 1) {
+			if m == nil {
 				return math.Inf(1)
 			}
-			return (m.Delay[k] - b) / b
-		})
+			return f(m)
+		}
+	}
+	gs := make([]opt.Constraint, len(constraints))
+	for i, g := range constraints {
+		gs[i] = at(g)
 	}
 	r := opt.MultiStart(func(x0 []float64) opt.Result {
-		return opt.AugmentedLagrangian(ev.power, gs, box, x0, opt.AugLagOptions{})
-	}, box, 4)
+		return opt.AugmentedLagrangian(at(objective), gs, box, x0, opt.AugLagOptions{})
+	}, box, starts)
 	for _, g := range gs {
 		if !(g(r.X) <= 1e-3) {
-			return nil, errors.New("reference left a bound violated")
+			return nil, errors.New("reference left a constraint violated")
 		}
 	}
 	return ev.finish(r.X, r.F, r)
@@ -184,7 +215,7 @@ func TestPerClassDualMatchesAugLagRandom(t *testing.T) {
 		if i >= nRef {
 			continue
 		}
-		ref, err := augLagPerClass(c, bounds)
+		ref, err := augLagReference(c, totalPower, classBounds(bounds), 4)
 		if err != nil {
 			t.Logf("instance %d: reference failed (%v); dual power %.6g W", i, err, sol.Objective)
 			continue
@@ -228,7 +259,7 @@ func TestPerClassNonConvexTable(t *testing.T) {
 		if !(sol.Metrics.Delay[1] <= bounds[1]*(1+1e-6)) {
 			t.Errorf("bound ×%g: delay %g exceeds bound %g", f, sol.Metrics.Delay[1], bounds[1])
 		}
-		ref, err := augLagPerClass(c, bounds)
+		ref, err := augLagReference(c, totalPower, classBounds(bounds), 4)
 		if err != nil {
 			t.Fatalf("bound ×%g: reference: %v", f, err)
 		}

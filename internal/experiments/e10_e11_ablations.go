@@ -84,7 +84,6 @@ func (E11) Title() string {
 }
 
 func (E11) Run(cfg Config) ([]*Table, error) {
-	starts, al := solverScale(cfg)
 	t := NewTable("C3a optimum vs power exponent (busy power at max speed held fixed)",
 		"gamma", "power (W)", "mean speed", "speeds web/app/db", "delay (s)")
 	base := workload.Enterprise3Tier(1)
@@ -110,7 +109,7 @@ func (E11) Run(cfg Config) ([]*Table, error) {
 			}
 			tier.Power = npl
 		}
-		sol, err := core.MinimizeEnergy(c, core.EnergyOptions{MaxWeightedDelay: bound, Starts: starts, AugLag: al})
+		sol, err := core.MinimizeEnergy(c, core.EnergyOptions{MaxWeightedDelay: bound})
 		if err != nil {
 			t.AddRow(gamma, "infeasible", "-", "-", "-")
 			continue

@@ -28,7 +28,6 @@ func (E12) Title() string {
 }
 
 func (E12) Run(cfg Config) ([]*Table, error) {
-	starts, al := solverScale(cfg)
 	horizon, reps := cfg.simScale()
 	horizon *= 2 // cover several diurnal periods
 
@@ -55,12 +54,12 @@ func (E12) Run(cfg Config) ([]*Table, error) {
 	}
 	bound := dBest * 2.5
 
-	solMean, err := core.MinimizeEnergy(base, core.EnergyOptions{MaxWeightedDelay: bound, Starts: starts, AugLag: al})
+	solMean, err := core.MinimizeEnergy(base, core.EnergyOptions{MaxWeightedDelay: bound})
 	if err != nil {
 		return nil, err
 	}
 	peakCluster := workload.ScaleArrivals(base, peakFactor)
-	solPeak, err := core.MinimizeEnergy(peakCluster, core.EnergyOptions{MaxWeightedDelay: bound, Starts: starts, AugLag: al})
+	solPeak, err := core.MinimizeEnergy(peakCluster, core.EnergyOptions{MaxWeightedDelay: bound})
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +123,7 @@ func (E13) Run(cfg Config) ([]*Table, error) {
 	prevCost := 0.0
 	for _, f := range factors {
 		c := workload.ScaleArrivals(workload.Enterprise3Tier(1), f)
-		sol, err := core.MinimizeCost(c, core.CostOptions{SkipSpeedTuning: cfg.Quick, Starts: 2})
+		sol, err := core.MinimizeCost(c, core.CostOptions{SkipSpeedTuning: cfg.Quick})
 		if err != nil {
 			t.AddRow(f, c.TotalLambda(), "infeasible", "-", "-", "-")
 			continue

@@ -13,15 +13,30 @@ import (
 
 // E17 is the solver ablation: the Lagrangian dual decomposition (which
 // exploits the model's separability across tiers — the structure the paper's
-// analytical setting provides) against the general-purpose augmented
-// Lagrangian, on identical C3a and C3b instances. Expected: identical
-// solutions, with the dual orders of magnitude cheaper — evidence that the
-// paper's "efficient" claim is structural, not solver luck.
+// analytical setting provides) against a general-purpose augmented
+// Lagrangian, on identical C2, C3a, C3b and C4-speed-tuning instances.
+// Expected: identical solutions, with the dual orders of magnitude cheaper —
+// evidence that the paper's "efficient" claim is structural, not solver luck.
 type E17 struct{}
 
 func (E17) ID() string { return "E17" }
 func (E17) Title() string {
-	return "Ablation — Lagrangian dual decomposition vs general augmented Lagrangian (C3a, C3b)"
+	return "Ablation — Lagrangian dual decomposition vs general augmented Lagrangian (C2, C3a, C3b, C4 tuning)"
+}
+
+// tuneMargin is the fraction of each SLA bound C4's speed tuning plans
+// against (core's tuning margin), so the tuned speeds meet the SLAs strictly.
+const tuneMargin = 0.998
+
+// solverScale gives the augmented-Lagrangian references (E17) and the tail
+// solver (E16) their multi-start count and inner options; quick mode shrinks
+// the inner solves so the suite stays test-friendly while exercising
+// identical code.
+func solverScale(cfg Config) (starts int, al opt.AugLagOptions) {
+	if cfg.Quick {
+		return 2, opt.AugLagOptions{OuterIters: 10, Inner: opt.NelderMeadOptions{MaxIters: 250}}
+	}
+	return 4, opt.AugLagOptions{}
 }
 
 func (E17) Run(cfg Config) ([]*Table, error) {
@@ -30,14 +45,25 @@ func (E17) Run(cfg Config) ([]*Table, error) {
 	if cfg.Quick {
 		shapes = shapes[:3]
 	}
-	columns := []string{"tiers", "classes",
-		"dual: power W", "dual: ms", "dual: evals",
-		"auglag: power W", "auglag: ms", "auglag: evals",
-		"power gap"}
-	agg := NewTable("MinimizeEnergy (C3a): dual decomposition vs augmented Lagrangian", columns...)
-	per := NewTable("MinimizeEnergyPerClass (C3b): dual decomposition vs augmented Lagrangian", columns...)
+	c2 := e17Table("MinimizeDelay (C2)", "delay s")
+	agg := e17Table("MinimizeEnergy (C3a)", "power W")
+	per := e17Table("MinimizeEnergyPerClass (C3b)", "power W")
+	tune := e17Table("C4 speed tuning at the sized server counts", "power W")
 	for _, sh := range shapes {
 		c := workload.Scalable(sh.j, sh.k, 1)
+		pLo, pHi := budgetRange(c)
+		budget := pLo + 0.3*(pHi-pLo)
+		err := e17Row(c2, sh.j, sh.k,
+			func() (*core.Solution, error) {
+				return core.MinimizeDelay(c, core.DelayOptions{EnergyBudget: budget})
+			},
+			func() (*core.Solution, error) {
+				return augLagReference(c, weightedDelay, []metricFn{atMost(totalPower, budget)}, starts, al)
+			})
+		if err != nil {
+			return nil, err
+		}
+
 		_, dWorst, err := delayRange(c)
 		if err != nil {
 			return nil, err
@@ -45,10 +71,10 @@ func (E17) Run(cfg Config) ([]*Table, error) {
 		bound := dWorst * 0.5
 		err = e17Row(agg, sh.j, sh.k,
 			func() (*core.Solution, error) {
-				return core.MinimizeEnergyDual(c, core.EnergyOptions{MaxWeightedDelay: bound})
+				return core.MinimizeEnergy(c, core.EnergyOptions{MaxWeightedDelay: bound})
 			},
 			func() (*core.Solution, error) {
-				return core.MinimizeEnergy(c, core.EnergyOptions{MaxWeightedDelay: bound, Starts: starts, AugLag: al})
+				return augLagReference(c, totalPower, []metricFn{atMost(weightedDelay, bound)}, starts, al)
 			})
 		if err != nil {
 			return nil, err
@@ -62,12 +88,46 @@ func (E17) Run(cfg Config) ([]*Table, error) {
 			func() (*core.Solution, error) {
 				return core.MinimizeEnergyPerClass(c, core.EnergyOptions{MaxClassDelay: bounds})
 			},
-			func() (*core.Solution, error) { return augLagPerClass(c, bounds, starts, al) })
+			func() (*core.Solution, error) {
+				return augLagReference(c, totalPower, classBounds(bounds), starts, al)
+			})
+		if err != nil {
+			return nil, err
+		}
+
+		// C4's tuning stage: with the server counts sized, lower the speeds
+		// to the least power meeting every class's mean SLA at the tuning
+		// margin — C3b on the sized cluster.
+		sized, err := core.MinimizeCost(c, core.CostOptions{SkipSpeedTuning: true})
+		if err != nil {
+			return nil, err
+		}
+		slas := make([]float64, len(c.Classes))
+		for k, cl := range c.Classes {
+			slas[k] = cl.SLA.MaxMeanDelay * tuneMargin
+		}
+		err = e17Row(tune, sh.j, sh.k,
+			func() (*core.Solution, error) {
+				return core.MinimizeEnergyPerClass(sized.Cluster, core.EnergyOptions{MaxClassDelay: slas})
+			},
+			func() (*core.Solution, error) {
+				return augLagReference(sized.Cluster, totalPower, classBounds(slas), starts, al)
+			})
 		if err != nil {
 			return nil, err
 		}
 	}
-	return []*Table{agg, per}, nil
+	return []*Table{c2, agg, per, tune}, nil
+}
+
+// e17Table returns an empty comparison table for one problem whose
+// objective is reported in the given unit.
+func e17Table(problem, objective string) *Table {
+	return NewTable(problem+": dual decomposition vs augmented Lagrangian",
+		"tiers", "classes",
+		"dual: "+objective, "dual: ms", "dual: evals",
+		"auglag: "+objective, "auglag: ms", "auglag: evals",
+		"gap")
 }
 
 // e17Row times the dual and the augmented-Lagrangian solve of one instance
@@ -124,51 +184,69 @@ func e17ClassBounds(c *cluster.Cluster) ([]float64, error) {
 	return bounds, nil
 }
 
-// augLagPerClass is the general-purpose C3b reference: multi-start augmented
-// Lagrangian over the full cluster evaluation, with one normalized
-// constraint (D_k − b_k)/b_k per bounded class.
-func augLagPerClass(c *cluster.Cluster, bounds []float64, starts int, al opt.AugLagOptions) (*core.Solution, error) {
-	work := c.Clone()
-	metrics := func(s []float64) *cluster.Metrics {
-		if err := work.SetSpeeds(s); err != nil {
-			return nil
-		}
-		m, err := cluster.Evaluate(work)
-		if err != nil {
-			return nil
-		}
-		return m
-	}
-	power := func(s []float64) float64 {
-		if m := metrics(s); m != nil {
-			return m.TotalPower
-		}
+// metricFn reads one quantity off the cluster's metrics at a candidate speed
+// vector.
+type metricFn func(*cluster.Metrics) float64
+
+func totalPower(m *cluster.Metrics) float64 { return m.TotalPower }
+
+// weightedDelay is the arrival-rate-weighted mean delay, +Inf when any class
+// is unstable.
+func weightedDelay(m *cluster.Metrics) float64 {
+	if !m.Stable() {
 		return math.Inf(1)
 	}
-	var gs []opt.Constraint
+	return m.WeightedDelay
+}
+
+// atMost returns the normalized constraint (f − limit)/limit.
+func atMost(f metricFn, limit float64) metricFn {
+	return func(m *cluster.Metrics) float64 { return (f(m) - limit) / limit }
+}
+
+// classBounds returns one atMost constraint on D_k per bounded class.
+func classBounds(bounds []float64) []metricFn {
+	var gs []metricFn
 	for k, b := range bounds {
-		if b <= 0 {
-			continue
+		if b > 0 {
+			gs = append(gs, atMost(func(m *cluster.Metrics) float64 { return m.Delay[k] }, b))
 		}
-		k, b := k, b
-		gs = append(gs, func(s []float64) float64 {
-			m := metrics(s)
-			if m == nil || math.IsInf(m.Delay[k], 1) {
+	}
+	return gs
+}
+
+// augLagReference is the general-purpose reference the duals are measured
+// against: multi-start augmented Lagrangian over the full cluster
+// evaluation, minimizing objective subject to every constraint ≤ 0. Speeds
+// the evaluation rejects count as +Inf.
+func augLagReference(c *cluster.Cluster, objective metricFn, constraints []metricFn, starts int, al opt.AugLagOptions) (*core.Solution, error) {
+	work := c.Clone()
+	at := func(f metricFn) func([]float64) float64 {
+		return func(s []float64) float64 {
+			if err := work.SetSpeeds(s); err != nil {
 				return math.Inf(1)
 			}
-			return (m.Delay[k] - b) / b
-		})
+			m, err := cluster.Evaluate(work)
+			if err != nil {
+				return math.Inf(1)
+			}
+			return f(m)
+		}
+	}
+	gs := make([]opt.Constraint, len(constraints))
+	for i, g := range constraints {
+		gs[i] = at(g)
 	}
 	box, err := opt.NewBox(work.SpeedBounds())
 	if err != nil {
 		return nil, err
 	}
 	r := opt.MultiStart(func(x0 []float64) opt.Result {
-		return opt.AugmentedLagrangian(power, gs, box, x0, al)
+		return opt.AugmentedLagrangian(at(objective), gs, box, x0, al)
 	}, box, starts)
 	for i, g := range gs {
 		if v := g(r.X); !(v <= 1e-3) {
-			return nil, fmt.Errorf("e17: augmented Lagrangian left bound %d violated by %g (relative)", i, v)
+			return nil, fmt.Errorf("e17: augmented Lagrangian left constraint %d violated by %g (relative)", i, v)
 		}
 	}
 	out := c.Clone()

@@ -43,12 +43,8 @@ func (E19) Run(cfg Config) ([]*Table, error) {
 	t := NewTable("TCO-optimal design vs energy price (SLA suite held fixed)",
 		"energy price ($/W·h)", "servers web/app/db", "mean speed frac",
 		"power (W)", "server cost ($/h)", "energy cost ($/h)", "total ($/h)")
-	starts := 1
-	if !cfg.Quick {
-		starts = 2
-	}
 	for _, price := range prices {
-		sol, err := core.MinimizeCost(c, core.CostOptions{EnergyPrice: price, Starts: starts})
+		sol, err := core.MinimizeCost(c, core.CostOptions{EnergyPrice: price})
 		if err != nil {
 			t.AddRow(price, "infeasible: "+err.Error(), "-", "-", "-", "-", "-")
 			continue

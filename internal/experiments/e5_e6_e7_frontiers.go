@@ -5,18 +5,8 @@ import (
 
 	"clusterq/internal/cluster"
 	"clusterq/internal/core"
-	"clusterq/internal/opt"
 	"clusterq/internal/workload"
 )
-
-// quickAugLag shrinks the inner solves for quick mode so the full experiment
-// suite stays test-friendly while exercising identical code.
-func solverScale(cfg Config) (starts int, al opt.AugLagOptions) {
-	if cfg.Quick {
-		return 2, opt.AugLagOptions{OuterIters: 10, Inner: opt.NelderMeadOptions{MaxIters: 250}}
-	}
-	return 4, opt.AugLagOptions{}
-}
 
 // E5 reconstructs Fig. 3: the delay/energy trade-off frontier of problem C2 —
 // minimized average delay across an energy-budget sweep, against the uniform
@@ -29,7 +19,6 @@ func (E5) Title() string {
 }
 
 func (E5) Run(cfg Config) ([]*Table, error) {
-	starts, al := solverScale(cfg)
 	// The asymmetric (heavy-db) scenario: on a symmetric cluster the
 	// optimum is uniform and the two curves coincide.
 	c := workload.Enterprise3TierHeavyDB(1)
@@ -41,7 +30,7 @@ func (E5) Run(cfg Config) ([]*Table, error) {
 	fracs := []float64{0.05, 0.15, 0.3, 0.5, 0.75, 1.0}
 	rows, err := sweep(cfg, len(fracs), func(i int) ([]any, error) {
 		budget := lo + fracs[i]*(hi-lo)
-		sol, err := core.MinimizeDelay(c, core.DelayOptions{EnergyBudget: budget, Starts: starts, AugLag: al})
+		sol, err := core.MinimizeDelay(c, core.DelayOptions{EnergyBudget: budget})
 		if err != nil {
 			return []any{budget, "infeasible", "-", "-"}, nil
 		}
@@ -77,7 +66,6 @@ func (E6) Title() string {
 }
 
 func (E6) Run(cfg Config) ([]*Table, error) {
-	starts, al := solverScale(cfg)
 	c := workload.Enterprise3TierHeavyDB(1) // see E5: asymmetry is the point
 	dBest, dWorst, err := delayRange(c)
 	if err != nil {
@@ -86,7 +74,7 @@ func (E6) Run(cfg Config) ([]*Table, error) {
 	fracs := []float64{0.15, 0.3, 0.5, 0.7, 0.9}
 	rows, err := sweep(cfg, len(fracs), func(i int) ([]any, error) {
 		bound := dBest + fracs[i]*(dWorst-dBest)
-		sol, err := core.MinimizeEnergy(c, core.EnergyOptions{MaxWeightedDelay: bound, Starts: starts, AugLag: al})
+		sol, err := core.MinimizeEnergy(c, core.EnergyOptions{MaxWeightedDelay: bound})
 		if err != nil {
 			return []any{bound, "infeasible", "-", "-"}, nil
 		}

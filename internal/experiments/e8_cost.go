@@ -31,7 +31,7 @@ func (E8) Run(cfg Config) ([]*Table, error) {
 		err  error
 	}
 	rows := []row{}
-	greedy, err := core.MinimizeCost(c, core.CostOptions{Starts: boolToInt(cfg.Quick, 1, 3)})
+	greedy, err := core.MinimizeCost(c, core.CostOptions{})
 	rows = append(rows, row{"greedy (paper)", greedy, err})
 	uni, err := core.UniformCostBaseline(c, 64)
 	rows = append(rows, row{"uniform", uni, err})
@@ -91,11 +91,4 @@ func yesNo(b bool) string {
 		return "yes"
 	}
 	return "no"
-}
-
-func boolToInt(b bool, ifTrue, ifFalse int) int {
-	if b {
-		return ifTrue
-	}
-	return ifFalse
 }

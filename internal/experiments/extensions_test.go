@@ -137,8 +137,8 @@ func TestE17DualMatchesAugLag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 2 {
-		t.Fatalf("%d tables, want C3a and C3b", len(tables))
+	if len(tables) != 4 {
+		t.Fatalf("%d tables, want C2, C3a, C3b and C4 tuning", len(tables))
 	}
 	for _, tab := range tables {
 		for _, row := range tab.Rows {
