@@ -56,7 +56,9 @@ type (
 	ClassRouting = queueing.ClassRouting
 	// Discipline selects FCFS, NonPreemptive or PreemptiveResume.
 	Discipline = queueing.Discipline
-	// PowerModel maps server speed to power draw.
+	// PowerModel maps server speed to power draw. Its methods must be
+	// deterministic, side-effect-free functions of the speed: the simulator
+	// evaluates them once per speed change, not per event.
 	PowerModel = power.Model
 	// PowerLaw is the κ·s^γ DVFS power model.
 	PowerLaw = power.PowerLaw

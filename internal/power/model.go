@@ -18,6 +18,12 @@ import (
 )
 
 // Model maps a server speed to its power draw.
+//
+// IdlePower and BusyPower must be deterministic, side-effect-free functions
+// of s: the same speed always yields the same watts. The simulator relies on
+// this — it evaluates both once per speed change and reuses the values for
+// every event until the next retune, not once per event. Every model in
+// this package satisfies the contract.
 type Model interface {
 	// IdlePower returns the power drawn by an idle server at speed s.
 	// Most DVFS models make idle power speed-independent, but interfaces

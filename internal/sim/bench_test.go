@@ -83,3 +83,86 @@ func BenchmarkCalendar(b *testing.B) {
 		cal.schedule(cal.now+rng.Float64()*10, evArrival, 0, nil, 0, nil)
 	}
 }
+
+// benchStation builds a simulator around benchCluster's station, resized to
+// the given server count, and swaps in an empty calendar, so a station
+// benchmark pops only the departures it schedules itself (no arrival,
+// control or probe events).
+func benchStation(b *testing.B, servers int, disc queueing.Discipline) (*simulator, *simStation) {
+	b.Helper()
+	c := benchCluster(disc)
+	c.Tiers[0].Servers = servers
+	o := Options{Horizon: 2500, Warmup: 100, Replications: 1, Seed: 1}
+	if err := o.defaults(); err != nil {
+		b.Fatal(err)
+	}
+	s, err := newSimulator(c, o, o.Seed, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.cal = newCalendar()
+	return s, s.stations[0]
+}
+
+// benchJob hands out a recycled job of the given class and work, queued at
+// now.
+func benchJob(s *simulator, class int, work, now float64) *job {
+	j := s.allocJob()
+	j.class, j.remaining, j.enqueued = class, work, now
+	return j
+}
+
+// BenchmarkStationDispatch measures one start→departure cycle at one
+// station: the service start (run allocation, observeBusy, departure
+// schedule), the calendar pop, and the departure handler (bankSegment,
+// dropRun, observeBusy, wait accounting, exit).
+func BenchmarkStationDispatch(b *testing.B) {
+	s, st := benchStation(b, 2, queueing.NonPreemptive)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.startService(st, benchJob(s, i&1, 1, s.cal.now), s.cal.now)
+		e := s.cal.next()
+		s.handleDeparture(e)
+		s.cal.recycle(e)
+	}
+}
+
+// BenchmarkStationPreempt measures one preempt→resume cycle at a
+// single-server preemptive-resume station: a low-priority job starts, a
+// high-priority arrival preempts it a quarter of the way in (banking the
+// segment), departs, and the low-priority job resumes and departs; the
+// preempted run's stale departure is popped and recycled on the way.
+func BenchmarkStationPreempt(b *testing.B) {
+	s, st := benchStation(b, 1, queueing.PreemptiveResume)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := s.cal.now
+		s.arriveAtStation(st, benchJob(s, 1, 1, now), now)
+		s.arriveAtStation(st, benchJob(s, 0, 0.5, now+0.25), now+0.25)
+		for !s.cal.empty() {
+			e := s.cal.next()
+			s.handleDeparture(e)
+			s.cal.recycle(e)
+		}
+	}
+}
+
+// benchSink keeps micro-benchmark results live so the compiler cannot
+// discard the measured calls.
+var benchSink float64
+
+// BenchmarkRNGExp measures one exponential variate: a xoshiro draw and the
+// inverse-CDF log, the per-arrival and per-service cost of the Markovian
+// streams.
+func BenchmarkRNGExp(b *testing.B) {
+	r := NewRNG(1)
+	var sum float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += r.Exp(1.5)
+	}
+	benchSink = sum
+}

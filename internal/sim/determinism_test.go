@@ -64,7 +64,7 @@ func TestPooledCalendarGoldenHash(t *testing.T) {
 	demands := []queueing.Demand{{Work: 1, CV2: 1}, {Work: 1.5, CV2: 2}}
 	quantiles := []float64{0.9, 0.95}
 
-	// The subtest is named after the one calendar, the indexed binary heap.
+	// The subtest is named after the one calendar, the binary heap.
 	t.Run("heap", func(t *testing.T) {
 		// Non-preemptive two-server station with probe counters attached:
 		// exercises arrival/start/visit/exit recycling plus the probe path.

@@ -139,7 +139,7 @@ func TestTierStatsMatchEndToEnd(t *testing.T) {
 // and blows this bound by two orders of magnitude.
 func TestSteadyStateAllocationsBounded(t *testing.T) {
 	c := regressionCluster()
-	// The subtest is named after the one calendar, the indexed binary heap.
+	// The subtest is named after the one calendar, the binary heap.
 	t.Run("heap", func(t *testing.T) {
 		o := Options{Horizon: 15000, Warmup: 100, Replications: 1, Seed: 5}
 		if err := o.defaults(); err != nil {

@@ -147,7 +147,6 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 		st := &simStation{
 			idx:        j,
 			servers:    t.Servers,
-			speed:      t.Speed,
 			minSpeed:   t.MinSpeed,
 			maxSpeed:   t.MaxSpeed,
 			discipline: t.Discipline,
@@ -157,6 +156,7 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 			svcEnergy:  make([]float64, len(c.Classes)),
 			servedCls:  make([]int64, len(c.Classes)),
 		}
+		st.setLevels(t.Speed)
 		// Controllers need a clamp range even when the tier left the DVFS
 		// bounds unset.
 		if st.minSpeed <= 0 {
@@ -505,7 +505,7 @@ func (s *simulator) setSpeed(st *simStation, now, speed float64) {
 		st.bankSegment(run, now)
 		run.cancelled = true
 	}
-	st.speed = speed
+	st.setLevels(speed)
 	// Swap in the scratch backing array instead of allocating a fresh
 	// running set per retune; the old array becomes the next scratch.
 	st.running = st.runScratch[:0]

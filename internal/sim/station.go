@@ -32,11 +32,13 @@ type serviceRun struct {
 type simStation struct {
 	idx        int
 	servers    int
-	speed      float64
+	speed      float64 // written only by setLevels
 	minSpeed   float64 // DVFS clamp for runtime controllers
 	maxSpeed   float64
 	discipline queueing.Discipline
 	pm         power.Model
+	busyW      float64   // per-server pm.BusyPower(speed), kept by setLevels
+	idleW      float64   // per-server pm.IdlePower(speed), kept by setLevels
 	samplers   []Sampler // per class: WORK distributions
 
 	queues     []jobDeque    // per-class FIFO queues (priority order = index)
@@ -73,6 +75,16 @@ type simStation struct {
 	servedCls []int64            // completions per class
 }
 
+// setLevels moves the station to a new speed and caches the per-server busy
+// and idle power there. The power model is a pure function of the speed, so
+// it is evaluated once per speed change rather than on every event that
+// re-reads the power draw.
+func (s *simStation) setLevels(speed float64) {
+	s.speed = speed
+	s.busyW = s.pm.BusyPower(speed)
+	s.idleW = s.pm.IdlePower(speed)
+}
+
 // instPower returns the station's instantaneous power at its current speed
 // and server states. Without sleep, non-busy up servers idle and failed
 // servers draw nothing; with sleep (never combined with failures) non-busy
@@ -88,11 +100,11 @@ func (s *simStation) instPower() float64 {
 		if idle < 0 {
 			idle = 0
 		}
-		return b*s.pm.BusyPower(s.speed) + idle*s.pm.IdlePower(s.speed)
+		return b*s.busyW + idle*s.idleW
 	}
 	su := float64(s.settingUp)
 	sl := float64(s.servers) - b - su
-	return (b+su)*s.pm.BusyPower(s.speed) + sl*s.sleepPower
+	return (b+su)*s.busyW + sl*s.sleepPower
 }
 
 // sleepingServers returns the number of powered-down servers.
@@ -102,7 +114,7 @@ func (s *simStation) sleepingServers() int {
 
 // powerGap returns the busy/idle power difference at the current speed.
 func (s *simStation) powerGap() float64 {
-	return s.pm.BusyPower(s.speed) - s.pm.IdlePower(s.speed)
+	return s.busyW - s.idleW
 }
 
 // bankSegment accounts the service segment of a run ending now: consumed
