@@ -18,10 +18,10 @@ func TestMuxEndpoints(t *testing.T) {
 	reg.Counter("requests_total", "requests").Add(3)
 	reg.Gauge("load", "load").Set(0.5)
 	rec := trace.NewRecorder(0)
-	rec.RecordArrival(0, 0, 1)
-	rec.RecordServiceStart(1, 0, 1, 0)
-	rec.RecordServiceStop(2, 0, 1, 0)
-	rec.RecordExit(2, 0, 1, trace.OutcomeCompleted)
+	rec.Record(trace.Event{T: 0, Kind: trace.KindArrival, Class: 0, Job: 1, Station: -1})
+	rec.Record(trace.Event{T: 1, Kind: trace.KindServiceStart, Class: 0, Job: 1, Station: 0})
+	rec.Record(trace.Event{T: 2, Kind: trace.KindServiceStop, Class: 0, Job: 1, Station: 0})
+	rec.Record(trace.Event{T: 2, Kind: trace.KindExit, Class: 0, Job: 1, Station: -1, Value: float64(trace.OutcomeCompleted)})
 
 	srv := httptest.NewServer(Mux(reg, rec))
 	defer srv.Close()

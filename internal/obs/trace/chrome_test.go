@@ -12,14 +12,14 @@ import (
 // shape.
 func TestWriteChromeTrace(t *testing.T) {
 	r := NewRecorder(0)
-	r.RecordArrival(0, 0, 1)
-	r.RecordServiceStart(1, 0, 1, 0)
-	r.RecordPreempt(2, 0, 1, 0) // closes slice [1,2] on tier 0
-	r.RecordServiceStart(3, 0, 1, 0)
-	r.RecordServiceStop(5, 0, 1, 0) // closes slice [3,5] on tier 0
-	r.RecordServiceStart(5, 0, 1, 1)
-	r.RecordServiceStop(6, 0, 1, 1) // closes slice [5,6] on tier 1
-	r.RecordExit(6, 0, 1, OutcomeCompleted)
+	r.Record(ev(KindArrival, 0, 0, 1, -1, 0))
+	r.Record(ev(KindServiceStart, 1, 0, 1, 0, 0))
+	r.Record(ev(KindPreempt, 2, 0, 1, 0, 0)) // closes slice [1,2] on tier 0
+	r.Record(ev(KindServiceStart, 3, 0, 1, 0, 0))
+	r.Record(ev(KindServiceStop, 5, 0, 1, 0, 0)) // closes slice [3,5] on tier 0
+	r.Record(ev(KindServiceStart, 5, 0, 1, 1, 0))
+	r.Record(ev(KindServiceStop, 6, 0, 1, 1, 0)) // closes slice [5,6] on tier 1
+	r.Record(ev(KindExit, 6, 0, 1, -1, float64(OutcomeCompleted)))
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {

@@ -5,8 +5,8 @@
 // The package follows the observability layer's nil-is-a-no-op contract
 // (enforced by the in-tree nilnoop analyzer): every exported pointer-receiver
 // method returns immediately on a nil receiver, so instrumented code may call
-// hooks unconditionally. The simulator nonetheless guards its hot-path call
-// sites with an explicit nil check so the disabled recorder costs a single
+// hooks unconditionally. The simulator feeds the recorder from its single
+// lifecycle tap, whose one guard keeps a detached recorder at a single
 // predictable branch per event.
 //
 // Memory is bounded by construction: events and completed spans live in
@@ -314,133 +314,67 @@ func (r *Recorder) lookup(job uint64) *openSpan {
 	return o
 }
 
-// RecordArrival opens a span for the job in the queued state.
-func (r *Recorder) RecordArrival(t float64, class int, job uint64) {
+// Record ingests one lifecycle event: it appends e to the event ring and
+// applies the kind's transition to the job's open span. An arrival opens a
+// span in the queued state; every other kind first charges the time since
+// the job's previous event to the span's current state, then
+//
+//	KindServiceStart             switches it to service,
+//	KindPreempt                  switches it to preempted (forced off a
+//	                             server with work remaining),
+//	KindBackoff                  switches it to backoff and counts a retry,
+//	KindServiceStop, KindTimeout,
+//	KindResume                   return it to queued (between stations,
+//	                             awaiting the retry-or-abandon decision, or
+//	                             re-entering after backoff),
+//	KindExit                     closes it with Outcome(e.Value), appends it
+//	                             to the span ring and folds it into the
+//	                             per-class aggregate.
+//
+// An event for a job with no open span counts as unmatched.
+func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.push(Event{T: t, Kind: KindArrival, Class: int32(class), Station: -1, Job: job})
-	if old := r.open[job]; old != nil {
-		// Duplicate id (should not happen): recycle the stale record.
-		r.free = append(r.free, old)
-		r.unmatched++
-	}
-	o := r.allocOpen()
-	o.class = int32(class)
-	o.arrival = t
-	o.lastT = t
-	o.state = stateQueued
-	r.open[job] = o
-}
-
-// RecordServiceStart charges elapsed time and switches the span to the
-// service state.
-func (r *Recorder) RecordServiceStart(t float64, class int, job uint64, station int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.push(Event{T: t, Kind: KindServiceStart, Class: int32(class), Station: int32(station), Job: job})
-	if o := r.lookup(job); o != nil {
-		o.fold(t)
-		o.state = stateService
-	}
-}
-
-// RecordServiceStop charges elapsed service time and returns the span to the
-// queued state (the job is between stations or about to exit).
-func (r *Recorder) RecordServiceStop(t float64, class int, job uint64, station int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.push(Event{T: t, Kind: KindServiceStop, Class: int32(class), Station: int32(station), Job: job})
-	if o := r.lookup(job); o != nil {
-		o.fold(t)
+	r.push(e)
+	if e.Kind == KindArrival {
+		if old := r.open[e.Job]; old != nil {
+			// Duplicate id (should not happen): recycle the stale record.
+			r.free = append(r.free, old)
+			r.unmatched++
+		}
+		o := r.allocOpen()
+		o.class = e.Class
+		o.arrival = e.T
+		o.lastT = e.T
 		o.state = stateQueued
-	}
-}
-
-// RecordPreempt charges elapsed service time and switches the span to the
-// preempted state (forced off a server with work remaining).
-func (r *Recorder) RecordPreempt(t float64, class int, job uint64, station int) {
-	if r == nil {
+		r.open[e.Job] = o
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.push(Event{T: t, Kind: KindPreempt, Class: int32(class), Station: int32(station), Job: job})
-	if o := r.lookup(job); o != nil {
-		o.fold(t)
-		o.state = statePreempted
-	}
-}
-
-// RecordTimeout charges elapsed time to whatever state the job was in when
-// its deadline fired and parks the span in the queued state pending the
-// simulator's retry/abandon decision (recorded at the same timestamp).
-func (r *Recorder) RecordTimeout(t float64, class int, job uint64, station int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.push(Event{T: t, Kind: KindTimeout, Class: int32(class), Station: int32(station), Job: job})
-	if o := r.lookup(job); o != nil {
-		o.fold(t)
-		o.state = stateQueued
-	}
-}
-
-// RecordBackoff switches the span to the backoff state; attempt is the
-// 1-based retry this backoff precedes.
-func (r *Recorder) RecordBackoff(t float64, class int, job uint64, attempt int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.push(Event{T: t, Kind: KindBackoff, Class: int32(class), Station: -1, Job: job, Value: float64(attempt)})
-	if o := r.lookup(job); o != nil {
-		o.fold(t)
-		o.state = stateBackoff
-		o.attempts++
-	}
-}
-
-// RecordResume charges elapsed backoff time and returns the span to the
-// queued state as the job re-enters the system.
-func (r *Recorder) RecordResume(t float64, class int, job uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.push(Event{T: t, Kind: KindResume, Class: int32(class), Station: -1, Job: job})
-	if o := r.lookup(job); o != nil {
-		o.fold(t)
-		o.state = stateQueued
-	}
-}
-
-// RecordExit closes the span with the given outcome, appends it to the span
-// ring, and folds it into the per-class aggregate.
-func (r *Recorder) RecordExit(t float64, class int, job uint64, outcome Outcome) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.push(Event{T: t, Kind: KindExit, Class: int32(class), Station: -1, Job: job, Value: float64(outcome)})
-	o := r.lookup(job)
+	o := r.lookup(e.Job)
 	if o == nil {
 		return
 	}
-	o.fold(t)
+	o.fold(e.T)
+	switch e.Kind {
+	case KindServiceStart:
+		o.state = stateService
+	case KindPreempt:
+		o.state = statePreempted
+	case KindBackoff:
+		o.state = stateBackoff
+		o.attempts++
+	case KindExit:
+		r.close(e.Job, o, e.T, Outcome(e.Value))
+	default:
+		o.state = stateQueued
+	}
+}
+
+// close retires an open span with the given outcome. Caller holds mu.
+func (r *Recorder) close(job uint64, o *openSpan, t float64, outcome Outcome) {
 	sp := Span{
 		Job:       job,
 		Class:     o.class,

@@ -5,22 +5,29 @@ import (
 	"testing"
 )
 
+// ev builds one recorder event; station is -1 for events not tied to a
+// station, and value is the kind's payload (Outcome for KindExit, attempt
+// number for KindBackoff).
+func ev(k Kind, t float64, class int32, job uint64, station int32, value float64) Event {
+	return Event{T: t, Kind: k, Class: class, Job: job, Station: station, Value: value}
+}
+
 // TestSpanStateMachine walks one job through every state and checks the
 // component decomposition is exact.
 func TestSpanStateMachine(t *testing.T) {
 	r := NewRecorder(0)
 	const job = 7
 
-	r.RecordArrival(0, 1, job)                   // queued
-	r.RecordServiceStart(2, 1, job, 0)           // queue += 2
-	r.RecordPreempt(5, 1, job, 0)                // service += 3
-	r.RecordServiceStart(9, 1, job, 0)           // preempted += 4
-	r.RecordTimeout(10, 1, job, 0)               // service += 1
-	r.RecordBackoff(10, 1, job, 1)               // queue += 0
-	r.RecordResume(16, 1, job)                   // backoff += 6
-	r.RecordServiceStart(18, 1, job, 1)          // queue += 2
-	r.RecordServiceStop(20, 1, job, 1)           // service += 2
-	r.RecordExit(20.5, 1, job, OutcomeCompleted) // queue += 0.5
+	r.Record(ev(KindArrival, 0, 1, job, -1, 0))                         // queued
+	r.Record(ev(KindServiceStart, 2, 1, job, 0, 0))                     // queue += 2
+	r.Record(ev(KindPreempt, 5, 1, job, 0, 0))                          // service += 3
+	r.Record(ev(KindServiceStart, 9, 1, job, 0, 0))                     // preempted += 4
+	r.Record(ev(KindTimeout, 10, 1, job, 0, 0))                         // service += 1
+	r.Record(ev(KindBackoff, 10, 1, job, -1, 1))                        // queue += 0
+	r.Record(ev(KindResume, 16, 1, job, -1, 0))                         // backoff += 6
+	r.Record(ev(KindServiceStart, 18, 1, job, 1, 0))                    // queue += 2
+	r.Record(ev(KindServiceStop, 20, 1, job, 1, 0))                     // service += 2
+	r.Record(ev(KindExit, 20.5, 1, job, -1, float64(OutcomeCompleted))) // queue += 0.5
 
 	spans := r.Spans()
 	if len(spans) != 1 {
@@ -66,11 +73,11 @@ func TestSpanStateMachine(t *testing.T) {
 // TestRecorderOutcomes checks abandon and drop bookkeeping.
 func TestRecorderOutcomes(t *testing.T) {
 	r := NewRecorder(0)
-	r.RecordArrival(0, 0, 1)
-	r.RecordExit(0, 0, 1, OutcomeDropped) // admission drop: zero-length span
-	r.RecordArrival(1, 0, 2)
-	r.RecordTimeout(4, 0, 2, 0)
-	r.RecordExit(4, 0, 2, OutcomeAbandoned)
+	r.Record(ev(KindArrival, 0, 0, 1, -1, 0))
+	r.Record(ev(KindExit, 0, 0, 1, -1, float64(OutcomeDropped))) // admission drop: zero-length span
+	r.Record(ev(KindArrival, 1, 0, 2, -1, 0))
+	r.Record(ev(KindTimeout, 4, 0, 2, 0, 0))
+	r.Record(ev(KindExit, 4, 0, 2, -1, float64(OutcomeAbandoned)))
 
 	b := r.Breakdown(0)
 	if b.Dropped != 1 || b.Abandoned != 1 || b.Completed != 0 {
@@ -90,7 +97,7 @@ func TestEventRingOverwrite(t *testing.T) {
 	r := NewRecorder(1024)
 	n := 1100
 	for i := 0; i < n; i++ {
-		r.RecordArrival(float64(i), 0, uint64(i))
+		r.Record(ev(KindArrival, float64(i), 0, uint64(i), -1, 0))
 	}
 	evs := r.Events()
 	if len(evs) != 1024 {
@@ -121,8 +128,8 @@ func TestSpanRingOverwriteKeepsAggregates(t *testing.T) {
 	r := NewRecorder(1024) // span ring also 1024 (min)
 	n := 1500
 	for i := 0; i < n; i++ {
-		r.RecordArrival(float64(i), 0, uint64(i))
-		r.RecordExit(float64(i)+0.5, 0, uint64(i), OutcomeCompleted)
+		r.Record(ev(KindArrival, float64(i), 0, uint64(i), -1, 0))
+		r.Record(ev(KindExit, float64(i)+0.5, 0, uint64(i), -1, float64(OutcomeCompleted)))
 	}
 	if got := r.Breakdown(0).Completed; got != int64(n) {
 		t.Errorf("aggregate completed = %d, want %d", got, n)
@@ -138,14 +145,9 @@ func TestSpanRingOverwriteKeepsAggregates(t *testing.T) {
 // TestRecorderNilSafe calls every exported method on a nil recorder.
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
-	r.RecordArrival(0, 0, 1)
-	r.RecordServiceStart(0, 0, 1, 0)
-	r.RecordServiceStop(0, 0, 1, 0)
-	r.RecordPreempt(0, 0, 1, 0)
-	r.RecordTimeout(0, 0, 1, 0)
-	r.RecordBackoff(0, 0, 1, 1)
-	r.RecordResume(0, 0, 1)
-	r.RecordExit(0, 0, 1, OutcomeCompleted)
+	for k := Kind(0); k < numKinds; k++ {
+		r.Record(ev(k, 0, 0, 1, -1, 0))
+	}
 	if r.Events() != nil || r.Drain() != nil || r.Spans() != nil || r.Breakdowns() != nil {
 		t.Error("nil recorder returned non-nil data")
 	}
@@ -161,16 +163,16 @@ func TestRecorderNilSafe(t *testing.T) {
 // TestRecorderReset returns the recorder to a fresh state.
 func TestRecorderReset(t *testing.T) {
 	r := NewRecorder(0)
-	r.RecordArrival(0, 0, 1)
-	r.RecordArrival(0, 1, 2)
-	r.RecordExit(1, 1, 2, OutcomeCompleted)
+	r.Record(ev(KindArrival, 0, 0, 1, -1, 0))
+	r.Record(ev(KindArrival, 0, 1, 2, -1, 0))
+	r.Record(ev(KindExit, 1, 1, 2, -1, float64(OutcomeCompleted)))
 	r.Reset()
 	if len(r.Events()) != 0 || len(r.Spans()) != 0 || len(r.Breakdowns()) != 0 || r.OpenSpans() != 0 {
 		t.Error("Reset left state behind")
 	}
 	// Recycled open-span records must come back zeroed.
-	r.RecordArrival(5, 0, 3)
-	r.RecordExit(7, 0, 3, OutcomeCompleted)
+	r.Record(ev(KindArrival, 5, 0, 3, -1, 0))
+	r.Record(ev(KindExit, 7, 0, 3, -1, float64(OutcomeCompleted)))
 	sp := r.Spans()[0]
 	if sp.Queue != 2 || sp.Service != 0 || sp.Attempts != 0 {
 		t.Errorf("recycled span leaked state: %+v", sp)
@@ -180,8 +182,8 @@ func TestRecorderReset(t *testing.T) {
 // TestUnmatchedEvents counts events for unknown jobs without panicking.
 func TestUnmatchedEvents(t *testing.T) {
 	r := NewRecorder(0)
-	r.RecordServiceStart(1, 0, 99, 0)
-	r.RecordExit(2, 0, 99, OutcomeCompleted)
+	r.Record(ev(KindServiceStart, 1, 0, 99, 0, 0))
+	r.Record(ev(KindExit, 2, 0, 99, -1, float64(OutcomeCompleted)))
 	if got := r.Unmatched(); got != 2 {
 		t.Errorf("Unmatched = %d, want 2", got)
 	}

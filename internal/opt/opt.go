@@ -1,8 +1,8 @@
 // Package opt is a from-scratch numerical optimization toolkit built for the
 // paper's resource-allocation problems: golden-section and bisection in one
-// dimension, Nelder–Mead and projected gradient descent with box constraints
-// in many, an augmented-Lagrangian method for inequality-constrained
-// problems, and a deterministic multi-start wrapper. It is stdlib-only.
+// dimension, Nelder–Mead with box constraints in many, an
+// augmented-Lagrangian method for inequality-constrained problems, and a
+// deterministic multi-start wrapper. It is stdlib-only.
 //
 // All solvers minimize. Objectives may return +Inf to mark infeasible points
 // (e.g. an unstable queueing configuration); the solvers treat such points as
@@ -19,8 +19,7 @@ type Objective func(x []float64) float64
 
 // TraceEntry is one point of a solver's convergence trace: the state at the
 // end of one (outer) iteration. The Step field is solver-specific scale
-// information — the line-search step for projected gradient, the simplex
-// x-spread for Nelder–Mead, the penalty weight µ for the augmented
+// information — the simplex x-spread for Nelder–Mead, the penalty weight µ for the augmented
 // Lagrangian, and the dual bracket width for the decomposed solvers.
 type TraceEntry struct {
 	Iter      int     // 0-based (outer) iteration index
@@ -103,39 +102,6 @@ func (b Box) Center() []float64 {
 
 // Width returns hi−lo per coordinate.
 func (b Box) Width(i int) float64 { return b.Hi[i] - b.Lo[i] }
-
-// Gradient approximates ∇f at x by central differences with a relative step.
-// Evaluations that hit +Inf fall back to one-sided differences.
-func Gradient(f Objective, x []float64) []float64 {
-	g := make([]float64, len(x))
-	xx := append([]float64(nil), x...)
-	fx := math.NaN() // computed lazily for one-sided fallbacks
-	for i := range x {
-		h := 1e-6 * (1 + math.Abs(x[i]))
-		xx[i] = x[i] + h
-		fp := f(xx)
-		xx[i] = x[i] - h
-		fm := f(xx)
-		xx[i] = x[i]
-		switch {
-		case !math.IsInf(fp, 1) && !math.IsInf(fm, 1):
-			g[i] = (fp - fm) / (2 * h)
-		case math.IsInf(fp, 1) && !math.IsInf(fm, 1):
-			if math.IsNaN(fx) {
-				fx = f(x)
-			}
-			g[i] = (fx - fm) / h
-		case !math.IsInf(fp, 1) && math.IsInf(fm, 1):
-			if math.IsNaN(fx) {
-				fx = f(x)
-			}
-			g[i] = (fp - fx) / h
-		default:
-			g[i] = 0 // surrounded by infeasibility; no usable direction
-		}
-	}
-	return g
-}
 
 func norm2(v []float64) float64 {
 	var s float64

@@ -68,29 +68,6 @@ func TestBoxBasics(t *testing.T) {
 	}
 }
 
-func TestGradientQuadratic(t *testing.T) {
-	// f = x² + 3y²; ∇f(1, 2) = (2, 12).
-	f := func(x []float64) float64 { return x[0]*x[0] + 3*x[1]*x[1] }
-	g := Gradient(f, []float64{1, 2})
-	if !almostEq(g[0], 2, 1e-5) || !almostEq(g[1], 12, 1e-5) {
-		t.Errorf("gradient = %v", g)
-	}
-}
-
-func TestGradientInfeasibleSide(t *testing.T) {
-	// f is +Inf for x > 1: one-sided difference must kick in near the wall.
-	f := func(x []float64) float64 {
-		if x[0] > 1 {
-			return math.Inf(1)
-		}
-		return -x[0]
-	}
-	g := Gradient(f, []float64{1 - 1e-8})
-	if !almostEq(g[0], -1, 1e-3) {
-		t.Errorf("one-sided gradient = %v", g)
-	}
-}
-
 func TestGoldenSectionQuadratic(t *testing.T) {
 	f := func(x float64) float64 { return (x - 1.7) * (x - 1.7) }
 	x, fx, evals := GoldenSection(f, -10, 10, 1e-10)
@@ -220,35 +197,6 @@ func TestNelderMeadInfeasibleRegions(t *testing.T) {
 	}
 }
 
-func TestProjectedGradientSphere(t *testing.T) {
-	box := mustBox(t, []float64{-5, -5, -5, -5}, []float64{5, 5, 5, 5})
-	r := ProjectedGradient(sphere, box, []float64{4, -3, 2, -1}, ProjGradOptions{})
-	if r.F > 1e-8 {
-		t.Errorf("sphere min = %g at %v", r.F, r.X)
-	}
-}
-
-func TestProjectedGradientBoundary(t *testing.T) {
-	f := func(x []float64) float64 { return (x[0]-10)*(x[0]-10) + x[1]*x[1] }
-	box := mustBox(t, []float64{0, -1}, []float64{3, 1})
-	r := ProjectedGradient(f, box, []float64{1, 0.5}, ProjGradOptions{})
-	if !almostEq(r.X[0], 3, 1e-5) {
-		t.Errorf("boundary solution = %v", r.X)
-	}
-	if !box.Contains(r.X) {
-		t.Error("escaped box")
-	}
-}
-
-func TestProjectedGradientIllConditioned(t *testing.T) {
-	f := func(x []float64) float64 { return x[0]*x[0] + 100*x[1]*x[1] }
-	box := mustBox(t, []float64{-2, -2}, []float64{2, 2})
-	r := ProjectedGradient(f, box, []float64{1.5, 1.5}, ProjGradOptions{MaxIters: 2000})
-	if r.F > 1e-6 {
-		t.Errorf("ill-conditioned min = %g at %v", r.F, r.X)
-	}
-}
-
 func TestAugmentedLagrangianKnownSolution(t *testing.T) {
 	// min x² + y² s.t. x + y ≥ 2 (i.e. 2 − x − y ≤ 0); solution (1, 1), f = 2.
 	f := sphere
@@ -347,8 +295,8 @@ func TestMultiStartAccumulatesEvals(t *testing.T) {
 	}
 }
 
-// Property: for random convex quadratics the three solvers agree with the
-// analytical box-clamped minimum in 1D.
+// Property: for random convex quadratics Nelder–Mead and golden-section
+// search agree with the analytical box-clamped minimum in 1D.
 func TestSolversAgreeOnQuadraticsQuick(t *testing.T) {
 	box := mustBox(t, []float64{-2}, []float64{2})
 	f := func(center float64) bool {
@@ -359,9 +307,8 @@ func TestSolversAgreeOnQuadraticsQuick(t *testing.T) {
 		want := math.Max(-2, math.Min(2, c))
 		obj := func(x []float64) float64 { return (x[0] - c) * (x[0] - c) }
 		nm := NelderMead(obj, box, []float64{0}, NelderMeadOptions{})
-		pg := ProjectedGradient(obj, box, []float64{0}, ProjGradOptions{})
 		gx, _, _ := GoldenSection(func(x float64) float64 { return (x - c) * (x - c) }, -2, 2, 1e-10)
-		return almostEq(nm.X[0], want, 1e-4) && almostEq(pg.X[0], want, 1e-4) && almostEq(gx, want, 1e-4)
+		return almostEq(nm.X[0], want, 1e-4) && almostEq(gx, want, 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -372,21 +319,6 @@ func TestResultString(t *testing.T) {
 	r := Result{X: []float64{1}, F: 2, Iters: 3, Evals: 4, Converged: true}
 	if len(r.String()) == 0 {
 		t.Error("empty string")
-	}
-}
-
-func TestGradientSurroundedByInfeasibility(t *testing.T) {
-	// Both sides +Inf: no usable direction; the gradient must be zero
-	// rather than NaN so callers can stop cleanly.
-	f := func(x []float64) float64 {
-		if x[0] != 0.5 {
-			return math.Inf(1)
-		}
-		return 1
-	}
-	g := Gradient(f, []float64{0.5})
-	if g[0] != 0 {
-		t.Errorf("walled-in gradient = %v", g)
 	}
 }
 

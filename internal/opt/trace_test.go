@@ -43,27 +43,6 @@ func checkTrace(t *testing.T, res Result, name string) {
 	}
 }
 
-func TestProjectedGradientTrace(t *testing.T) {
-	res := ProjectedGradient(sphere, traceBox(t), []float64{3, -4}, ProjGradOptions{})
-	checkTrace(t, res, "projgrad")
-	if !res.Converged {
-		t.Fatal("projected gradient did not converge on the sphere")
-	}
-	// Progress must be real: the first recorded objective is far worse than
-	// the last, and step sizes are positive.
-	if res.Trace[0].F <= res.Trace[len(res.Trace)-1].F {
-		t.Fatalf("no recorded progress: %g → %g", res.Trace[0].F, res.Trace[len(res.Trace)-1].F)
-	}
-	for i, e := range res.Trace {
-		if e.Step <= 0 {
-			t.Fatalf("trace[%d].Step = %g, want > 0", i, e.Step)
-		}
-		if e.Violation != 0 {
-			t.Fatalf("unconstrained solver recorded violation %g", e.Violation)
-		}
-	}
-}
-
 func TestNelderMeadTrace(t *testing.T) {
 	res := NelderMead(sphere, traceBox(t), []float64{4, 4}, NelderMeadOptions{})
 	checkTrace(t, res, "neldermead")

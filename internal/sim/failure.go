@@ -12,8 +12,6 @@ package sim
 import (
 	"fmt"
 	"math"
-
-	"clusterq/internal/obs/trace"
 )
 
 // FailureConfig parameterizes one tier's server breakdown/repair process.
@@ -188,17 +186,14 @@ func (s *simulator) handleBreakdown(e *event) {
 		return
 	}
 	st.failed++
-	s.tr.event(now, TraceBreakdown, -1, 0, st.idx, float64(st.failed))
-	s.count(pkBreakdown)
+	s.emit(tkBreakdown, now, -1, 0, st.idx, float64(st.failed))
 	// Victim: uniform over the up servers. The first len(running) of them
 	// are busy; the remainder are idle and fail without interrupting work.
 	if v := int(rng.Float64() * float64(up)); v < len(st.running) {
 		run := st.running[v]
 		// The victim's interruption is a preemption from the job's point of
 		// view: work stops with work remaining.
-		if s.rec != nil {
-			s.rec.RecordPreempt(now, run.job.class, run.job.id, st.idx)
-		}
+		s.emit(tkVictim, now, run.job.class, run.job.id, st.idx, 0)
 		run.cancelled = true
 		st.bankSegment(run, now)
 		if run.job.remaining < 1e-12 {
@@ -217,8 +212,7 @@ func (s *simulator) handleRepair(e *event) {
 	now := s.cal.now
 	st := s.stations[e.station]
 	st.failed--
-	s.tr.event(now, TraceRepair, -1, 0, st.idx, float64(st.failed))
-	s.count(pkRepair)
+	s.emit(tkRepair, now, -1, 0, st.idx, float64(st.failed))
 	st.observeBusy(now)
 	if st.freeServers() > 0 {
 		if next := st.nextWaiting(); next != nil {
@@ -252,11 +246,7 @@ func (s *simulator) handleTimeout(e *event) {
 		// corrupt the queues.
 		return
 	}
-	s.tr.event(now, TraceTimeout, j.class, j.id, st.idx, now-j.arrival)
-	s.count(pkTimeout)
-	if s.rec != nil {
-		s.rec.RecordTimeout(now, j.class, j.id, st.idx)
-	}
+	s.emit(tkTimeout, now, j.class, j.id, st.idx, now-j.arrival)
 	post := j.arrival >= s.warmup
 	if post {
 		s.timeouts[j.class]++
@@ -264,11 +254,7 @@ func (s *simulator) handleTimeout(e *event) {
 	dc := s.deadlines[j.class]
 	if j.attempts < dc.MaxRetries {
 		j.attempts++
-		s.tr.event(now, TraceRetry, j.class, j.id, -1, float64(j.attempts))
-		s.count(pkRetry)
-		if s.rec != nil {
-			s.rec.RecordBackoff(now, j.class, j.id, j.attempts)
-		}
+		s.emit(tkRetry, now, j.class, j.id, -1, float64(j.attempts))
 		if post {
 			s.retries[j.class]++
 		}
@@ -279,16 +265,9 @@ func (s *simulator) handleTimeout(e *event) {
 		}
 		s.cal.scheduleGen(now+backoff, evRetry, j.class, j, -1, j.id)
 	} else {
-		s.tr.event(now, TraceAbandon, j.class, j.id, -1, now-j.arrival)
-		s.count(pkAbandon)
-		if s.rec != nil {
-			s.rec.RecordExit(now, j.class, j.id, trace.OutcomeAbandoned)
-		}
+		s.emit(tkAbandon, now, j.class, j.id, -1, now-j.arrival)
 		if post {
 			s.abandoned[j.class]++
-		}
-		if s.inflight != nil {
-			s.inflight[j.class]--
 		}
 		s.freeJob(j)
 	}
@@ -310,19 +289,12 @@ func (s *simulator) handleRetry(e *event) {
 	}
 	now := s.cal.now
 	j.routePos = 0
-	if s.rec != nil {
-		s.rec.RecordResume(now, j.class, j.id)
-	}
+	s.emit(tkResume, now, j.class, j.id, -1, 0)
 	s.armDeadline(j, now)
 	if r := s.routings[j.class]; r != nil {
 		entry := s.sampleIndex(j.class, r.Entry)
 		if entry < 0 {
-			if s.inflight != nil {
-				s.inflight[j.class]--
-			}
-			if s.rec != nil {
-				s.rec.RecordExit(now, j.class, j.id, trace.OutcomeDropped)
-			}
+			s.emit(tkDropped, now, j.class, j.id, -1, 0)
 			s.freeJob(j)
 			return
 		}
@@ -350,10 +322,10 @@ func (s *simulator) handleShedEpoch() {
 	switch {
 	case worst > s.shedCfg.Threshold && s.shedClasses < s.shedMax:
 		s.shedClasses++
-		s.tr.event(now, TraceShedLevel, -1, 0, -1, float64(s.shedClasses))
+		s.emit(tkShedLevel, now, -1, 0, -1, float64(s.shedClasses))
 	case worst < s.shedResume && s.shedClasses > 0:
 		s.shedClasses--
-		s.tr.event(now, TraceShedLevel, -1, 0, -1, float64(s.shedClasses))
+		s.emit(tkShedLevel, now, -1, 0, -1, float64(s.shedClasses))
 	}
 	s.cal.schedule(now+s.shedCfg.Period, evShedEpoch, 0, nil, 0, nil)
 }

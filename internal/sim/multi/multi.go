@@ -17,6 +17,7 @@ package multi
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"clusterq/internal/cluster"
 	"clusterq/internal/sim"
@@ -50,7 +51,8 @@ type Orchestrator struct {
 }
 
 // New validates every replica (the same validation chain sim.Run applies)
-// and builds the fleet. At least one replica is required.
+// and builds the fleet. At least one replica is required, and no two
+// replicas may share a flight recorder or a trace writer.
 func New(replicas []Replica) (*Orchestrator, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("multi: a fleet needs at least one replica")
@@ -64,6 +66,10 @@ func New(replicas []Replica) (*Orchestrator, error) {
 		if name == "" {
 			name = fmt.Sprintf("replica%d", i)
 		}
+		if j, what := sharedObserver(replicas[:i], r.Options); j >= 0 {
+			return nil, fmt.Errorf("multi: replicas %d (%s) and %d (%s) share one %s; give each replica its own",
+				j, o.names[j], i, name, what)
+		}
 		rep, err := sim.NewReplication(r.Cluster, r.Options, r.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("multi: replica %d (%s): %w", i, name, err)
@@ -72,6 +78,27 @@ func New(replicas []Replica) (*Orchestrator, error) {
 		o.reps[i] = rep
 	}
 	return o, nil
+}
+
+// sharedObserver returns the index of an earlier replica that shares o's
+// flight recorder or trace writer, and which of the two it shares; -1 when
+// none does. sim.Run refuses both for more than one replication, and a fleet
+// is no different: job ids repeat across replicas, so one recorder would
+// mismatch their spans, and two buffered trace writers on one io.Writer
+// interleave torn rows. Window sets may be shared — a fleet-wide sensor is
+// a legitimate use. Trace writers are compared only when their dynamic type
+// is comparable, since == on a non-comparable interface value panics.
+func sharedObserver(earlier []Replica, o sim.Options) (int, string) {
+	traceComparable := o.Trace != nil && reflect.TypeOf(o.Trace).Comparable()
+	for j, e := range earlier {
+		if o.Recorder != nil && e.Options.Recorder == o.Recorder {
+			return j, "flight recorder"
+		}
+		if traceComparable && e.Options.Trace == o.Trace {
+			return j, "trace writer"
+		}
+	}
+	return -1, ""
 }
 
 // Len returns the fleet size.

@@ -1,6 +1,7 @@
 package multi_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"math"
@@ -11,6 +12,8 @@ import (
 	"testing"
 
 	"clusterq/internal/cluster"
+	"clusterq/internal/obs/trace"
+	"clusterq/internal/obs/window"
 	"clusterq/internal/power"
 	"clusterq/internal/queueing"
 	"clusterq/internal/sim"
@@ -295,5 +298,62 @@ func TestNewRejectsBadReplica(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "broken") {
 		t.Errorf("error %q does not name the failing replica", err)
+	}
+}
+
+// funcWriter is an io.Writer whose dynamic type is not comparable.
+type funcWriter func([]byte) (int, error)
+
+func (f funcWriter) Write(p []byte) (int, error) { return f(p) }
+
+// TestNewRejectsSharedObservers pins that a fleet, like sim.Run with several
+// replications, refuses two replicas feeding one flight recorder or one
+// trace writer — job ids repeat across replicas and buffered trace rows
+// interleave — while a shared window set stays allowed.
+func TestNewRejectsSharedObservers(t *testing.T) {
+	pair := func(o sim.Options) []multi.Replica {
+		o.Horizon = 200
+		return []multi.Replica{
+			{Name: "east", Cluster: fleetTier(2, 1, queueing.NonPreemptive), Options: o, Seed: 1},
+			{Name: "west", Cluster: fleetTier(2, 1, queueing.NonPreemptive), Options: o, Seed: 2},
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		o    sim.Options
+	}{
+		{"recorder", sim.Options{Recorder: trace.NewRecorder(0)}},
+		{"trace", sim.Options{Trace: &bytes.Buffer{}}},
+	} {
+		_, err := multi.New(pair(tc.o))
+		if err == nil {
+			t.Errorf("%s: New accepted two replicas sharing one %s", tc.name, tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "east") || !strings.Contains(err.Error(), "west") {
+			t.Errorf("%s: error %q does not name both replicas", tc.name, err)
+		}
+	}
+
+	// A non-comparable writer type cannot be compared, so it is let through
+	// rather than panicking New.
+	discard := funcWriter(func(p []byte) (int, error) { return len(p), nil })
+	if _, err := multi.New(pair(sim.Options{Trace: discard})); err != nil {
+		t.Errorf("non-comparable trace writer: %v", err)
+	}
+	// Distinct recorders and a shared window set are fine.
+	win, err := window.NewSet(window.Config{Width: 50}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := pair(sim.Options{Windows: win})
+	reps[0].Options.Recorder = trace.NewRecorder(0)
+	reps[1].Options.Recorder = trace.NewRecorder(0)
+	orch, err := multi.New(reps)
+	if err != nil {
+		t.Fatalf("distinct recorders with a shared window set: %v", err)
+	}
+	if _, err := orch.Results(); err != nil {
+		t.Fatal(err)
 	}
 }

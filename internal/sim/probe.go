@@ -32,61 +32,24 @@ func (p *Probe) validate() error {
 	return nil
 }
 
-// probeKind enumerates the countable simulator events; the names mirror the
-// trace-event strings so trace rows and counters line up.
-type probeKind int
-
-const (
-	pkArrival probeKind = iota
-	pkStart
-	pkPreempt
-	pkVisitEnd
-	pkExit
-	pkRetune
-	pkSetupBegin
-	pkSetupDone
-	pkBreakdown
-	pkRepair
-	pkTimeout
-	pkRetry
-	pkAbandon
-	pkShed
-	pkPark
-	numProbeKinds
-)
-
-// probeKindNames maps counter slots to the trace-event vocabulary.
-var probeKindNames = [numProbeKinds]string{
-	TraceArrival, TraceStart, TracePreempt, TraceVisitEnd,
-	TraceExit, TraceRetune, TraceSetupBegin, TraceSetupDone,
-	TraceBreakdown, TraceRepair, TraceTimeout, TraceRetry,
-	TraceAbandon, TraceShed, TracePark,
-}
-
-// probeKindActive reports whether a counter can be nonzero under the given
-// options. Inactive counters are omitted from Result.EventCounts so
-// failure-free results — and the golden hashes pinned on them — are
-// untouched by the failure subsystem's vocabulary.
-func probeKindActive(k probeKind, o Options) bool {
+// probeKindActive reports whether a counted kind's counter can be nonzero
+// under the given options. Inactive counters are omitted from
+// Result.EventCounts so failure-free results — and the golden hashes pinned
+// on them — are untouched by the failure subsystem's vocabulary. Parking
+// keys on the caller's PlanController: a per-station Controller runs as a
+// plan controller too, but never parks.
+func probeKindActive(k tapKind, o Options) bool {
 	switch k {
-	case pkBreakdown, pkRepair:
+	case tkBreakdown, tkRepair:
 		return o.Failures != nil
-	case pkTimeout, pkRetry, pkAbandon:
+	case tkTimeout, tkRetry, tkAbandon:
 		return o.Deadlines != nil
-	case pkShed:
+	case tkShed:
 		return o.Shedding != nil
-	case pkPark:
+	case tkPark:
 		return o.PlanController != nil
 	default:
 		return true
-	}
-}
-
-// count bumps one event counter; a branch and an increment when the probe is
-// attached, a branch when it is not.
-func (s *simulator) count(k probeKind) {
-	if s.probe != nil {
-		s.evCounts[k]++
 	}
 }
 
@@ -128,8 +91,8 @@ func (s *simulator) handleSample() {
 			i += 4
 			totalPower += p
 		}
-		for k := range s.inflight {
-			row[i] = float64(s.inflight[k])
+		for _, n := range s.tap.inflight {
+			row[i] = float64(n)
 			i++
 		}
 		row[i] = totalPower
@@ -140,11 +103,11 @@ func (s *simulator) handleSample() {
 	// samples are utilization of the UP servers — the controller-facing
 	// truth during outages — unlike the timeline's tier<j>_util column
 	// above, which keeps the configured-capacity view matching Result.Tiers.
-	if s.win != nil {
+	if win := s.tap.win; win != nil {
 		for j, st := range s.stations {
-			s.win.ObserveUtilization(now, j, st.instUpUtilization())
+			win.ObserveUtilization(now, j, st.instUpUtilization())
 		}
-		s.win.Publish(now)
+		win.Publish(now)
 	}
 	s.cal.schedule(now+s.probe.Period, evSample, 0, nil, 0, nil)
 }
@@ -156,7 +119,8 @@ func publishProbe(p *Probe, res *Result, horizon float64) {
 	if reg == nil {
 		return
 	}
-	for _, name := range probeKindNames {
+	for k := range tapKinds[:numCounted] {
+		name := tapKinds[k].csv
 		// Counters for inactive features are absent from EventCounts (see
 		// probeKindActive); publishing them as zeros would misstate what
 		// the run could even observe.

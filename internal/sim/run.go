@@ -51,7 +51,8 @@ type Options struct {
 	Profiles []Profile
 	// Controller optionally runs a per-station DVFS policy at runtime,
 	// re-deciding every ControlPeriod simulated seconds. Requires
-	// ControlPeriod > 0.
+	// ControlPeriod > 0. Each replication adapts it into a PlanController
+	// that retunes every station and never parks.
 	Controller Controller
 	// PlanController optionally runs a plan-level (cluster-wide) controller
 	// at runtime instead — the hook the model-driven autoscaler in
@@ -70,12 +71,13 @@ type Options struct {
 	Trace io.Writer
 	// Recorder, when non-nil, attaches the flight recorder: every job
 	// lifecycle event (arrival, service start/stop, preemption, timeout,
-	// backoff, resume, exit) is pushed into the recorder's ring buffer and
-	// assembled into per-job spans with an exact queue/service/preempted/
-	// backoff sojourn decomposition. Like Trace, the recorder requires
-	// Replications == 1: job ids repeat across replications and interleaved
-	// spans would be meaningless. A nil recorder costs one predictable
-	// branch per event.
+	// backoff, resume, exit) reaches it through the simulator's lifecycle
+	// tap as one Recorder.Record call, and it assembles them into per-job
+	// spans with an exact queue/service/preempted/backoff sojourn
+	// decomposition. Like Trace, the recorder requires Replications == 1:
+	// job ids repeat across replications and interleaved spans would be
+	// meaningless. With no observer attached, the tap costs one
+	// predictable branch per event.
 	Recorder *trace.Recorder
 	// Windows, when non-nil, attaches streaming sliding-window estimators
 	// (per-class arrival rate, mean and tail sojourn, per-tier utilization)
@@ -287,7 +289,7 @@ type repOutput struct {
 	retries   []int64
 	abandoned []int64
 	shed      []int64
-	events    [numProbeKinds]int64
+	events    [numCounted]int64
 	tl        *obs.Timeline // replication 0 only, with a probe attached
 }
 
@@ -374,8 +376,8 @@ func Run(c *cluster.Cluster, o Options) (*Result, error) {
 // — a trace that stopped writing mid-run is truncated data, not a result —
 // and reduces the collectors to the per-replication summary.
 func (s *simulator) finish() (repOutput, error) {
-	s.tr.flush()
-	if err := s.tr.Err(); err != nil {
+	s.tap.tr.flush()
+	if err := s.tap.tr.Err(); err != nil {
 		return repOutput{}, fmt.Errorf("sim: trace write failed: %w", err)
 	}
 	return s.summarize(), nil
@@ -463,16 +465,16 @@ func aggregate(c *cluster.Cluster, o Options, reps []repOutput) *Result {
 	}
 	if o.Probe != nil {
 		res.Timeline = reps[0].tl
-		res.EventCounts = make(map[string]int64, numProbeKinds)
-		for kind, name := range probeKindNames {
-			if !probeKindActive(probeKind(kind), o) {
+		res.EventCounts = make(map[string]int64, numCounted)
+		for k := tapKind(0); k < numCounted; k++ {
+			if !probeKindActive(k, o) {
 				continue
 			}
 			var total int64
 			for _, r := range reps {
-				total += r.events[kind]
+				total += r.events[k]
 			}
-			res.EventCounts[name] = total
+			res.EventCounts[tapKinds[k].csv] = total
 		}
 		publishProbe(o.Probe, res, o.Horizon)
 	}
@@ -504,7 +506,7 @@ func (s *simulator) summarize() repOutput {
 		retries:   s.retries,
 		abandoned: s.abandoned,
 		shed:      s.shed,
-		events:    s.evCounts,
+		events:    s.tap.counts,
 		tl:        s.tl,
 	}
 	// The measured span: post-warmup simulated time, the denominator of the

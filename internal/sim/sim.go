@@ -1,12 +1,8 @@
 package sim
 
 import (
-	"math"
-
 	"clusterq/internal/cluster"
 	"clusterq/internal/obs"
-	"clusterq/internal/obs/trace"
-	"clusterq/internal/obs/window"
 	"clusterq/internal/queueing"
 	"clusterq/internal/stats"
 )
@@ -27,11 +23,11 @@ type simulator struct {
 	jobSeq     uint64
 
 	// Dynamic power management extension: per-class arrival profiles
-	// (constant when absent) and an optional runtime controller — either a
-	// per-station DVFS policy or a plan-level (cluster-wide) one, never
-	// both. planObs is the plan controller's reusable epoch observation.
+	// (constant when absent) and an optional runtime controller. A
+	// per-station DVFS policy runs adapted into a plan controller (see
+	// stationPlan), so there is one control path. planObs is the
+	// controller's reusable epoch observation.
 	profiles       []Profile
-	controller     Controller
 	planController PlanController
 	planObs        PlanObservation
 	controlPeriod  float64
@@ -59,22 +55,13 @@ type simulator struct {
 	abandoned   []int64
 	shed        []int64
 
-	tr *traceWriter // nil unless Options.Trace is set
-
-	// Flight recorder and window sensors (nil unless the corresponding
-	// option is set; windows only on the recording replication). Hot-path
-	// call sites carry their own nil guards — like the probe's — so the
-	// disabled cost is one predictable branch per event, not a call.
-	rec *trace.Recorder
-	win *window.Set
-
-	// Observability (nil/zero unless Options.Probe is set): the probe
-	// config, the recording replication's timeline, per-class in-flight
-	// counts, and per-event-type counters.
-	probe    *Probe
-	tl       *obs.Timeline
-	inflight []int
-	evCounts [numProbeKinds]int64
+	// Observers: the lifecycle tap that feeds the CSV trace, the event
+	// counters, the flight recorder, the window sensors and the in-flight
+	// counts (see tap.go), plus the probe config and the recording
+	// replication's timeline (nil unless Options.Probe is set).
+	tap   tap
+	probe *Probe
+	tl    *obs.Timeline
 
 	delay     []*stats.Welford // end-to-end response per class
 	delayQ    []*stats.QuantileSet
@@ -103,24 +90,16 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 		horizon:        o.Horizon,
 		routes:         make([][]int, len(c.Classes)),
 		quantiles:      o.Quantiles,
-		controller:     o.Controller,
 		planController: o.PlanController,
 		controlPeriod:  o.ControlPeriod,
+		tap:            newTap(o, len(c.Classes), record),
 		probe:          o.Probe,
 	}
-	if o.Trace != nil {
-		s.tr = newTraceWriter(o.Trace)
-	}
-	// The recorder requires a single replication (validated in Run), and
-	// the windows feed from the recording replication only, mirroring the
-	// timeline: one coherent sensor stream, not an interleaving.
-	if record {
-		s.rec = o.Recorder
-		s.win = o.Windows
+	if o.Controller != nil {
+		s.planController = &stationPlan{policy: o.Controller, speeds: make([]float64, len(c.Tiers))}
 	}
 	if s.probe != nil && record {
 		s.tl = obs.NewTimeline(timelineSeriesNames(len(c.Tiers), len(c.Classes))...)
-		s.inflight = make([]int, len(c.Classes))
 	}
 	quantiles := o.Quantiles
 	// Resolve arrival profiles: default every class to its constant rate.
@@ -238,10 +217,8 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 		}
 	}
 	// Prime the control loop.
-	if (s.controller != nil || s.planController != nil) && s.controlPeriod > 0 {
-		s.cal.schedule(s.controlPeriod, evControl, 0, nil, 0, nil)
-	}
 	if s.planController != nil {
+		s.cal.schedule(s.controlPeriod, evControl, 0, nil, 0, nil)
 		s.planObs = PlanObservation{
 			Stations: make([]Observation, len(s.stations)),
 			Rates:    make([]float64, len(c.Classes)),
@@ -355,8 +332,7 @@ func (s *simulator) handleArrival(e *event) {
 	// s.shedClasses classes before they enter (so they count as shed, not
 	// as arrivals). One compare when shedding is idle or off.
 	if s.shedClasses > 0 && k >= len(s.profiles)-s.shedClasses {
-		s.tr.event(now, TraceShed, k, 0, -1, 0)
-		s.count(pkShed)
+		s.emit(tkShed, now, k, 0, -1, 0)
 		if now >= s.warmup {
 			s.shed[k]++
 		}
@@ -366,28 +342,13 @@ func (s *simulator) handleArrival(e *event) {
 	s.jobSeq++
 	j := s.allocJob()
 	j.id, j.class, j.arrival = s.jobSeq, k, now
-	s.tr.event(now, TraceArrival, k, j.id, -1, 0)
-	s.count(pkArrival)
-	if s.rec != nil {
-		s.rec.RecordArrival(now, k, j.id)
-	}
-	if s.win != nil {
-		s.win.ObserveArrival(now, k)
-	}
+	s.emit(tkArrival, now, k, j.id, -1, 0)
 	s.armDeadline(j, now)
-	if s.inflight != nil {
-		s.inflight[k]++
-	}
 	if r := s.routings[k]; r != nil {
 		entry := s.sampleIndex(k, r.Entry)
 		if entry < 0 {
 			// Numerically empty entry distribution: the job never enters.
-			if s.inflight != nil {
-				s.inflight[k]--
-			}
-			if s.rec != nil {
-				s.rec.RecordExit(now, k, j.id, trace.OutcomeDropped)
-			}
+			s.emit(tkDropped, now, k, j.id, -1, 0)
 			s.freeJob(j)
 			return
 		}
@@ -411,42 +372,6 @@ func (s *simulator) sampleIndex(k int, probs []float64) int {
 	return -1
 }
 
-// handleControl runs one epoch of the runtime controller — the per-station
-// DVFS path here, or the plan-level path in plan.go.
-func (s *simulator) handleControl() {
-	now := s.cal.now
-	if s.planController != nil {
-		s.handlePlanControl(now)
-		s.cal.schedule(now+s.controlPeriod, evControl, 0, nil, 0, nil)
-		return
-	}
-	for _, st := range s.stations {
-		// The controller sees load against the capacity actually on the
-		// floor: failed servers do not serve, so dividing by the configured
-		// count would understate utilization exactly when breakdowns make
-		// the control decision matter (see upUtilization).
-		obs := s.observeStation(st, now)
-		next := s.controller.Decide(obs)
-		// A NaN decision would pass BOTH clamp comparisons below (NaN<min
-		// and NaN>max are both false) and poison every departure time at
-		// the station — the whole run would then terminate silently early,
-		// because a NaN event time fails the `t <= horizon` pending check.
-		// Any non-finite decision degrades to the safe floor instead.
-		if math.IsNaN(next) {
-			next = st.minSpeed
-		}
-		if next < st.minSpeed {
-			next = st.minSpeed
-		}
-		if next > st.maxSpeed {
-			next = st.maxSpeed
-		}
-		s.setSpeed(st, now, next)
-		st.epochBusy.StartAt(now, float64(len(st.running)))
-	}
-	s.cal.schedule(now+s.controlPeriod, evControl, 0, nil, 0, nil)
-}
-
 // observeStation builds one station's per-epoch controller observation.
 func (s *simulator) observeStation(st *simStation, now float64) Observation {
 	return Observation{
@@ -465,8 +390,7 @@ func (s *simulator) observeStation(st *simStation, now float64) Observation {
 // than servers already warming up.
 func (s *simulator) maybeWake(st *simStation, now float64) {
 	if st.sleepingServers() > 0 && st.settingUp < st.queueLen() {
-		s.tr.event(now, TraceSetupBegin, -1, 0, st.idx, 0)
-		s.count(pkSetupBegin)
+		s.emit(tkSetupBegin, now, -1, 0, st.idx, 0)
 		st.settingUp++
 		st.observeBusy(now) // power steps from sleep to setup level
 		d := st.setupSampler.Sample(s.svcRNG[st.idx])
@@ -480,8 +404,7 @@ func (s *simulator) handleSetupDone(e *event) {
 	now := s.cal.now
 	st := s.stations[e.station]
 	st.settingUp--
-	s.tr.event(now, TraceSetupDone, -1, 0, st.idx, 0)
-	s.count(pkSetupDone)
+	s.emit(tkSetupDone, now, -1, 0, st.idx, 0)
 	if next := st.nextWaiting(); next != nil {
 		s.startService(st, next, now)
 	} else {
@@ -497,8 +420,7 @@ func (s *simulator) setSpeed(st *simStation, now, speed float64) {
 	if speed == st.speed {
 		return
 	}
-	s.tr.event(now, TraceRetune, -1, 0, st.idx, speed)
-	s.count(pkRetune)
+	s.emit(tkRetune, now, -1, 0, st.idx, speed)
 	old := st.running
 	// Bank all segments at the old speed before switching.
 	for _, run := range old {
@@ -564,11 +486,7 @@ func (s *simulator) arriveAtStation(st *simStation, j *job, now float64) {
 // preempt stops a running service, banks the finished work segment, and
 // requeues the job at the head of its class line.
 func (s *simulator) preempt(st *simStation, run *serviceRun, now float64) {
-	s.tr.event(now, TracePreempt, run.job.class, run.job.id, st.idx, 0)
-	s.count(pkPreempt)
-	if s.rec != nil {
-		s.rec.RecordPreempt(now, run.job.class, run.job.id, st.idx)
-	}
+	s.emit(tkPreempt, now, run.job.class, run.job.id, st.idx, 0)
 	run.cancelled = true
 	st.bankSegment(run, now)
 	if run.job.remaining < 1e-12 {
@@ -580,11 +498,7 @@ func (s *simulator) preempt(st *simStation, run *serviceRun, now float64) {
 }
 
 func (s *simulator) startService(st *simStation, j *job, now float64) {
-	s.tr.event(now, TraceStart, j.class, j.id, st.idx, 0)
-	s.count(pkStart)
-	if s.rec != nil {
-		s.rec.RecordServiceStart(now, j.class, j.id, st.idx)
-	}
+	s.emit(tkStart, now, j.class, j.id, st.idx, 0)
 	run := s.allocRun()
 	run.job, run.start = j, now
 	st.running = append(st.running, run)
@@ -622,11 +536,7 @@ func (s *simulator) handleDeparture(e *event) {
 		st.waitByCls[j.class].Add(wait)
 		st.servedCls[j.class]++
 	}
-	s.tr.event(now, TraceVisitEnd, j.class, j.id, st.idx, 0)
-	s.count(pkVisitEnd)
-	if s.rec != nil {
-		s.rec.RecordServiceStop(now, j.class, j.id, st.idx)
-	}
+	s.emit(tkVisitEnd, now, j.class, j.id, st.idx, 0)
 
 	// Hand the freed server to the queue BEFORE routing the departing job
 	// onward: a job feeding back to the same station must rejoin behind
@@ -659,17 +569,7 @@ func (s *simulator) handleDeparture(e *event) {
 		}
 	}
 	if done {
-		s.tr.event(now, TraceExit, j.class, j.id, -1, now-j.arrival)
-		s.count(pkExit)
-		if s.rec != nil {
-			s.rec.RecordExit(now, j.class, j.id, trace.OutcomeCompleted)
-		}
-		if s.win != nil {
-			s.win.ObserveSojourn(now, j.class, now-j.arrival)
-		}
-		if s.inflight != nil {
-			s.inflight[j.class]--
-		}
+		s.emit(tkExit, now, j.class, j.id, -1, now-j.arrival)
 		if j.arrival >= s.warmup {
 			// Only post-warmup arrivals count toward steady-state output.
 			d := now - j.arrival

@@ -1,0 +1,164 @@
+package sim
+
+import (
+	"clusterq/internal/obs/trace"
+	"clusterq/internal/obs/window"
+)
+
+// The lifecycle tap: every job and station lifecycle event the simulator
+// produces goes through one emit call, and the tap fans it out to whichever
+// observers are attached — the CSV trace, the per-kind event counters, the
+// flight recorder, the window sensors and the probe's in-flight counts. What
+// each observer receives is decided by the kind table below, not at the call
+// site, so handlers carry one line per event and no observer checks.
+
+// tapKind enumerates the lifecycle events the simulator emits.
+type tapKind uint8
+
+const (
+	// Counted kinds: each owns the event-counter slot of its own index,
+	// reported in Result.EventCounts under its trace name.
+	tkArrival tapKind = iota
+	tkStart
+	tkPreempt
+	tkVisitEnd
+	tkExit
+	tkRetune
+	tkSetupBegin
+	tkSetupDone
+	tkBreakdown
+	tkRepair
+	tkTimeout
+	tkRetry
+	tkAbandon
+	tkShed
+	tkPark
+	// Uncounted kinds, which reach only some observers.
+	tkShedLevel // admission level changed: CSV only
+	tkVictim    // a breakdown interrupted the job's service: recorder preempt only
+	tkResume    // a retried job re-enters: recorder only
+	tkDropped   // a job found no entry station: recorder exit and in-flight only
+	numTapKinds
+
+	// numCounted is the number of counted kinds (the counter array length).
+	numCounted = tkShedLevel
+)
+
+// winAction is what a kind feeds the window sensors.
+type winAction uint8
+
+const (
+	winNone    winAction = iota
+	winArrival           // an arrival-rate observation
+	winSojourn           // a sojourn observation (emit's value)
+)
+
+// recNone marks a kind the flight recorder does not see.
+const recNone = ^trace.Kind(0)
+
+// tapSpec is one kind's routing: its CSV event name ("" writes no row), its
+// recorder kind (recNone for none) with the outcome it closes the span with
+// when that kind is an exit, its window action, and its change to the
+// class's in-flight count.
+type tapSpec struct {
+	csv      string
+	rec      trace.Kind
+	outcome  trace.Outcome
+	win      winAction
+	inflight int
+}
+
+var tapKinds = [numTapKinds]tapSpec{
+	tkArrival:    {TraceArrival, trace.KindArrival, 0, winArrival, +1},
+	tkStart:      {TraceStart, trace.KindServiceStart, 0, winNone, 0},
+	tkPreempt:    {TracePreempt, trace.KindPreempt, 0, winNone, 0},
+	tkVisitEnd:   {TraceVisitEnd, trace.KindServiceStop, 0, winNone, 0},
+	tkExit:       {TraceExit, trace.KindExit, trace.OutcomeCompleted, winSojourn, -1},
+	tkRetune:     {TraceRetune, recNone, 0, winNone, 0},
+	tkSetupBegin: {TraceSetupBegin, recNone, 0, winNone, 0},
+	tkSetupDone:  {TraceSetupDone, recNone, 0, winNone, 0},
+	tkBreakdown:  {TraceBreakdown, recNone, 0, winNone, 0},
+	tkRepair:     {TraceRepair, recNone, 0, winNone, 0},
+	tkTimeout:    {TraceTimeout, trace.KindTimeout, 0, winNone, 0},
+	tkRetry:      {TraceRetry, trace.KindBackoff, 0, winNone, 0},
+	tkAbandon:    {TraceAbandon, trace.KindExit, trace.OutcomeAbandoned, winNone, -1},
+	tkShed:       {TraceShed, recNone, 0, winNone, 0},
+	tkPark:       {TracePark, recNone, 0, winNone, 0},
+	tkShedLevel:  {TraceShedLevel, recNone, 0, winNone, 0},
+	tkVictim:     {"", trace.KindPreempt, 0, winNone, 0},
+	tkResume:     {"", trace.KindResume, 0, winNone, 0},
+	tkDropped:    {"", trace.KindExit, trace.OutcomeDropped, winNone, -1},
+}
+
+// tap holds the attached observers. Fields are nil when their observer is
+// off; the recorder, the window sensors and the in-flight counts feed from
+// the recording replication only, mirroring the probe's timeline: one
+// coherent stream, not an interleaving.
+type tap struct {
+	on       bool // any observer attached: the one guard emit checks
+	tr       *traceWriter
+	rec      *trace.Recorder
+	win      *window.Set
+	inflight []int // per class, with a probe on the recording replication
+	// counts tallies the counted kinds; only read with a probe attached.
+	counts [numCounted]int64
+}
+
+func newTap(o Options, classes int, record bool) tap {
+	var t tap
+	if o.Trace != nil {
+		t.tr = newTraceWriter(o.Trace)
+	}
+	if record {
+		t.rec = o.Recorder
+		t.win = o.Windows
+		if o.Probe != nil {
+			t.inflight = make([]int, classes)
+		}
+	}
+	t.on = t.tr != nil || o.Probe != nil || t.rec != nil || t.win != nil
+	return t
+}
+
+// emit reports one lifecycle event: station is -1 for events not tied to a
+// station, class -1 for events not tied to a class, jobID 0 for events not
+// tied to a job, and value is the kind's CSV payload (see the Trace*
+// constants). With no observer attached it costs one predictable branch.
+func (s *simulator) emit(k tapKind, now float64, class int, jobID uint64, station int, value float64) {
+	if s.tap.on {
+		s.tap.fanOut(k, now, class, jobID, station, value)
+	}
+}
+
+// fanOut delivers one event to every attached observer the kind table
+// routes it to.
+func (t *tap) fanOut(k tapKind, now float64, class int, jobID uint64, station int, value float64) {
+	spec := &tapKinds[k]
+	if t.tr != nil && spec.csv != "" {
+		t.tr.event(now, spec.csv, class, jobID, station, value)
+	}
+	if k < numCounted {
+		t.counts[k]++
+	}
+	if t.rec != nil && spec.rec != recNone {
+		e := trace.Event{T: now, Job: jobID, Class: int32(class), Station: int32(station), Kind: spec.rec}
+		switch spec.rec {
+		case trace.KindExit:
+			e.Value = float64(spec.outcome)
+		case trace.KindBackoff:
+			e.Value = value // the attempt number
+		}
+		t.rec.Record(e)
+	}
+	if t.win != nil {
+		switch spec.win {
+		case winArrival:
+			t.win.ObserveArrival(now, class)
+		case winSojourn:
+			t.win.ObserveSojourn(now, class, value)
+		}
+	}
+	if t.inflight != nil && spec.inflight != 0 {
+		t.inflight[class] += spec.inflight
+	}
+}
