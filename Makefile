@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint fmt tidy-check check overhead-gate
+.PHONY: all build vet test race lint fmt tidy-check check overhead-gate fuzz
 
 all: build
 
@@ -29,6 +29,14 @@ fmt:
 # tidy-check fails if go.mod/go.sum would change under `go mod tidy`.
 tidy-check:
 	$(GO) mod tidy -diff
+
+# fuzz smoke-runs every fuzz target for 10s each (CI's test job runs this
+# target): the mean-delay duals' option handling, the simulator's option
+# defaults, and the event calendar against a sorted reference.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzMeanDuals$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzOptionsDefaults$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzCalendarMatchesSorted$$' -fuzztime 10s ./internal/sim
 
 # overhead-gate asserts the disabled-flight-recorder event loop stays near
 # the recorded baseline (results/BENCH_obs.json; CI's bench-smoke job runs

@@ -233,21 +233,23 @@ func TotalCost(c *Cluster) float64 { return cluster.TotalCost(c) }
 
 // MinimizeDelay solves problem C2: minimize average end-to-end delay subject
 // to an average energy (power) budget, exactly, by Lagrangian dual
-// decomposition with one multiplier.
+// decomposition: the same projected Newton ascent as MinimizeEnergyPerClass,
+// on the budget's one multiplier.
 func MinimizeDelay(c *Cluster, o DelayOptions) (*Solution, error) {
 	return core.MinimizeDelay(c, o)
 }
 
 // MinimizeEnergy solves problem C3a: minimize average power subject to a
 // bound on the aggregate average end-to-end delay, exactly, by Lagrangian
-// dual decomposition with one multiplier.
+// dual decomposition: the same projected Newton ascent as
+// MinimizeEnergyPerClass, on the bound's one multiplier.
 func MinimizeEnergy(c *Cluster, o EnergyOptions) (*Solution, error) {
 	return core.MinimizeEnergy(c, o)
 }
 
 // MinimizeEnergyPerClass solves problem C3b: minimize average power subject
-// to per-class delay bounds, exactly, by Lagrangian dual decomposition with
-// one multiplier per bounded class.
+// to per-class delay bounds, exactly, by Lagrangian dual decomposition:
+// projected Newton ascent on one multiplier per bounded class.
 func MinimizeEnergyPerClass(c *Cluster, o EnergyOptions) (*Solution, error) {
 	return core.MinimizeEnergyPerClass(c, o)
 }
@@ -256,20 +258,6 @@ func MinimizeEnergyPerClass(c *Cluster, o EnergyOptions) (*Solution, error) {
 // meeting every priority class's SLA.
 func MinimizeCost(c *Cluster, o CostOptions) (*Solution, error) {
 	return core.MinimizeCost(c, o)
-}
-
-// MinimizeEnergyDual is MinimizeEnergy.
-//
-// Deprecated: MinimizeEnergy is the dual decomposition; call it.
-func MinimizeEnergyDual(c *Cluster, o EnergyOptions) (*Solution, error) {
-	return core.MinimizeEnergy(c, o)
-}
-
-// MinimizeDelayDual is MinimizeDelay.
-//
-// Deprecated: MinimizeDelay is the dual decomposition; call it.
-func MinimizeDelayDual(c *Cluster, o DelayOptions) (*Solution, error) {
-	return core.MinimizeDelay(c, o)
 }
 
 // MinimizeEnergyTail is the percentile flavour of C3: minimize average power

@@ -93,7 +93,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	bound := m.WeightedDelay * 1.4
-	dual, err := MinimizeEnergyDual(c, EnergyOptions{MaxWeightedDelay: bound})
+	dual, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: bound})
 	if err != nil {
 		t.Fatal(err)
 	}

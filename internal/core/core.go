@@ -13,9 +13,10 @@
 //
 // Every mean-delay problem — C2, C3a, C3b and C4's speed tuning under mean
 // SLAs — is separable across tiers and is solved exactly by Lagrangian dual
-// decomposition (decomposed.go). Percentile bounds are not separable; they
-// go to a multi-start augmented Lagrangian (MinimizeEnergyTail, and C4's
-// tuning when a class carries one).
+// decomposition (decomposed.go): one projected Newton ascent on one
+// multiplier per constraint serves them all. Percentile bounds are not
+// separable; they go to a multi-start augmented Lagrangian
+// (MinimizeEnergyTail, and C4's tuning when a class carries one).
 //
 // All solvers operate on a clone of the input cluster; the input is never
 // mutated. Baseline allocators (uniform, load-proportional) used in the
@@ -47,7 +48,9 @@ type Solution struct {
 	// MinimizeEnergyPerClass solution (0 for unbounded or slack classes):
 	// the marginal power of tightening the bound, per unit of relative
 	// bound. Passed back as EnergyOptions.WarmStart it starts the next
-	// solve of a nearby problem close to its answer. Nil for the other
+	// solve of a nearby problem close to its answer. MinimizeDelay and
+	// MinimizeEnergy report their one constraint's multiplier, the marginal
+	// objective per unit of relative budget or bound. Nil for the other
 	// solvers.
 	Multipliers []float64
 }

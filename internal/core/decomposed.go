@@ -25,14 +25,16 @@ import (
 //
 //	min_{s_j} α·g_j(s_j) + Σ_k θ_k·v_kj·r_kj(s_j)
 //
-// solved globally on the tier's speed range. C2 and C3a have one multiplier,
-// found by bisection on their single constraint; C3b has one multiplier per
-// bounded class, found by projected Newton ascent on the concave dual
-// function. A power table that is not convex in 1/s splits the speed box into
-// convex parts, each solved by the dual. The results are exact for the
-// separable model. The augmented Lagrangian remains only where the problem is
-// not separable: percentile bounds (MinimizeEnergyTail, and C4's tuning when
-// a class carries one).
+// solved globally on the tier's speed range. All three problems are one
+// dualProblem — an objective row and constraint rows over (P, D_1…D_K) —
+// with one multiplier per constraint row: C2 bounds the power, C3a the
+// weighted delay, C3b each class's delay. One projected Newton ascent on the
+// concave dual function finds the multipliers. A power table that is not
+// convex in 1/s splits the speed box into convex parts, each solved by the
+// dual (solveParts). The results are exact for the separable model. The
+// augmented Lagrangian remains only where the problem is not separable:
+// percentile bounds (MinimizeEnergyTail, and C4's tuning when a class
+// carries one).
 
 // tierFn is one tier's separable share of the model. Its arrival vector,
 // visit rates and queueing station depend only on the cluster, so they are
@@ -128,7 +130,10 @@ func (f *tierFn) argmin(alpha float64, theta []float64) float64 {
 // The difference step is wide enough that rounding cannot flip the slope's
 // sign near the root; the root's resulting offset is smooth in the
 // multipliers and costs only second order in the objective. Quotients are
-// kept inside [a, b], so a kink at either end does not leak in.
+// kept inside [a, b], so a kink at either end does not leak in, narrowing
+// near an end down to 1e-9 of the speed; the ends are judged by one-sided
+// quotients 1e-9 wide. Near a stability floor, 0.1% below a tier's lowest
+// speed, the minimizer moves by far less than a wide quotient resolves.
 func pieceMin(obj func(float64) float64, a, b float64) float64 {
 	if !(b > a) {
 		return a
@@ -138,15 +143,15 @@ func pieceMin(obj func(float64) float64, a, b float64) float64 {
 		l, r := math.Max(x-1e-4*x, lo), math.Min(x+1e-4*x, hi)
 		return (obj(r) - obj(l)) / (r - l)
 	}
-	if !(slope(a) < 0) {
+	if !((obj(a+1e-9*a)-obj(a))/(1e-9*a) < 0) {
 		return a
 	}
-	if !(slope(b) > 0) {
+	if !((obj(b)-obj(b-1e-9*b))/(1e-9*b) > 0) {
 		return b
 	}
 	x := a + (b-a)/2
 	for i := 0; i < 100 && b-a > 1e-12*b; i++ {
-		h := 1e-4 * x
+		h := math.Max(math.Min(1e-4*x, math.Min(x-lo, hi-x)/2), 1e-9*x)
 		newton := math.NaN()
 		if x-h > lo && x+h < hi {
 			fl, fm, fr := obj(x-h), obj(x), obj(x+h)
@@ -198,14 +203,14 @@ func newTierFns(c *cluster.Cluster, weights []float64) (*tierFns, error) {
 		w = work.Lambdas()
 	}
 	var sum float64
-	for _, v := range w {
-		if v < 0 {
-			return nil, fmt.Errorf("core: negative weight %g", v)
+	for k, v := range w {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("core: weight %d is %g, want finite and non-negative", k, v)
 		}
 		sum += v
 	}
-	if sum <= 0 {
-		return nil, fmt.Errorf("core: all-zero weights")
+	if !(sum > 0) || math.IsInf(sum, 1) {
+		return nil, fmt.Errorf("core: weights sum to %g, want a positive finite sum", sum)
 	}
 	wn := make([]float64, len(w))
 	for i, v := range w {
@@ -332,225 +337,113 @@ func (t *tierFns) evalAt(speeds, delays []float64) float64 {
 	return pow
 }
 
-// argminAll sets speeds to the per-tier minimizers of
-// α·g_j + Σ_k θ_k·v_kj·r_kj and returns evalAt's delays and power there.
-func (t *tierFns) argminAll(alpha float64, theta, speeds, delays []float64) float64 {
-	for j := range t.tiers {
-		speeds[j] = t.tiers[j].argmin(alpha, theta)
-	}
-	return t.evalAt(speeds, delays)
+// powerRow returns the row (1, 0…) that weighs the power P alone.
+func (t *tierFns) powerRow() []float64 {
+	r := make([]float64, 1+len(t.wBy))
+	r[0] = 1
+	return r
 }
 
-// weighted returns Σ_k w_k·D_k.
-func (t *tierFns) weighted(delays []float64) float64 {
-	var d float64
-	for k, w := range t.wBy {
-		if w > 0 {
-			d += w * delays[k]
-		}
-	}
-	return d
+// delayRow returns the row (0, w) that weighs the normalized weighted delay
+// Σ_k w_k·D_k.
+func (t *tierFns) delayRow() []float64 {
+	return append([]float64{0}, t.wBy...)
 }
 
-// singleDual adapts argminAll to the one-multiplier problems: at β it
-// returns the per-tier minimizers with their constrained value and their
-// objective. C3a minimizes P + β·Σ w·D under the bound Σ w·D; in delay form
-// C2 minimizes Σ w·D + β·P under the budget P.
-func (t *tierFns) singleDual(delayForm bool) func(beta float64) (speeds []float64, value, obj float64) {
-	theta := make([]float64, len(t.wBy))
-	delays := make([]float64, len(t.wBy))
-	return func(beta float64) ([]float64, float64, float64) {
-		alpha, scale := 1.0, beta
-		if delayForm {
-			alpha, scale = beta, 1
-		}
-		for k, w := range t.wBy {
-			theta[k] = scale * w
-		}
-		speeds := make([]float64, len(t.tiers))
-		pow := t.argminAll(alpha, theta, speeds, delays)
-		if delayForm {
-			return speeds, pow, t.weighted(delays)
-		}
-		return speeds, t.weighted(delays), pow
-	}
+// dualProblem is one separable problem over the quantities x = (P, D_1…D_K),
+// index 0 weighing the power:
+//
+//	min_s obj·x(s)   s.t.   row_i·x(s) ≤ b_i   for every row with b_i > 0.
+//
+// A bound ≤ 0 leaves its row out. C3b bounds each class with a unit row and
+// minimizes (1, 0…); C3a bounds (0, w) and minimizes (1, 0…); C2 bounds
+// (1, 0…) by the budget and minimizes (0, w).
+type dualProblem struct {
+	obj    []float64
+	rows   [][]float64
+	bounds []float64
 }
 
-// bisectMultiplier returns the minimizers at the least β ≥ 0 whose
-// constrained value meets the limit. The value is non-increasing in β; the
-// bracket grows from betaHi. β = 0 optimizes the objective alone, so when
-// that already meets the limit it is the optimum. The caller has checked
-// that the limit is achievable.
-func bisectMultiplier(solve func(float64) ([]float64, float64, float64), limit, betaHi float64) (speeds []float64, evals int, trace []opt.TraceEntry, err error) {
-	s0, v0, f0 := solve(0)
-	evals = 1
-	trace = append(trace, opt.TraceEntry{F: f0, Violation: math.Max(0, v0-limit), Evals: evals})
-	if v0 <= limit {
-		return s0, evals, trace, nil
+// dot returns r·(pow, delays). Zero coefficients are skipped, so an unstable
+// tier's +Inf never meets one as 0·Inf = NaN.
+func dot(r []float64, pow float64, delays []float64) float64 {
+	var v float64
+	if r[0] != 0 {
+		v = r[0] * pow
 	}
-	for {
-		_, v, _ := solve(betaHi)
-		evals++
-		if v <= limit {
-			break
-		}
-		betaHi *= 4
-		if betaHi > 1e18 {
-			return nil, evals, trace, fmt.Errorf("core: dual multiplier failed to bracket the constraint")
+	for k, d := range delays {
+		if r[k+1] != 0 {
+			v += r[k+1] * d
 		}
 	}
-	betaLo := 0.0
-	for i := 0; i < 100 && betaHi-betaLo > 1e-12*(1+betaHi); i++ {
-		mid := (betaLo + betaHi) / 2
-		s, v, f := solve(mid)
-		evals++
-		trace = append(trace, opt.TraceEntry{
-			Iter: i + 1, F: f, Violation: math.Max(0, v-limit),
-			Step: betaHi - betaLo, Evals: evals,
-		})
-		if v <= limit {
-			betaHi = mid
-			speeds = s
-		} else {
-			betaLo = mid
-		}
-	}
-	if speeds == nil {
-		speeds, _, _ = solve(betaHi)
-		evals++
-	}
-	return speeds, evals, trace, nil
+	return v
 }
 
-// singleDualParts solves a one-multiplier problem on every convex part of the
-// speed box (convexParts) and returns the minimizers of the part with the
-// best objective: C3a (delayForm false) bounds the weighted delay by limit,
-// C2 (delayForm true) the power. A part whose extreme point — the fastest for
-// C3a, the slowest for C2 — misses the limit is skipped. The caller has
-// checked that the whole box's extreme point meets it, so the part holding
-// that point is solved.
-func (t *tierFns) singleDualParts(delayForm bool, limit, betaHi float64) (speeds []float64, evals int, trace []opt.TraceEntry, err error) {
-	delays := make([]float64, len(t.wBy))
-	// at returns the constrained value and the objective at s.
-	at := func(part *tierFns, s []float64) (value, obj float64) {
-		pow := part.evalAt(s, delays)
-		if delayForm {
-			return pow, part.weighted(delays)
-		}
-		return part.weighted(delays), pow
-	}
-	best := math.Inf(1)
-	for _, part := range t.convexParts() {
-		extreme := part.hi
-		if delayForm {
-			extreme = part.lo
-		}
-		if v, _ := at(part, extreme); !(v <= limit) {
-			continue
-		}
-		s, n, tr, err := bisectMultiplier(part.singleDual(delayForm), limit, betaHi)
-		evals += n
-		if err != nil {
-			return nil, evals, nil, err
-		}
-		if _, obj := at(part, s); speeds == nil || obj < best {
-			speeds, best, trace = s, obj, tr
+// weights sets theta to the tier Lagrangian's delay weights at ν and returns
+// its power weight: (α, θ) = obj + Σ_i ν_i·row_i/b_i.
+func (pr *dualProblem) weights(nu, theta []float64) (alpha float64) {
+	alpha = pr.obj[0]
+	copy(theta, pr.obj[1:])
+	for i, r := range pr.rows {
+		if b := pr.bounds[i]; b > 0 && nu[i] != 0 {
+			alpha += nu[i] * r[0] / b
+			for k := range theta {
+				theta[k] += nu[i] * r[k+1] / b
+			}
 		}
 	}
-	return speeds, evals, trace, nil
+	return alpha
 }
 
-// dualObjective selects what the assembled Solution reports as Objective.
-type dualObjective int
-
-const (
-	powerObjective dualObjective = iota // C3a/C3b: minimized power
-	delayObjective                      // C2: minimized weighted delay
-)
-
-// finishDual assembles a Solution at the decomposed speeds. The objective is
-// recomputed from the separable tier functions so custom weights are
-// honoured; trace carries the dual search's convergence record.
-func finishDual(t *tierFns, speeds []float64, evals int, kind dualObjective, trace []opt.TraceEntry, converged bool) (*Solution, error) {
-	out := t.c.Clone()
-	if err := out.SetSpeeds(speeds); err != nil {
-		return nil, err
-	}
-	m, err := cluster.Evaluate(out)
-	if err != nil {
-		return nil, err
-	}
-	obj := m.TotalPower
-	if kind == delayObjective {
-		delays := make([]float64, len(t.wBy))
-		t.evalAt(speeds, delays)
-		obj = t.weighted(delays)
-	}
-	return &Solution{
-		Cluster: out, Metrics: m,
-		Objective: obj,
-		Result: opt.Result{
-			X: speeds, F: obj, Iters: len(trace), Evals: evals,
-			Converged: converged, Trace: trace,
-		},
-	}, nil
-}
-
-// perClassPoint is the C3b dual at one multiplier vector ν: the per-tier
-// Lagrangian minimizers and what they achieve.
-type perClassPoint struct {
-	nu, speeds, delays []float64
-	viol               []float64 // D_k/b_k − 1 for bounded classes, 0 otherwise
-	pow                float64
-	q                  float64 // dual function value P + Σ_k ν_k·viol_k
+// dualPoint is the dual at one multiplier vector ν: the per-tier Lagrangian
+// minimizers and what they achieve.
+type dualPoint struct {
+	nu, speeds []float64
+	viol       []float64 // row_i·x/b_i − 1 for live rows, 0 otherwise
+	obj        float64   // obj·x
+	q          float64   // dual function value obj·x + Σ_i ν_i·viol_i
 }
 
 // kkt returns the point's largest relative bound excess and its duality gap
-// Σ_k ν_k·|viol_k| (complementary slackness).
-func (p *perClassPoint) kkt() (excess, gap float64) {
-	for k, v := range p.viol {
+// Σ_i ν_i·|viol_i| (complementary slackness).
+func (p *dualPoint) kkt() (excess, gap float64) {
+	for i, v := range p.viol {
 		excess = math.Max(excess, v)
-		gap += p.nu[k] * math.Abs(v)
+		gap += p.nu[i] * math.Abs(v)
 	}
 	return excess, gap
 }
 
-// perClassTheta returns the per-class Lagrangian delay weights θ_k = ν_k/b_k.
-func perClassTheta(nu, bounds []float64) []float64 {
-	theta := make([]float64, len(bounds))
-	for k, b := range bounds {
-		if b > 0 {
-			theta[k] = nu[k] / b
-		}
+// at evaluates the dual at ν.
+func (t *tierFns) at(pr *dualProblem, nu []float64) *dualPoint {
+	p := &dualPoint{nu: nu, speeds: make([]float64, len(t.tiers)), viol: make([]float64, len(pr.rows))}
+	theta := make([]float64, len(t.wBy))
+	alpha := pr.weights(nu, theta)
+	for j := range t.tiers {
+		p.speeds[j] = t.tiers[j].argmin(alpha, theta)
 	}
-	return theta
-}
-
-// perClassAt evaluates the C3b dual at ν.
-func (t *tierFns) perClassAt(nu, bounds []float64) *perClassPoint {
-	p := &perClassPoint{
-		nu: nu, speeds: make([]float64, len(t.tiers)),
-		delays: make([]float64, len(bounds)), viol: make([]float64, len(bounds)),
-	}
-	p.pow = t.argminAll(1, perClassTheta(nu, bounds), p.speeds, p.delays)
-	p.q = p.pow
-	for k, b := range bounds {
-		if b > 0 {
-			p.viol[k] = p.delays[k]/b - 1
-			p.q += nu[k] * p.viol[k]
+	delays := theta // θ is spent; reuse it for the delays
+	pow := t.evalAt(p.speeds, delays)
+	p.obj = dot(pr.obj, pow, delays)
+	p.q = p.obj
+	for i, r := range pr.rows {
+		if b := pr.bounds[i]; b > 0 {
+			p.viol[i] = dot(r, pow, delays)/b - 1
+			p.q += nu[i] * p.viol[i]
 		}
 	}
 	return p
 }
 
-// curvature returns the negated Hessian of the dual function over the
-// classes in act, H = Σ_j u_j·u_jᵀ / (∂²L_j/∂s²) with
-// u_kj = v_kj·(∂r_kj/∂s)/b_k at s_j, from implicit differentiation of each
-// tier's optimality condition ∂L_j/∂s = 0. A tier at a speed limit does not
-// move with ν and adds nothing. Derivatives are central differences in the
-// speed.
-func (t *tierFns) curvature(p *perClassPoint, bounds []float64, act []int) [][]float64 {
-	theta := perClassTheta(p.nu, bounds)
+// curvature returns the negated Hessian of the dual function over the rows
+// in act, H = Σ_j u_j·u_jᵀ / (∂²L_j/∂s²) with
+// u_ij = row_i·(∂g_j/∂s, v_kj·∂r_kj/∂s)/b_i at s_j, from implicit
+// differentiation of each tier's optimality condition ∂L_j/∂s = 0. A tier at
+// a speed limit does not move with ν and adds nothing. Derivatives are
+// central differences in the speed, narrowed to fit inside its limits.
+func (t *tierFns) curvature(pr *dualProblem, p *dualPoint, act []int) [][]float64 {
+	theta := make([]float64, len(t.wBy))
+	alpha := pr.weights(p.nu, theta)
 	h := make([][]float64, len(act))
 	for a := range h {
 		h[a] = make([]float64, len(act))
@@ -559,18 +452,18 @@ func (t *tierFns) curvature(p *perClassPoint, bounds []float64, act []int) [][]f
 	for j := range t.tiers {
 		f := &t.tiers[j]
 		s := p.speeds[j]
-		ds := 1e-4 * s
-		if s-ds < t.lo[j] || s+ds > t.hi[j] {
+		ds := math.Min(1e-4*s, math.Min(s-t.lo[j], t.hi[j]-s)/2)
+		if !(ds > 0) {
 			continue
 		}
-		var l [3]float64
+		var l, pow [3]float64
 		var resp [3][]float64
 		for i, x := range [3]float64{s - ds, s, s + ds} {
-			pow, r, ok := f.eval(x)
+			g, r, ok := f.eval(x)
 			if !ok {
-				pow = math.NaN()
+				g = math.NaN()
 			}
-			l[i], resp[i] = pow, r
+			l[i], pow[i], resp[i] = alpha*g, g, r
 			for k, v := range f.visits {
 				if v > 0 && ok {
 					l[i] += theta[k] * v * r[k]
@@ -581,8 +474,18 @@ func (t *tierFns) curvature(p *perClassPoint, bounds []float64, act []int) [][]f
 		if !(l2 > 0) {
 			continue // also a tier unstable just below s_j
 		}
-		for a, k := range act {
-			u[a] = f.visits[k] * (resp[2][k] - resp[0][k]) / (2 * ds) / bounds[k]
+		for a, i := range act {
+			r := pr.rows[i]
+			u[a] = 0
+			if r[0] != 0 {
+				u[a] = r[0] * (pow[2] - pow[0]) / (2 * ds)
+			}
+			for k, v := range f.visits {
+				if v > 0 && r[k+1] != 0 {
+					u[a] += r[k+1] * (v * (resp[2][k] - resp[0][k]) / (2 * ds))
+				}
+			}
+			u[a] /= pr.bounds[i]
 		}
 		for a := range act {
 			for b := range act {
@@ -641,109 +544,193 @@ func dampedSolve(h [][]float64, g []float64, mu float64) []float64 {
 	return x
 }
 
-// C3b dual stopping rules: every bound met to perClassExcess relative and
-// the duality gap Σ_k ν_k·|D_k/b_k − 1| within perClassGap of the power, or
-// give up after perClassEvals dual evaluations or perClassStall steps that
-// do not raise q.
+// Dual stopping rules: every bound met to dualExcess relative and the
+// duality gap Σ_i ν_i·|viol_i| within dualGap of the objective, or give up
+// after dualEvals dual evaluations or dualStall steps that do not raise q.
 const (
-	perClassExcess = 1e-9
-	perClassGap    = 1e-9
-	perClassEvals  = 150
-	perClassStall  = 8
+	dualExcess = 1e-9
+	dualGap    = 1e-9
+	dualEvals  = 150
+	dualStall  = 8
 )
 
-// perClassDual maximizes the concave C3b dual function
+// dual maximizes the concave dual function
 //
-//	q(ν) = min_s P(s) + Σ_k ν_k·(D_k(s)/b_k − 1),   ν ≥ 0,
+//	q(ν) = min_s obj·x(s) + Σ_i ν_i·(row_i·x(s)/b_i − 1),   ν ≥ 0,
 //
 // from nu0 by projected Newton ascent. The Newton system is restricted to
-// the active classes (ν_k > 0 or bound violated) and damped
+// the active rows (ν_i > 0 or bound violated) and damped
 // Levenberg–Marquardt style when a step fails to raise q, which carries the
 // iteration through coupled bounds and through tiers pinned at their speed
-// limits. While no tier responds to ν at all, q is linear and the active
-// multipliers grow or shrink geometrically until one does.
+// limits. The damping relaxes to at most 1 after every accepted step, since
+// a first step from ν = 0 can overshoot by orders of magnitude. A Newton
+// step is held to four times the last accepted one, and the hold shrinks
+// fourfold when a held step fails: the curvature omits a tier resting on a
+// speed limit, so while one is about to leave it every Newton step
+// overshoots. A step is taken when q still rises at its end, even if the
+// computed q fell: by concavity q rose, and the fall is the argmin's
+// difference-quotient offset.
 //
-// The dual has no gap, so the final point solves C3b, when every tier's
-// power curve is convex in its service time 1/s over the speed box: power
-// laws (γ ≥ 1), linear models and convex power tables are everywhere, other
-// tables on each part convexParts returns. perClassDual returns the final
-// point and whether it met the tolerances; a point that did not is replaced
-// by the cheapest feasible point seen, starting from the maximum speeds,
-// which the caller has checked meet every bound.
-func (t *tierFns) perClassDual(bounds, nu0 []float64) (p *perClassPoint, converged bool, evals int, trace []opt.TraceEntry) {
-	nu := make([]float64, len(bounds))
-	for k, b := range bounds {
-		if b > 0 && k < len(nu0) && nu0[k] > 0 && !math.IsInf(nu0[k], 1) {
-			nu[k] = nu0[k]
+// The dual has no gap, so the final point solves the problem, when every
+// tier's power curve is convex in its service time 1/s over the speed box:
+// power laws (γ ≥ 1), linear models and convex power tables are everywhere,
+// other tables on each part convexParts returns. Every delay falls and, for
+// C2's purposes, the power rises with every speed, so the box's least
+// constrained point is its slowest corner when a row bounds the power and
+// its fastest otherwise. dual returns nil when that corner misses a bound.
+// Otherwise it returns the final point and whether it met the tolerances; a
+// point that did not is replaced by the best feasible point seen, starting
+// from that corner.
+func (t *tierFns) dual(pr *dualProblem, nu0 []float64) (p *dualPoint, converged bool, evals int, trace []opt.TraceEntry) {
+	corner := t.hi
+	for i, r := range pr.rows {
+		if pr.bounds[i] > 0 && r[0] != 0 {
+			corner = t.lo
 		}
 	}
-	p = t.perClassAt(nu, bounds)
+	delays := make([]float64, len(t.wBy))
+	pow := t.evalAt(corner, delays)
+	for i, r := range pr.rows {
+		if b := pr.bounds[i]; b > 0 && !(dot(r, pow, delays) <= b) {
+			return nil, false, 0, nil
+		}
+	}
+	best := &dualPoint{nu: make([]float64, len(pr.rows)), speeds: corner, obj: dot(pr.obj, pow, delays)}
+	nu := make([]float64, len(pr.rows))
+	for i, b := range pr.bounds {
+		if b > 0 && i < len(nu0) && nu0[i] > 0 && !math.IsInf(nu0[i], 1) {
+			nu[i] = nu0[i]
+		}
+	}
+	p = t.at(pr, nu)
 	evals = 1
-	best := &perClassPoint{nu: make([]float64, len(bounds)), speeds: t.hi}
-	best.pow = t.evalAt(t.hi, make([]float64, len(bounds)))
-	scale := 0.01 * p.pow
-	mu := 0.0
-	for iter, stall := 0, 0; evals < perClassEvals && stall < perClassStall; iter++ {
+	scale := 0.01 * p.obj
+	mu, reach := 0.0, math.Inf(1)
+	for iter, stall := 0, 0; evals < dualEvals && stall < dualStall; iter++ {
 		excess, gap := p.kkt()
-		trace = append(trace, opt.TraceEntry{Iter: iter, F: p.pow, Violation: excess, Step: mu, Evals: evals})
-		if excess <= perClassExcess {
-			if p.pow < best.pow {
+		trace = append(trace, opt.TraceEntry{Iter: iter, F: p.obj, Violation: excess, Step: mu, Evals: evals})
+		if excess <= dualExcess {
+			if p.obj < best.obj {
 				best = p
 			}
-			if gap <= perClassGap*p.pow {
+			if gap <= dualGap*p.obj {
 				return p, true, evals, trace
 			}
 		}
 		var act []int
-		for k, b := range bounds {
-			if b > 0 && (p.nu[k] > 0 || p.viol[k] > 0) {
-				act = append(act, k)
+		for i, b := range pr.bounds {
+			if b > 0 && (p.nu[i] > 0 || p.viol[i] > 0) {
+				act = append(act, i)
 			}
 		}
-		h := t.curvature(p, bounds, act)
+		h := t.curvature(pr, p, act)
 		g := make([]float64, len(act))
-		for a, k := range act {
-			g[a] = p.viol[k]
+		for a, i := range act {
+			g[a] = p.viol[i]
 		}
 		moved := false
-		for try := 0; !moved && evals < perClassEvals; try++ {
+		for try := 0; !moved && evals < dualEvals; try++ {
 			next := append([]float64(nil), p.nu...)
-			if step := dampedSolve(h, g, mu); step != nil {
-				for a, k := range act {
-					next[k] = math.Max(0, next[k]+step[a])
+			step, held := dampedSolve(h, g, mu), false
+			if step != nil {
+				var n float64
+				for _, v := range step {
+					n = math.Max(n, math.Abs(v))
+				}
+				f := 1.0
+				if n > reach {
+					f, held = reach/n, true
+				}
+				for a, i := range act {
+					next[i] = math.Max(0, next[i]+f*step[a])
 				}
 			} else {
 				// No curvature: q is linear in ν here, so move along its
 				// gradient's signs, halving the move on each failure.
 				f := math.Ldexp(1, -try)
-				for a, k := range act {
+				for a, i := range act {
 					if g[a] > 0 {
-						next[k] += f * (3*next[k] + scale)
+						next[i] += f * (3*next[i] + scale)
 					} else {
-						next[k] -= f * 0.75 * next[k]
+						next[i] -= f * 0.75 * next[i]
 					}
 				}
 			}
-			c := t.perClassAt(next, bounds)
+			c := t.at(pr, next)
 			evals++
 			tol := 1e-12 * math.Abs(p.q)
-			if c.q < p.q-tol {
+			var ahead float64 // q's slope at c along the step
+			for _, i := range act {
+				ahead += (c.nu[i] - p.nu[i]) * c.viol[i]
+			}
+			if c.q < p.q-tol && !(ahead > 0) {
 				mu = math.Max(4*mu, 1e-4)
+				if held {
+					reach /= 4
+				}
 				continue
 			}
-			if c.q <= p.q+tol {
+			if c.q <= p.q+tol && !(ahead > 0) {
 				stall++
 			} else {
 				stall = 0
 			}
+			var span float64 // the accepted move's length
+			for _, i := range act {
+				span = math.Max(span, math.Abs(c.nu[i]-p.nu[i]))
+			}
+			if reach = 4 * span; step == nil || span == 0 {
+				reach = math.Inf(1)
+			}
 			p, moved = c, true
-			if mu /= 4; mu < 1e-9 {
+			if mu = math.Min(mu/4, 1); mu < 1e-9 {
 				mu = 0
 			}
 		}
 	}
-	if excess, _ := p.kkt(); excess <= perClassExcess && p.pow < best.pow {
+	if excess, _ := p.kkt(); excess <= dualExcess && p.obj < best.obj {
 		best = p
 	}
 	return best, false, evals, trace
+}
+
+// solveParts solves the problem by the dual on every convex part of the
+// speed box (convexParts) and returns the solution of the part with the best
+// objective, with its multipliers. A part whose least-constrained corner
+// misses a bound is skipped; the caller has checked that the whole box's
+// corner meets every bound, so the part holding it is solved. The reported
+// objective is the objective row applied to the evaluated metrics.
+func (t *tierFns) solveParts(pr *dualProblem, nu0 []float64) (*Solution, error) {
+	var (
+		best      *dualPoint
+		converged bool
+		evals     int
+		trace     []opt.TraceEntry
+	)
+	for _, part := range t.convexParts() {
+		p, conv, n, tr := part.dual(pr, nu0)
+		evals += n
+		if p != nil && (best == nil || p.obj < best.obj) {
+			best, converged, trace = p, conv, tr
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("core: no part of the speed box meets every bound")
+	}
+	out := t.c.Clone()
+	if err := out.SetSpeeds(best.speeds); err != nil {
+		return nil, err
+	}
+	m, err := cluster.Evaluate(out)
+	if err != nil {
+		return nil, err
+	}
+	obj := dot(pr.obj, m.TotalPower, m.Delay)
+	return &Solution{
+		Cluster: out, Metrics: m, Objective: obj, Multipliers: best.nu,
+		Result: opt.Result{
+			X: best.speeds, F: obj, Iters: len(trace), Evals: evals,
+			Converged: converged, Trace: trace,
+		},
+	}, nil
 }

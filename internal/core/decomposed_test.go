@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -239,4 +242,89 @@ func TestMeanDualsNonConvexTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDualsRejectHostileOptions: a NaN or infinite delay weight, and a NaN
+// or +Inf class delay bound, must be rejected with an error naming the
+// index, never solved. A NaN weight used to zero the objective and return
+// the slowest speeds; a NaN class bound used to leave its class unbounded.
+func TestDualsRejectHostileOptions(t *testing.T) {
+	c := symCluster(2, 2, 0.5)
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		w []float64
+		k int
+	}{{[]float64{nan, 1}, 0}, {[]float64{inf, 1}, 0}, {[]float64{1, -inf}, 1}, {[]float64{1, nan}, 1}} {
+		_, err := MinimizeDelay(c, DelayOptions{EnergyBudget: 500, Weights: tc.w})
+		if want := fmt.Sprintf("weight %d ", tc.k); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("weights %v: got %v, want an error naming %q", tc.w, err, want)
+		}
+	}
+	if _, err := MinimizeDelay(c, DelayOptions{EnergyBudget: 500, Weights: []float64{math.MaxFloat64, math.MaxFloat64}}); err == nil {
+		t.Error("weights summing to +Inf accepted")
+	}
+	for _, tc := range []struct {
+		b []float64
+		k int
+	}{{[]float64{nan, 5}, 0}, {[]float64{inf, 5}, 0}, {[]float64{5, nan}, 1}} {
+		_, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: tc.b})
+		if want := fmt.Sprintf("class %d ", tc.k); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("class bounds %v: got %v, want an error naming %q", tc.b, err, want)
+		}
+	}
+}
+
+// FuzzMeanDuals drives the C2 budget and weights, the C3a bound and the C3b
+// class bounds on a two-tier cluster with one non-convex power table. Every
+// call must either fail or converge to finite speeds inside the speed box,
+// a finite objective, and its constraint met within 1e-6; none may panic.
+// The corpus starts from the hostile values of TestDualsRejectHostileOptions
+// and from bounds just below the delays at the slowest point of the table's
+// cheaper part (weighted 1000.67, per class 3.59 and 1997.7), where the
+// ascent once gave up.
+func FuzzMeanDuals(f *testing.F) {
+	inf, nan := math.Inf(1), math.NaN()
+	f.Add(500.0, 1.0, 1.0, 1.0, 0.0, 1.0)
+	f.Add(71.42857142857143, 943.0, inf, -152.91666666666666, inf, 2.5)
+	f.Add(95.0041, 1000.66, 1.0, 0.0, 3.59, 1997.0)
+	f.Add(500.0, 1.0, nan, 1.0, nan, 5.0)
+	f.Add(500.0, 1.0, inf, 1.0, inf, 5.0)
+	f.Add(500.0, 1.0, 1.0, -inf, 5.0, nan)
+	f.Add(inf, inf, 0.0, 1.0, -inf, inf)
+	f.Add(nan, nan, 1e-310, 0.0, 1e-9, 1e-300)
+	c := nonConvexTableCluster()
+	lo, hi := c.SpeedBounds()
+	check := func(t *testing.T, name string, sol *Solution, value, limit float64) {
+		t.Helper()
+		if !sol.Result.Converged {
+			t.Errorf("%s: the dual ascent did not converge", name)
+		}
+		for j, s := range sol.Cluster.Speeds() {
+			if !(s >= lo[j] && s <= hi[j]) {
+				t.Errorf("%s: tier %d speed %g outside [%g, %g]", name, j, s, lo[j], hi[j])
+			}
+		}
+		if math.IsNaN(sol.Objective) || math.IsInf(sol.Objective, 0) {
+			t.Errorf("%s: objective %g", name, sol.Objective)
+		}
+		if !(value <= limit*(1+1e-6)) {
+			t.Errorf("%s: constraint %g exceeds its limit %g", name, value, limit)
+		}
+	}
+	f.Fuzz(func(t *testing.T, budget, bound, w0, w1, b0, b1 float64) {
+		if sol, err := MinimizeDelay(c, DelayOptions{EnergyBudget: budget, Weights: []float64{w0, w1}}); err == nil {
+			check(t, "C2", sol, sol.Metrics.TotalPower, budget)
+		}
+		if sol, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: bound}); err == nil {
+			check(t, "C3a", sol, sol.Metrics.WeightedDelay, bound)
+		}
+		bounds := []float64{b0, b1}
+		if sol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: bounds}); err == nil {
+			for k, b := range bounds {
+				if b > 0 {
+					check(t, fmt.Sprintf("C3b class %d", k), sol, sol.Metrics.Delay[k], b)
+				}
+			}
+		}
+	})
 }

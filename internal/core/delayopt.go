@@ -13,6 +13,7 @@ type DelayOptions struct {
 	EnergyBudget float64
 	// Weights optionally reweights the per-class delays in the objective;
 	// nil uses arrival-rate weighting (the paper's all-class average).
+	// Entries must be finite and non-negative, with a positive sum.
 	Weights []float64
 }
 
@@ -24,10 +25,10 @@ type DelayOptions struct {
 //	s.t.   P(s) ≤ EnergyBudget,  s ∈ [s_min, s_max] per tier
 //
 // Delay and power are both sums of per-tier terms, so the problem is solved
-// exactly by dual decomposition (see decomposed.go): bisect one multiplier
-// β ≥ 0 until the power of the per-tier minimizers of D̄ + β·P meets the
-// budget. A power table that is not convex splits the speed box into parts,
-// each solved by the dual, and the fastest wins.
+// exactly by dual decomposition (see decomposed.go): projected Newton ascent
+// on the budget's multiplier, the engine MinimizeEnergyPerClass uses. A power
+// table that is not convex splits the speed box into parts, each solved by
+// the dual, and the fastest wins.
 func MinimizeDelay(c *cluster.Cluster, o DelayOptions) (*Solution, error) {
 	budget := o.EnergyBudget
 	if !(budget > 0) {
@@ -44,11 +45,7 @@ func MinimizeDelay(c *cluster.Cluster, o DelayOptions) (*Solution, error) {
 	if pMin := t.evalAt(t.lo, make([]float64, len(t.wBy))); pMin > budget {
 		return nil, fmt.Errorf("core: energy budget %g W infeasible: minimum stable power is %g W", budget, pMin)
 	}
-	speeds, evals, trace, err := t.singleDualParts(true, budget, 1e-6)
-	if err != nil {
-		return nil, err
-	}
-	return finishDual(t, speeds, evals, delayObjective, trace, true)
+	return t.solveParts(&dualProblem{obj: t.delayRow(), rows: [][]float64{t.powerRow()}, bounds: []float64{budget}}, nil)
 }
 
 // MinimizeDelayDual is MinimizeDelay.

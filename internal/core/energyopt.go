@@ -15,7 +15,8 @@ type EnergyOptions struct {
 	// average end-to-end delay; used by MinimizeEnergy.
 	MaxWeightedDelay float64
 	// MaxClassDelay[k] bounds class k's average end-to-end delay; used by
-	// MinimizeEnergyPerClass. Entries ≤ 0 mean "unconstrained".
+	// MinimizeEnergyPerClass. Entries ≤ 0 mean "unconstrained"; NaN and
+	// +Inf are rejected.
 	MaxClassDelay []float64
 	// WarmStart optionally gives MinimizeEnergyPerClass its initial
 	// per-class multipliers, typically a previous solution's Multipliers;
@@ -35,8 +36,8 @@ type EnergyOptions struct {
 //	s.t.   D̄(s) ≤ MaxWeightedDelay,  s ∈ [s_min, s_max]
 //
 // The weighted delay is a sum of per-tier terms, so the problem is solved
-// exactly by dual decomposition (see decomposed.go): bisect one multiplier
-// β ≥ 0 until the per-tier minimizers of P + β·D̄ meet the bound. A power
+// exactly by dual decomposition (see decomposed.go): projected Newton ascent
+// on the bound's multiplier, the engine MinimizeEnergyPerClass uses. A power
 // table that is not convex splits the speed box into parts, each solved by
 // the dual, and the cheapest wins.
 func MinimizeEnergy(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
@@ -51,14 +52,10 @@ func MinimizeEnergy(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
 	// Feasibility: the fastest point gives the least delay.
 	delays := make([]float64, len(t.wBy))
 	t.evalAt(t.hi, delays)
-	if dMin := t.weighted(delays); !(dMin <= bound) {
+	if dMin := dot(t.delayRow(), 0, delays); !(dMin <= bound) {
 		return nil, fmt.Errorf("core: delay bound %g s infeasible: best achievable is %g s", bound, dMin)
 	}
-	speeds, evals, trace, err := t.singleDualParts(false, bound, 1)
-	if err != nil {
-		return nil, err
-	}
-	return finishDual(t, speeds, evals, powerObjective, trace, true)
+	return t.solveParts(&dualProblem{obj: t.powerRow(), rows: [][]float64{t.delayRow()}, bounds: []float64{bound}}, nil)
 }
 
 // MinimizeEnergyDual is MinimizeEnergy.
@@ -87,10 +84,11 @@ func MinimizeEnergyPerClass(c *cluster.Cluster, o EnergyOptions) (*Solution, err
 		return nil, fmt.Errorf("core: %d delay bounds for %d classes", len(o.MaxClassDelay), len(c.Classes))
 	}
 	anyBound := false
-	for _, b := range o.MaxClassDelay {
-		if b > 0 {
-			anyBound = true
+	for k, b := range o.MaxClassDelay {
+		if math.IsNaN(b) || math.IsInf(b, 1) {
+			return nil, fmt.Errorf("core: class %d delay bound %g is not a finite number", k, b)
 		}
+		anyBound = anyBound || b > 0
 	}
 	if !anyBound {
 		return nil, fmt.Errorf("core: no positive delay bound given")
@@ -112,35 +110,12 @@ func MinimizeEnergyPerClass(c *cluster.Cluster, o EnergyOptions) (*Solution, err
 	if math.IsInf(pow, 1) {
 		return nil, fmt.Errorf("core: cluster unstable at maximum speeds")
 	}
-	// Each convex part is solved exactly; a part whose fastest point misses
-	// a bound holds no feasible point.
-	var (
-		best      *perClassPoint
-		bestT     *tierFns
-		converged bool
-		evals     int
-		trace     []opt.TraceEntry
-	)
-parts:
-	for _, part := range t.convexParts() {
-		part.evalAt(part.hi, delays)
-		for k, b := range o.MaxClassDelay {
-			if b > 0 && !(delays[k] <= b) {
-				continue parts
-			}
-		}
-		p, conv, n, tr := part.perClassDual(o.MaxClassDelay, o.WarmStart)
-		evals += n
-		if best == nil || p.pow < best.pow {
-			best, bestT, converged, trace = p, part, conv, tr
-		}
+	rows := make([][]float64, len(c.Classes))
+	for k := range rows {
+		rows[k] = make([]float64, 1+len(c.Classes))
+		rows[k][1+k] = 1
 	}
-	sol, err := finishDual(bestT, best.speeds, evals, powerObjective, trace, converged)
-	if err != nil {
-		return nil, err
-	}
-	sol.Multipliers = best.nu
-	return sol, nil
+	return t.solveParts(&dualProblem{obj: t.powerRow(), rows: rows, bounds: o.MaxClassDelay}, o.WarmStart)
 }
 
 // BindingClasses reports which bounded classes sit within tol (relative) of
