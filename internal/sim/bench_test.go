@@ -7,9 +7,11 @@ package sim
 // ns/op and B/op alongside).
 
 import (
+	"fmt"
 	"testing"
 
 	"clusterq/internal/cluster"
+	"clusterq/internal/power"
 	"clusterq/internal/queueing"
 )
 
@@ -48,20 +50,69 @@ func BenchmarkEventLoopFCFS(b *testing.B) {
 		Options{Horizon: 2500, Warmup: 100, Replications: 1, Seed: 1})
 }
 
-// BenchmarkEventLoopPreemptive adds the cancelled-run path: preemptions
-// strand stale departure events whose runs are recycled on pop.
+// BenchmarkEventLoopPreemptive adds the cancelled-run path: each preemption
+// removes the victim's departure from the heap in place and frees its run.
 func BenchmarkEventLoopPreemptive(b *testing.B) {
 	benchReplication(b, benchCluster(queueing.PreemptiveResume),
 		Options{Horizon: 2500, Warmup: 100, Replications: 1, Seed: 1})
 }
 
 // BenchmarkEventLoopControlled adds the DVFS control loop: every retune
-// cancels and reissues the whole running set.
+// removes the whole running set's departures from the heap and reschedules
+// them at the new speed.
 func BenchmarkEventLoopControlled(b *testing.B) {
 	benchReplication(b, benchCluster(queueing.PreemptiveResume), Options{
 		Horizon: 2500, Warmup: 100, Replications: 1, Seed: 1,
 		Controller: UtilizationPolicy{Target: 0.6}, ControlPeriod: 20,
 	})
+}
+
+// overloadCluster is the shape of the benchmark's overload workload: three
+// preemptive-resume tiers of 64 servers at speed 4 under eight classes with
+// work from 0.8 to 1.4, every class at the same rate, loaded to 90% of
+// capacity. Hundreds of jobs are in flight, so preemptions are frequent.
+func overloadCluster() *cluster.Cluster {
+	const tiers, classes, servers, speed, load = 3, 8, 64, 4.0, 0.9
+	pm, err := power.NewPowerLaw(100, 0.4, 3)
+	if err != nil {
+		panic(err)
+	}
+	demands := make([]queueing.Demand, classes)
+	var totalWork float64
+	for k := range demands {
+		demands[k] = queueing.Demand{Work: 0.8 + 0.6*float64(k)/(classes-1), CV2: 1}
+		totalWork += demands[k].Work
+	}
+	c := &cluster.Cluster{}
+	for j := 0; j < tiers; j++ {
+		c.Tiers = append(c.Tiers, &cluster.Tier{
+			Name: fmt.Sprintf("tier%d", j), Servers: servers, Speed: speed,
+			Discipline: queueing.PreemptiveResume, Power: pm,
+			Demands: append([]queueing.Demand(nil), demands...),
+		})
+	}
+	for k := 0; k < classes; k++ {
+		c.Classes = append(c.Classes, cluster.Class{
+			Name: fmt.Sprintf("class%d", k), Lambda: load * speed * servers / totalWork,
+		})
+	}
+	return c
+}
+
+// BenchmarkEventLoopDeadlines is the overload workload's event loop without
+// observers: preemption, breakdowns, and deadlines with retries. Most
+// preempted departures and most armed timeouts never fire, so it measures
+// how cheaply the calendar keeps them out of the heap.
+func BenchmarkEventLoopDeadlines(b *testing.B) {
+	c := overloadCluster()
+	o := Options{Horizon: 200, Warmup: 40, Replications: 1, Seed: 1}
+	for range c.Tiers {
+		o.Failures = append(o.Failures, &FailureConfig{MTBF: 500, MTTR: 20})
+	}
+	for range c.Classes {
+		o.Deadlines = append(o.Deadlines, &DeadlineConfig{Deadline: 4, MaxRetries: 2, RetryBackoff: 1})
+	}
+	benchReplication(b, c, o)
 }
 
 // BenchmarkCalendar isolates the heap itself: schedule/next round-trips over
@@ -131,8 +182,8 @@ func BenchmarkStationDispatch(b *testing.B) {
 // BenchmarkStationPreempt measures one preempt→resume cycle at a
 // single-server preemptive-resume station: a low-priority job starts, a
 // high-priority arrival preempts it a quarter of the way in (banking the
-// segment), departs, and the low-priority job resumes and departs; the
-// preempted run's stale departure is popped and recycled on the way.
+// segment and removing the preempted departure from the heap), departs, and
+// the low-priority job resumes and departs.
 func BenchmarkStationPreempt(b *testing.B) {
 	s, st := benchStation(b, 1, queueing.PreemptiveResume)
 	b.ReportAllocs()

@@ -25,14 +25,18 @@ func refLess(a, b refEvent) bool {
 
 // driveCalendarAgainstSorted runs the calendar through a randomized
 // workload — schedules (plain and gen-stamped, with far-future, near-term,
-// exactly-tied and exactly-now times), single pops, and AdvanceTo-style
-// drains — next to a sorted slice holding the same events, and asserts that
-// every peekTime and every pop agrees with the slice's head, gen stamps
-// included. ops bounds the workload length so the fuzz harness stays fast.
+// exactly-tied and exactly-now times), single pops, AdvanceTo-style drains,
+// in-place removals of scheduled events, and sequence numbers reserved now
+// but pushed later — next to a sorted slice holding the same live events,
+// and asserts that every peekTime and every pop agrees with the slice's
+// head, gen stamps included. ops bounds the workload length so the fuzz
+// harness stays fast.
 func driveCalendarAgainstSorted(t *testing.T, seed uint64, ops int) {
 	t.Helper()
 	cal := newCalendar()
 	var ref []refEvent
+	scheduled := make(map[uint64]*event) // live events by seq
+	var reserved []refEvent              // reserved keys not yet pushed
 	rng := NewRNG(seed)
 	pops := 0
 
@@ -63,52 +67,110 @@ func driveCalendarAgainstSorted(t *testing.T, seed uint64, ops int) {
 		if cal.now != want.time {
 			t.Fatalf("pop %d: clock %v, want %v", pops, cal.now, want.time)
 		}
+		delete(scheduled, e.seq)
 		cal.recycle(e)
 		pops++
 		return true
 	}
 
-	schedule := func() {
-		// A mix biased toward the simulator's schedule-at-now+Δ pattern,
-		// with deliberate exact time ties so the seq tie-break is exercised
-		// on every run.
-		var at float64
+	// pickTime draws a time at or after the clock: a mix biased toward the
+	// simulator's schedule-at-now+Δ pattern, with deliberate exact time
+	// ties so the seq tie-break is exercised on every run.
+	pickTime := func() float64 {
 		switch rng.Uint64() % 6 {
 		case 0: // far future
-			at = cal.now + rng.Float64()*1e4
+			return cal.now + rng.Float64()*1e4
 		case 1: // mid range
-			at = cal.now + rng.Float64()*100
+			return cal.now + rng.Float64()*100
 		case 2: // near term
-			at = cal.now + rng.Float64()
+			return cal.now + rng.Float64()
 		case 3: // exact tie grid: many bitwise-equal times
-			at = cal.now + float64(rng.Uint64()%16)
+			return cal.now + float64(rng.Uint64()%16)
 		case 4: // tight non-equal cluster
-			at = cal.now + 10 + rng.Float64()*0.01
+			return cal.now + 10 + rng.Float64()*0.01
 		default: // exactly now: ordering is pure seq
-			at = cal.now
+			return cal.now
 		}
-		r := refEvent{time: at, seq: cal.seq, kind: evArrival}
-		if rng.Uint64()%4 == 0 {
-			// The gen-stamped path deadlines use (scheduleGen): the stamp
-			// must ride along unperturbed for staleness checks to work.
-			r.gen, r.kind = rng.Uint64()%8, evTimeout
-			cal.scheduleGen(at, r.kind, 0, nil, 0, r.gen)
-		} else {
-			cal.schedule(at, r.kind, 0, nil, 0, nil)
-		}
+	}
+
+	// insert adds r to the sorted reference.
+	insert := func(r refEvent) {
 		i := sort.Search(len(ref), func(i int) bool { return refLess(r, ref[i]) })
 		ref = append(ref, refEvent{})
 		copy(ref[i+1:], ref[i:])
 		ref[i] = r
 	}
 
+	// pushGen schedules a gen-stamped event under a given seq, the path
+	// deadlines use (scheduleGen): the stamp must ride along unperturbed
+	// for staleness checks to work.
+	pushGen := func(r refEvent) {
+		cal.scheduleGen(r.time, r.seq, r.kind, 0, nil, r.gen)
+		for _, e := range cal.events {
+			if e.seq == r.seq {
+				scheduled[r.seq] = e
+			}
+		}
+		insert(r)
+	}
+
+	schedule := func() {
+		at := pickTime()
+		if rng.Uint64()%4 == 0 {
+			pushGen(refEvent{time: at, seq: cal.reserve(), gen: rng.Uint64() % 8, kind: evTimeout})
+			return
+		}
+		r := refEvent{time: at, seq: cal.seq, kind: evArrival}
+		scheduled[r.seq] = cal.schedule(at, r.kind, 0, nil, 0, nil)
+		insert(r)
+	}
+
+	// remove cancels a random live event in place, as preemption cancels a
+	// departure, and checks the event's recorded slot on the way.
+	remove := func() {
+		if len(ref) == 0 {
+			return
+		}
+		i := int(rng.Uint64() % uint64(len(ref)))
+		r := ref[i]
+		e := scheduled[r.seq]
+		if e.index < 0 || e.index >= len(cal.events) || cal.events[e.index] != e {
+			t.Fatalf("event seq=%d claims heap slot %d, which does not hold it", r.seq, e.index)
+		}
+		cal.cancel(e)
+		delete(scheduled, r.seq)
+		ref = append(ref[:i], ref[i+1:]...)
+	}
+
+	// reserve takes a seq now for an event due at a time chosen now, as
+	// armDeadline does; pushReserved later schedules one under that key,
+	// as a timeout FIFO does when the entry becomes its head. A
+	// reservation whose time the clock has passed is dropped unpushed, as
+	// the FIFO drops an entry whose attempt already ended.
+	reserve := func() {
+		reserved = append(reserved, refEvent{
+			time: pickTime(), seq: cal.reserve(), gen: rng.Uint64() % 8, kind: evTimeout,
+		})
+	}
+	pushReserved := func() {
+		if len(reserved) == 0 {
+			return
+		}
+		i := int(rng.Uint64() % uint64(len(reserved)))
+		r := reserved[i]
+		reserved = append(reserved[:i], reserved[i+1:]...)
+		if r.time >= cal.now {
+			pushGen(r)
+		}
+	}
+
 	for i := 0; i < ops; i++ {
-		switch op := rng.Uint64() % 10; {
-		case op < 5 || len(ref) == 0:
+		switch op := rng.Uint64() % 13; {
+		case op < 5:
 			schedule()
 		case op < 8:
 			popBoth()
-		default:
+		case op < 9:
 			// AdvanceTo-style drain: pop everything at or before a target
 			// time, exactly how the step engine and the shared-clock
 			// orchestrator consume the calendar.
@@ -120,6 +182,12 @@ func driveCalendarAgainstSorted(t *testing.T, seed uint64, ops int) {
 				}
 				popBoth()
 			}
+		case op < 10:
+			remove()
+		case op < 11:
+			reserve()
+		default:
+			pushReserved()
 		}
 	}
 	// Drain completely: the tail must match too.

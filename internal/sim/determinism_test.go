@@ -85,8 +85,8 @@ func TestPooledCalendarGoldenHash(t *testing.T) {
 		}
 
 		// Preemptive-resume under a DVFS controller: exercises the cancelled-
-		// run paths (preempt and retune both strand stale departure events
-		// whose runs are recycled on pop).
+		// run paths (preempt and retune both remove the departure from the
+		// heap in place and free its run at once).
 		pr := oneTier(2, 1, queueing.PreemptiveResume, classes, demands)
 		resPR, err := Run(pr, Options{
 			Horizon: 2000, Replications: 3, Seed: 7, Quantiles: quantiles,

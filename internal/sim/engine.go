@@ -21,15 +21,18 @@ const (
 type event struct {
 	time    float64
 	seq     uint64
+	index   int // position in the heap; meaningful only while scheduled
 	kind    eventKind
 	class   int
 	job     *job
 	station int
 	run     *serviceRun // for departures: the service run completing
-	// gen is a staleness stamp for timeout/retry events: the job's id at
-	// scheduling time. Jobs are pooled, so by the time such an event fires
-	// its *job may have been recycled; the handler compares gen against the
-	// job's current id and ignores the event on mismatch.
+	// gen is a staleness stamp for timeout/retry events: the job's id when
+	// the attempt was armed. Jobs are pooled, so by the time such an event
+	// fires its *job may have been recycled; the handler compares gen
+	// against the job's current id and ignores the event on mismatch. Only
+	// a timeout whose attempt ends after the event was scheduled (see
+	// timeoutEntry) can still reach its handler stale.
 	gen uint64
 }
 
@@ -50,26 +53,30 @@ func eventLess(a, b *event) bool {
 // boxes every Push/Pop operand through `any`, which heap-allocates one
 // escape per scheduled event. With concrete methods the sift loops stay
 // monomorphic and the calendar's steady state allocates nothing.
+//
+// Every event records its own slot (event.index), so a cancelled event can
+// be removed in place. The sifts move a hole rather than swapping: each
+// level writes one slot and one index, and the sifted event lands once.
 type eventHeap []*event
 
-func (h eventHeap) less(i, j int) bool {
-	return eventLess(h[i], h[j])
-}
-
-// up sifts the element at index i toward the root.
-func (h eventHeap) up(i int) {
+// up places e at the hole i and sifts it toward the root.
+func (h eventHeap) up(i int, e *event) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		p := h[parent]
+		if !eventLess(e, p) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = p
+		p.index = i
 		i = parent
 	}
+	h[i] = e
+	e.index = i
 }
 
-// down sifts the element at index i toward the leaves.
-func (h eventHeap) down(i int) {
+// down places e at the hole i and sifts it toward the leaves.
+func (h eventHeap) down(i int, e *event) {
 	n := len(h)
 	for {
 		l := 2*i + 1
@@ -77,21 +84,25 @@ func (h eventHeap) down(i int) {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && h.less(r, l) {
+		if r := l + 1; r < n && eventLess(h[r], h[l]) {
 			m = r
 		}
-		if !h.less(m, i) {
+		c := h[m]
+		if !eventLess(c, e) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = c
+		c.index = i
 		i = m
 	}
+	h[i] = e
+	e.index = i
 }
 
 // push inserts e; the caller has already assigned e.time and e.seq.
 func (h *eventHeap) push(e *event) {
 	*h = append(*h, e)
-	h.up(len(*h) - 1)
+	h.up(len(*h)-1, e)
 }
 
 // pop removes and returns the eventLess-minimum event, nil when empty.
@@ -102,17 +113,37 @@ func (h *eventHeap) pop() *event {
 	}
 	e := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s[n] = nil
 	*h = s[:n]
 	if n > 0 {
-		h.down(0)
+		s[:n].down(0, last)
 	}
 	return e
 }
 
+// remove deletes the scheduled event e from wherever it sits. The last
+// event fills the hole and sifts whichever way restores the heap order.
+func (h *eventHeap) remove(e *event) {
+	s := *h
+	i := e.index
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	s = s[:n]
+	*h = s
+	if i == n {
+		return
+	}
+	if i > 0 && eventLess(last, s[(i-1)/2]) {
+		s.up(i, last)
+	} else {
+		s.down(i, last)
+	}
+}
+
 // calendar wraps the event heap with a monotone clock, sequence numbering,
-// and an event free list. Popped events are recycled via recycle(), so once
+// and an event free list. Popped and cancelled events are recycled, so once
 // the heap and free list reach the replication's high-water mark the
 // calendar stops allocating: the live event set, not the event count, bounds
 // memory.
@@ -126,20 +157,23 @@ type calendar struct {
 // newCalendar builds an empty calendar.
 func newCalendar() *calendar { return &calendar{} }
 
-// schedule enqueues a pooled event at absolute time t. The fields not used
-// by the kind are zeroed.
-func (c *calendar) schedule(t float64, kind eventKind, class int, j *job, station int, run *serviceRun) {
+// schedule enqueues a pooled event at absolute time t and returns it, so a
+// departure's run can cancel it later. The fields not used by the kind are
+// zeroed.
+func (c *calendar) schedule(t float64, kind eventKind, class int, j *job, station int, run *serviceRun) *event {
 	e := c.alloc()
 	e.kind, e.class, e.job, e.station, e.run, e.gen = kind, class, j, station, run, 0
-	c.at(t, e)
+	c.atSeq(t, c.reserve(), e)
+	return e
 }
 
 // scheduleGen enqueues a pooled event carrying a generation stamp (see
-// event.gen) — the scheduling entry point for timeout and retry events.
-func (c *calendar) scheduleGen(t float64, kind eventKind, class int, j *job, station int, gen uint64) {
+// event.gen) under a sequence number taken earlier from reserve — the
+// scheduling entry point for timeout and retry events.
+func (c *calendar) scheduleGen(t float64, seq uint64, kind eventKind, class int, j *job, gen uint64) {
 	e := c.alloc()
-	e.kind, e.class, e.job, e.station, e.run, e.gen = kind, class, j, station, nil, gen
-	c.at(t, e)
+	e.kind, e.class, e.job, e.station, e.run, e.gen = kind, class, j, -1, nil, gen
+	c.atSeq(t, seq, e)
 }
 
 // alloc pops a recycled event or makes a fresh one.
@@ -152,12 +186,29 @@ func (c *calendar) alloc() *event {
 	return &event{}
 }
 
-// at schedules an event at absolute time t.
-func (c *calendar) at(t float64, e *event) {
-	e.time = t
-	e.seq = c.seq
+// reserve takes the next sequence number without scheduling anything. An
+// event pushed later under it (atSeq) sorts exactly as it would have,
+// had it been scheduled at the moment of reservation.
+func (c *calendar) reserve() uint64 {
+	seq := c.seq
 	c.seq++
+	return seq
+}
+
+// atSeq is the one scheduling path: it puts e on the heap at absolute time
+// t under seq, a number taken from reserve now or earlier. t must not
+// precede the clock.
+func (c *calendar) atSeq(t float64, seq uint64, e *event) {
+	e.time = t
+	e.seq = seq
 	c.events.push(e)
+}
+
+// cancel removes a scheduled event that will never fire and recycles it.
+// The caller must not retain the event.
+func (c *calendar) cancel(e *event) {
+	c.events.remove(e)
+	c.recycle(e)
 }
 
 // peekTime reports the earliest scheduled event time without popping the

@@ -151,11 +151,23 @@ func (o *Options) validateShedding(numClasses int) error {
 	return nil
 }
 
-// armDeadline schedules the timeout for the attempt class k's job starts at
-// time now. The event carries the job's id as a generation stamp: jobs are
-// pooled, so when the timeout fires the handler compares the stamp against
-// the job's current id and treats any mismatch (the attempt completed, the
-// job was recycled) as stale.
+// timeoutEntry is one armed deadline waiting in its class's FIFO: the
+// expiry, the calendar sequence number reserved when it was armed, and the
+// attempt's job with its id as a generation stamp (see event.gen).
+type timeoutEntry struct {
+	time float64
+	seq  uint64
+	job  *job
+	gen  uint64
+}
+
+// armDeadline arms the timeout for the attempt j starts at time now. Most
+// attempts finish before their deadline, so the timeout does not go on the
+// calendar: it joins its class's FIFO, and only the FIFO's head has an
+// event. A class has one constant deadline and the clock is monotone, so
+// the FIFO is already in (time, seq) order; its sequence number is
+// reserved now, so the head event sorts exactly where a timeout scheduled
+// at arming time would.
 func (s *simulator) armDeadline(j *job, now float64) {
 	if s.deadlines == nil {
 		return
@@ -164,7 +176,27 @@ func (s *simulator) armDeadline(j *job, now float64) {
 	if dc == nil {
 		return
 	}
-	s.cal.scheduleGen(now+dc.Deadline, evTimeout, j.class, j, -1, j.id)
+	q := &s.timeoutQ[j.class]
+	q.pushBack(timeoutEntry{time: now + dc.Deadline, seq: s.cal.reserve(), job: j, gen: j.id})
+	if q.len() == 1 {
+		s.scheduleTimeoutHead(j.class)
+	}
+}
+
+// scheduleTimeoutHead drops class k's armed timeouts whose attempt has
+// already ended — the job's id no longer matches the stamp — and puts the
+// first live one on the calendar under its reserved key.
+func (s *simulator) scheduleTimeoutHead(k int) {
+	q := &s.timeoutQ[k]
+	for q.len() > 0 {
+		h := q.front()
+		if h.job.id == h.gen {
+			s.cal.scheduleGen(h.time, h.seq, evTimeout, k, h.job, h.gen)
+			return
+		}
+		s.elide(h.time)
+		q.popFront()
+	}
 }
 
 // handleBreakdown processes one breakdown CANDIDATE at a station. Candidates
@@ -194,13 +226,14 @@ func (s *simulator) handleBreakdown(e *event) {
 		// The victim's interruption is a preemption from the job's point of
 		// view: work stops with work remaining.
 		s.emit(tkVictim, now, run.job.class, run.job.id, st.idx, 0)
-		run.cancelled = true
+		s.cancelDeparture(run)
 		st.bankSegment(run, now)
 		if run.job.remaining < 1e-12 {
 			run.job.remaining = 1e-12 // numerically vanished; finishes immediately on resume
 		}
 		st.dropRun(run)
 		st.requeueFront(run.job)
+		s.freeRun(run)
 	}
 	st.observeBusy(now) // capacity and power both stepped
 	s.cal.schedule(now+rng.Exp(1/fc.MTTR), evRepair, 0, nil, st.idx, nil)
@@ -225,19 +258,23 @@ func (s *simulator) handleRepair(e *event) {
 // wherever it is — its waiting line, or mid-service (fail-stop on the
 // request side: the partial work is discarded with the attempt) — and either
 // re-enters from the start of its route after a backoff, or abandons once
-// its retry budget is spent.
+// its retry budget is spent. The event is its class FIFO's head, so the
+// FIFO advances first.
 func (s *simulator) handleTimeout(e *event) {
+	s.timeoutQ[e.class].popFront()
+	s.scheduleTimeoutHead(e.class)
 	j := e.job
-	if j == nil || j.id == 0 || j.id != e.gen {
-		return // stale: the attempt completed (or the job was recycled) first
+	if j.id != e.gen {
+		return // stale: the attempt ended after this head was scheduled
 	}
 	now := s.cal.now
 	st := s.stations[j.cur]
 	freedServer := false
 	if run := st.runOf(j); run != nil {
-		run.cancelled = true
+		s.cancelDeparture(run)
 		st.bankSegment(run, now) // energy already spent is spent
 		st.dropRun(run)
+		s.freeRun(run)
 		st.observeBusy(now)
 		freedServer = true
 	} else if !st.removeWaiting(j) {
@@ -263,7 +300,7 @@ func (s *simulator) handleTimeout(e *event) {
 			mean := dc.RetryBackoff * float64(uint64(1)<<uint(j.attempts-1))
 			backoff = s.retryRNG[j.class].Exp(1 / mean)
 		}
-		s.cal.scheduleGen(now+backoff, evRetry, j.class, j, -1, j.id)
+		s.cal.scheduleGen(now+backoff, s.cal.reserve(), evRetry, j.class, j, j.id)
 	} else {
 		s.emit(tkAbandon, now, j.class, j.id, -1, now-j.arrival)
 		if post {
@@ -284,7 +321,7 @@ func (s *simulator) handleTimeout(e *event) {
 // attempt.
 func (s *simulator) handleRetry(e *event) {
 	j := e.job
-	if j == nil || j.id == 0 || j.id != e.gen {
+	if j.id != e.gen {
 		return // defensive; retry events have no legitimate stale path
 	}
 	now := s.cal.now

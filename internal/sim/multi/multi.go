@@ -182,8 +182,9 @@ func (o *Orchestrator) Run() {
 }
 
 // Now is the shared clock: the latest event time any replica has committed
-// to (0 before the first step). Individual replicas may lag when their
-// calendars go quiet; read Replication(i).Now() for a replica-local clock.
+// to (0 before the first step), not counting dead events taken off the
+// replicas' calendars (see sim.Replication.Now). Individual replicas may lag when their calendars go
+// quiet; read Replication(i).Now() for a replica-local clock.
 func (o *Orchestrator) Now() float64 {
 	now := 0.0
 	for _, rep := range o.reps {

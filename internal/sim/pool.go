@@ -16,21 +16,26 @@ package sim
 //
 // Lifetime invariants (what makes recycling sound):
 //
-//   - event: owned by the calendar from schedule() until next() pops it;
-//     the run loop recycles it after the handler returns. Handlers never
-//     retain events.
-//   - serviceRun: exactly one departure event references each run. A run
-//     is recycled exactly when that event is handled — the normal path
-//     after bankSegment/dropRun, the cancelled (stale) path immediately —
-//     so no calendar event can ever reference a reused run.
+//   - event: owned by the calendar from schedule() until next() pops it or
+//     cancel() removes it. A popped event is recycled by the run loop after
+//     the handler returns, a cancelled one at once. Handlers never retain
+//     events; a service run's dep is the only stored reference, and it is
+//     read only while the run is in service.
+//   - serviceRun: exactly one departure event references each run, and the
+//     run references it back (dep). A run is freed exactly once: when its
+//     departure is handled (after bankSegment/dropRun), or when it is
+//     cancelled — preemption, a breakdown victim, a retune, or a timeout in
+//     service — which removes the departure from the heap in the same step.
+//     No event ever references a cancelled run, so none can reference a
+//     reused one.
 //   - job: recycled when the job leaves the system (exit, abandonment, or a
-//     numerically empty routing entry row). Stale cancelled departure events
-//     may still hold a *job pointer then, but their handler reads only
-//     run.cancelled and returns, so the pointer is never dereferenced.
-//     Timeout/retry events DO dereference their *job, so they carry the
+//     numerically empty routing entry row). No departure outlives its job.
+//     Armed timeouts (the per-class FIFOs' entries and each FIFO's one head
+//     event) can, and so can retry events in principle, so they carry the
 //     job's id as a generation stamp (event.gen); freeJob zeroes the id,
 //     and allocJob hands out a fresh one, so a stale stamp never matches
-//     and the handler bails before touching recycled state.
+//     and the entry is dropped, or the handler bails, before touching
+//     recycled state.
 
 // allocJob returns a zeroed job, reusing a recycled one when available.
 func (s *simulator) allocJob() *job {
@@ -64,5 +69,6 @@ func (s *simulator) allocRun() *serviceRun {
 	return &serviceRun{}
 }
 
-// freeRun recycles a run whose departure event has been handled.
+// freeRun recycles a run whose departure event has been handled or
+// cancelled.
 func (s *simulator) freeRun(r *serviceRun) { s.runFree = append(s.runFree, r) }

@@ -75,7 +75,7 @@ func TestSleepAndTablePowerGoldenHash(t *testing.T) {
 			golden: "ed9f5da11180b31b23955c4a149cc8eadb512faa227ff652d079ce9c4851806f",
 		},
 		{
-			// Always-on, preemptive-resume: retunes strand departures whose
+			// Always-on, preemptive-resume: retunes cancel departures whose
 			// segments are banked at the Table tier's interpolated levels.
 			name:   "table",
 			disc:   queueing.PreemptiveResume,

@@ -138,29 +138,51 @@ func TestTierStatsMatchEndToEnd(t *testing.T) {
 // allocation per event. The pre-pooling loop allocated ~3 objects per event
 // and blows this bound by two orders of magnitude.
 func TestSteadyStateAllocationsBounded(t *testing.T) {
-	c := regressionCluster()
-	// The subtest is named after the one calendar, the binary heap.
+	// The first subtest is named after the one calendar, the binary heap.
 	t.Run("heap", func(t *testing.T) {
-		o := Options{Horizon: 15000, Warmup: 100, Replications: 1, Seed: 5}
-		if err := o.defaults(); err != nil {
+		assertSetupOnlyAllocs(t, regressionCluster(),
+			Options{Horizon: 15000, Warmup: 100, Replications: 1, Seed: 5})
+	})
+	// Preemption, breakdowns and deadlines with retries: cancelled
+	// departures leave the heap in place and timeouts wait in per-class
+	// FIFOs, and both must reach a high-water mark and stop allocating.
+	t.Run("preempt-breakdown-deadline", func(t *testing.T) {
+		c := oneTier(2, 1, queueing.PreemptiveResume,
+			[]cluster.Class{{Name: "hi", Lambda: 0.5}, {Name: "lo", Lambda: 0.7}},
+			[]queueing.Demand{{Work: 1, CV2: 1}, {Work: 1, CV2: 2}})
+		assertSetupOnlyAllocs(t, c, Options{
+			Horizon: 15000, Warmup: 100, Replications: 1, Seed: 5,
+			Failures: []*FailureConfig{{MTBF: 200, MTTR: 10}},
+			Deadlines: []*DeadlineConfig{
+				{Deadline: 6, MaxRetries: 1, RetryBackoff: 1},
+				{Deadline: 8, MaxRetries: 2, RetryBackoff: 1},
+			},
+		})
+	})
+}
+
+// assertSetupOnlyAllocs runs one full replication and fails when it made
+// more allocations than setup and the free lists' high-water marks need.
+func assertSetupOnlyAllocs(t *testing.T, c *cluster.Cluster, o Options) {
+	t.Helper()
+	if err := o.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		s, err := newSimulator(c, o, o.Seed, false)
+		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(3, func() {
-			s, err := newSimulator(c, o, o.Seed, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.run()
-			if s.summarize().completed[0] == 0 {
-				t.Fatal("replication produced no completions")
-			}
-		})
-		// Generous ceiling over the measured ~300 setup allocations; one
-		// allocation per event would be ~40000.
-		if allocs > 2000 {
-			t.Errorf("full replication made %.0f allocations, want setup-only (<2000)", allocs)
+		s.run()
+		if s.summarize().completed[0] == 0 {
+			t.Fatal("replication produced no completions")
 		}
 	})
+	// Generous ceiling over the measured ~300 setup allocations; one
+	// allocation per event would be ~40000.
+	if allocs > 2000 {
+		t.Errorf("full replication made %.0f allocations, want setup-only (<2000)", allocs)
+	}
 }
 
 // TestConfidenceDefaults pins the fix for silently rewritten confidence

@@ -483,15 +483,20 @@ func aggregate(c *cluster.Cluster, o Options, reps []repOutput) *Result {
 
 // summarize reduces one replication's raw collectors to scalars.
 func (s *simulator) summarize() repOutput {
-	// Degenerate light-traffic runs can finish with no event ever landing in
-	// [warmup, horizon): the event-driven reset never fires and the
-	// time-weighted busy/power statistics would silently include the
-	// transient. Finalize from the clock instead — the reset lands at the
-	// warmup boundary, the latest point the first in-window event could not
-	// have preceded. A no-op on every non-degenerate run, where the first
-	// post-warmup event already flipped warmupDone.
+	// Degenerate light-traffic runs can finish with no live event ever
+	// landing in [warmup, horizon]: the event-driven reset never fires and
+	// the time-weighted busy/power statistics would silently include the
+	// transient. Finalize from the clock instead. The reset lands on the
+	// first dead event that was due in that window (see elidedAt), else at
+	// the warmup boundary, the latest point the first in-window event could
+	// not have preceded. A no-op on every non-degenerate run, where the
+	// first post-warmup event already flipped warmupDone.
 	if !s.warmupDone {
-		s.endWarmup(s.warmup)
+		at := s.warmup
+		if s.elidedAt <= s.horizon {
+			at = s.elidedAt
+		}
+		s.endWarmup(at)
 	}
 	k := len(s.c.Classes)
 	out := repOutput{

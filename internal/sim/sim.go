@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"clusterq/internal/cluster"
 	"clusterq/internal/obs"
 	"clusterq/internal/queueing"
@@ -21,6 +23,12 @@ type simulator struct {
 	horizon    float64
 	warmupDone bool
 	jobSeq     uint64
+	// elidedAt is the earliest due time, at or after the warmup, of a dead
+	// event (a cancelled departure or a timeout whose attempt ended) taken
+	// off the calendar unpopped before warmupDone; +Inf when none. The
+	// warmup reset lands on the first event due at or after the boundary,
+	// dead or live, so it resets at elidedAt when that comes first.
+	elidedAt float64
 
 	// Dynamic power management extension: per-class arrival profiles
 	// (constant when absent) and an optional runtime controller. A
@@ -39,12 +47,13 @@ type simulator struct {
 
 	// Failure extension (nil/zero unless the corresponding option is set):
 	// per-tier breakdown configs and RNG streams, per-class deadline
-	// configs and retry-backoff streams, the shedding config with its
-	// resolved hysteresis/cap, the current shed level, and the per-class
-	// degraded-mode counters (post-warmup arrivals only).
+	// configs, armed-timeout FIFOs and retry-backoff streams, the shedding
+	// config with its resolved hysteresis/cap, the current shed level, and
+	// the per-class degraded-mode counters (post-warmup arrivals only).
 	failures    []*FailureConfig
 	failRNG     []*RNG
 	deadlines   []*DeadlineConfig
+	timeoutQ    []deque[timeoutEntry]
 	retryRNG    []*RNG
 	shedCfg     *SheddingConfig
 	shedResume  float64
@@ -87,6 +96,7 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 		cal:            newCalendar(),
 		warmup:         o.Warmup,
 		warmupDone:     o.Warmup <= 0, // explicit zero warmup: never reset, measure from t=0
+		elidedAt:       math.Inf(1),
 		horizon:        o.Horizon,
 		routes:         make([][]int, len(c.Classes)),
 		quantiles:      o.Quantiles,
@@ -184,6 +194,7 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 	}
 	if o.Deadlines != nil {
 		s.deadlines = o.Deadlines
+		s.timeoutQ = make([]deque[timeoutEntry], len(c.Classes))
 		for range c.Classes {
 			s.retryRNG = append(s.retryRNG, root.Split())
 		}
@@ -265,7 +276,7 @@ func (s *simulator) processNextEvent() bool {
 	}
 	e := s.cal.next()
 	if !s.warmupDone && e.time >= s.warmup {
-		s.endWarmup(e.time)
+		s.endWarmup(math.Min(e.time, s.elidedAt))
 	}
 	switch e.kind {
 	case evArrival:
@@ -298,6 +309,14 @@ func (s *simulator) processNextEvent() bool {
 // run executes the replication to the horizon.
 func (s *simulator) run() {
 	for s.processNextEvent() {
+	}
+}
+
+// elide notes that a dead event due at t has been taken off the calendar
+// unpopped (see elidedAt).
+func (s *simulator) elide(t float64) {
+	if !s.warmupDone && t >= s.warmup && t < s.elidedAt {
+		s.elidedAt = t
 	}
 }
 
@@ -425,7 +444,7 @@ func (s *simulator) setSpeed(st *simStation, now, speed float64) {
 	// Bank all segments at the old speed before switching.
 	for _, run := range old {
 		st.bankSegment(run, now)
-		run.cancelled = true
+		s.cancelDeparture(run)
 	}
 	st.setLevels(speed)
 	// Swap in the scratch backing array instead of allocating a fresh
@@ -439,7 +458,12 @@ func (s *simulator) setSpeed(st *simStation, now, speed float64) {
 		if rem < 1e-12 {
 			rem = 1e-12
 		}
-		s.cal.schedule(now+rem/speed, evDeparture, 0, run.job, st.idx, nr)
+		nr.dep = s.cal.schedule(now+rem/speed, evDeparture, 0, run.job, st.idx, nr)
+	}
+	// Free the old runs only now: allocRun zeroes a reused run, and the
+	// loop above still read each old run's job.
+	for _, run := range old {
+		s.freeRun(run)
 	}
 	st.runScratch = old[:0]
 	st.observeBusy(now) // record the new power level
@@ -483,11 +507,18 @@ func (s *simulator) arriveAtStation(st *simStation, j *job, now float64) {
 	st.enqueue(j, now)
 }
 
+// cancelDeparture takes a run's pending departure off the calendar. The
+// caller frees the run once it has finished reading it.
+func (s *simulator) cancelDeparture(run *serviceRun) {
+	s.elide(run.dep.time)
+	s.cal.cancel(run.dep)
+}
+
 // preempt stops a running service, banks the finished work segment, and
 // requeues the job at the head of its class line.
 func (s *simulator) preempt(st *simStation, run *serviceRun, now float64) {
 	s.emit(tkPreempt, now, run.job.class, run.job.id, st.idx, 0)
-	run.cancelled = true
+	s.cancelDeparture(run)
 	st.bankSegment(run, now)
 	if run.job.remaining < 1e-12 {
 		run.job.remaining = 1e-12 // numerically vanished; finishes immediately on resume
@@ -495,6 +526,7 @@ func (s *simulator) preempt(st *simStation, run *serviceRun, now float64) {
 	st.dropRun(run)
 	st.observeBusy(now)
 	st.requeueFront(run.job)
+	s.freeRun(run)
 }
 
 func (s *simulator) startService(st *simStation, j *job, now float64) {
@@ -503,16 +535,10 @@ func (s *simulator) startService(st *simStation, j *job, now float64) {
 	run.job, run.start = j, now
 	st.running = append(st.running, run)
 	st.observeBusy(now)
-	s.cal.schedule(now+j.remaining/st.speed, evDeparture, 0, j, st.idx, run)
+	run.dep = s.cal.schedule(now+j.remaining/st.speed, evDeparture, 0, j, st.idx, run)
 }
 
 func (s *simulator) handleDeparture(e *event) {
-	if e.run.cancelled {
-		// The stale event was the last reference to the cancelled run
-		// (preempt/setSpeed dropped it from the running set): recycle it.
-		s.freeRun(e.run)
-		return
-	}
 	now := s.cal.now
 	st := s.stations[e.station]
 	j := e.job

@@ -23,9 +23,9 @@ type job struct {
 
 // serviceRun is one (possibly preempted) service occupancy of a server.
 type serviceRun struct {
-	job       *job
-	start     float64 // when this run started
-	cancelled bool    // the departure event is stale (preempted)
+	job   *job
+	start float64 // when this run started
+	dep   *event  // the scheduled departure that completes the run
 }
 
 // simStation is the runtime state of one tier.

@@ -60,7 +60,11 @@ func (r *Replication) HasPendingEvents() bool {
 // PeekNextEventTime returns the earliest scheduled event time without
 // advancing the clock; ok is false when the calendar is empty. The returned
 // time may exceed the horizon — such an event will never be processed, and
-// HasPendingEvents is already false.
+// HasPendingEvents is already false. Dead events are mostly not on the
+// calendar: a departure cancelled by preemption, a breakdown, a retune or a
+// timeout is removed when it is cancelled, and a timeout whose attempt has
+// ended is dropped before it is scheduled. Only a timeout whose attempt
+// ends after it was scheduled is still popped, and does nothing.
 func (r *Replication) PeekNextEventTime() (float64, bool) {
 	return r.s.cal.peekTime()
 }
@@ -76,7 +80,8 @@ func (r *Replication) ProcessNextEvent() bool {
 }
 
 // AdvanceTo processes every event scheduled at or before min(t, horizon), in
-// order, and returns how many it processed. The clock never exceeds the
+// order, and returns how many it processed; like PeekNextEventTime, it does
+// not see dead events taken off the calendar. The clock never exceeds the
 // horizon regardless of t.
 func (r *Replication) AdvanceTo(t float64) int {
 	n := 0
@@ -97,7 +102,8 @@ func (r *Replication) Run() {
 }
 
 // Now is the current simulated time: the time of the last processed event
-// (0 before the first step). It never exceeds the horizon.
+// (0 before the first step). It never exceeds the horizon. Dead events taken
+// off the calendar are never processed, so Now does not move to their times.
 func (r *Replication) Now() float64 { return r.s.cal.now }
 
 // Horizon is the replication's simulated end time.
