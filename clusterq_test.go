@@ -16,7 +16,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal("scenario unstable")
 	}
 
-	sol, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: m.WeightedDelay * 1.5, Starts: 2})
+	sol, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: m.WeightedDelay * 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,6 @@ func TestFacadeExtensions(t *testing.T) {
 	// Tail optimization.
 	tail, err := MinimizeEnergyTail(c, TailOptions{
 		Bounds: []TailBound{{}, {}, {Delay: m.Delay[2] * 4, Percentile: 0.9}},
-		Starts: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,6 +42,11 @@ func (s SLA) HasPercentileBound() bool {
 
 // Validate checks the SLA's internal consistency.
 func (s SLA) Validate() error {
+	for _, v := range [...]float64{s.MaxMeanDelay, s.PercentileDelay, s.Percentile} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("cluster: SLA bound %g is not a finite number", v)
+		}
+	}
 	if s.MaxMeanDelay < 0 || s.PercentileDelay < 0 || s.PricePerRequest < 0 {
 		return fmt.Errorf("cluster: negative SLA field")
 	}
@@ -309,7 +314,7 @@ func (c *Cluster) SpeedBounds() (lo, hi []float64) {
 	for i, t := range c.Tiers {
 		// MinSpeedForStability is in station-speed units; the station runs at
 		// Speed·A, so the tier's nominal speed must clear stab/A.
-		stab := net.Stations[i].MinSpeedForStability(perTierArrivals(c, i, lam)) /
+		stab := net.Stations[i].MinSpeedForStability(TierArrivals(c, i, lam)) /
 			t.EffectiveAvailability()
 		lo[i] = t.MinSpeed
 		if lo[i] < stab*1.001 {
@@ -326,9 +331,9 @@ func (c *Cluster) SpeedBounds() (lo, hi []float64) {
 	return lo, hi
 }
 
-// perTierArrivals returns the per-class arrival vector tier j sees given the
+// TierArrivals returns the per-class arrival vector tier j sees given the
 // external rates: λ_k times class k's expected visits to tier j.
-func perTierArrivals(c *Cluster, j int, lam []float64) []float64 {
+func TierArrivals(c *Cluster, j int, lam []float64) []float64 {
 	at := make([]float64, len(lam))
 	for k := range c.Classes {
 		at[k] = lam[k] * c.VisitRates(k)[j]

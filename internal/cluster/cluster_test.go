@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"clusterq/internal/power"
@@ -97,6 +98,31 @@ func TestSLAValidation(t *testing.T) {
 	none := SLA{}
 	if none.HasMeanBound() || none.HasPercentileBound() {
 		t.Error("empty SLA claims bounds")
+	}
+}
+
+// TestSLAValidateRejectsNonFinite: a NaN or infinite bound must fail
+// validation. A NaN mean bound used to pass and read as "no bound"; a +Inf
+// one passed and let the cost planner size a fleet against nothing.
+func TestSLAValidateRejectsNonFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, sla := range []SLA{
+		{MaxMeanDelay: nan},
+		{MaxMeanDelay: inf},
+		{MaxMeanDelay: -inf},
+		{PercentileDelay: nan, Percentile: 0.95},
+		{PercentileDelay: inf, Percentile: 0.95},
+		{PercentileDelay: -inf, Percentile: 0.95},
+		{PercentileDelay: 2, Percentile: nan},
+	} {
+		if err := sla.Validate(); err == nil {
+			t.Errorf("%+v: accepted", sla)
+		}
+		c := testCluster()
+		c.Classes[1].SLA = sla
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "class 1 ") {
+			t.Errorf("%+v: cluster validation gave %v, want an error naming class 1", sla, err)
+		}
 	}
 }
 

@@ -82,7 +82,7 @@ func Evaluate(c *Cluster) (*Metrics, error) {
 		// the raw operating speed; failed servers draw nothing, so the static
 		// floor also shrinks by A.
 		a := t.EffectiveAvailability()
-		rho := net.Stations[j].Utilization(perTierArrivals(c, j, lam))
+		rho := net.Stations[j].Utilization(TierArrivals(c, j, lam))
 		br := power.StationBreakdown(t.Power, t.Speed, t.Servers, rho*a)
 		br.Static *= a
 		m.Tiers[j] = TierMetrics{Name: t.Name, Utilization: rho, Power: br}
@@ -114,8 +114,8 @@ func Evaluate(c *Cluster) (*Metrics, error) {
 
 // DelayQuantile approximates the p-quantile of class k's end-to-end delay
 // from the evaluated per-station means, via the hypoexponential stage
-// approximation. It must be called with the Metrics produced by Evaluate on
-// the same cluster.
+// approximation (DelayQuantileAt). It must be called with the Metrics
+// produced by Evaluate on the same cluster.
 func DelayQuantile(c *Cluster, m *Metrics, k int, p float64) (float64, error) {
 	if m.Breakdown == nil {
 		return 0, fmt.Errorf("cluster: metrics carry no breakdown")
@@ -123,26 +123,60 @@ func DelayQuantile(c *Cluster, m *Metrics, k int, p float64) (float64, error) {
 	if k < 0 || k >= len(c.Classes) {
 		return 0, fmt.Errorf("cluster: class index %d out of range", k)
 	}
-	// Stage means: one exponential stage per expected visit. Deterministic
-	// routes contribute one stage per visit; probabilistic routings use
-	// each tier's expected total contribution v_j·T_j as a single stage —
-	// a coarser approximation (the visit count is itself random), which is
-	// why percentile SLAs under routing chains deserve the simulator
-	// cross-check.
-	var means []float64
+	return DelayQuantileAt(c, k, m.Breakdown.PerStation[k], p, nil)
+}
+
+// DelayQuantileAt returns the p-quantile of class k's end-to-end delay given
+// its mean response time per visit at every tier, resp[j], under the
+// hypoexponential stage approximation. Deterministic routes contribute one
+// exponential stage per visit; a probabilistic routing contributes each
+// visited tier's expected total v_j·resp[j] as a single stage — a coarser
+// approximation (the visit count is itself random), which is why percentile
+// SLAs under routing chains deserve the simulator cross-check. A non-nil
+// grad receives ∂Q/∂resp[j] for every tier, by central differences
+// 1e-6·resp[j] wide; it is 0 at tiers the class does not visit and
+// everywhere when the quantile is +Inf. Routes do not depend on speeds, so c
+// may be any cluster with class k's routing.
+func DelayQuantileAt(c *Cluster, k int, resp []float64, p float64, grad []float64) (float64, error) {
+	var tiers []int
+	var mult []float64
 	if c.Routing != nil && k < len(c.Routing) && c.Routing[k] != nil {
 		for j, visits := range c.VisitRates(k) {
 			if visits > 0 {
-				means = append(means, visits*m.Breakdown.PerStation[k][j])
+				tiers, mult = append(tiers, j), append(mult, visits)
 			}
 		}
 	} else {
-		route := c.Route(k)
-		for _, j := range route {
-			means = append(means, m.Breakdown.PerStation[k][j])
+		for _, j := range c.Route(k) {
+			tiers, mult = append(tiers, j), append(mult, 1)
 		}
 	}
-	return queueing.EndToEndQuantile(means, p)
+	means := make([]float64, len(tiers))
+	quantile := func(r []float64) (float64, error) {
+		for i, j := range tiers {
+			means[i] = mult[i] * r[j]
+		}
+		return queueing.EndToEndQuantile(means, p)
+	}
+	clear(grad)
+	q, err := quantile(resp)
+	if grad == nil || err != nil || math.IsInf(q, 1) {
+		return q, err
+	}
+	r := append([]float64(nil), resp...)
+	for _, j := range tiers {
+		if grad[j] != 0 {
+			continue // a repeat visit; the tier is done
+		}
+		h := 1e-6 * resp[j]
+		r[j] = resp[j] + h
+		up, _ := quantile(r)
+		r[j] = resp[j] - h
+		down, _ := quantile(r)
+		r[j] = resp[j]
+		grad[j] = (up - down) / (2 * h)
+	}
+	return q, nil
 }
 
 // SLAReport records, per class, whether each SLA guarantee holds under the

@@ -18,7 +18,7 @@
 //
 // Determinism: decisions are pure functions of the observation stream and
 // the configuration. The package draws no randomness and reads no clocks —
-// the solvers' multi-start is a deterministic lattice — and it is inside the
+// the solvers are deterministic too — and it is inside the
 // simdeterm and rngstream lint scopes to keep it that way, so a simulation
 // driven by this controller is bit-reproducible from its seed.
 package control
@@ -95,10 +95,8 @@ type Config struct {
 	// underestimate. Default 0.15; any negative value means an explicit
 	// zero margin (the negative-sentinel convention again).
 	Margin float64
-	// Starts and AugLag configure CostServers' augmented-Lagrangian speed
-	// tuning, which runs only when some class carries a percentile bound
-	// (core.CostOptions). Every other re-solve is an exact dual
-	// decomposition and ignores both.
+	// Starts and AugLag are ignored; removed with the benchmark change of
+	// ROADMAP item 1.
 	Starts int
 	AugLag opt.AugLagOptions
 }
@@ -142,7 +140,7 @@ func New(c *cluster.Cluster, cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	switch cfg.Objective {
-	case EnergySLA:
+	case EnergySLA, CostServers:
 		any := false
 		for _, cl := range c.Classes {
 			if cl.SLA.HasMeanBound() {
@@ -159,16 +157,6 @@ func New(c *cluster.Cluster, cfg Config) (*Controller, error) {
 	case DelayBudget:
 		if !(cfg.PowerBudget > 0) {
 			return nil, fmt.Errorf("control: objective %v needs PowerBudget > 0, got %g", cfg.Objective, cfg.PowerBudget)
-		}
-	case CostServers:
-		any := false
-		for _, cl := range c.Classes {
-			if cl.SLA.HasMeanBound() {
-				any = true
-			}
-		}
-		if !any {
-			return nil, fmt.Errorf("control: objective %v needs at least one class with an SLA mean-delay bound", cfg.Objective)
 		}
 	default:
 		return nil, fmt.Errorf("control: unknown objective %v", cfg.Objective)
@@ -355,9 +343,7 @@ func (a *Controller) solve(factor float64) (sim.PlanDecision, bool) {
 	case DelayBudget:
 		sol, err = core.MinimizeDelay(c, core.DelayOptions{EnergyBudget: a.cfg.PowerBudget})
 	case CostServers:
-		sol, err = core.MinimizeCost(c, core.CostOptions{
-			Starts: a.cfg.Starts, AugLag: a.cfg.AugLag,
-		})
+		sol, err = core.MinimizeCost(c, core.CostOptions{})
 	}
 	if err != nil || sol == nil {
 		return sim.PlanDecision{}, false

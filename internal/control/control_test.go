@@ -94,7 +94,7 @@ func TestEWMASkipsNonEstimates(t *testing.T) {
 // the zero decision (hold) without re-solving.
 func TestDeadbandHoldsQuietEstimates(t *testing.T) {
 	c := workload.Enterprise3Tier(1)
-	a, err := New(c, Config{Deadband: 0.1, Starts: 1})
+	a, err := New(c, Config{Deadband: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDeadbandHoldsQuietEstimates(t *testing.T) {
 // even while the arrival-rate estimates sit exactly on the anchor.
 func TestBacklogBoostBreaksHold(t *testing.T) {
 	c := workload.Enterprise3Tier(1)
-	a, err := New(c, Config{Deadband: 0.1, Starts: 1})
+	a, err := New(c, Config{Deadband: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestBacklogBoostBreaksHold(t *testing.T) {
 // (every tier at its speed ceiling) rather than an error or a stale plan.
 func TestInfeasibleLoadFallsBack(t *testing.T) {
 	c := workload.Enterprise3Tier(1)
-	a, err := New(c, Config{Starts: 1})
+	a, err := New(c, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

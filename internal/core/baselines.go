@@ -134,7 +134,7 @@ func ProportionalCostBaseline(c *cluster.Cluster, maxServersPerTier int) (*Solut
 	_, hi := work.SpeedBounds()
 	loads := make([]float64, len(work.Tiers))
 	for j, t := range work.Tiers {
-		at := perTierArrivalsOf(work, j)
+		at := cluster.TierArrivals(work, j, work.Lambdas())
 		var w float64
 		for k, d := range t.Demands {
 			w += at[k] * d.Work

@@ -11,12 +11,13 @@
 //     percentile end-to-end delay — is guaranteed, choosing both integer
 //     server counts and tier speeds.
 //
-// Every mean-delay problem — C2, C3a, C3b and C4's speed tuning under mean
-// SLAs — is separable across tiers and is solved exactly by Lagrangian dual
-// decomposition (decomposed.go): one projected Newton ascent on one
-// multiplier per constraint serves them all. Percentile bounds are not
-// separable; they go to a multi-start augmented Lagrangian
-// (MinimizeEnergyTail, and C4's tuning when a class carries one).
+// Every problem — C2, C3a, C3b, MinimizeEnergyTail and C4's speed tuning —
+// is solved by one Lagrangian dual decomposition engine (decomposed.go): one
+// projected Newton ascent on one multiplier per constraint serves them all.
+// Mean delays are separable across tiers and solved exactly. A percentile
+// bound is not; it enters as a tail row linearized in the class's per-tier
+// response times and re-linearized at every iterate, whose fixed point is
+// the tail problem's own optimum.
 //
 // All solvers operate on a clone of the input cluster; the input is never
 // mutated. Baseline allocators (uniform, load-proportional) used in the
@@ -50,8 +51,8 @@ type Solution struct {
 	// bound. Passed back as EnergyOptions.WarmStart it starts the next
 	// solve of a nearby problem close to its answer. MinimizeDelay and
 	// MinimizeEnergy report their one constraint's multiplier, the marginal
-	// objective per unit of relative budget or bound. Nil for the other
-	// solvers.
+	// objective per unit of relative budget or bound; MinimizeEnergyTail
+	// reports K zeros, then class k's tail row at index K+k. Nil otherwise.
 	Multipliers []float64
 }
 

@@ -136,7 +136,7 @@ func TestMinimizeDelayBeatsUniformBaseline(t *testing.T) {
 
 func TestMinimizeEnergyMeetsBound(t *testing.T) {
 	c := symCluster(3, 2, 0.7)
-	sol, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: 3, Starts: 2})
+	sol, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMinimizeEnergyMonotoneInBound(t *testing.T) {
 	c := symCluster(2, 2, 0.6)
 	prev := 0.0
 	for _, bound := range []float64{8, 4, 2, 1} { // tighter bounds
-		sol, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: bound, Starts: 2})
+		sol, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: bound})
 		if err != nil {
 			t.Fatalf("bound %g: %v", bound, err)
 		}
@@ -167,7 +167,7 @@ func TestMinimizeEnergyBoundIsActive(t *testing.T) {
 	// The optimum runs as slowly as allowed: the delay bound should be
 	// (close to) tight unless the speed floor interferes.
 	c := symCluster(3, 1, 0.8)
-	sol, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: 4, Starts: 3})
+	sol, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestMinimizeEnergyBeatsUniformBaseline(t *testing.T) {
 	c.Tiers[2].MaxSpeed = 24
 
 	bound := 5.0
-	optSol, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: bound, Starts: 4})
+	optSol, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: bound})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestMinimizeEnergyBeatsUniformBaseline(t *testing.T) {
 func TestMinimizeEnergyPerClass(t *testing.T) {
 	c := symCluster(3, 3, 0.4)
 	bounds := []float64{2, 4, 8}
-	sol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: bounds, Starts: 2})
+	sol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: bounds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestMinimizeEnergyPerClassUnboundedEntries(t *testing.T) {
 	c := symCluster(2, 3, 0.4)
 	// Only the lowest class is bounded.
 	bounds := []float64{0, 0, 3}
-	sol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: bounds, Starts: 2})
+	sol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: bounds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +257,11 @@ func TestTightLowPriorityBoundCostsMoreEnergy(t *testing.T) {
 	c := symCluster(2, 2, 0.5)
 	loose := 8.0
 	tight := 1.6
-	solLowTight, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: []float64{loose, tight}, Starts: 3})
+	solLowTight, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: []float64{loose, tight}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	solHighTight, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: []float64{tight, loose}, Starts: 3})
+	solHighTight, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: []float64{tight, loose}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestTightLowPriorityBoundCostsMoreEnergy(t *testing.T) {
 func TestBindingClasses(t *testing.T) {
 	c := symCluster(2, 2, 0.5)
 	bounds := []float64{100, 2} // only the low class can bind
-	sol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: bounds, Starts: 2})
+	sol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: bounds})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,12 +37,6 @@ type CostOptions struct {
 	// over server counts (with speed re-tuning per candidate) explores it.
 	// Implies speed tuning regardless of SkipSpeedTuning.
 	EnergyPrice float64
-	// Starts (default 3) and AugLag configure the augmented-Lagrangian
-	// speed tuning used when some class carries a percentile bound. With
-	// mean bounds alone the tuning is an exact dual decomposition and
-	// ignores both.
-	Starts int
-	AugLag opt.AugLagOptions
 }
 
 // MinimizeCost solves the paper's C4 problem: find the cheapest server
@@ -161,7 +155,7 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 		for t.Servers < maxServers {
 			st := t.Station()
 			st.Speed = hi[j]
-			if st.Utilization(perTierArrivalsOf(work, j)) < 0.999 {
+			if st.Utilization(cluster.TierArrivals(work, j, work.Lambdas())) < 0.999 {
 				break
 			}
 			t.Servers++
@@ -236,11 +230,8 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 	if err := work.SetSpeeds(hi); err != nil {
 		return nil, err
 	}
-	objective := cluster.TotalCost(work)
-	result := opt.Result{Iters: added, Evals: evals, Converged: true}
-
 	if !o.SkipSpeedTuning || o.EnergyPrice > 0 {
-		tuned, err := tuneSpeedsForSLA(work, o)
+		tuned, err := tuneSpeedsForSLA(work)
 		if err == nil {
 			work = tuned
 		}
@@ -251,27 +242,24 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 	// adding servers (each candidate re-tuned to its energy-minimal
 	// speeds) while the combined cost keeps falling.
 	if o.EnergyPrice > 0 {
-		work, err := tcoHillClimb(work, o, maxServers)
-		if err != nil {
+		var err error
+		if work, err = tcoHillClimb(work, o, maxServers); err != nil {
 			return nil, err
 		}
-		// Report (and price energy) at the original SLAs and availabilities.
-		restorePlanning(work)
-		m, err := cluster.Evaluate(work)
-		if err != nil {
-			return nil, err
-		}
-		objective = cluster.TotalCost(work) + o.EnergyPrice*m.TotalPower
-		result.Iters = added
-		return &Solution{Cluster: work, Metrics: m, Objective: objective, Result: result}, nil
 	}
 
-	// Report against the caller's original SLA bounds and availabilities.
+	// Report (and price energy) against the caller's original SLA bounds
+	// and availabilities.
 	restorePlanning(work)
 	m, err := cluster.Evaluate(work)
 	if err != nil {
 		return nil, err
 	}
+	objective := cluster.TotalCost(work)
+	if o.EnergyPrice > 0 {
+		objective += o.EnergyPrice * m.TotalPower
+	}
+	result := opt.Result{Iters: added, Evals: evals, Converged: true}
 	return &Solution{Cluster: work, Metrics: m, Objective: objective, Result: result}, nil
 }
 
@@ -304,7 +292,7 @@ func tcoHillClimb(c *cluster.Cluster, o CostOptions, maxServers int) (*cluster.C
 			cand := best.Clone()
 			cand.Tiers[j].Servers++
 			// Re-tune the candidate's speeds; fall back to max speed.
-			if tuned, err := tuneSpeedsForSLA(cand, o); err == nil {
+			if tuned, err := tuneSpeedsForSLA(cand); err == nil {
 				cand = tuned
 			} else {
 				_, hi := cand.SpeedBounds()
@@ -331,38 +319,26 @@ func tcoHillClimb(c *cluster.Cluster, o CostOptions, maxServers int) (*cluster.C
 const tuneMargin = 0.998
 
 // tuneSpeedsForSLA lowers tier speeds to minimize power while keeping every
-// SLA satisfied, holding the server counts fixed. Mean bounds alone make the
-// problem C3b, solved exactly by MinimizeEnergyPerClass; a percentile bound
-// is not separable across tiers and goes to the augmented Lagrangian.
-func tuneSpeedsForSLA(c *cluster.Cluster, o CostOptions) (*cluster.Cluster, error) {
-	bounds := make([]float64, len(c.Classes))
-	tail := false
+// SLA satisfied, holding the server counts fixed: the mean and tail rows of
+// solveSLA at tuneMargin of each bound.
+func tuneSpeedsForSLA(c *cluster.Cluster) (*cluster.Cluster, error) {
+	mean := make([]float64, len(c.Classes))
+	tail := make([]TailBound, len(c.Classes))
 	for k, cl := range c.Classes {
 		if cl.SLA.HasMeanBound() {
-			bounds[k] = cl.SLA.MaxMeanDelay * tuneMargin
+			mean[k] = cl.SLA.MaxMeanDelay * tuneMargin
 		}
-		tail = tail || cl.SLA.HasPercentileBound()
+		if cl.SLA.HasPercentileBound() {
+			tail[k] = TailBound{Delay: cl.SLA.PercentileDelay * tuneMargin, Percentile: cl.SLA.Percentile}
+		}
 	}
-	var out *cluster.Cluster
-	if tail {
-		var err error
-		if out, err = tuneSpeedsAugLag(c, o); err != nil {
-			return nil, err
-		}
-	} else {
-		sol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: bounds})
-		if err != nil {
-			return nil, err
-		}
-		out = sol.Cluster
-	}
-	// Strict verification: the margin should leave every SLA met exactly;
-	// if the solver still overshot, reject the tuning.
-	m, err := cluster.Evaluate(out)
+	sol, err := solveSLA(c, mean, tail, nil)
 	if err != nil {
 		return nil, err
 	}
-	reports, err := cluster.CheckSLAs(out, m)
+	// Strict verification: the margin should leave every SLA met exactly;
+	// if the solver still overshot, reject the tuning.
+	reports, err := cluster.CheckSLAs(sol.Cluster, sol.Metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -371,74 +347,7 @@ func tuneSpeedsForSLA(c *cluster.Cluster, o CostOptions) (*cluster.Cluster, erro
 			return nil, fmt.Errorf("core: speed tuning left an SLA violated")
 		}
 	}
-	return out, nil
-}
-
-// tuneSpeedsAugLag is tuneSpeedsForSLA's solver when some class carries a
-// percentile bound: multi-start augmented Lagrangian over the full cluster
-// evaluation, one normalized constraint per mean or percentile bound.
-func tuneSpeedsAugLag(c *cluster.Cluster, o CostOptions) (*cluster.Cluster, error) {
-	ev, err := newEvaluator(c)
-	if err != nil {
-		return nil, err
-	}
-	box, err := ev.box()
-	if err != nil {
-		return nil, err
-	}
-	var gs []opt.Constraint
-	for k := range c.Classes {
-		sla := c.Classes[k].SLA
-		if sla.HasMeanBound() {
-			b := sla.MaxMeanDelay * tuneMargin
-			gs = append(gs, func(s []float64) float64 {
-				m := ev.metricsAt(s)
-				if m == nil || math.IsInf(m.Delay[k], 1) {
-					return math.Inf(1)
-				}
-				return (m.Delay[k] - b) / b
-			})
-		}
-		if sla.HasPercentileBound() {
-			b, p := sla.PercentileDelay*tuneMargin, sla.Percentile
-			gs = append(gs, func(s []float64) float64 {
-				m := ev.metricsAt(s)
-				if m == nil {
-					return math.Inf(1)
-				}
-				q, err := cluster.DelayQuantile(ev.c, m, k, p)
-				if err != nil || math.IsInf(q, 1) {
-					return math.Inf(1)
-				}
-				return (q - b) / b
-			})
-		}
-	}
-	starts := o.Starts
-	if starts <= 0 {
-		starts = 3
-	}
-	r := opt.MultiStart(func(x0 []float64) opt.Result {
-		return opt.AugmentedLagrangian(ev.power, gs, box, x0, o.AugLag)
-	}, box, starts)
-	if math.IsInf(r.F, 1) || !r.Converged {
-		return nil, fmt.Errorf("core: speed tuning failed")
-	}
-	out := ev.c.Clone()
-	if err := out.SetSpeeds(r.X); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// perTierArrivalsOf returns the per-class arrival vector tier j sees.
-func perTierArrivalsOf(c *cluster.Cluster, j int) []float64 {
-	lam := c.Lambdas()
-	at := make([]float64, len(lam))
-	for k := range c.Classes {
-		at[k] = lam[k] * c.VisitRates(k)[j]
-	}
-	return at
+	return sol.Cluster, nil
 }
 
 // hottestTier returns the index of the tier with the highest utilization at
@@ -446,7 +355,7 @@ func perTierArrivalsOf(c *cluster.Cluster, j int) []float64 {
 func hottestTier(c *cluster.Cluster) int {
 	best, idx := math.Inf(-1), 0
 	for j, t := range c.Tiers {
-		u := t.Station().Utilization(perTierArrivalsOf(c, j))
+		u := t.Station().Utilization(cluster.TierArrivals(c, j, c.Lambdas()))
 		if u > best {
 			best, idx = u, j
 		}

@@ -11,11 +11,11 @@ import (
 )
 
 // This file implements the Lagrangian dual decomposition behind every
-// mean-delay solver: C2 (MinimizeDelay), C3a (MinimizeEnergy), C3b
-// (MinimizeEnergyPerClass) and C4's speed tuning. Under the Poisson-arrival
-// coupling each tier's response times depend only on that tier's speed, so
-// every quantity these problems constrain or minimize is a sum of per-tier
-// terms:
+// solver: C2 (MinimizeDelay), C3a (MinimizeEnergy), C3b
+// (MinimizeEnergyPerClass), MinimizeEnergyTail and C4's speed tuning. Under
+// the Poisson-arrival coupling each tier's response times depend only on
+// that tier's speed, so every mean quantity these problems constrain or
+// minimize is a sum of per-tier terms:
 //
 //	D_k(s) = Σ_j v_kj·r_kj(s_j)   (class k's mean end-to-end delay)
 //	P(s)   = Σ_j g_j(s_j)         (average power of tier j)
@@ -31,10 +31,10 @@ import (
 // weighted delay, C3b each class's delay. One projected Newton ascent on the
 // concave dual function finds the multipliers. A power table that is not
 // convex in 1/s splits the speed box into convex parts, each solved by the
-// dual (solveParts). The results are exact for the separable model. The
-// augmented Lagrangian remains only where the problem is not separable:
-// percentile bounds (MinimizeEnergyTail, and C4's tuning when a class
-// carries one).
+// dual (solveParts). The results are exact for the separable model. A
+// percentile bound is not separable; solveSLA adds it as a tail row over
+// per-tier weights of the class's response times, re-linearized at every
+// iterate until the power settles.
 
 // tierFn is one tier's separable share of the model. Its arrival vector,
 // visit rates and queueing station depend only on the cluster, so they are
@@ -44,6 +44,7 @@ type tierFn struct {
 	st      *queueing.Station
 	at      []float64 // per-class arrival rates at the tier, λ_k·v_kj
 	visits  []float64 // per-class expected visits v_kj
+	tailW   []float64 // per-class tail weights w_kj; nil without tail rows
 	avail   float64   // availability A: the station serves at Speed·A
 	model   power.Model
 	servers int
@@ -87,17 +88,26 @@ func (f *tierFn) eval(s float64) (pow float64, resp []float64, ok bool) {
 	return br.Static*f.avail + br.Dynamic, resp, true
 }
 
-// lagrangian returns α·g_j(s) + Σ_k θ_k·v_kj·r_kj(s), +Inf where the tier is
-// unstable.
+// lagrangian returns α·g_j(s) + Σ_k θ_k·v_kj·r_kj(s) (+ the tail terms, see
+// weigh), +Inf where the tier is unstable.
 func (f *tierFn) lagrangian(s, alpha float64, theta []float64) float64 {
 	pow, resp, ok := f.eval(s)
 	if !ok {
 		return math.Inf(1)
 	}
-	l := alpha * pow
+	return f.weigh(alpha*pow, theta, resp)
+}
+
+// weigh adds the tier's delay terms Σ_k θ_k·v_kj·r_kj to l and, with tail
+// rows, Σ_k θ_(K+k)·w_kj·v_kj·r_kj.
+func (f *tierFn) weigh(l float64, theta, resp []float64) float64 {
+	nk := len(f.visits)
 	for k, v := range f.visits {
 		if v > 0 {
 			l += theta[k] * v * resp[k]
+			if f.tailW != nil {
+				l += theta[nk+k] * f.tailW[k] * v * resp[k]
+			}
 		}
 	}
 	return l
@@ -312,11 +322,13 @@ func (t *tierFns) convexParts() []*tierFns {
 	}
 }
 
-// evalAt fills delays with the per-class delays D_k at the given speeds and
-// returns the total power. An unstable tier makes the power and the delays
-// of the classes visiting it +Inf.
+// evalAt fills delays with the per-class delays D_k at the given speeds,
+// followed with tail rows by the tail sums W_k = Σ_j w_kj·v_kj·r_kj, and
+// returns the total power. An unstable tier makes the power and the
+// quantities of the classes visiting it +Inf.
 func (t *tierFns) evalAt(speeds, delays []float64) float64 {
 	clear(delays)
+	nk := len(t.wBy)
 	var pow float64
 	for j := range t.tiers {
 		f := &t.tiers[j]
@@ -329,17 +341,32 @@ func (t *tierFns) evalAt(speeds, delays []float64) float64 {
 			switch {
 			case v > 0 && !ok:
 				delays[k] = math.Inf(1)
+				if f.tailW != nil {
+					delays[nk+k] = math.Inf(1)
+				}
 			case v > 0:
 				delays[k] += v * resp[k]
+				if f.tailW != nil {
+					delays[nk+k] += f.tailW[k] * v * resp[k]
+				}
 			}
 		}
 	}
 	return pow
 }
 
+// width returns the number of quantities after the power: the K class
+// delays, and the K tail sums when the tiers carry tail weights.
+func (t *tierFns) width() int {
+	if t.tiers[0].tailW != nil {
+		return 2 * len(t.wBy)
+	}
+	return len(t.wBy)
+}
+
 // powerRow returns the row (1, 0…) that weighs the power P alone.
 func (t *tierFns) powerRow() []float64 {
-	r := make([]float64, 1+len(t.wBy))
+	r := make([]float64, 1+t.width())
 	r[0] = 1
 	return r
 }
@@ -351,13 +378,15 @@ func (t *tierFns) delayRow() []float64 {
 }
 
 // dualProblem is one separable problem over the quantities x = (P, D_1…D_K),
-// index 0 weighing the power:
+// extended by (W_1…W_K) when some class carries a tail row, index 0
+// weighing the power:
 //
 //	min_s obj·x(s)   s.t.   row_i·x(s) ≤ b_i   for every row with b_i > 0.
 //
 // A bound ≤ 0 leaves its row out. C3b bounds each class with a unit row and
 // minimizes (1, 0…); C3a bounds (0, w) and minimizes (1, 0…); C2 bounds
-// (1, 0…) by the budget and minimizes (0, w).
+// (1, 0…) by the budget and minimizes (0, w). A tail row bounds one W_k
+// (solveSLA).
 type dualProblem struct {
 	obj    []float64
 	rows   [][]float64
@@ -417,7 +446,7 @@ func (p *dualPoint) kkt() (excess, gap float64) {
 // at evaluates the dual at ν.
 func (t *tierFns) at(pr *dualProblem, nu []float64) *dualPoint {
 	p := &dualPoint{nu: nu, speeds: make([]float64, len(t.tiers)), viol: make([]float64, len(pr.rows))}
-	theta := make([]float64, len(t.wBy))
+	theta := make([]float64, t.width())
 	alpha := pr.weights(nu, theta)
 	for j := range t.tiers {
 		p.speeds[j] = t.tiers[j].argmin(alpha, theta)
@@ -437,13 +466,14 @@ func (t *tierFns) at(pr *dualProblem, nu []float64) *dualPoint {
 
 // curvature returns the negated Hessian of the dual function over the rows
 // in act, H = Σ_j u_j·u_jᵀ / (∂²L_j/∂s²) with
-// u_ij = row_i·(∂g_j/∂s, v_kj·∂r_kj/∂s)/b_i at s_j, from implicit
+// u_ij = row_i·(∂g_j/∂s, v_kj·∂r_kj/∂s, w_kj·v_kj·∂r_kj/∂s)/b_i at s_j, from implicit
 // differentiation of each tier's optimality condition ∂L_j/∂s = 0. A tier at
 // a speed limit does not move with ν and adds nothing. Derivatives are
 // central differences in the speed, narrowed to fit inside its limits.
 func (t *tierFns) curvature(pr *dualProblem, p *dualPoint, act []int) [][]float64 {
-	theta := make([]float64, len(t.wBy))
+	theta := make([]float64, t.width())
 	alpha := pr.weights(p.nu, theta)
+	nk := len(t.wBy)
 	h := make([][]float64, len(act))
 	for a := range h {
 		h[a] = make([]float64, len(act))
@@ -464,10 +494,8 @@ func (t *tierFns) curvature(pr *dualProblem, p *dualPoint, act []int) [][]float6
 				g = math.NaN()
 			}
 			l[i], pow[i], resp[i] = alpha*g, g, r
-			for k, v := range f.visits {
-				if v > 0 && ok {
-					l[i] += theta[k] * v * r[k]
-				}
+			if ok {
+				l[i] = f.weigh(l[i], theta, r)
 			}
 		}
 		l2 := (l[0] - 2*l[1] + l[2]) / (ds * ds)
@@ -483,6 +511,9 @@ func (t *tierFns) curvature(pr *dualProblem, p *dualPoint, act []int) [][]float6
 			for k, v := range f.visits {
 				if v > 0 && r[k+1] != 0 {
 					u[a] += r[k+1] * (v * (resp[2][k] - resp[0][k]) / (2 * ds))
+				}
+				if v > 0 && f.tailW != nil && r[nk+k+1] != 0 {
+					u[a] += r[nk+k+1] * (f.tailW[k] * v * (resp[2][k] - resp[0][k]) / (2 * ds))
 				}
 			}
 			u[a] /= pr.bounds[i]
@@ -588,7 +619,7 @@ func (t *tierFns) dual(pr *dualProblem, nu0 []float64) (p *dualPoint, converged 
 			corner = t.lo
 		}
 	}
-	delays := make([]float64, len(t.wBy))
+	delays := make([]float64, t.width())
 	pow := t.evalAt(corner, delays)
 	for i, r := range pr.rows {
 		if b := pr.bounds[i]; b > 0 && !(dot(r, pow, delays) <= b) {
@@ -733,4 +764,149 @@ func (t *tierFns) solveParts(pr *dualProblem, nu0 []float64) (*Solution, error) 
 			Converged: converged, Trace: trace,
 		},
 	}, nil
+}
+
+// Tail linearization stopping rules: every quantile within dualExcess of its
+// bound and the power moved by at most tailSettle relative between two
+// solves, or give up after tailIters linearizations. Each solve is optimal
+// only to dualGap, and two solves can alternate between points that far
+// apart in power.
+const (
+	tailSettle = 2 * dualGap
+	tailIters  = 100
+)
+
+// solveSLA minimizes the power subject to class k's mean delay within
+// mean[k] and its tail quantile within tail[k] (bounds ≤ 0 leave a class
+// free; a nil slice bounds nothing), starting the dual from the multipliers
+// nu0. It returns the multipliers of the mean rows, followed with tail
+// bounds by those of the tail rows.
+//
+// Mean bounds alone are one solveParts call. A quantile is not a sum of
+// per-tier terms, so each tail bound is linearized (linearize), first at the
+// fastest corner; every iteration re-linearizes at the last solution and
+// re-solves from its multipliers. At a fixed point the KKT conditions are
+// the tail problem's own, so the answer is exact, not a surrogate.
+func solveSLA(c *cluster.Cluster, mean []float64, tail []TailBound, nu0 []float64) (*Solution, error) {
+	bounded, hasTail := false, false
+	for k, b := range mean {
+		if math.IsNaN(b) || math.IsInf(b, 1) {
+			return nil, fmt.Errorf("core: class %d delay bound %g is not a finite number", k, b)
+		}
+		bounded = bounded || b > 0
+	}
+	for k, b := range tail {
+		if math.IsNaN(b.Delay) || math.IsInf(b.Delay, 1) {
+			return nil, fmt.Errorf("core: class %d tail bound %g s is not a finite number", k, b.Delay)
+		}
+		if b.Delay > 0 && !(b.Percentile > 0 && b.Percentile < 1) {
+			return nil, fmt.Errorf("core: class %d percentile %g out of (0,1)", k, b.Percentile)
+		}
+		hasTail = hasTail || b.Delay > 0
+	}
+	if !bounded && !hasTail {
+		return nil, fmt.Errorf("core: no positive delay or tail bound given")
+	}
+	t, err := newTierFns(c, nil)
+	if err != nil {
+		return nil, err
+	}
+	if hasTail { // the tail sums W_k join the quantities
+		for j := range t.tiers {
+			t.tiers[j].tailW = make([]float64, len(c.Classes))
+		}
+	}
+	w := t.width()
+	pr := &dualProblem{obj: t.powerRow(), rows: make([][]float64, w), bounds: make([]float64, w)}
+	for i := range pr.rows {
+		pr.rows[i] = make([]float64, 1+w)
+		pr.rows[i][1+i] = 1
+	}
+	copy(pr.bounds, mean)
+	// Feasibility at maximum speed, where every delay and quantile is least.
+	x := make([]float64, w)
+	pow := t.evalAt(t.hi, x)
+	for k, b := range mean {
+		if b > 0 && !(x[k] <= b) {
+			return nil, fmt.Errorf("core: class %d bound %g s infeasible: best achievable is %g s", k, b, x[k])
+		}
+	}
+	if math.IsInf(pow, 1) {
+		return nil, fmt.Errorf("core: cluster unstable at maximum speeds")
+	}
+	if !hasTail {
+		return t.solveParts(pr, nu0)
+	}
+	speeds, nu, prevP, evals := t.hi, nu0, math.NaN(), 0
+	var sol *Solution
+	for it := 0; ; it++ {
+		q := t.linearize(speeds, tail, pr.bounds[len(c.Classes):])
+		met := true
+		for k, b := range tail {
+			if b.Delay > 0 && !(q[k] <= b.Delay*(1+dualExcess)) {
+				if sol == nil {
+					return nil, fmt.Errorf("core: class %d p%g bound %g s infeasible: best achievable is %g s",
+						k, 100*b.Percentile, b.Delay, q[k])
+				}
+				met = false
+			}
+		}
+		if sol != nil {
+			settled := math.Abs(sol.Objective-prevP) <= tailSettle*sol.Objective
+			if met && settled || it == tailIters {
+				if !met {
+					return nil, fmt.Errorf("core: tail bounds still missed after %d linearizations", it)
+				}
+				sol.Result.Converged = sol.Result.Converged && settled
+				sol.Result.Iters, sol.Result.Evals = it, evals
+				return sol, nil
+			}
+			prevP = sol.Objective
+		}
+		if sol, err = t.solveParts(pr, nu); err != nil {
+			return nil, err
+		}
+		evals += sol.Result.Evals
+		speeds, nu = sol.Result.X, sol.Multipliers
+	}
+}
+
+// linearize sets each tail class's tier weights w_kj = (∂Q_k/∂r_kj)/v_kj at
+// the speeds and its row bound b_k = x_k − Q_k + W_k, so that W_k ≤ b_k is
+// the first-order expansion of Q_k ≤ x_k there. It returns the quantiles
+// (0 for classes without a tail bound).
+func (t *tierFns) linearize(speeds []float64, tail []TailBound, bounds []float64) []float64 {
+	resp := make([][]float64, len(tail)) // resp[k][j] = r_kj
+	for k := range resp {
+		resp[k] = make([]float64, len(t.tiers))
+	}
+	for j := range t.tiers {
+		_, r, ok := t.tiers[j].eval(speeds[j])
+		for k := range resp {
+			resp[k][j] = math.Inf(1)
+			if ok {
+				resp[k][j] = r[k]
+			}
+		}
+	}
+	q, grad := make([]float64, len(tail)), make([]float64, len(t.tiers))
+	for k, b := range tail {
+		if !(b.Delay > 0) {
+			continue
+		}
+		var err error
+		if q[k], err = cluster.DelayQuantileAt(t.c, k, resp[k], b.Percentile, grad); err != nil {
+			q[k] = math.Inf(1)
+		}
+		bounds[k] = b.Delay - q[k]
+		for j := range t.tiers {
+			f := &t.tiers[j]
+			f.tailW[k] = 0
+			if v := f.visits[k]; v > 0 {
+				f.tailW[k] = grad[j] / v
+				bounds[k] += f.tailW[k] * v * resp[k][j]
+			}
+		}
+	}
+	return q
 }

@@ -274,27 +274,36 @@ func TestDualsRejectHostileOptions(t *testing.T) {
 	}
 }
 
-// FuzzMeanDuals drives the C2 budget and weights, the C3a bound and the C3b
-// class bounds on a two-tier cluster with one non-convex power table. Every
-// call must either fail or converge to finite speeds inside the speed box,
-// a finite objective, and its constraint met within 1e-6; none may panic.
-// The corpus starts from the hostile values of TestDualsRejectHostileOptions
-// and from bounds just below the delays at the slowest point of the table's
-// cheaper part (weighted 1000.67, per class 3.59 and 1997.7), where the
-// ascent once gave up.
+// FuzzMeanDuals drives the C2 budget and weights, the C3a bound, the C3b
+// class bounds and one tail bound (x, p) on a two-tier cluster with one
+// non-convex power table. Every call must either fail or converge to finite
+// speeds inside the speed box, a finite objective, and its constraint met
+// within 1e-6 (the tail bound within 1e-9); none may panic. The corpus
+// starts from the hostile values of TestDualsRejectHostileOptions and
+// TestMinimizeEnergyTailErrors, from bounds just below the delays at the
+// slowest point of the table's cheaper part (weighted 1000.67, per class
+// 3.59 and 1997.7), where the ascent once gave up, and from tail bounds next
+// to class 1's p95 at the slowest and the fastest corner (9473.5, 0.6833).
+// At (59.08, 0.633) two tail linearizations once alternated between points
+// 8e-10 apart in power, within the dual's own tolerance.
 func FuzzMeanDuals(f *testing.F) {
 	inf, nan := math.Inf(1), math.NaN()
-	f.Add(500.0, 1.0, 1.0, 1.0, 0.0, 1.0)
-	f.Add(71.42857142857143, 943.0, inf, -152.91666666666666, inf, 2.5)
-	f.Add(95.0041, 1000.66, 1.0, 0.0, 3.59, 1997.0)
-	f.Add(500.0, 1.0, nan, 1.0, nan, 5.0)
-	f.Add(500.0, 1.0, inf, 1.0, inf, 5.0)
-	f.Add(500.0, 1.0, 1.0, -inf, 5.0, nan)
-	f.Add(inf, inf, 0.0, 1.0, -inf, inf)
-	f.Add(nan, nan, 1e-310, 0.0, 1e-9, 1e-300)
+	f.Add(500.0, 1.0, 1.0, 1.0, 0.0, 1.0, 8.0, 0.95)
+	f.Add(71.42857142857143, 943.0, inf, -152.91666666666666, inf, 2.5, inf, 0.5)
+	f.Add(95.0041, 1000.66, 1.0, 0.0, 3.59, 1997.0, 5000.0, 0.99)
+	f.Add(500.0, 1.0, nan, 1.0, nan, 5.0, nan, 0.95)
+	f.Add(500.0, 1.0, inf, 1.0, inf, 5.0, 8.0, nan)
+	f.Add(500.0, 1.0, 1.0, -inf, 5.0, nan, -inf, 0.9)
+	f.Add(inf, inf, 0.0, 1.0, -inf, inf, 1e-300, 1e-300)
+	f.Add(nan, nan, 1e-310, 0.0, 1e-9, 1e-300, 4.0, 1.0)
+	f.Add(500.0, 1.0, 1.0, 1.0, 0.0, 1.0, 3.0, 0.5)
+	f.Add(500.0, 1.0, 1.0, 1.0, 0.0, 1.0, 2000.0, 0.9)
+	f.Add(500.0, 1.0, 1.0, 1.0, 0.0, 1.0, 9473.0, 0.95)
+	f.Add(500.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.6834, 0.95)
+	f.Add(500.0, -11.0, 58.125, -7.0, -153.0, -5.8, 59.07593333333334, 0.6333333333333333)
 	c := nonConvexTableCluster()
 	lo, hi := c.SpeedBounds()
-	check := func(t *testing.T, name string, sol *Solution, value, limit float64) {
+	check := func(t *testing.T, name string, sol *Solution, value, limit, tol float64) {
 		t.Helper()
 		if !sol.Result.Converged {
 			t.Errorf("%s: the dual ascent did not converge", name)
@@ -307,24 +316,31 @@ func FuzzMeanDuals(f *testing.F) {
 		if math.IsNaN(sol.Objective) || math.IsInf(sol.Objective, 0) {
 			t.Errorf("%s: objective %g", name, sol.Objective)
 		}
-		if !(value <= limit*(1+1e-6)) {
+		if !(value <= limit*(1+tol)) {
 			t.Errorf("%s: constraint %g exceeds its limit %g", name, value, limit)
 		}
 	}
-	f.Fuzz(func(t *testing.T, budget, bound, w0, w1, b0, b1 float64) {
+	f.Fuzz(func(t *testing.T, budget, bound, w0, w1, b0, b1, x, p float64) {
 		if sol, err := MinimizeDelay(c, DelayOptions{EnergyBudget: budget, Weights: []float64{w0, w1}}); err == nil {
-			check(t, "C2", sol, sol.Metrics.TotalPower, budget)
+			check(t, "C2", sol, sol.Metrics.TotalPower, budget, 1e-6)
 		}
 		if sol, err := MinimizeEnergy(c, EnergyOptions{MaxWeightedDelay: bound}); err == nil {
-			check(t, "C3a", sol, sol.Metrics.WeightedDelay, bound)
+			check(t, "C3a", sol, sol.Metrics.WeightedDelay, bound, 1e-6)
 		}
 		bounds := []float64{b0, b1}
 		if sol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: bounds}); err == nil {
 			for k, b := range bounds {
 				if b > 0 {
-					check(t, fmt.Sprintf("C3b class %d", k), sol, sol.Metrics.Delay[k], b)
+					check(t, fmt.Sprintf("C3b class %d", k), sol, sol.Metrics.Delay[k], b, 1e-6)
 				}
 			}
+		}
+		if sol, err := MinimizeEnergyTail(c, TailOptions{Bounds: []TailBound{{}, {Delay: x, Percentile: p}}}); err == nil {
+			q, err := cluster.DelayQuantile(sol.Cluster, sol.Metrics, 1, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "C3 tail", sol, q, x, 1e-9)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"clusterq/internal/cluster"
 	"clusterq/internal/opt"
@@ -22,8 +21,8 @@ type EnergyOptions struct {
 	// per-class multipliers, typically a previous solution's Multipliers;
 	// nil starts from zero.
 	WarmStart []float64
-	// Starts and AugLag are ignored: both solvers are exact dual
-	// decompositions, with no multi-start and no inner solves.
+	// Starts and AugLag are ignored; removed with the benchmark change of
+	// ROADMAP item 1.
 	Starts int
 	AugLag opt.AugLagOptions
 }
@@ -83,39 +82,7 @@ func MinimizeEnergyPerClass(c *cluster.Cluster, o EnergyOptions) (*Solution, err
 	if len(o.MaxClassDelay) != len(c.Classes) {
 		return nil, fmt.Errorf("core: %d delay bounds for %d classes", len(o.MaxClassDelay), len(c.Classes))
 	}
-	anyBound := false
-	for k, b := range o.MaxClassDelay {
-		if math.IsNaN(b) || math.IsInf(b, 1) {
-			return nil, fmt.Errorf("core: class %d delay bound %g is not a finite number", k, b)
-		}
-		anyBound = anyBound || b > 0
-	}
-	if !anyBound {
-		return nil, fmt.Errorf("core: no positive delay bound given")
-	}
-	t, err := newTierFns(c, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Feasibility at maximum speed: every delay is non-increasing in every
-	// tier speed, so the fastest point is the least-delay point.
-	delays := make([]float64, len(c.Classes))
-	pow := t.evalAt(t.hi, delays)
-	for k, b := range o.MaxClassDelay {
-		if b > 0 && !(delays[k] <= b) {
-			return nil, fmt.Errorf("core: class %d bound %g s infeasible: best achievable is %g s",
-				k, b, delays[k])
-		}
-	}
-	if math.IsInf(pow, 1) {
-		return nil, fmt.Errorf("core: cluster unstable at maximum speeds")
-	}
-	rows := make([][]float64, len(c.Classes))
-	for k := range rows {
-		rows[k] = make([]float64, 1+len(c.Classes))
-		rows[k][1+k] = 1
-	}
-	return t.solveParts(&dualProblem{obj: t.powerRow(), rows: rows, bounds: o.MaxClassDelay}, o.WarmStart)
+	return solveSLA(c, o.MaxClassDelay, nil, o.WarmStart)
 }
 
 // BindingClasses reports which bounded classes sit within tol (relative) of

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,8 +45,27 @@ func classBounds(bounds []float64) []metricFn {
 	return gs
 }
 
-// augLagReference is the general-purpose reference for the mean-delay
-// problems: multi-start augmented Lagrangian at default inner options over
+// tailBounds returns one atMost constraint on the quantile Q_k per
+// tail-bounded class. Routes do not depend on speeds, so c may be any
+// cluster with the classes' routing.
+func tailBounds(c *cluster.Cluster, tail []TailBound) []metricFn {
+	var gs []metricFn
+	for k, b := range tail {
+		if b.Delay > 0 {
+			gs = append(gs, atMost(func(m *cluster.Metrics) float64 {
+				q, err := cluster.DelayQuantile(c, m, k, b.Percentile)
+				if err != nil {
+					return math.Inf(1)
+				}
+				return q
+			}, b.Delay))
+		}
+	}
+	return gs
+}
+
+// augLagReference is the general-purpose reference for the mean-delay and
+// tail problems: multi-start augmented Lagrangian at default inner options over
 // the full cluster evaluation, minimizing objective subject to every
 // constraint ≤ 0. Speeds the evaluation rejects count as +Inf. The dual
 // solvers must match or beat it.
@@ -58,13 +78,19 @@ func augLagReference(c *cluster.Cluster, objective metricFn, constraints []metri
 	if err != nil {
 		return nil, err
 	}
+	// The solver asks for the objective and every constraint at each
+	// point; evaluate the cluster once per point.
+	var last []float64
+	var lastM *cluster.Metrics
 	at := func(f metricFn) func([]float64) float64 {
 		return func(s []float64) float64 {
-			m := ev.metricsAt(s)
-			if m == nil {
+			if last == nil || !slices.Equal(s, last) {
+				last, lastM = append(last[:0], s...), ev.metricsAt(s)
+			}
+			if lastM == nil {
 				return math.Inf(1)
 			}
-			return f(m)
+			return f(lastM)
 		}
 	}
 	gs := make([]opt.Constraint, len(constraints))

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"clusterq/internal/cluster"
-	"clusterq/internal/opt"
 )
 
 // TailBound is a per-class percentile delay requirement:
@@ -17,12 +15,9 @@ type TailBound struct {
 
 // TailOptions configures MinimizeEnergyTail.
 type TailOptions struct {
-	// Bounds[k] is class k's tail requirement (zero value = unconstrained).
+	// Bounds[k] is class k's tail requirement (zero value = unconstrained);
+	// a NaN or +Inf Delay, or a Percentile outside (0, 1), is rejected.
 	Bounds []TailBound
-	// Starts is the number of multi-start points (default 4).
-	Starts int
-	// AugLag configures the inner solves.
-	AugLag opt.AugLagOptions
 }
 
 // MinimizeEnergyTail is the percentile flavour of the paper's C3 problem:
@@ -36,86 +31,12 @@ type TailOptions struct {
 // are what SLAs actually say ("95% of requests within 2 s"); they are
 // strictly harder than mean bounds of the same magnitude because the tail
 // carries the queueing variance.
+//
+// Each bound is a tail row of the dual decomposition, re-linearized until
+// the power settles at the tail problem's own optimum (solveSLA).
 func MinimizeEnergyTail(c *cluster.Cluster, o TailOptions) (*Solution, error) {
 	if len(o.Bounds) != len(c.Classes) {
 		return nil, fmt.Errorf("core: %d tail bounds for %d classes", len(o.Bounds), len(c.Classes))
 	}
-	anyBound := false
-	for k, b := range o.Bounds {
-		if b.Delay <= 0 {
-			continue
-		}
-		if b.Percentile <= 0 || b.Percentile >= 1 {
-			return nil, fmt.Errorf("core: class %d percentile %g out of (0,1)", k, b.Percentile)
-		}
-		anyBound = true
-	}
-	if !anyBound {
-		return nil, fmt.Errorf("core: no positive tail bound given")
-	}
-	ev, err := newEvaluator(c)
-	if err != nil {
-		return nil, err
-	}
-	box, err := ev.box()
-	if err != nil {
-		return nil, err
-	}
-
-	quantAt := func(s []float64, k int, p float64) float64 {
-		m := ev.metricsAt(s)
-		if m == nil {
-			return math.Inf(1)
-		}
-		q, err := cluster.DelayQuantile(ev.c, m, k, p)
-		if err != nil {
-			return math.Inf(1)
-		}
-		return q
-	}
-
-	// Feasibility at maximum speed.
-	for k, b := range o.Bounds {
-		if b.Delay <= 0 {
-			continue
-		}
-		if q := quantAt(box.Hi, k, b.Percentile); q > b.Delay {
-			return nil, fmt.Errorf("core: class %d p%g bound %g s infeasible: best achievable is %g s",
-				k, 100*b.Percentile, b.Delay, q)
-		}
-	}
-
-	objective := func(s []float64) float64 { return ev.power(s) }
-	var gs []opt.Constraint
-	for k, b := range o.Bounds {
-		if b.Delay <= 0 {
-			continue
-		}
-		k, b := k, b
-		gs = append(gs, func(s []float64) float64 {
-			q := quantAt(s, k, b.Percentile)
-			if math.IsInf(q, 1) {
-				return math.Inf(1)
-			}
-			return (q - b.Delay) / b.Delay
-		})
-	}
-
-	starts := o.Starts
-	if starts <= 0 {
-		starts = 4
-	}
-	solve := func(x0 []float64) opt.Result {
-		return opt.AugmentedLagrangian(objective, gs, box, x0, o.AugLag)
-	}
-	r := opt.MultiStart(solve, box, starts)
-	if math.IsInf(r.F, 1) {
-		return nil, fmt.Errorf("core: no feasible configuration found")
-	}
-	for i, g := range gs {
-		if v := g(r.X); v > 1e-3 {
-			return nil, fmt.Errorf("core: solver left tail constraint %d violated by %g (relative)", i, v)
-		}
-	}
-	return ev.finish(r.X, r.F, r)
+	return solveSLA(c, nil, o.Bounds, nil)
 }

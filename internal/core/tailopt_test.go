@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"clusterq/internal/cluster"
@@ -12,7 +15,7 @@ func TestMinimizeEnergyTailMeetsBounds(t *testing.T) {
 		{Delay: 5, Percentile: 0.95},
 		{Delay: 12, Percentile: 0.95},
 	}
-	sol, err := MinimizeEnergyTail(c, TailOptions{Bounds: bounds, Starts: 2})
+	sol, err := MinimizeEnergyTail(c, TailOptions{Bounds: bounds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +35,12 @@ func TestTailBoundCostsMoreThanEqualMeanBound(t *testing.T) {
 	// below X, so it must cost at least as much power.
 	c := symCluster(2, 2, 0.5)
 	x := 3.0
-	meanSol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: []float64{x, x}, Starts: 2})
+	meanSol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: []float64{x, x}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tailSol, err := MinimizeEnergyTail(c, TailOptions{
 		Bounds: []TailBound{{Delay: x, Percentile: 0.95}, {Delay: x, Percentile: 0.95}},
-		Starts: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +53,7 @@ func TestTailBoundCostsMoreThanEqualMeanBound(t *testing.T) {
 func TestMinimizeEnergyTailUnconstrainedEntries(t *testing.T) {
 	c := symCluster(2, 3, 0.4)
 	bounds := []TailBound{{}, {}, {Delay: 8, Percentile: 0.9}}
-	sol, err := MinimizeEnergyTail(c, TailOptions{Bounds: bounds, Starts: 2})
+	sol, err := MinimizeEnergyTail(c, TailOptions{Bounds: bounds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,24 +84,114 @@ func TestMinimizeEnergyTailErrors(t *testing.T) {
 	}); err == nil {
 		t.Error("impossible bound accepted")
 	}
+	// Hostile bounds used to return the slowest speeds as a solution.
+	inf, nan := math.Inf(1), math.NaN()
+	for _, b := range []TailBound{{Delay: 3, Percentile: nan}, {Delay: nan, Percentile: 0.95}, {Delay: inf, Percentile: 0.95}} {
+		_, err := MinimizeEnergyTail(c, TailOptions{Bounds: []TailBound{{Delay: 8, Percentile: 0.9}, b}})
+		if err == nil || !strings.Contains(err.Error(), "class 1 ") {
+			t.Errorf("tail bound %+v: got %v, want an error naming class 1", b, err)
+		}
+	}
 }
 
 func TestTighterPercentileCostsMore(t *testing.T) {
 	c := symCluster(2, 2, 0.5)
 	x := 4.0
 	p90, err := MinimizeEnergyTail(c, TailOptions{
-		Bounds: []TailBound{{}, {Delay: x, Percentile: 0.9}}, Starts: 2,
+		Bounds: []TailBound{{}, {Delay: x, Percentile: 0.9}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p99, err := MinimizeEnergyTail(c, TailOptions{
-		Bounds: []TailBound{{}, {Delay: x, Percentile: 0.99}}, Starts: 2,
+		Bounds: []TailBound{{}, {Delay: x, Percentile: 0.99}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !(p99.Objective >= p90.Objective*0.999) {
 		t.Errorf("p99 power %g below p90 power %g", p99.Objective, p90.Objective)
+	}
+}
+
+// randomTailCase draws a randomPerClassCluster instance with tail bounds on
+// one to all of its classes at percentiles 0.5, 0.9, 0.95 or 0.99, each
+// between the class's quantile at maximum speeds and a few times it; a third
+// of the tail-bounded classes keep their mean bound too.
+func randomTailCase(rng *rand.Rand) (*cluster.Cluster, []float64, []TailBound) {
+	c, bounds := randomPerClassCluster(rng)
+	_, hi := c.SpeedBounds()
+	fast := c.Clone()
+	if err := fast.SetSpeeds(hi); err != nil {
+		panic(err)
+	}
+	m, err := cluster.Evaluate(fast)
+	if err != nil {
+		panic(err)
+	}
+	nk := len(c.Classes)
+	mean, tail := make([]float64, nk), make([]TailBound, nk)
+	for _, k := range rng.Perm(nk)[:1+rng.Intn(nk)] {
+		p := []float64{0.5, 0.9, 0.95, 0.99}[rng.Intn(4)]
+		q, err := cluster.DelayQuantile(fast, m, k, p)
+		if err != nil {
+			panic(err)
+		}
+		tail[k] = TailBound{Delay: q * (1.05 + 3*rng.Float64()), Percentile: p}
+		if rng.Intn(3) == 0 {
+			mean[k] = bounds[k]
+		}
+	}
+	return c, mean, tail
+}
+
+// TestTailDualMatchesAugLagRandom checks the linearized tail rows on random
+// instances: every solve converges with every tail and mean bound met to
+// 1e-9 relative, and on the first two (one under -short) its power is within
+// 1e-6 of the augmented-Lagrangian reference's or below it. The reference
+// takes one start: four cost ~20 s each under -race and reach the same
+// answers on these instances.
+func TestTailDualMatchesAugLagRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	nRef := 2
+	if testing.Short() {
+		nRef = 1
+	}
+	for i := 0; i < 40; i++ {
+		c, mean, tail := randomTailCase(rng)
+		sol, err := solveSLA(c, mean, tail, nil)
+		if err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+		if !sol.Result.Converged {
+			t.Errorf("instance %d: not converged after %d linearizations", i, sol.Result.Iters)
+		}
+		for k, b := range tail {
+			if b.Delay <= 0 {
+				continue
+			}
+			q, err := cluster.DelayQuantile(sol.Cluster, sol.Metrics, k, b.Percentile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !(q <= b.Delay*(1+1e-9)) {
+				t.Errorf("instance %d: class %d p%g %.12g exceeds bound %.12g", i, k, 100*b.Percentile, q, b.Delay)
+			}
+		}
+		for k, b := range mean {
+			if b > 0 && !(sol.Metrics.Delay[k] <= b*(1+1e-9)) {
+				t.Errorf("instance %d: class %d delay %.12g exceeds bound %.12g", i, k, sol.Metrics.Delay[k], b)
+			}
+		}
+		if i >= nRef {
+			continue
+		}
+		ref, err := augLagReference(c, totalPower, append(classBounds(mean), tailBounds(c, tail)...), 1)
+		if err != nil {
+			t.Fatalf("instance %d: reference: %v", i, err)
+		}
+		if sol.Objective > ref.Objective*(1+1e-6) {
+			t.Errorf("instance %d: power %.9g W above reference %.9g W", i, sol.Objective, ref.Objective)
+		}
 	}
 }

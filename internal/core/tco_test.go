@@ -8,7 +8,7 @@ import (
 
 func TestMinimizeCostWithEnergyPriceMeetsSLAs(t *testing.T) {
 	c := slaCluster()
-	sol, err := MinimizeCost(c, CostOptions{EnergyPrice: 0.005, Starts: 2})
+	sol, err := MinimizeCost(c, CostOptions{EnergyPrice: 0.005})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestEnergyPriceGrowsTheFleet(t *testing.T) {
 		return f / float64(len(lo))
 	}
 
-	cheap, err := MinimizeCost(c, CostOptions{EnergyPrice: 1e-6, Starts: 2})
+	cheap, err := MinimizeCost(c, CostOptions{EnergyPrice: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pricey, err := MinimizeCost(c, CostOptions{EnergyPrice: 0.05, Starts: 2})
+	pricey, err := MinimizeCost(c, CostOptions{EnergyPrice: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestEnergyPriceZeroKeepsOldObjective(t *testing.T) {
 
 func TestTCOHillClimbRespectsServerCap(t *testing.T) {
 	c := slaCluster()
-	sol, err := MinimizeCost(c, CostOptions{EnergyPrice: 10, MaxServersPerTier: 3, Starts: 1})
+	sol, err := MinimizeCost(c, CostOptions{EnergyPrice: 10, MaxServersPerTier: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,34 +193,22 @@ func (E16) Title() string {
 }
 
 func (E16) Run(cfg Config) ([]*Table, error) {
-	starts, al := solverScale(cfg)
 	horizon, reps := cfg.simScale()
-	c := workload.Enterprise3Tier(1)
-
-	// Bound scale: the best achievable bronze mean delay.
-	_, hi := c.SpeedBounds()
-	fast := c.Clone()
-	if err := fast.SetSpeeds(hi); err != nil {
-		return nil, err
-	}
-	mFast, err := cluster.Evaluate(fast)
+	c, xs, err := e16Bounds()
 	if err != nil {
 		return nil, err
 	}
 
-	// Each bound multiplier is a self-contained sweep point (two solver
-	// runs plus a verification simulation); the point returns its finished
-	// table row.
-	mults := []float64{3, 5, 8}
-	rows, err := sweep(cfg, len(mults), func(i int) ([]any, error) {
-		x := mFast.Delay[2] * mults[i]
+	// Each bound is a self-contained sweep point (two solver runs plus a
+	// verification simulation); the point returns its finished table row.
+	rows, err := sweep(cfg, len(xs), func(i int) ([]any, error) {
+		x := xs[i]
 		meanSol, err := core.MinimizeEnergyPerClass(c, core.EnergyOptions{MaxClassDelay: []float64{0, 0, x}})
 		if err != nil {
 			return []any{x, "infeasible", "-", "-", "-", "-"}, nil
 		}
 		tailSol, err := core.MinimizeEnergyTail(c, core.TailOptions{
 			Bounds: []core.TailBound{{}, {}, {Delay: x, Percentile: 0.95}},
-			Starts: starts, AugLag: al,
 		})
 		if err != nil {
 			return []any{x, meanSol.Objective, "infeasible", "-", "-", "-"}, nil
@@ -250,4 +238,24 @@ func (E16) Run(cfg Config) ([]*Table, error) {
 		t.AddRow(row...)
 	}
 	return []*Table{t}, nil
+}
+
+// e16Bounds returns E16's cluster and its bronze delay bounds X: 3, 5 and 8
+// times the best achievable bronze mean delay.
+func e16Bounds() (*cluster.Cluster, []float64, error) {
+	c := workload.Enterprise3Tier(1)
+	_, hi := c.SpeedBounds()
+	fast := c.Clone()
+	if err := fast.SetSpeeds(hi); err != nil {
+		return nil, nil, err
+	}
+	mFast, err := cluster.Evaluate(fast)
+	if err != nil {
+		return nil, nil, err
+	}
+	xs := []float64{3, 5, 8}
+	for i := range xs {
+		xs[i] *= mFast.Delay[2]
+	}
+	return c, xs, nil
 }

@@ -137,8 +137,8 @@ func TestE17DualMatchesAugLag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 4 {
-		t.Fatalf("%d tables, want C2, C3a, C3b and C4 tuning", len(tables))
+	if len(tables) != 5 {
+		t.Fatalf("%d tables, want C2, C3a, C3b, C4 tuning and C3 tail", len(tables))
 	}
 	for _, tab := range tables {
 		for _, row := range tab.Rows {

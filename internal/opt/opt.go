@@ -4,6 +4,11 @@
 // augmented-Lagrangian method for inequality-constrained problems, and a
 // deterministic multi-start wrapper. It is stdlib-only.
 //
+// The production solvers in internal/core are dual decompositions and use
+// only the one-dimensional searches. Nelder–Mead, the augmented Lagrangian
+// and multi-start are the general-purpose reference the duals are measured
+// against, in experiment E17 and in core's tests.
+//
 // All solvers minimize. Objectives may return +Inf to mark infeasible points
 // (e.g. an unstable queueing configuration); the solvers treat such points as
 // uniformly bad and retreat from them.
