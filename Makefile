@@ -31,10 +31,12 @@ tidy-check:
 	$(GO) mod tidy -diff
 
 # fuzz smoke-runs every fuzz target for 10s each (CI's test job runs this
-# target): the mean-delay duals' option handling, the simulator's option
+# target): the mean-delay duals' option handling, cluster JSON configs
+# through parsing, validation and evaluation, the simulator's option
 # defaults, and the event calendar against a sorted reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMeanDuals$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzOptionsDefaults$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzCalendarMatchesSorted$$' -fuzztime 10s ./internal/sim
 

@@ -156,32 +156,11 @@ func main() {
 		reg.Counter("clusterq_experiments_total", "experiments completed").Add(completed.Load())
 		reg.Counter("clusterq_tables_total", "tables produced").Add(tables)
 		reg.Gauge("clusterq_wall_seconds", "total suite wall time").Set(time.Since(start).Seconds())
-		if err := writeMetrics(*metricsOut, reg); err != nil {
+		if err := obs.WriteMetricsFile(*metricsOut, reg, nil); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-}
-
-// writeMetrics writes the registry to path, choosing the exposition format
-// by extension (.prom/.txt → Prometheus text, anything else → JSON).
-func writeMetrics(path string, reg *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	// Safety net for early error returns; the success path closes (and
-	// checks) explicitly below.
-	defer func() { _ = f.Close() }()
-	if strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt") {
-		err = reg.WritePrometheus(f)
-	} else {
-		err = reg.WriteJSON(f)
-	}
-	if err != nil {
-		return err
-	}
-	return f.Close()
 }
 
 func writeCSV(dir, id string, idx int, t *experiments.Table) error {

@@ -31,14 +31,12 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -477,7 +475,7 @@ func main() {
 		for k := range c.Classes {
 			reg.Gauge(fmt.Sprintf("sim_class%d_delay_seconds", k), "measured mean end-to-end delay").Set(res.Delay[k].Mean)
 		}
-		if err := writeMetrics(*metricsOut, reg, res.Timeline); err != nil {
+		if err := obs.WriteMetricsFile(*metricsOut, reg, res.Timeline); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("metrics written to %s\n", *metricsOut)
@@ -586,47 +584,6 @@ func writeSpans(path string, rec *trace.Recorder) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeMetrics writes the registry to path: Prometheus text when the
-// extension says so, otherwise JSON with the timeline (if any) embedded as a
-// second top-level section.
-func writeMetrics(path string, reg *obs.Registry, tl *obs.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	// Safety net for early error returns; the success path closes (and
-	// checks) explicitly below.
-	defer func() { _ = f.Close() }()
-	w := bufio.NewWriter(f)
-	if strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt") {
-		// Prometheus text is a point-in-time format: the timeline stays in
-		// -timeline-out CSV territory.
-		err = reg.WritePrometheus(w)
-	} else {
-		err = writeMetricsJSON(w, reg, tl)
-	}
-	if err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-func writeMetricsJSON(w *bufio.Writer, reg *obs.Registry, tl *obs.Timeline) error {
-	if tl == nil {
-		return reg.WriteJSON(w)
-	}
-	doc := struct {
-		Metrics  []obs.Snapshot `json:"metrics"`
-		Timeline *obs.Timeline  `json:"timeline"`
-	}{Metrics: reg.Snapshot(), Timeline: tl}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 func fatal(err error) {

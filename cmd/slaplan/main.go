@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"clusterq/internal/cluster"
@@ -112,7 +111,7 @@ func main() {
 	}
 
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, reg); err != nil {
+		if err := obs.WriteMetricsFile(*metricsOut, reg, nil); err != nil {
 			fatal(err)
 		}
 		if *progress {
@@ -128,25 +127,6 @@ func recordSolution(reg *obs.Registry, name string, sol *core.Solution) {
 	reg.Gauge("slaplan_"+name+"_solver_evals", "objective evaluations spent").Set(float64(sol.Result.Evals))
 	reg.Gauge("slaplan_"+name+"_solver_iters", "outer solver iterations").Set(float64(sol.Result.Iters))
 	reg.Gauge("slaplan_"+name+"_trace_points", "convergence-trace entries recorded").Set(float64(len(sol.Result.Trace)))
-}
-
-func writeMetrics(path string, reg *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	// Safety net for early error returns; the success path closes (and
-	// checks) explicitly below.
-	defer func() { _ = f.Close() }()
-	if strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt") {
-		err = reg.WritePrometheus(f)
-	} else {
-		err = reg.WriteJSON(f)
-	}
-	if err != nil {
-		return err
-	}
-	return f.Close()
 }
 
 func printAllocation(sol *core.Solution) {

@@ -6,7 +6,9 @@
 // It combines internal/queueing (delays) and internal/power (energy) into the
 // paper's first contribution: computing the average end-to-end delay and the
 // average energy consumption per class (Evaluate), the substrate every
-// optimization in internal/core runs on.
+// optimization in internal/core runs on. Both go through one per-tier model
+// (TierModel): Evaluate sums its terms over the tiers, and the optimizers'
+// dual decomposition minimizes them tier by tier.
 package cluster
 
 import (
@@ -103,19 +105,6 @@ func (t *Tier) EffectiveAvailability() float64 {
 	return t.Availability
 }
 
-// Station converts the tier to its queueing representation at its current
-// speed, degraded by the tier's availability (Speed·A — the mean effective
-// capacity of a pool whose servers are each up a fraction A of the time).
-func (t *Tier) Station() *queueing.Station {
-	return &queueing.Station{
-		Name:       t.Name,
-		Servers:    t.Servers,
-		Speed:      t.Speed * t.EffectiveAvailability(),
-		Discipline: t.Discipline,
-		Demands:    append([]queueing.Demand(nil), t.Demands...),
-	}
-}
-
 // Validate checks the tier against the number of classes.
 func (t *Tier) Validate(numClasses int) error {
 	if t.Power == nil {
@@ -134,7 +123,7 @@ func (t *Tier) Validate(numClasses int) error {
 	if t.Availability != 0 && (!(t.Availability > 0) || t.Availability > 1) {
 		return fmt.Errorf("cluster: tier %q availability %g out of (0,1]", t.Name, t.Availability)
 	}
-	return t.Station().Validate(numClasses)
+	return t.model().Station.Validate(numClasses)
 }
 
 // Clone returns a deep copy of the tier.
@@ -179,24 +168,26 @@ func (c *Cluster) TotalLambda() float64 {
 	return s
 }
 
-// routes returns the effective routes, materializing the tandem default.
-func (c *Cluster) routes() [][]int {
+// Route returns class k's effective route: Routes[k], or every tier in
+// order when Routes is nil (the tandem default).
+func (c *Cluster) Route(k int) []int {
 	if c.Routes != nil {
-		return c.Routes
+		return c.Routes[k]
 	}
-	return queueing.TandemRoutes(len(c.Classes), len(c.Tiers))
+	r := make([]int, len(c.Tiers))
+	for j := range r {
+		r[j] = j
+	}
+	return r
 }
 
-// Route returns class k's effective route.
-func (c *Cluster) Route(k int) []int { return c.routes()[k] }
-
-// Network builds the queueing network for the cluster's current speeds.
-func (c *Cluster) Network() *queueing.Network {
-	st := make([]*queueing.Station, len(c.Tiers))
-	for i, t := range c.Tiers {
-		st[i] = t.Station()
+// routing returns class k's probabilistic chain, or nil when it follows its
+// deterministic route.
+func (c *Cluster) routing(k int) *queueing.ClassRouting {
+	if c.Routing == nil || k >= len(c.Routing) {
+		return nil
 	}
-	return &queueing.Network{Stations: st, Routes: c.routes(), Routings: c.Routing}
+	return c.Routing[k]
 }
 
 // VisitRates returns the expected number of visits class k makes to each
@@ -204,15 +195,15 @@ func (c *Cluster) Network() *queueing.Network {
 // of its routing chain. Invalid chains yield all-zero rates (Validate
 // reports the underlying error).
 func (c *Cluster) VisitRates(k int) []float64 {
-	if c.Routing != nil && k < len(c.Routing) && c.Routing[k] != nil {
-		v, err := c.Routing[k].VisitRates()
+	if r := c.routing(k); r != nil {
+		v, err := r.VisitRates()
 		if err != nil {
 			return make([]float64, len(c.Tiers))
 		}
 		return v
 	}
 	v := make([]float64, len(c.Tiers))
-	for _, j := range c.routes()[k] {
+	for _, j := range c.Route(k) {
 		v[j]++
 	}
 	return v
@@ -234,6 +225,9 @@ func (c *Cluster) Validate() error {
 			return fmt.Errorf("class %d (%s): %w", i, cl.Name, err)
 		}
 	}
+	if math.IsInf(c.TotalLambda(), 1) {
+		return fmt.Errorf("cluster: total arrival rate overflows")
+	}
 	for _, t := range c.Tiers {
 		if err := t.Validate(len(c.Classes)); err != nil {
 			return err
@@ -245,7 +239,24 @@ func (c *Cluster) Validate() error {
 	if c.Routing != nil && len(c.Routing) != len(c.Classes) {
 		return fmt.Errorf("cluster: %d routing chains for %d classes", len(c.Routing), len(c.Classes))
 	}
-	return c.Network().Validate()
+	for k := range c.Classes {
+		if r := c.routing(k); r != nil {
+			if err := r.Validate(len(c.Tiers)); err != nil {
+				return fmt.Errorf("class %d: %w", k, err)
+			}
+			continue
+		}
+		route := c.Route(k)
+		if len(route) == 0 {
+			return fmt.Errorf("cluster: class %d has an empty route", k)
+		}
+		for _, j := range route {
+			if j < 0 || j >= len(c.Tiers) {
+				return fmt.Errorf("cluster: class %d route references tier %d of %d", k, j, len(c.Tiers))
+			}
+		}
+	}
+	return nil
 }
 
 // Clone returns a deep copy of the cluster. Power models are shared (they
@@ -307,15 +318,13 @@ func (c *Cluster) SetSpeeds(s []float64) error {
 // if a tier cannot be stabilized even at MaxSpeed, lo is pinned to hi and the
 // tier's delays stay +Inf (the optimizers then report infeasibility).
 func (c *Cluster) SpeedBounds() (lo, hi []float64) {
-	lam := c.Lambdas()
-	net := c.Network()
 	lo = make([]float64, len(c.Tiers))
 	hi = make([]float64, len(c.Tiers))
-	for i, t := range c.Tiers {
+	for i, m := range c.TierModels() {
 		// MinSpeedForStability is in station-speed units; the station runs at
 		// Speed·A, so the tier's nominal speed must clear stab/A.
-		stab := net.Stations[i].MinSpeedForStability(TierArrivals(c, i, lam)) /
-			t.EffectiveAvailability()
+		stab := m.Station.MinSpeedForStability(m.Arrivals) / m.Avail
+		t := c.Tiers[i]
 		lo[i] = t.MinSpeed
 		if lo[i] < stab*1.001 {
 			lo[i] = stab * 1.001
@@ -329,14 +338,4 @@ func (c *Cluster) SpeedBounds() (lo, hi []float64) {
 		}
 	}
 	return lo, hi
-}
-
-// TierArrivals returns the per-class arrival vector tier j sees given the
-// external rates: λ_k times class k's expected visits to tier j.
-func TierArrivals(c *Cluster, j int, lam []float64) []float64 {
-	at := make([]float64, len(lam))
-	for k := range c.Classes {
-		at[k] = lam[k] * c.VisitRates(k)[j]
-	}
-	return at
 }

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,40 +40,61 @@ func testCluster() *Cluster {
 	}
 }
 
+// tandem builds a 3-tier cluster of single-server non-preemptive tiers at
+// the given speed, every class bringing unit exponential work, with one
+// class per arrival rate.
+func tandem(speed float64, lambda ...float64) *Cluster {
+	pm, _ := power.NewPowerLaw(100, 10, 3)
+	c := &Cluster{}
+	for _, name := range []string{"web", "app", "db"} {
+		c.Tiers = append(c.Tiers, &Tier{
+			Name: name, Servers: 1, Speed: speed,
+			Discipline: queueing.NonPreemptive, Power: pm,
+			Demands: make([]queueing.Demand, len(lambda)),
+		})
+	}
+	for k, l := range lambda {
+		c.Classes = append(c.Classes, Class{Name: fmt.Sprint("class", k), Lambda: l})
+		for _, t := range c.Tiers {
+			t.Demands[k] = queueing.Demand{Work: 1, CV2: 1}
+		}
+	}
+	return c
+}
+
 func TestClusterValidate(t *testing.T) {
-	c := testCluster()
-	if err := c.Validate(); err != nil {
+	if err := testCluster().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := testCluster()
-	bad.Tiers = nil
-	if err := bad.Validate(); err == nil {
-		t.Error("no tiers accepted")
+	recurrent := &queueing.ClassRouting{
+		Entry: []float64{1, 0, 0},
+		Next:  [][]float64{{1, 0, 0}, {0, 0, 0}, {0, 0, 0}},
 	}
-	bad2 := testCluster()
-	bad2.Classes = nil
-	if err := bad2.Validate(); err == nil {
-		t.Error("no classes accepted")
-	}
-	bad3 := testCluster()
-	bad3.Classes[0].Lambda = -1
-	if err := bad3.Validate(); err == nil {
-		t.Error("negative lambda accepted")
-	}
-	bad4 := testCluster()
-	bad4.Tiers[0].Power = nil
-	if err := bad4.Validate(); err == nil {
-		t.Error("missing power model accepted")
-	}
-	bad5 := testCluster()
-	bad5.Routes = [][]int{{0}}
-	if err := bad5.Validate(); err == nil {
-		t.Error("route/class count mismatch accepted")
-	}
-	bad6 := testCluster()
-	bad6.Tiers[0].Speed = 20 // above MaxSpeed
-	if err := bad6.Validate(); err == nil {
-		t.Error("speed outside DVFS range accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(c *Cluster)
+	}{
+		{"no-tiers", func(c *Cluster) { c.Tiers = nil }},
+		{"no-classes", func(c *Cluster) { c.Classes = nil }},
+		{"negative-lambda", func(c *Cluster) { c.Classes[0].Lambda = -1 }},
+		{"total-lambda-overflow", func(c *Cluster) { c.Classes[0].Lambda, c.Classes[1].Lambda = 1e308, 1e308 }},
+		{"no-power-model", func(c *Cluster) { c.Tiers[0].Power = nil }},
+		{"route-count-mismatch", func(c *Cluster) { c.Routes = [][]int{{0}} }},
+		{"speed-above-max", func(c *Cluster) { c.Tiers[0].Speed = 20 }},
+		{"demand-count-mismatch", func(c *Cluster) { c.Tiers[0].Demands = c.Tiers[0].Demands[:1] }},
+		{"route-tier-out-of-range", func(c *Cluster) { c.Routes = [][]int{{0, 1, 5}, {0}} }},
+		{"route-tier-negative", func(c *Cluster) { c.Routes = [][]int{{0}, {-1}} }},
+		{"empty-route", func(c *Cluster) { c.Routes = [][]int{{0, 1, 2}, {}} }},
+		{"routing-count-mismatch", func(c *Cluster) { c.Routing = []*queueing.ClassRouting{nil} }},
+		{"non-transient-chain", func(c *Cluster) { c.Routing = []*queueing.ClassRouting{nil, recurrent} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCluster()
+			tc.mutate(c)
+			if err := c.Validate(); err == nil {
+				t.Error("accepted")
+			}
+		})
 	}
 }
 
@@ -126,26 +149,125 @@ func TestSLAValidateRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestEvaluateDelaysMatchNetwork checks Evaluate's per-class delays against
+// the closed forms of the tandem queueing network the cluster models.
 func TestEvaluateDelaysMatchNetwork(t *testing.T) {
-	c := testCluster()
-	m, err := Evaluate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bd, err := c.Network().EndToEndDelays(c.Lambdas())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range c.Classes {
-		if !almostEq(m.Delay[k], bd.EndToEnd[k], 1e-12) {
-			t.Errorf("class %d delay %g != network %g", k, m.Delay[k], bd.EndToEnd[k])
+	eval := func(t *testing.T, c *Cluster) *Metrics {
+		t.Helper()
+		m, err := Evaluate(c)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return m
 	}
-	if !(m.Delay[0] < m.Delay[1]) {
-		t.Error("priority ordering violated")
-	}
-	if !m.Stable() {
-		t.Error("cluster should be stable")
+	for _, tc := range []struct {
+		name  string
+		check func(t *testing.T)
+	}{
+		{"priority-two-class", func(t *testing.T) {
+			m := eval(t, testCluster())
+			if !(m.Delay[0] < m.Delay[1]) {
+				t.Error("priority ordering violated")
+			}
+			if !m.Stable() {
+				t.Error("cluster should be stable")
+			}
+		}},
+		{"tandem-sum-of-mm1", func(t *testing.T) {
+			// One class, three identical exponential tiers: with the Poisson
+			// approximation the end-to-end delay is 3 × M/M/1 response (this
+			// is exact for FCFS tandem by Burke's theorem).
+			m := eval(t, tandem(2, 1.2)) // μ = speed/work = 2
+			mm1, _ := queueing.NewMM1(1.2, 2)
+			if want := 3 * mm1.MeanResponse(); !almostEq(m.Delay[0], want, 1e-12) {
+				t.Errorf("end-to-end = %g, want %g", m.Delay[0], want)
+			}
+			for j := 0; j < 3; j++ {
+				if !almostEq(m.Breakdown.PerStation[0][j], mm1.MeanResponse(), 1e-12) {
+					t.Errorf("tier %d response = %g", j, m.Breakdown.PerStation[0][j])
+				}
+				if !almostEq(m.Breakdown.Wait[0][j], mm1.MeanWait(), 1e-12) {
+					t.Errorf("tier %d wait = %g", j, m.Breakdown.Wait[0][j])
+				}
+			}
+		}},
+		{"priority-ordering", func(t *testing.T) {
+			m := eval(t, tandem(4, 0.8, 0.8, 0.8))
+			if !(m.Delay[0] < m.Delay[1] && m.Delay[1] < m.Delay[2]) {
+				t.Errorf("end-to-end delays not ordered by priority: %v", m.Delay)
+			}
+		}},
+		{"unstable-station", func(t *testing.T) {
+			m := eval(t, tandem(1, 0.6, 0.6)) // σ = 1.2 > 1
+			if !math.IsInf(m.Delay[1], 1) {
+				t.Error("low class should have infinite delay through saturated tiers")
+			}
+			if math.IsInf(m.Delay[0], 1) {
+				t.Error("high class should stay finite (σ1 = 0.6 < 1)")
+			}
+			if m.Stable() {
+				t.Error("a class with infinite delay reported stable")
+			}
+		}},
+		{"bottleneck", func(t *testing.T) {
+			c := tandem(2, 0.9)
+			c.Tiers[1].Speed = 1 // app tier slowest → bottleneck
+			m := eval(t, c)
+			if !m.Stable() {
+				t.Error("should be stable at λ=0.9")
+			}
+			if !almostEq(m.Tiers[1].Utilization, 0.9, 1e-12) {
+				t.Errorf("bottleneck util = %g", m.Tiers[1].Utilization)
+			}
+			for j, tm := range m.Tiers {
+				if tm.Utilization > m.Tiers[1].Utilization {
+					t.Errorf("tier %d util %g above the bottleneck's", j, tm.Utilization)
+				}
+			}
+			c.Classes[0].Lambda = 1.1
+			if eval(t, c).Stable() {
+				t.Error("should be unstable at λ=1.1")
+			}
+		}},
+		{"chain-matches-tandem", func(t *testing.T) {
+			// A tandem expressed as a chain must give exactly the delays of
+			// the deterministic tandem.
+			chain := tandem(2, 1.2)
+			r, err := queueing.RoutingFromRoute([]int{0, 1, 2}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chain.Routing = []*queueing.ClassRouting{r}
+			det, got := eval(t, tandem(2, 1.2)), eval(t, chain)
+			if !almostEq(det.Delay[0], got.Delay[0], 1e-12) {
+				t.Errorf("chain %g vs deterministic %g", got.Delay[0], det.Delay[0])
+			}
+		}},
+		{"retry-loop", func(t *testing.T) {
+			// Jackson single station with feedback p: arrival rate λ/(1−p),
+			// expected E2E = v·T with v = 1/(1−p) and T the M/M/1 response
+			// at the inflated rate.
+			p, lam := 0.4, 0.6
+			c := tandem(2, lam)
+			c.Tiers = c.Tiers[:1]
+			c.Routing = []*queueing.ClassRouting{{Entry: []float64{1}, Next: [][]float64{{p}}}}
+			m := eval(t, c)
+			v := 1 / (1 - p)
+			mm1, _ := queueing.NewMM1(lam*v, 2)
+			if want := v * mm1.MeanResponse(); !almostEq(m.Delay[0], want, 1e-9) {
+				t.Errorf("retry-loop delay %g, want %g", m.Delay[0], want)
+			}
+			// Stability reflects the inflated load.
+			if !m.Stable() {
+				t.Error("should be stable")
+			}
+			c.Classes[0].Lambda = 1.3 // 1.3/(1−0.4) = 2.17 > μ = 2
+			if eval(t, c).Stable() {
+				t.Error("should be unstable with retries")
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.check)
 	}
 }
 
@@ -342,34 +464,98 @@ func TestSpeedBounds(t *testing.T) {
 }
 
 func TestClusterClone(t *testing.T) {
-	c := testCluster()
-	c.Routes = [][]int{{0, 1}, {0, 1, 2}}
-	cl := c.Clone()
-	cl.Tiers[0].Speed = 99
-	cl.Classes[0].Lambda = 99
-	cl.Routes[0][0] = 2
-	cl.Tiers[1].Demands[0].Work = 42
-	if c.Tiers[0].Speed == 99 || c.Classes[0].Lambda == 99 || c.Routes[0][0] == 2 ||
-		c.Tiers[1].Demands[0].Work == 42 {
-		t.Error("clone shares state")
+	for _, tc := range []struct {
+		name   string
+		set    func(c *Cluster)
+		mutate func(c *Cluster)
+	}{
+		{"tiers-classes-routes", func(c *Cluster) { c.Routes = [][]int{{0, 1}, {0, 1, 2}} }, func(c *Cluster) {
+			c.Tiers[0].Speed = 99
+			c.Classes[0].Lambda = 99
+			c.Routes[0][0] = 2
+			c.Tiers[1].Demands[0].Work = 42
+		}},
+		{"routing-chain", func(c *Cluster) {
+			c.Routing = []*queueing.ClassRouting{nil, {
+				Entry: []float64{1, 0, 0},
+				Next:  [][]float64{{0, 1, 0}, {0, 0, 1}, {0, 0.5, 0}},
+			}}
+		}, func(c *Cluster) {
+			c.Routing[1].Entry[0] = 0.5
+			c.Routing[1].Next[2][1] = 0.9
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCluster()
+			tc.set(c)
+			want := testCluster()
+			tc.set(want)
+			tc.mutate(c.Clone())
+			if !reflect.DeepEqual(c, want) {
+				t.Error("clone shares state")
+			}
+		})
 	}
 }
 
 func TestPartialRoutesInCluster(t *testing.T) {
-	c := testCluster()
-	c.Routes = [][]int{{0, 1, 2}, {0}} // bronze only touches web
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Evaluate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(m.Delay[1] < m.Delay[0]) {
-		t.Errorf("single-tier route should be faster: %v", m.Delay)
-	}
-	// Energy for bronze comes from one tier only.
-	if !(m.EnergyPerRequest[1] < m.EnergyPerRequest[0]) {
-		t.Errorf("energy not reduced on short route: %v", m.EnergyPerRequest)
+	for _, tc := range []struct {
+		name  string
+		check func(t *testing.T)
+	}{
+		{"single-tier-route", func(t *testing.T) {
+			c := testCluster()
+			c.Routes = [][]int{{0, 1, 2}, {0}} // bronze only touches web
+			if err := c.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := Evaluate(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !(m.Delay[1] < m.Delay[0]) {
+				t.Errorf("single-tier route should be faster: %v", m.Delay)
+			}
+			// Energy for bronze comes from one tier only.
+			if !(m.EnergyPerRequest[1] < m.EnergyPerRequest[0]) {
+				t.Errorf("energy not reduced on short route: %v", m.EnergyPerRequest)
+			}
+		}},
+		{"partial-route", func(t *testing.T) {
+			// Class 1 skips the db tier; its delay must be smaller than the
+			// full route at the same load, and the db tier must not see its
+			// traffic.
+			c := tandem(4, 0.5, 0.5)
+			c.Routes = [][]int{{0, 1, 2}, {0, 1}}
+			m, err := Evaluate(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !(m.Delay[1] < m.Delay[0]) {
+				t.Errorf("shorter route should be faster: %v", m.Delay)
+			}
+			if at := c.TierModels()[2].Arrivals; at[0] != 0.5 || at[1] != 0 {
+				t.Errorf("db arrivals = %v", at)
+			}
+		}},
+		{"revisit", func(t *testing.T) {
+			// A route visiting tier 0 twice doubles that tier's load, and
+			// the end-to-end delay holds its response twice.
+			c := tandem(4, 0.5)
+			c.Routes = [][]int{{0, 1, 0}}
+			if at := c.TierModels()[0].Arrivals; at[0] != 1.0 {
+				t.Errorf("revisited tier load = %g, want 1", at[0])
+			}
+			m, err := Evaluate(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bd := m.Breakdown
+			if want := 2*bd.PerStation[0][0] + bd.PerStation[0][1]; !almostEq(m.Delay[0], want, 1e-12) {
+				t.Errorf("end-to-end = %g, want %g", m.Delay[0], want)
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.check)
 	}
 }

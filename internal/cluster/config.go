@@ -104,6 +104,9 @@ func BuildPower(pc PowerConfig) (power.Model, error) {
 		}
 		return power.NewPowerLaw(pc.Idle, pc.Kappa, gamma)
 	case "linear":
+		if pc.Idle < 0 || pc.Slope < 0 {
+			return nil, fmt.Errorf("cluster: negative linear power coefficients idle=%g slope=%g", pc.Idle, pc.Slope)
+		}
 		return power.Linear{Idle: pc.Idle, Slope: pc.Slope}, nil
 	case "table":
 		return power.NewTable(pc.Idle, pc.Speeds, pc.BusyW)

@@ -64,15 +64,18 @@ func TestParseConfigRoundTrip(t *testing.T) {
 	}
 }
 
+// parseErrorCases are configs ParseConfig must reject.
+var parseErrorCases = map[string]string{
+	"bad json":          `{`,
+	"unknown field":     `{"tiers": [], "classes": [], "bogus": 1}`,
+	"unknown disc":      `{"tiers":[{"name":"a","servers":1,"speed":1,"discipline":"lifo","power":{"type":"linear"},"demands":[{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":0.1}]}`,
+	"unknown power":     `{"tiers":[{"name":"a","servers":1,"speed":1,"discipline":"fcfs","power":{"type":"quantum"},"demands":[{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":0.1}]}`,
+	"negative slope":    `{"tiers":[{"name":"a","servers":1,"speed":1,"discipline":"fcfs","power":{"type":"linear","idle":5,"slope":-1},"demands":[{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":0.1}]}`,
+	"invalid structure": `{"tiers":[],"classes":[]}`,
+}
+
 func TestParseConfigErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad json":          `{`,
-		"unknown field":     `{"tiers": [], "classes": [], "bogus": 1}`,
-		"unknown disc":      `{"tiers":[{"name":"a","servers":1,"speed":1,"discipline":"lifo","power":{"type":"linear"},"demands":[{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":0.1}]}`,
-		"unknown power":     `{"tiers":[{"name":"a","servers":1,"speed":1,"discipline":"fcfs","power":{"type":"quantum"},"demands":[{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":0.1}]}`,
-		"invalid structure": `{"tiers":[],"classes":[]}`,
-	}
-	for name, js := range cases {
+	for name, js := range parseErrorCases {
 		if _, err := ParseConfig([]byte(js)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -115,8 +118,10 @@ func TestBuildPowerDefaults(t *testing.T) {
 	}
 }
 
-func TestParseConfigWithRouting(t *testing.T) {
-	js := `{
+// routingJSON gives its one class a retry loop: one visit plus a retry with
+// probability 0.25. recurrentJSON retries forever.
+const (
+	routingJSON = `{
 	  "tiers": [
 	    {"name": "a", "servers": 1, "speed": 4, "discipline": "fcfs",
 	     "power": {"type": "linear", "idle": 10, "slope": 1},
@@ -125,16 +130,7 @@ func TestParseConfigWithRouting(t *testing.T) {
 	  "classes": [{"name": "x", "lambda": 1}],
 	  "routing": [{"entry": [1], "next": [[0.25]]}]
 	}`
-	c, err := ParseConfig([]byte(js))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := c.VisitRates(0)
-	if !almostEq(v[0], 1/0.75, 1e-9) {
-		t.Errorf("visit rate = %g, want %g", v[0], 1/0.75)
-	}
-	// Recurrent chain rejected at validation.
-	bad := `{
+	recurrentJSON = `{
 	  "tiers": [
 	    {"name": "a", "servers": 1, "speed": 4, "discipline": "fcfs",
 	     "power": {"type": "linear", "idle": 10, "slope": 1},
@@ -143,7 +139,19 @@ func TestParseConfigWithRouting(t *testing.T) {
 	  "classes": [{"name": "x", "lambda": 1}],
 	  "routing": [{"entry": [1], "next": [[1.0]]}]
 	}`
-	if _, err := ParseConfig([]byte(bad)); err == nil {
+)
+
+func TestParseConfigWithRouting(t *testing.T) {
+	c, err := ParseConfig([]byte(routingJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := c.VisitRates(0)
+	if !almostEq(v[0], 1/0.75, 1e-9) {
+		t.Errorf("visit rate = %g, want %g", v[0], 1/0.75)
+	}
+	// Recurrent chain rejected at validation.
+	if _, err := ParseConfig([]byte(recurrentJSON)); err == nil {
 		t.Error("recurrent routing accepted")
 	}
 }
@@ -166,9 +174,19 @@ func TestConfigJSONSerializesBack(t *testing.T) {
 	}
 }
 
-func TestParseConfigAvailability(t *testing.T) {
-	base := `{"tiers":[{"name":"a","servers":1,"speed":4,"discipline":"fcfs","power":{"type":"linear","idle":50,"slope":20},%s"demands":[{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":0.5}]}`
+// availabilityJSON is a one-tier config with a %s slot for availability
+// fields; badAvailability holds the fills ParseConfig must reject.
+const availabilityJSON = `{"tiers":[{"name":"a","servers":1,"speed":4,"discipline":"fcfs","power":{"type":"linear","idle":50,"slope":20},%s"demands":[{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":0.5}]}`
 
+var badAvailability = map[string]string{
+	"both forms":   `"availability":0.9,"mtbf":90,"mttr":10,`,
+	"mtbf alone":   `"mtbf":90,`,
+	"bad mttr":     `"mtbf":90,"mttr":-1,`,
+	"out of range": `"availability":1.5,`,
+}
+
+func TestParseConfigAvailability(t *testing.T) {
+	base := availabilityJSON
 	c, err := ParseConfig([]byte(fmt.Sprintf(base, `"availability":0.9,`)))
 	if err != nil {
 		t.Fatal(err)
@@ -185,12 +203,7 @@ func TestParseConfigAvailability(t *testing.T) {
 		t.Errorf("derived availability = %g, want 0.9", got)
 	}
 
-	for name, snippet := range map[string]string{
-		"both forms":   `"availability":0.9,"mtbf":90,"mttr":10,`,
-		"mtbf alone":   `"mtbf":90,`,
-		"bad mttr":     `"mtbf":90,"mttr":-1,`,
-		"out of range": `"availability":1.5,`,
-	} {
+	for name, snippet := range badAvailability {
 		if _, err := ParseConfig([]byte(fmt.Sprintf(base, snippet))); err == nil {
 			t.Errorf("%s: accepted", name)
 		}

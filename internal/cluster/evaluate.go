@@ -40,7 +40,7 @@ type Metrics struct {
 	// Tiers holds per-tier utilization and power.
 	Tiers []TierMetrics
 	// Breakdown holds the queueing detail (per-class per-station waits).
-	Breakdown *queueing.DelayBreakdown
+	Breakdown *DelayBreakdown
 }
 
 // Stable reports whether every class has a finite delay.
@@ -53,56 +53,151 @@ func (m *Metrics) Stable() bool {
 	return true
 }
 
-// Evaluate computes the metrics of the cluster at its current speeds. It is
-// the analytical core: delays from the priority queueing network, power from
-// the per-tier utilization law.
+// TierModel is one tier's separable share of the C1 model. Under the
+// Poisson-arrival coupling a tier's response times depend only on its own
+// speed, so every delay and power the model reports is a sum of per-tier
+// terms; Evaluate and the optimizers in internal/core compute those terms
+// through Eval alone. A model depends only on the cluster, so it is built
+// once per cluster (TierModels); evaluating it at a speed rewrites the
+// station's speed and nothing else.
+type TierModel struct {
+	// Station is the tier's queueing station, serving at the
+	// availability-degraded speed Speed·A.
+	Station *queueing.Station
+	// Visits[k] is class k's expected number of visits v_kj to the tier.
+	Visits []float64
+	// Arrivals[k] is the class-k arrival rate at the tier, λ_k·v_kj.
+	Arrivals []float64
+	Power    power.Model
+	// Avail is the tier's availability A (EffectiveAvailability).
+	Avail float64
+}
+
+// TierModels returns the cluster's per-tier models at its current speeds,
+// solving each class's traffic equations once.
+func (c *Cluster) TierModels() []TierModel {
+	visits := make([][]float64, len(c.Classes))
+	for k := range visits {
+		visits[k] = c.VisitRates(k)
+	}
+	ms := make([]TierModel, len(c.Tiers))
+	for j, t := range c.Tiers {
+		m := &ms[j]
+		*m = t.model()
+		m.Visits, m.Arrivals = make([]float64, len(c.Classes)), make([]float64, len(c.Classes))
+		for k, cl := range c.Classes {
+			m.Visits[k] = visits[k][j]
+			m.Arrivals[k] = cl.Lambda * m.Visits[k]
+		}
+	}
+	return ms
+}
+
+// model returns the tier's model at its current speed, without traffic.
+func (t *Tier) model() TierModel {
+	m := TierModel{
+		Station: &queueing.Station{
+			Name: t.Name, Servers: t.Servers, Discipline: t.Discipline, Demands: t.Demands,
+		},
+		Power: t.Power,
+		Avail: t.EffectiveAvailability(),
+	}
+	m.at(t.Speed)
+	return m
+}
+
+// at sets the station to nominal speed s: a pool whose servers are each up
+// a fraction A of the time serves at s·A, its mean effective capacity.
+func (m *TierModel) at(s float64) { m.Station.Speed = s * m.Avail }
+
+// Eval returns the tier's per-class mean waiting and response times per
+// visit at nominal speed s, with its utilization and power. The power's
+// static part is already scaled by A.
+func (m *TierModel) Eval(s float64) (wait, resp []float64, tm TierMetrics, err error) {
+	m.at(s)
+	if wait, resp, err = m.Station.ResponseTimes(m.Arrivals); err != nil {
+		return nil, nil, tm, err
+	}
+	// rho is the per-up-server busy fraction (the station runs at the
+	// availability-degraded capacity s·A). The fraction of *nominal*
+	// servers busy is rho·A, which is what dynamic power scales with at
+	// the raw operating speed; failed servers draw nothing, so the static
+	// floor also shrinks by A.
+	rho := m.Station.Utilization(m.Arrivals)
+	br := power.StationBreakdown(m.Power, s, m.Station.Servers, rho*m.Avail)
+	br.Static *= m.Avail
+	return wait, resp, TierMetrics{Name: m.Station.Name, Utilization: rho, Power: br}, nil
+}
+
+// DelayBreakdown holds the per-class, per-tier mean response times plus
+// end-to-end totals.
+type DelayBreakdown struct {
+	// PerStation[k][j] is the mean response time of one class-k visit to
+	// tier j (0 for tiers the class never visits).
+	PerStation [][]float64
+	// Wait[k][j] is the waiting component of PerStation.
+	Wait [][]float64
+	// EndToEnd[k] is Σ_j v_kj·PerStation[k][j] over the tiers class k
+	// visits.
+	EndToEnd []float64
+}
+
+// Evaluate computes the metrics of the cluster at its current speeds: each
+// tier's model evaluated at Tier.Speed, summed over tiers. Downstream
+// arrival processes are approximated as Poisson with the tier's arrival
+// rate (exact under product form, an approximation under priority
+// scheduling that the simulator quantifies), and a class visiting a
+// saturated tier has an infinite delay.
 func Evaluate(c *Cluster) (*Metrics, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	lam := c.Lambdas()
-	net := c.Network()
-	bd, err := net.EndToEndDelays(lam)
-	if err != nil {
-		return nil, err
+	nk := len(c.Classes)
+	bd := &DelayBreakdown{
+		PerStation: make([][]float64, nk),
+		Wait:       make([][]float64, nk),
+		EndToEnd:   make([]float64, nk),
 	}
-
+	for k := range bd.PerStation {
+		bd.PerStation[k] = make([]float64, len(c.Tiers))
+		bd.Wait[k] = make([]float64, len(c.Tiers))
+	}
 	m := &Metrics{
 		Delay:            bd.EndToEnd,
-		WeightedDelay:    queueing.MeanDelayAllClasses(bd.EndToEnd, lam),
-		EnergyPerRequest: make([]float64, len(c.Classes)),
+		EnergyPerRequest: make([]float64, nk),
 		Tiers:            make([]TierMetrics, len(c.Tiers)),
 		Breakdown:        bd,
 	}
-
+	ms := c.TierModels()
 	for j, t := range c.Tiers {
-		// rho is the per-up-server busy fraction (the station runs at the
-		// availability-degraded capacity Speed·A). The fraction of *nominal*
-		// servers busy is rho·A, which is what dynamic power scales with at
-		// the raw operating speed; failed servers draw nothing, so the static
-		// floor also shrinks by A.
-		a := t.EffectiveAvailability()
-		rho := net.Stations[j].Utilization(TierArrivals(c, j, lam))
-		br := power.StationBreakdown(t.Power, t.Speed, t.Servers, rho*a)
-		br.Static *= a
-		m.Tiers[j] = TierMetrics{Name: t.Name, Utilization: rho, Power: br}
-		m.StaticPower += br.Static
-		m.DynamicPower += br.Dynamic
+		wait, resp, tm, err := ms[j].Eval(t.Speed)
+		if err != nil {
+			return nil, fmt.Errorf("station %d (%s): %w", j, t.Name, err)
+		}
+		for k := range resp {
+			bd.PerStation[k][j], bd.Wait[k][j] = resp[k], wait[k]
+		}
+		m.Tiers[j] = tm
+		m.StaticPower += tm.Power.Static
+		m.DynamicPower += tm.Power.Dynamic
 	}
 	m.TotalPower = m.StaticPower + m.DynamicPower
 
 	for k := range c.Classes {
-		var e float64
-		for j, visits := range c.VisitRates(k) {
+		var d, e float64
+		for j, t := range c.Tiers {
+			visits := ms[j].Visits[k]
 			if visits <= 0 {
 				continue
 			}
-			t := c.Tiers[j]
+			d += visits * bd.PerStation[k][j]
 			svc := t.Demands[k].Work / t.Speed
 			e += visits * power.RequestEnergy(t.Power, t.Speed, svc)
 		}
+		bd.EndToEnd[k] = d
 		m.EnergyPerRequest[k] = e
 	}
+	m.WeightedDelay = queueing.MeanDelayAllClasses(bd.EndToEnd, c.Lambdas())
 
 	if tot := c.TotalLambda(); tot > 0 {
 		m.EnergyPerJob = m.TotalPower / tot
@@ -140,7 +235,7 @@ func DelayQuantile(c *Cluster, m *Metrics, k int, p float64) (float64, error) {
 func DelayQuantileAt(c *Cluster, k int, resp []float64, p float64, grad []float64) (float64, error) {
 	var tiers []int
 	var mult []float64
-	if c.Routing != nil && k < len(c.Routing) && c.Routing[k] != nil {
+	if c.routing(k) != nil {
 		for j, visits := range c.VisitRates(k) {
 			if visits > 0 {
 				tiers, mult = append(tiers, j), append(mult, visits)

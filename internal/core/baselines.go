@@ -133,11 +133,10 @@ func ProportionalCostBaseline(c *cluster.Cluster, maxServersPerTier int) (*Solut
 	// Offered work per tier at max speed (Erlangs).
 	_, hi := work.SpeedBounds()
 	loads := make([]float64, len(work.Tiers))
-	for j, t := range work.Tiers {
-		at := cluster.TierArrivals(work, j, work.Lambdas())
+	for j, m := range work.TierModels() {
 		var w float64
-		for k, d := range t.Demands {
-			w += at[k] * d.Work
+		for k, d := range work.Tiers[j].Demands {
+			w += m.Arrivals[k] * d.Work
 		}
 		loads[j] = w / hi[j]
 	}

@@ -148,14 +148,16 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 	}
 
 	// Start from the smallest stable counts at max speed.
+	ms := work.TierModels()
 	for j, t := range work.Tiers {
 		t.Servers = 1
 		_, hi := work.SpeedBounds()
 		// Grow until the tier alone is stable at max speed.
+		st := ms[j].Station
+		st.Speed = hi[j]
 		for t.Servers < maxServers {
-			st := t.Station()
-			st.Speed = hi[j]
-			if st.Utilization(cluster.TierArrivals(work, j, work.Lambdas())) < 0.999 {
+			st.Servers = t.Servers
+			if st.Utilization(ms[j].Arrivals) < 0.999 {
 				break
 			}
 			t.Servers++
@@ -354,9 +356,8 @@ func tuneSpeedsForSLA(c *cluster.Cluster) (*cluster.Cluster, error) {
 // its current speed.
 func hottestTier(c *cluster.Cluster) int {
 	best, idx := math.Inf(-1), 0
-	for j, t := range c.Tiers {
-		u := t.Station().Utilization(cluster.TierArrivals(c, j, c.Lambdas()))
-		if u > best {
+	for j, m := range c.TierModels() {
+		if u := m.Station.Utilization(m.Arrivals); u > best {
 			best, idx = u, j
 		}
 	}

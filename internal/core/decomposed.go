@@ -7,7 +7,6 @@ import (
 	"clusterq/internal/cluster"
 	"clusterq/internal/opt"
 	"clusterq/internal/power"
-	"clusterq/internal/queueing"
 )
 
 // This file implements the Lagrangian dual decomposition behind every
@@ -36,25 +35,19 @@ import (
 // per-tier weights of the class's response times, re-linearized at every
 // iterate until the power settles.
 
-// tierFn is one tier's separable share of the model. Its arrival vector,
-// visit rates and queueing station depend only on the cluster, so they are
-// built once per solve; evaluating the tier at a speed rewrites the
-// station's speed alone.
+// tierFn is one tier's separable share of the model: the cluster's tier
+// model (cluster.TierModel), built once per solve, with the tier's tail
+// weights and the knots of its power curve.
 type tierFn struct {
-	st      *queueing.Station
-	at      []float64 // per-class arrival rates at the tier, λ_k·v_kj
-	visits  []float64 // per-class expected visits v_kj
-	tailW   []float64 // per-class tail weights w_kj; nil without tail rows
-	avail   float64   // availability A: the station serves at Speed·A
-	model   power.Model
-	servers int
-	knots   []float64 // lo, the power curve's kinks inside (lo, hi), hi
+	m     cluster.TierModel
+	tailW []float64 // per-class tail weights w_kj; nil without tail rows
+	knots []float64 // lo, the power curve's kinks inside (lo, hi), hi
 }
 
-func newTierFn(t *cluster.Tier, at, visits []float64, lo, hi float64) tierFn {
+func newTierFn(m cluster.TierModel, lo, hi float64) tierFn {
 	knots := []float64{lo}
 	// A table model's busy power has kinks at its listed speeds.
-	if tb, ok := t.Power.(*power.Table); ok {
+	if tb, ok := m.Power.(*power.Table); ok {
 		for _, s := range tb.Speeds {
 			if s > lo && s < hi {
 				knots = append(knots, s)
@@ -62,30 +55,23 @@ func newTierFn(t *cluster.Tier, at, visits []float64, lo, hi float64) tierFn {
 		}
 	}
 	knots = append(knots, hi)
-	return tierFn{
-		st: t.Station(), at: at, visits: visits, avail: t.EffectiveAvailability(),
-		model: t.Power, servers: t.Servers, knots: knots,
-	}
+	return tierFn{m: m, knots: knots}
 }
 
 // eval returns the tier's average power and per-class response times at
-// nominal speed s, as cluster.Evaluate computes them: the station serves at
-// s·A, the busy fraction of nominal servers is ρ·A, and failed servers draw
-// no static power. ok is false when a class visiting the tier has an
+// nominal speed s. ok is false when a class visiting the tier has an
 // unbounded response time.
 func (f *tierFn) eval(s float64) (pow float64, resp []float64, ok bool) {
-	f.st.Speed = s * f.avail
-	_, resp, err := f.st.ResponseTimes(f.at)
+	_, resp, tm, err := f.m.Eval(s)
 	if err != nil {
 		return 0, nil, false
 	}
-	for k, v := range f.visits {
+	for k, v := range f.m.Visits {
 		if v > 0 && math.IsInf(resp[k], 1) {
 			return 0, nil, false
 		}
 	}
-	br := power.StationBreakdown(f.model, s, f.servers, f.st.Utilization(f.at)*f.avail)
-	return br.Static*f.avail + br.Dynamic, resp, true
+	return tm.Power.Static + tm.Power.Dynamic, resp, true
 }
 
 // lagrangian returns α·g_j(s) + Σ_k θ_k·v_kj·r_kj(s) (+ the tail terms, see
@@ -101,8 +87,8 @@ func (f *tierFn) lagrangian(s, alpha float64, theta []float64) float64 {
 // weigh adds the tier's delay terms Σ_k θ_k·v_kj·r_kj to l and, with tail
 // rows, Σ_k θ_(K+k)·w_kj·v_kj·r_kj.
 func (f *tierFn) weigh(l float64, theta, resp []float64) float64 {
-	nk := len(f.visits)
-	for k, v := range f.visits {
+	nk := len(f.m.Visits)
+	for k, v := range f.m.Visits {
 		if v > 0 {
 			l += theta[k] * v * resp[k]
 			if f.tailW != nil {
@@ -226,19 +212,10 @@ func newTierFns(c *cluster.Cluster, weights []float64) (*tierFns, error) {
 	for i, v := range w {
 		wn[i] = v / sum
 	}
-	nk := len(work.Classes)
-	visits := make([][]float64, nk)
-	for k := range visits {
-		visits[k] = work.VisitRates(k)
-	}
-	tiers := make([]tierFn, len(work.Tiers))
-	for j, tier := range work.Tiers {
-		at, v := make([]float64, nk), make([]float64, nk)
-		for k := range v {
-			v[k] = visits[k][j]
-			at[k] = work.Classes[k].Lambda * v[k]
-		}
-		tiers[j] = newTierFn(tier, at, v, lo[j], hi[j])
+	ms := work.TierModels()
+	tiers := make([]tierFn, len(ms))
+	for j, m := range ms {
+		tiers[j] = newTierFn(m, lo[j], hi[j])
 	}
 	return &tierFns{c: work, tiers: tiers, lo: lo, hi: hi, wBy: wn}, nil
 }
@@ -250,7 +227,7 @@ func newTierFns(c *cluster.Cluster, weights []float64) (*tierFns, error) {
 // from the segment below it to the segment above. Power laws and linear
 // models have none.
 func (f *tierFn) concaveKinks() []float64 {
-	tb, ok := f.model.(*power.Table)
+	tb, ok := f.m.Power.(*power.Table)
 	if !ok {
 		return nil
 	}
@@ -337,7 +314,7 @@ func (t *tierFns) evalAt(speeds, delays []float64) float64 {
 			p = math.Inf(1)
 		}
 		pow += p
-		for k, v := range f.visits {
+		for k, v := range f.m.Visits {
 			switch {
 			case v > 0 && !ok:
 				delays[k] = math.Inf(1)
@@ -508,7 +485,7 @@ func (t *tierFns) curvature(pr *dualProblem, p *dualPoint, act []int) [][]float6
 			if r[0] != 0 {
 				u[a] = r[0] * (pow[2] - pow[0]) / (2 * ds)
 			}
-			for k, v := range f.visits {
+			for k, v := range f.m.Visits {
 				if v > 0 && r[k+1] != 0 {
 					u[a] += r[k+1] * (v * (resp[2][k] - resp[0][k]) / (2 * ds))
 				}
@@ -902,7 +879,7 @@ func (t *tierFns) linearize(speeds []float64, tail []TailBound, bounds []float64
 		for j := range t.tiers {
 			f := &t.tiers[j]
 			f.tailW[k] = 0
-			if v := f.visits[k]; v > 0 {
+			if v := f.m.Visits[k]; v > 0 {
 				f.tailW[k] = grad[j] / v
 				bounds[k] += f.tailW[k] * v * resp[k][j]
 			}

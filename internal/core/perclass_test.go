@@ -179,7 +179,7 @@ func randomPerClassCluster(rng *rand.Rand) (*cluster.Cluster, []float64) {
 	next[nj-1][nj-1] = 0.3
 	routing[rng.Intn(nk)] = &queueing.ClassRouting{Entry: entry, Next: next}
 	c := &cluster.Cluster{Tiers: tiers, Classes: classes, Routing: routing}
-	u, _ := c.Network().BottleneckUtilization(c.Lambdas())
+	u := bottleneckUtilization(c)
 	for k := range c.Classes {
 		c.Classes[k].Lambda *= (0.3 + 0.4*rng.Float64()) / u
 	}
@@ -346,7 +346,7 @@ func TestTierArgminIsGlobal(t *testing.T) {
 				x := tf.lo[j] + (tf.hi[j]-tf.lo[j])*float64(i)/n
 				if v := f.lagrangian(x, 1, theta); v < got-1e-9*math.Abs(got) {
 					t.Errorf("tier %d (%v) ν=%g: argmin %g gives %.12g, grid point %g gives %.12g",
-						j, f.model, nu, s, got, x, v)
+						j, f.m.Power, nu, s, got, x, v)
 					break
 				}
 			}
@@ -394,4 +394,16 @@ func TestDualsHonourAvailability(t *testing.T) {
 	if !almostEq(d.Objective, d.Metrics.WeightedDelay, 1e-9) {
 		t.Errorf("C2 dual: objective %g s is not the evaluated delay %g s", d.Objective, d.Metrics.WeightedDelay)
 	}
+}
+
+// bottleneckUtilization returns the highest per-server utilization over the
+// cluster's tiers at their current speeds.
+func bottleneckUtilization(c *cluster.Cluster) float64 {
+	u := math.Inf(-1)
+	for _, m := range c.TierModels() {
+		if r := m.Station.Utilization(m.Arrivals); r > u {
+			u = r
+		}
+	}
+	return u
 }

@@ -45,7 +45,7 @@ func randomCluster(rng *rand.Rand) *cluster.Cluster {
 	c := &cluster.Cluster{Tiers: tiers, Classes: classes}
 	// Scale arrivals so the bottleneck at max speed sits near 50%: every
 	// random instance is solvable with headroom.
-	u, _ := c.Network().BottleneckUtilization(c.Lambdas())
+	u := bottleneckUtilization(c)
 	if u > 0 {
 		f := 0.5 / u
 		for i := range c.Classes {

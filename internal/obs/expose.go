@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
+	"strings"
 )
 
 // Snapshot is the point-in-time state of one metric, shaped for JSON
@@ -107,6 +110,42 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteMetricsFile writes the registry to path: Prometheus text when the
+// path ends in .prom or .txt, JSON otherwise. A non-nil timeline joins the
+// JSON document as a second top-level section, {"metrics": [...],
+// "timeline": {...}}; Prometheus text is a point-in-time format, so it
+// leaves the timeline out.
+func WriteMetricsFile(path string, reg *Registry, tl *Timeline) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	// Safety net for early error returns; the success path closes (and
+	// checks) explicitly below.
+	defer func() { _ = f.Close() }()
+	w := bufio.NewWriter(f)
+	switch {
+	case strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt"):
+		err = reg.WritePrometheus(w)
+	case tl == nil:
+		err = reg.WriteJSON(w)
+	default:
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		err = enc.Encode(struct {
+			Metrics  []Snapshot `json:"metrics"`
+			Timeline *Timeline  `json:"timeline"`
+		}{Metrics: reg.Snapshot(), Timeline: tl})
+	}
+	if err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // formatFloat renders a sample value the way Prometheus parsers expect:

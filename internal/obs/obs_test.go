@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -197,5 +199,66 @@ func TestWritePrometheusParses(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+func TestWriteMetricsFile(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("runs_total", "runs").Add(3)
+	r.Gauge("power_watts", "power").Set(812.5)
+	tl := NewTimeline("q")
+	tl.Sample(0, []float64{1})
+	tl.Sample(1, []float64{2})
+
+	var prom, js bytes.Buffer
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		tl   *Timeline
+		want string // "" checks the timeline document instead
+	}{
+		{"m.prom", tl, prom.String()},
+		{"m.txt", nil, prom.String()},
+		{"m.json", nil, js.String()},
+		{"m.json", tl, ""},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := WriteMetricsFile(path, r, tc.tl); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.want != "" {
+			if string(got) != tc.want {
+				t.Errorf("%s (timeline %v): got\n%s\nwant\n%s", tc.name, tc.tl != nil, got, tc.want)
+			}
+			continue
+		}
+		var doc struct {
+			Metrics  []Snapshot      `json:"metrics"`
+			Timeline json.RawMessage `json:"timeline"`
+		}
+		if err := json.Unmarshal(got, &doc); err != nil {
+			t.Fatalf("timeline document: %v\n%s", err, got)
+		}
+		wantTL, _ := json.Marshal(tl)
+		var gotTL bytes.Buffer
+		if err := json.Compact(&gotTL, doc.Timeline); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Metrics) != 2 || gotTL.String() != string(wantTL) {
+			t.Errorf("timeline document: %s", got)
+		}
+	}
+	if err := WriteMetricsFile(filepath.Join(dir, "missing", "m.json"), r, nil); err == nil {
+		t.Error("uncreatable path accepted")
 	}
 }

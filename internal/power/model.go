@@ -114,6 +114,11 @@ func NewTable(idle float64, speeds, busy []float64) (*Table, error) {
 	if idle < 0 {
 		return nil, fmt.Errorf("power: negative idle power %g", idle)
 	}
+	for i, p := range busy {
+		if p < idle {
+			return nil, fmt.Errorf("power: table point %d busy power %g below idle %g", i, p, idle)
+		}
+	}
 	return &Table{IdleW: idle, Speeds: append([]float64(nil), speeds...), BusyW: append([]float64(nil), busy...)}, nil
 }
 

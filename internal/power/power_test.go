@@ -107,6 +107,9 @@ func TestTableValidation(t *testing.T) {
 	if _, err := NewTable(1, []float64{0}, []float64{5}); err == nil {
 		t.Error("zero speed accepted")
 	}
+	if _, err := NewTable(10, []float64{1, 2}, []float64{12, 9}); err == nil {
+		t.Error("busy power below idle accepted")
+	}
 }
 
 func TestStationPower(t *testing.T) {

@@ -1,9 +1,10 @@
 // Package queueing implements the analytical queueing theory the paper's
 // delay model is built on: M/M/1, M/M/c (Erlang B/C), M/G/1
 // (Pollaczek–Khinchine), multi-class priority queues (Cobham's formulas,
-// preemptive and non-preemptive), stations with class-dependent demands, and
-// feed-forward networks of stations with per-class end-to-end delays and a
-// hypoexponential percentile approximation.
+// preemptive and non-preemptive), stations with class-dependent demands,
+// Markov routing chains with their visit rates, and a hypoexponential
+// percentile approximation. Networks of stations (tiers and routes) live in
+// internal/cluster.
 //
 // Conventions used throughout the package:
 //   - classes are indexed 0..K-1 with class 0 the HIGHEST priority;

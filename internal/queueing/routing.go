@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// ClassRouting is a per-class probabilistic (Markov) routing chain over the
-// network's stations, generalizing the deterministic Route: a request enters
+// ClassRouting is a per-class probabilistic (Markov) routing chain over a
+// set of stations, generalizing a deterministic route: a request enters
 // at station j with probability Entry[j]; after completing service at
 // station i it moves to station j with probability Next[i][j] and leaves the
 // system with the remaining probability 1 − Σ_j Next[i][j].
@@ -150,7 +150,7 @@ func solveDense(a [][]float64, b []float64) ([]float64, error) {
 
 // RoutingFromRoute converts a deterministic route into the equivalent
 // probabilistic chain (probability-1 transitions). Useful for tests and for
-// mixing route styles in one network.
+// mixing route styles in one cluster.
 func RoutingFromRoute(route []int, numStations int) (*ClassRouting, error) {
 	if len(route) == 0 {
 		return nil, fmt.Errorf("queueing: empty route")

@@ -129,65 +129,6 @@ func TestRoutingFromRoute(t *testing.T) {
 	}
 }
 
-func TestNetworkWithRoutingMatchesDeterministicEquivalent(t *testing.T) {
-	// A tandem expressed as a chain must give exactly the delays of the
-	// deterministic tandem.
-	det := threeTier(1, 2)
-	chain := threeTier(1, 2)
-	r, err := RoutingFromRoute([]int{0, 1, 2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain.Routings = []*ClassRouting{r}
-	if err := chain.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	lam := []float64{1.2}
-	bdDet, err := det.EndToEndDelays(lam)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bdChain, err := chain.EndToEndDelays(lam)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(bdDet.EndToEnd[0], bdChain.EndToEnd[0], 1e-12) {
-		t.Errorf("chain %g vs deterministic %g", bdChain.EndToEnd[0], bdDet.EndToEnd[0])
-	}
-}
-
-func TestNetworkRetryLoopDelays(t *testing.T) {
-	// Jackson single station with feedback p: arrival rate λ/(1−p),
-	// expected E2E = v·T with v = 1/(1−p) and T the M/M/1 response at the
-	// inflated rate.
-	n := threeTier(1, 2)
-	n.Stations = n.Stations[:1]
-	p := 0.4
-	n.Routings = []*ClassRouting{retryChain(p)}
-	n.Routes = [][]int{{0}} // class count carrier; routing overrides
-	if err := n.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	lam := 0.6
-	bd, err := n.EndToEndDelays([]float64{lam})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := 1 / (1 - p)
-	mm1, _ := NewMM1(lam*v, 2)
-	want := v * mm1.MeanResponse()
-	if !almostEq(bd.EndToEnd[0], want, 1e-9) {
-		t.Errorf("retry-loop delay %g, want %g", bd.EndToEnd[0], want)
-	}
-	// Stability reflects the inflated load.
-	if !n.Stable([]float64{lam}) {
-		t.Error("should be stable")
-	}
-	if n.Stable([]float64{1.3}) { // 1.3/(1−0.4) = 2.17 > μ = 2
-		t.Error("should be unstable with retries")
-	}
-}
-
 func TestVisitRatesPropertyQuick(t *testing.T) {
 	// Random substochastic 2×2 chains: visit rates exist, are ≥ entry, and
 	// truncating the retry mass increases no rate.

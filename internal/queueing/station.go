@@ -42,6 +42,14 @@ func (s *Station) Validate(numClasses int) error {
 		if !(d.Work > 0) {
 			return fmt.Errorf("queueing: station %q class %d has non-positive work %g", s.Name, k, d.Work)
 		}
+		// The service time's first two moments must be representable: a
+		// tiny speed, a huge work or a huge CV² overflows them, the reverse
+		// underflows them to 0.
+		mean := d.Work / s.Speed
+		if m2 := mean * mean * (1 + d.CV2); !(m2 > 0 && m2 <= math.MaxFloat64) {
+			return fmt.Errorf("queueing: station %q class %d service time (work %g, CV² %g at speed %g) has a zero or overflowing moment",
+				s.Name, k, d.Work, d.CV2, s.Speed)
+		}
 		if d.CV2 < 0 {
 			return fmt.Errorf("queueing: station %q class %d has negative CV² %g", s.Name, k, d.CV2)
 		}
@@ -113,10 +121,20 @@ func (s *Station) MinSpeedForStability(lambda []float64) float64 {
 	return work / float64(s.Servers)
 }
 
-// Clone returns a deep copy of the station; mutating the copy's Demands does
-// not affect the original.
-func (s *Station) Clone() *Station {
-	c := *s
-	c.Demands = append([]Demand(nil), s.Demands...)
-	return &c
+// MeanDelayAllClasses returns the arrival-rate-weighted average of the
+// per-class end-to-end delays — the "all class" objective of the paper's
+// aggregate formulations.
+func MeanDelayAllClasses(delays, lambda []float64) float64 {
+	var num, den float64
+	for k := range delays {
+		if lambda[k] == 0 {
+			continue // a class without traffic weighs nothing, even at +Inf
+		}
+		num += lambda[k] * delays[k]
+		den += lambda[k]
+	}
+	if den == 0 {
+		return math.NaN()
+	}
+	return num / den
 }

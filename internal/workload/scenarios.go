@@ -8,6 +8,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"clusterq/internal/cluster"
 	"clusterq/internal/power"
@@ -148,7 +149,12 @@ func ScaleArrivals(c *cluster.Cluster, f float64) *cluster.Cluster {
 // bottleneck capacity at current speeds: it rescales arrival rates so the
 // bottleneck utilization equals frac.
 func CapacityFraction(c *cluster.Cluster, frac float64) *cluster.Cluster {
-	u, _ := c.Network().BottleneckUtilization(c.Lambdas())
+	u := math.Inf(-1)
+	for _, m := range c.TierModels() {
+		if r := m.Station.Utilization(m.Arrivals); r > u {
+			u = r
+		}
+	}
 	if u <= 0 {
 		return c.Clone()
 	}

@@ -24,7 +24,7 @@ func TestEnterprise3TierValidAndStable(t *testing.T) {
 		t.Errorf("delays not ordered: %v", m.Delay)
 	}
 	// Moderate load: bottleneck between 0.4 and 0.85.
-	u, _ := c.Network().BottleneckUtilization(c.Lambdas())
+	u := bottleneckUtilization(c)
 	if u < 0.4 || u > 0.85 {
 		t.Errorf("default bottleneck utilization = %g", u)
 	}
@@ -79,7 +79,7 @@ func TestScalableShapes(t *testing.T) {
 			t.Errorf("%dx%d unstable at load 1", tc.j, tc.k)
 		}
 		// Load calibration: bottleneck utilization ≈ 0.6.
-		u, _ := c.Network().BottleneckUtilization(c.Lambdas())
+		u := bottleneckUtilization(c)
 		if math.Abs(u-0.6) > 0.05 {
 			t.Errorf("%dx%d bottleneck utilization = %g, want ≈0.6", tc.j, tc.k, u)
 		}
@@ -113,7 +113,7 @@ func TestCapacityFraction(t *testing.T) {
 	c := Enterprise3Tier(1)
 	for _, frac := range []float64{0.3, 0.6, 0.9} {
 		s := CapacityFraction(c, frac)
-		u, _ := s.Network().BottleneckUtilization(s.Lambdas())
+		u := bottleneckUtilization(s)
 		if math.Abs(u-frac) > 1e-9 {
 			t.Errorf("frac %g: utilization %g", frac, u)
 		}
@@ -128,10 +128,22 @@ func TestLoadSweep(t *testing.T) {
 	}
 	prev := 0.0
 	for _, s := range sweep {
-		u, _ := s.Network().BottleneckUtilization(s.Lambdas())
+		u := bottleneckUtilization(s)
 		if u <= prev {
 			t.Error("sweep not increasing")
 		}
 		prev = u
 	}
+}
+
+// bottleneckUtilization returns the highest per-server utilization over the
+// cluster's tiers at their current speeds.
+func bottleneckUtilization(c *cluster.Cluster) float64 {
+	u := math.Inf(-1)
+	for _, m := range c.TierModels() {
+		if r := m.Station.Utilization(m.Arrivals); r > u {
+			u = r
+		}
+	}
+	return u
 }
