@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"clusterq/internal/queueing"
@@ -79,6 +81,24 @@ func TestParseConfigErrors(t *testing.T) {
 		if _, err := ParseConfig([]byte(js)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestParseConfigRejectsHostileServerCount: the shipped enterprise config
+// with 10⁸ servers on one tier used to parse, and each evaluation then took
+// most of a second. It must be refused with an error naming the bound.
+func TestParseConfigRejectsHostileServerCount(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/enterprise.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := strings.Replace(string(data), `"servers": 2`, `"servers": 100000000`, 1)
+	if hostile == string(data) {
+		t.Fatal("no server count to replace")
+	}
+	_, err = ParseConfig([]byte(hostile))
+	if want := fmt.Sprintf("MaxServers = %d", queueing.MaxServers); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("got %v, want an error naming %q", err, want)
 	}
 }
 

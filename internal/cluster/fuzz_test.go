@@ -42,6 +42,10 @@ var fuzzFinds = []string{
 	// below idle.
 	`{"tiers":[{"name":"a","servers":2,"speed":4,"discipline":"np","power":{"type":"linear","idle":1e308,"slope":-1e308},"demands":[{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":1}]}`,
 	`{"tiers":[{"name":"a","servers":2,"speed":4,"discipline":"np","power":{"type":"table","idle":1e308,"speeds":[1],"busy_watts":[0]},"demands":[{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":7.6}]}`,
+	// 10⁸ servers made one evaluation take most of a second (the Erlang
+	// formulas are linear in the count); Station.Validate now rejects
+	// counts above queueing.MaxServers.
+	`{"tiers":[{"name":"a","servers":100000000,"speed":4,"discipline":"fcfs","power":{"type":"linear","idle":50,"slope":20},"demands":[{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":1}]}`,
 }
 
 // FuzzParseConfig feeds arbitrary bytes to ParseConfig. A config it accepts

@@ -24,14 +24,11 @@ func UniformDelayBaseline(c *cluster.Cluster, budget float64) (*Solution, error)
 	if err != nil {
 		return nil, err
 	}
-	box, err := ev.box()
-	if err != nil {
-		return nil, err
-	}
+	lo, hi := ev.c.SpeedBounds()
 	speedsAt := func(f float64) []float64 {
-		s := make([]float64, box.Dim())
+		s := make([]float64, len(lo))
 		for i := range s {
-			s[i] = box.Lo[i] + f*(box.Hi[i]-box.Lo[i])
+			s[i] = lo[i] + f*(hi[i]-lo[i])
 		}
 		return s
 	}
@@ -67,14 +64,11 @@ func UniformEnergyBaseline(c *cluster.Cluster, maxDelay float64) (*Solution, err
 	if err != nil {
 		return nil, err
 	}
-	box, err := ev.box()
-	if err != nil {
-		return nil, err
-	}
+	lo, hi := ev.c.SpeedBounds()
 	speedsAt := func(f float64) []float64 {
-		s := make([]float64, box.Dim())
+		s := make([]float64, len(lo))
 		for i := range s {
-			s[i] = box.Lo[i] + f*(box.Hi[i]-box.Lo[i])
+			s[i] = lo[i] + f*(hi[i]-lo[i])
 		}
 		return s
 	}

@@ -107,12 +107,6 @@ func (e *evaluator) power(speeds []float64) float64 {
 	return m.TotalPower
 }
 
-// box returns the DVFS search box of the cluster.
-func (e *evaluator) box() (opt.Box, error) {
-	lo, hi := e.c.SpeedBounds()
-	return opt.NewBox(lo, hi)
-}
-
 // finish assembles a Solution at the given speeds.
 func (e *evaluator) finish(speeds []float64, objective float64, r opt.Result) (*Solution, error) {
 	out := e.c.Clone()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"clusterq/internal/cluster"
@@ -313,12 +314,12 @@ func TestMinimizeCostAvailabilityMargin(t *testing.T) {
 	}
 }
 
-// TestTuneSpeedsPercentileMatchesAugLag: a percentile bound enters C4's
-// speed tuning as a linearized tail row of the dual, here next to a mean
-// bound on the same class. The tuned speeds must meet every SLA strictly, at
-// no more power than maximum speed, and than the augmented-Lagrangian
-// reference on the same problem by more than 1e-6 relative.
-func TestTuneSpeedsPercentileMatchesAugLag(t *testing.T) {
+// TestTuneSpeedsPercentileCertified: a percentile bound enters C4's speed
+// tuning as a linearized tail row of the dual, here next to a mean bound on
+// the same class. The tuned speeds must meet every SLA strictly, at no more
+// power than maximum speed, and be the solveSLA answer at the tuning margin,
+// whose final linearization certifies (certifySLA).
+func TestTuneSpeedsPercentileCertified(t *testing.T) {
 	c := slaCluster()
 	c.Classes[0].SLA = cluster.SLA{PercentileDelay: 6, Percentile: 0.95, PricePerRequest: 5}
 	c.Classes[2].SLA.PercentileDelay, c.Classes[2].SLA.Percentile = 20, 0.9
@@ -356,20 +357,20 @@ func TestTuneSpeedsPercentileMatchesAugLag(t *testing.T) {
 			tail[k] = TailBound{Delay: cl.SLA.PercentileDelay * tuneMargin, Percentile: cl.SLA.Percentile}
 		}
 	}
-	ref, err := augLagReference(sized.Cluster, totalPower,
-		append(classBounds(mean), tailBounds(sized.Cluster, tail)...), 1)
+	sol, err := solveSLA(sized.Cluster, mean, tail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.TotalPower > ref.Objective*(1+1e-6) {
-		t.Errorf("tuned power %.9g W above reference %.9g W", m.TotalPower, ref.Objective)
+	if !slices.Equal(tuned.Speeds(), sol.Cluster.Speeds()) {
+		t.Errorf("tuned speeds %v, solveSLA's %v", tuned.Speeds(), sol.Cluster.Speeds())
 	}
+	certifySLA(t, "tuning", sized.Cluster, mean, tail, sol, certGapTol)
 }
 
 // TestTuneSpeedsMeanOnlyIsExact: with mean bounds alone C4's speed tuning is
 // C3b at the tightened bounds, solved by the dual. The tuned speeds must meet
-// every SLA strictly, at no more power than maximum speed and than the
-// augmented-Lagrangian reference on the same problem.
+// every SLA strictly, at no more power than maximum speed, and be the C3b
+// answer at the tuning margin, which certifies (certifySLA).
 func TestTuneSpeedsMeanOnlyIsExact(t *testing.T) {
 	c := slaCluster()
 	sized, err := MinimizeCost(c, CostOptions{SkipSpeedTuning: true})
@@ -396,11 +397,12 @@ func TestTuneSpeedsMeanOnlyIsExact(t *testing.T) {
 	for k, cl := range c.Classes {
 		bounds[k] = cl.SLA.MaxMeanDelay * tuneMargin
 	}
-	ref, err := augLagReference(sized.Cluster, totalPower, classBounds(bounds), 4)
+	sol, err := MinimizeEnergyPerClass(sized.Cluster, EnergyOptions{MaxClassDelay: bounds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tuned.Metrics.TotalPower > ref.Objective*(1+1e-3) {
-		t.Errorf("tuned power %.6g W above reference %.6g W", tuned.Metrics.TotalPower, ref.Objective)
+	if !slices.Equal(tuned.Cluster.Speeds(), sol.Cluster.Speeds()) {
+		t.Errorf("tuned speeds %v, C3b's %v", tuned.Cluster.Speeds(), sol.Cluster.Speeds())
 	}
+	certifySLA(t, "tuning", sized.Cluster, bounds, nil, sol, certGapTol)
 }

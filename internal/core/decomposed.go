@@ -332,6 +332,20 @@ func (t *tierFns) evalAt(speeds, delays []float64) float64 {
 	return pow
 }
 
+// cheapest returns the speeds of least power: each tier at the minimizer of
+// its power alone, which is its slowest speed wherever power rises with
+// speed. A tier whose busy power grows less than in proportion to its speed
+// (a table segment whose intercept lies above the idle power) spends less
+// energy per job at a higher speed, and so draws less power.
+func (t *tierFns) cheapest() []float64 {
+	theta := make([]float64, t.width())
+	s := make([]float64, len(t.tiers))
+	for j := range t.tiers {
+		s[j] = t.tiers[j].argmin(1, theta)
+	}
+	return s
+}
+
 // width returns the number of quantities after the power: the K class
 // delays, and the K tail sums when the tiers carry tail weights.
 func (t *tierFns) width() int {
@@ -582,18 +596,18 @@ const (
 // The dual has no gap, so the final point solves the problem, when every
 // tier's power curve is convex in its service time 1/s over the speed box:
 // power laws (γ ≥ 1), linear models and convex power tables are everywhere,
-// other tables on each part convexParts returns. Every delay falls and, for
-// C2's purposes, the power rises with every speed, so the box's least
-// constrained point is its slowest corner when a row bounds the power and
-// its fastest otherwise. dual returns nil when that corner misses a bound.
+// other tables on each part convexParts returns. Every delay falls with
+// every speed, so the box's least constrained point is its fastest corner
+// when the rows bound delays, and its point of least power (cheapest) when a
+// row bounds the power. dual returns nil when that point misses a bound.
 // Otherwise it returns the final point and whether it met the tolerances; a
 // point that did not is replaced by the best feasible point seen, starting
-// from that corner.
+// from that least constrained point.
 func (t *tierFns) dual(pr *dualProblem, nu0 []float64) (p *dualPoint, converged bool, evals int, trace []opt.TraceEntry) {
 	corner := t.hi
 	for i, r := range pr.rows {
 		if pr.bounds[i] > 0 && r[0] != 0 {
-			corner = t.lo
+			corner = t.cheapest()
 		}
 	}
 	delays := make([]float64, t.width())
@@ -704,23 +718,55 @@ func (t *tierFns) dual(pr *dualProblem, nu0 []float64) (p *dualPoint, converged 
 
 // solveParts solves the problem by the dual on every convex part of the
 // speed box (convexParts) and returns the solution of the part with the best
-// objective, with its multipliers. A part whose least-constrained corner
+// objective, with its multipliers. A part whose least constrained point
 // misses a bound is skipped; the caller has checked that the whole box's
-// corner meets every bound, so the part holding it is solved. The reported
-// objective is the objective row applied to the evaluated metrics.
+// point meets every bound, so the part holding it is solved. A part whose
+// ascent gives up is solved once more, starting from the multipliers of the
+// best part that converged: from ν = 0 a tier at its stability floor can
+// stall the ascent, and the part's own optimum may beat the converged ones.
+// The solution counts as converged only when every part that was solved
+// converged. The reported objective is the objective row applied to the
+// evaluated metrics.
 func (t *tierFns) solveParts(pr *dualProblem, nu0 []float64) (*Solution, error) {
+	type partSol struct {
+		p     *dualPoint
+		conv  bool
+		trace []opt.TraceEntry
+	}
+	parts := t.convexParts()
+	sols := make([]partSol, len(parts))
+	evals := 0
+	var warm *dualPoint // the best converged part's point
+	for i, part := range parts {
+		p, conv, n, tr := part.dual(pr, nu0)
+		evals += n
+		sols[i] = partSol{p, conv, tr}
+		if p != nil && conv && (warm == nil || p.obj < warm.obj) {
+			warm = p
+		}
+	}
+	for i, part := range parts {
+		if s := sols[i]; warm != nil && s.p != nil && !s.conv {
+			p, conv, n, tr := part.dual(pr, warm.nu)
+			evals += n
+			if conv {
+				sols[i] = partSol{p, conv, tr}
+			}
+		}
+	}
 	var (
 		best      *dualPoint
 		converged bool
-		evals     int
 		trace     []opt.TraceEntry
 	)
-	for _, part := range t.convexParts() {
-		p, conv, n, tr := part.dual(pr, nu0)
-		evals += n
-		if p != nil && (best == nil || p.obj < best.obj) {
-			best, converged, trace = p, conv, tr
+	for _, s := range sols {
+		if s.p != nil && (best == nil || s.p.obj < best.obj) {
+			best, converged, trace = s.p, s.conv, s.trace
 		}
+	}
+	for _, s := range sols {
+		// A part that did not converge may hold a better point.
+		converged = converged && (s.p == nil || s.conv)
 	}
 	if best == nil {
 		return nil, fmt.Errorf("core: no part of the speed box meets every bound")

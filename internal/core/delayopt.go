@@ -41,8 +41,8 @@ func MinimizeDelay(c *cluster.Cluster, o DelayOptions) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Feasibility: the cheapest point.
-	if pMin := t.evalAt(t.lo, make([]float64, len(t.wBy))); pMin > budget {
+	// Feasibility: the point of least power.
+	if pMin := t.evalAt(t.cheapest(), make([]float64, len(t.wBy))); pMin > budget {
 		return nil, fmt.Errorf("core: energy budget %g W infeasible: minimum stable power is %g W", budget, pMin)
 	}
 	return t.solveParts(&dualProblem{obj: t.delayRow(), rows: [][]float64{t.powerRow()}, bounds: []float64{budget}}, nil)

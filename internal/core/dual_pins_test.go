@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"clusterq/internal/cluster"
@@ -111,8 +112,8 @@ func nonConvexTableCluster() *cluster.Cluster {
 
 // randomDualCases draws n seeded randomPerClassCluster instances, each with
 // a C2 budget, random C2 weights and a C3a bound inside its feasible range.
-// C2 treats the slowest point as the cheapest, so a budget starts from its
-// power; where the fastest point draws less, the budget admits it.
+// The budgets start from the slowest point's power, which C2 once took for
+// the least; cheapC2Cases adds budgets below it.
 func randomDualCases(n int) []dualPinCase {
 	rng := rand.New(rand.NewSource(17))
 	var out []dualPinCase
@@ -144,7 +145,37 @@ func dualPinCases() []dualPinCase {
 		out = append(out, gridCases(fmt.Sprintf("scalable%dx%d", s.j, s.k), workload.Scalable(s.j, s.k, 1))...)
 	}
 	out = append(out, gridCases("nonconvex", nonConvexTableCluster())...)
-	return append(out, randomDualCases(48)...)
+	out = append(out, randomDualCases(48)...)
+	// The symmetric shapes the duals were first compared with a general
+	// solver on.
+	out = append(out,
+		dualPinCase{name: "sym2x2/c3a", c: symCluster(2, 2, 0.6), kind: "c3a", limit: 3},
+		dualPinCase{name: "sym3x3/c3a", c: symCluster(3, 3, 0.6), kind: "c3a", limit: 3},
+		dualPinCase{name: "sym3x2/c2", c: symCluster(3, 2, 0.6), kind: "c2", limit: 700})
+	return append(out, cheapC2Cases(out)...)
+}
+
+// cheapC2Cases returns, for every cluster of the cases whose fastest point
+// draws less power than its slowest (a table tier whose power falls with
+// speed), a C2 budget halfway between the two powers. Full speed meets it,
+// but C2 used to reject it as below the "minimum stable power" of the
+// slowest point.
+func cheapC2Cases(cases []dualPinCase) []dualPinCase {
+	var out []dualPinCase
+	seen := make(map[*cluster.Cluster]bool)
+	for _, pc := range cases {
+		if seen[pc.c] {
+			continue
+		}
+		seen[pc.c] = true
+		lo, hi := pc.c.SpeedBounds()
+		pLo, pHi := dualPinMetrics(pc.c, lo).TotalPower, dualPinMetrics(pc.c, hi).TotalPower
+		if pHi < pLo {
+			name := pc.name[:strings.Index(pc.name, "/")] + "/c2cheap"
+			out = append(out, dualPinCase{name: name, c: pc.c, kind: "c2", limit: (pLo + pHi) / 2})
+		}
+	}
+	return out
 }
 
 // onListedSpeed reports whether some table tier of c runs exactly at one of
@@ -164,9 +195,11 @@ func onListedSpeed(c *cluster.Cluster, speeds []float64) bool {
 
 // TestMeanDualPins pins the C2, weighted C2 and C3a answers recorded when
 // C2 and C3a bisected one multiplier, before they moved onto the projected
-// Newton ascent C3b uses. Every solve must converge, every constraint must
-// be met within 1e-9, every speed within 1e-6 of its pin, and every objective
-// within 1e-9 relative of its pin. One allowance: the bisection stopped at an
+// Newton ascent C3b uses; the symmetric and c2cheap cases were recorded
+// from the ascent. Every solve must converge, every constraint must be met
+// within 1e-9, every answer must certify its optimality (certifyMean),
+// every speed must lie within 1e-6 of its pin, and every objective within
+// 1e-9 relative of its pin. One allowance: the bisection stopped at an
 // absolute width of its multiplier, which left some C2 budgets up to 1e-8
 // unspent; the ascent spends them, so a C2 objective may come out below its
 // pin, by at most 1e-8 relative (3e-9 is the largest seen).
@@ -175,6 +208,7 @@ func onListedSpeed(c *cluster.Cluster, speeds []float64) bool {
 // curvature. Regenerate with -update-dual-pins only for a deliberate change
 // of answers.
 func TestMeanDualPins(t *testing.T) {
+	t.Parallel()
 	cases := dualPinCases()
 	got := make(map[string]dualPin, len(cases))
 	onListed := 0
@@ -189,6 +223,7 @@ func TestMeanDualPins(t *testing.T) {
 		if !(value <= pc.limit*(1+1e-9)) {
 			t.Errorf("%s: constraint %.12g exceeds its limit %.12g", pc.name, value, pc.limit)
 		}
+		certifyMean(t, pc.name, pc.c, pc.weights, meanProblem(pc.c, pc.kind, pc.limit, pc.weights, nil), sol, certGapTol)
 		got[pc.name] = dualPin{Objective: sol.Objective, Speeds: sol.Cluster.Speeds()}
 		if pc.kind == "c3a" && onListedSpeed(pc.c, sol.Cluster.Speeds()) {
 			onListed++
@@ -263,6 +298,7 @@ func TestMeanDualPins(t *testing.T) {
 // point (weighted delay 1000.67). Every solve must converge and meet its
 // bound.
 func TestMeanDualsNearStabilityFloor(t *testing.T) {
+	t.Parallel()
 	var cases []dualPinCase
 	nc := nonConvexTableCluster()
 	for _, b := range []float64{943, 990, 999, 1000, 1000.6, 1000.66} {
@@ -297,6 +333,35 @@ func TestMeanDualsNearStabilityFloor(t *testing.T) {
 		}
 		if !(value <= pc.limit*(1+1e-9)) {
 			t.Errorf("%s: constraint %.12g exceeds its limit %.12g", pc.name, value, pc.limit)
+		}
+	}
+}
+
+// TestC2RejectsOnlyInfeasibleBudgets: MinimizeDelay may reject a budget only
+// below the cluster's least power, which the checker finds on its own
+// (certProblem.leastPower), and must meet every budget it accepts. Where a
+// tier's power falls with speed the least power lies below the slowest
+// point's, and C2 once rejected every budget between the two.
+func TestC2RejectsOnlyInfeasibleBudgets(t *testing.T) {
+	t.Parallel()
+	for _, pc := range randomDualCases(48) {
+		if pc.kind != "c2" {
+			continue
+		}
+		cp := newCertProblem(pc.c, meanProblem(pc.c, "c2", 0, nil, nil), nil)
+		least, slowest := cp.leastPower(cp.lo, cp.hi), dualPinMetrics(pc.c, cp.lo).TotalPower
+		for _, budget := range []float64{least * (1 - 1e-6), least * (1 + 1e-6), (least + slowest) / 2} {
+			cp.pr.bounds[0] = budget
+			infeasible := cp.infeasible(cp.lo, cp.hi)
+			sol, err := MinimizeDelay(pc.c, DelayOptions{EnergyBudget: budget})
+			switch {
+			case err != nil && !infeasible:
+				t.Errorf("%s: budget %.9g W rejected (%v); least power %.9g W", pc.name, budget, err, least)
+			case err == nil && infeasible:
+				t.Errorf("%s: budget %.9g W accepted below least power %.9g W", pc.name, budget, least)
+			case err == nil && !(sol.Metrics.TotalPower <= budget*(1+1e-9)):
+				t.Errorf("%s: power %.9g W exceeds budget %.9g W", pc.name, sol.Metrics.TotalPower, budget)
+			}
 		}
 	}
 }

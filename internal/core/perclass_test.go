@@ -1,112 +1,16 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
 	"clusterq/internal/cluster"
-	"clusterq/internal/opt"
 	"clusterq/internal/power"
 	"clusterq/internal/queueing"
 )
-
-// metricFn reads one quantity off the cluster's metrics at a candidate speed
-// vector.
-type metricFn func(*cluster.Metrics) float64
-
-func totalPower(m *cluster.Metrics) float64 { return m.TotalPower }
-
-// weightedDelay is the arrival-rate-weighted mean delay, +Inf when any class
-// is unstable.
-func weightedDelay(m *cluster.Metrics) float64 {
-	if !m.Stable() {
-		return math.Inf(1)
-	}
-	return m.WeightedDelay
-}
-
-// atMost returns the normalized constraint (f − limit)/limit.
-func atMost(f metricFn, limit float64) metricFn {
-	return func(m *cluster.Metrics) float64 { return (f(m) - limit) / limit }
-}
-
-// classBounds returns one atMost constraint on D_k per bounded class.
-func classBounds(bounds []float64) []metricFn {
-	var gs []metricFn
-	for k, b := range bounds {
-		if b > 0 {
-			gs = append(gs, atMost(func(m *cluster.Metrics) float64 { return m.Delay[k] }, b))
-		}
-	}
-	return gs
-}
-
-// tailBounds returns one atMost constraint on the quantile Q_k per
-// tail-bounded class. Routes do not depend on speeds, so c may be any
-// cluster with the classes' routing.
-func tailBounds(c *cluster.Cluster, tail []TailBound) []metricFn {
-	var gs []metricFn
-	for k, b := range tail {
-		if b.Delay > 0 {
-			gs = append(gs, atMost(func(m *cluster.Metrics) float64 {
-				q, err := cluster.DelayQuantile(c, m, k, b.Percentile)
-				if err != nil {
-					return math.Inf(1)
-				}
-				return q
-			}, b.Delay))
-		}
-	}
-	return gs
-}
-
-// augLagReference is the general-purpose reference for the mean-delay and
-// tail problems: multi-start augmented Lagrangian at default inner options over
-// the full cluster evaluation, minimizing objective subject to every
-// constraint ≤ 0. Speeds the evaluation rejects count as +Inf. The dual
-// solvers must match or beat it.
-func augLagReference(c *cluster.Cluster, objective metricFn, constraints []metricFn, starts int) (*Solution, error) {
-	ev, err := newEvaluator(c)
-	if err != nil {
-		return nil, err
-	}
-	box, err := ev.box()
-	if err != nil {
-		return nil, err
-	}
-	// The solver asks for the objective and every constraint at each
-	// point; evaluate the cluster once per point.
-	var last []float64
-	var lastM *cluster.Metrics
-	at := func(f metricFn) func([]float64) float64 {
-		return func(s []float64) float64 {
-			if last == nil || !slices.Equal(s, last) {
-				last, lastM = append(last[:0], s...), ev.metricsAt(s)
-			}
-			if lastM == nil {
-				return math.Inf(1)
-			}
-			return f(lastM)
-		}
-	}
-	gs := make([]opt.Constraint, len(constraints))
-	for i, g := range constraints {
-		gs[i] = at(g)
-	}
-	r := opt.MultiStart(func(x0 []float64) opt.Result {
-		return opt.AugmentedLagrangian(at(objective), gs, box, x0, opt.AugLagOptions{})
-	}, box, starts)
-	for _, g := range gs {
-		if !(g(r.X) <= 1e-3) {
-			return nil, errors.New("reference left a constraint violated")
-		}
-	}
-	return ev.finish(r.X, r.F, r)
-}
 
 // randomPerClassCluster draws a C3b instance with the structure the dual must
 // handle: 2–5 tiers and 2–4 classes, power laws with γ from 1 to 3, one tier
@@ -202,15 +106,15 @@ func randomPerClassCluster(rng *rand.Rand) (*cluster.Cluster, []float64) {
 	return c, bounds
 }
 
-// TestPerClassDualMatchesAugLagRandom checks the C3b dual on random
-// instances: convergence, every bound met, and complementary slackness at the
-// returned multipliers on all of them; no worse power than the
-// augmented-Lagrangian reference on the first few.
-func TestPerClassDualMatchesAugLagRandom(t *testing.T) {
+// TestPerClassDualCertifiedRandom checks the C3b dual on random instances
+// (200, or 50 under -short): convergence, every bound met, complementary
+// slackness at the returned multipliers, and a certified duality gap.
+func TestPerClassDualCertifiedRandom(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(12))
-	n, nRef := 200, 6
+	n := 200
 	if testing.Short() {
-		n, nRef = 50, 2
+		n = 50
 	}
 	for i := 0; i < n; i++ {
 		c, bounds := randomPerClassCluster(rng)
@@ -238,41 +142,18 @@ func TestPerClassDualMatchesAugLagRandom(t *testing.T) {
 				t.Errorf("instance %d: class %d multiplier %g with relative slack %g", i, k, nu, slack)
 			}
 		}
-		if i >= nRef {
-			continue
-		}
-		ref, err := augLagReference(c, totalPower, classBounds(bounds), 4)
-		if err != nil {
-			t.Logf("instance %d: reference failed (%v); dual power %.6g W", i, err, sol.Objective)
-			continue
-		}
-		if sol.Objective > ref.Objective*(1+1e-3) {
-			t.Errorf("instance %d (%d tiers, %d classes): dual power %.6g W above reference %.6g W",
-				i, len(c.Tiers), len(c.Classes), sol.Objective, ref.Objective)
-		}
+		certifySLA(t, fmt.Sprintf("instance %d", i), c, bounds, nil, sol, certGapTol)
 	}
 }
 
 // TestPerClassNonConvexTable: a power table whose busy power is not convex in
 // speed makes its tier's curve non-convex in 1/s, and a single dual over the
-// whole speed box would leave a gap. Solved per convex part, the dual must
-// still match the augmented-Lagrangian reference across bound levels.
+// whole speed box would leave a gap. Solved per convex part, the dual's
+// answer must still certify across bound levels.
 func TestPerClassNonConvexTable(t *testing.T) {
-	c := symCluster(2, 2, 0.5)
-	tb, err := power.NewTable(30, []float64{1, 2.5, 4, 5.5, 8}, []float64{40, 46, 69, 134, 226})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Tiers[1].Power = tb
+	c := nonConvexTableCluster()
 	_, hi := c.SpeedBounds()
-	fast := c.Clone()
-	if err := fast.SetSpeeds(hi); err != nil {
-		t.Fatal(err)
-	}
-	mFast, err := cluster.Evaluate(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mFast := dualPinMetrics(c, hi)
 	for _, f := range []float64{1.2, 1.5, 2, 3, 5} {
 		bounds := []float64{0, f * mFast.Delay[1]}
 		sol, err := MinimizeEnergyPerClass(c, EnergyOptions{MaxClassDelay: bounds})
@@ -285,13 +166,7 @@ func TestPerClassNonConvexTable(t *testing.T) {
 		if !(sol.Metrics.Delay[1] <= bounds[1]*(1+1e-6)) {
 			t.Errorf("bound ×%g: delay %g exceeds bound %g", f, sol.Metrics.Delay[1], bounds[1])
 		}
-		ref, err := augLagReference(c, totalPower, classBounds(bounds), 4)
-		if err != nil {
-			t.Fatalf("bound ×%g: reference: %v", f, err)
-		}
-		if sol.Objective > ref.Objective*(1+1e-3) {
-			t.Errorf("bound ×%g: dual power %.6g W above reference %.6g W", f, sol.Objective, ref.Objective)
-		}
+		certifySLA(t, fmt.Sprintf("bound ×%g", f), c, bounds, nil, sol, certGapTol)
 	}
 }
 
@@ -316,6 +191,7 @@ func TestPerClassInfeasibleError(t *testing.T) {
 // a dense grid on the tier's speed range, for every shipped power model and
 // for multipliers from zero to large.
 func TestTierArgminIsGlobal(t *testing.T) {
+	t.Parallel()
 	c := symCluster(4, 2, 0.5)
 	c.Tiers[0].Power = power.Linear{Idle: 40, Slope: 12}
 	// Not convex in speed: a steep step, a plateau, then a steep climb.

@@ -18,7 +18,7 @@ import (
 // E16's percentile bounds, which the dual meets through re-linearized tail
 // rows. Expected: identical solutions, with the dual orders of magnitude
 // cheaper — evidence that the paper's "efficient" claim is structural, not
-// solver luck. Its reference is the only production use of the augmented
+// solver luck. Its reference (auglag.go) is the only use of the augmented
 // Lagrangian.
 type E17 struct{}
 
@@ -261,17 +261,17 @@ func augLagReference(c *cluster.Cluster, objective metricFn, constraints []metri
 			return f(m)
 		}
 	}
-	gs := make([]opt.Constraint, len(constraints))
+	gs := make([]constraint, len(constraints))
 	for i, g := range constraints {
 		gs[i] = at(g)
 	}
-	box, err := opt.NewBox(work.SpeedBounds())
+	b, err := newBox(work.SpeedBounds())
 	if err != nil {
 		return nil, err
 	}
-	r := opt.MultiStart(func(x0 []float64) opt.Result {
-		return opt.AugmentedLagrangian(at(objective), gs, box, x0, al)
-	}, box, starts)
+	r := multiStart(func(x0 []float64) opt.Result {
+		return augmentedLagrangian(at(objective), gs, b, x0, al)
+	}, b, starts)
 	for i, g := range gs {
 		if v := g(r.X); !(v <= 1e-3) {
 			return nil, fmt.Errorf("e17: augmented Lagrangian left constraint %d violated by %g (relative)", i, v)

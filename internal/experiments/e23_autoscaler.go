@@ -103,10 +103,17 @@ func e23Scenarios(base *cluster.Cluster, horizon float64) ([]e23Scenario, error)
 	}, nil
 }
 
+// e23ControlPeriod is the control epoch and the window width, in simulated
+// seconds. It is fixed in absolute time, not tied to the horizon: service
+// times do not scale with the run, so a longer epoch only gives the backlog
+// built while the controller lags a transient longer to grow. At 1500 s (a
+// full-fidelity horizon's fortieth) the model controller missed an SLA on
+// every scenario.
+const e23ControlPeriod = 200.0
+
 func e23Rows(cfg Config) ([]*e23Row, error) {
 	horizon, _ := cfg.simScale()
 	horizon *= 2 // cover several diurnal periods / the whole flash-crowd arc
-	controlPeriod := horizon / 40
 	base := workload.Enterprise3Tier(1)
 	slaBounds := make([]float64, len(base.Classes))
 	for k, cl := range base.Classes {
@@ -169,7 +176,7 @@ func e23Rows(cfg Config) ([]*e23Row, error) {
 
 		oReactive := opts
 		oReactive.Controller = sim.UtilizationPolicy{Target: 0.7}
-		oReactive.ControlPeriod = controlPeriod
+		oReactive.ControlPeriod = e23ControlPeriod
 		if err := addRun("reactive", oReactive, nil); err != nil {
 			return nil, err
 		}
@@ -184,13 +191,13 @@ func e23Rows(cfg Config) ([]*e23Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E23 %s: controller: %w", sc.name, err)
 		}
-		win, err := window.NewSet(window.Config{Width: controlPeriod, Buckets: 8}, len(base.Classes), len(base.Tiers))
+		win, err := window.NewSet(window.Config{Width: e23ControlPeriod, Buckets: 8}, len(base.Classes), len(base.Tiers))
 		if err != nil {
 			return nil, err
 		}
 		oModel := opts
 		oModel.PlanController = ctl
-		oModel.ControlPeriod = controlPeriod
+		oModel.ControlPeriod = e23ControlPeriod
 		oModel.Windows = win
 		if err := addRun("model", oModel, ctl); err != nil {
 			return nil, err

@@ -23,3 +23,22 @@ func TestE23ModelBeatsStatic(t *testing.T) {
 		t.Fatal("model controller beat the static plan on no scenario")
 	}
 }
+
+// TestE23ModelBeatsStaticFullFidelity runs the same claim at full fidelity
+// (the 60000 s horizon), where the control epoch stays at 200 s.
+func TestE23ModelBeatsStaticFullFidelity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-fidelity E23 runs nine 60000 s simulations")
+	}
+	rows, err := e23Rows(Config{})
+	for _, r := range rows {
+		t.Logf("%-12s %-8s power=%.1fW weighted=%.3fs misses=%d worst=%.2f",
+			r.scenario, r.strategy, r.power, r.weighted, r.misses, r.worstFrac)
+	}
+	if err != nil {
+		t.Fatalf("e23Rows: %v", err)
+	}
+	if !e23ModelWins(rows) {
+		t.Fatal("model controller beat the static plan on no scenario")
+	}
+}

@@ -1,31 +1,25 @@
-// Package opt is a from-scratch numerical optimization toolkit built for the
-// paper's resource-allocation problems: golden-section and bisection in one
-// dimension, Nelder–Mead with box constraints in many, an
-// augmented-Lagrangian method for inequality-constrained problems, and a
-// deterministic multi-start wrapper. It is stdlib-only.
+// Package opt holds the solver plumbing shared by the paper's optimizers:
+// the Result every solve reports, its per-iteration TraceEntry, and the
+// one-dimensional searches — golden-section minimization and bisection —
+// that the dual decompositions in internal/core and the uniform baselines
+// are built on. It is stdlib-only.
 //
-// The production solvers in internal/core are dual decompositions and use
-// only the one-dimensional searches. Nelder–Mead, the augmented Lagrangian
-// and multi-start are the general-purpose reference the duals are measured
-// against, in experiment E17 and in core's tests.
+// The general-purpose reference solver that experiment E17 compares the
+// duals with (a multi-start augmented Lagrangian over Nelder–Mead) lives
+// next to E17 in internal/experiments. AugLagOptions and NelderMeadOptions
+// configure it and stay here so that callers outside internal/experiments
+// can still name its settings.
 //
-// All solvers minimize. Objectives may return +Inf to mark infeasible points
-// (e.g. an unstable queueing configuration); the solvers treat such points as
-// uniformly bad and retreat from them.
+// The searches minimize. Objectives may return +Inf to mark infeasible
+// points (e.g. an unstable queueing configuration); the searches treat such
+// points as uniformly bad and retreat from them.
 package opt
 
-import (
-	"fmt"
-	"math"
-)
-
-// Objective is a scalar function of a vector.
-type Objective func(x []float64) float64
+import "fmt"
 
 // TraceEntry is one point of a solver's convergence trace: the state at the
 // end of one (outer) iteration. The Step field is solver-specific scale
-// information — the simplex x-spread for Nelder–Mead, the penalty weight µ for the augmented
-// Lagrangian, and the dual bracket width for the decomposed solvers.
+// information; the dual decompositions record their damping.
 type TraceEntry struct {
 	Iter      int     // 0-based (outer) iteration index
 	F         float64 // incumbent objective value
@@ -42,8 +36,7 @@ type Result struct {
 	Evals     int       // objective evaluations
 	Converged bool      // tolerance met before the iteration cap
 	// Trace records per-iteration convergence (objective, constraint
-	// violation, step scale) for plotting solver behavior. Multi-start
-	// wrappers keep the winning start's trace.
+	// violation, step scale) for plotting solver behavior.
 	Trace []TraceEntry
 }
 
@@ -52,66 +45,26 @@ func (r Result) String() string {
 		r.F, r.X, r.Iters, r.Evals, r.Converged)
 }
 
-// Box holds per-coordinate lower and upper bounds.
-type Box struct {
-	Lo, Hi []float64
+// AugLagOptions configures E17's augmented-Lagrangian reference solver.
+// Zero fields take the defaults given.
+type AugLagOptions struct {
+	OuterIters int     // default 30
+	Penalty0   float64 // initial penalty weight; default 10
+	PenaltyMul float64 // penalty growth per outer iteration; default 4
+	// CTol is the largest constraint value g_i(x) that counts as
+	// feasible; default 1e-6.
+	CTol float64
+	// Inner configures the inner unconstrained-in-the-box solves.
+	Inner NelderMeadOptions
 }
 
-// NewBox validates the bounds and returns the box.
-func NewBox(lo, hi []float64) (Box, error) {
-	if len(lo) != len(hi) || len(lo) == 0 {
-		return Box{}, fmt.Errorf("opt: bound lengths %d vs %d", len(lo), len(hi))
-	}
-	for i := range lo {
-		if !(lo[i] <= hi[i]) {
-			return Box{}, fmt.Errorf("opt: bounds inverted at %d: [%g, %g]", i, lo[i], hi[i])
-		}
-	}
-	return Box{Lo: lo, Hi: hi}, nil
-}
-
-// Dim returns the dimensionality.
-func (b Box) Dim() int { return len(b.Lo) }
-
-// Project clamps x into the box in place and returns it.
-func (b Box) Project(x []float64) []float64 {
-	for i := range x {
-		if x[i] < b.Lo[i] {
-			x[i] = b.Lo[i]
-		}
-		if x[i] > b.Hi[i] {
-			x[i] = b.Hi[i]
-		}
-	}
-	return x
-}
-
-// Contains reports whether x lies inside the box (inclusive).
-func (b Box) Contains(x []float64) bool {
-	for i := range x {
-		if x[i] < b.Lo[i] || x[i] > b.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Center returns the box midpoint.
-func (b Box) Center() []float64 {
-	c := make([]float64, b.Dim())
-	for i := range c {
-		c[i] = (b.Lo[i] + b.Hi[i]) / 2
-	}
-	return c
-}
-
-// Width returns hi−lo per coordinate.
-func (b Box) Width(i int) float64 { return b.Hi[i] - b.Lo[i] }
-
-func norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
+// NelderMeadOptions configures the reference solver's inner simplex
+// searches. Zero fields take the defaults given.
+type NelderMeadOptions struct {
+	MaxIters int     // default 200·dim
+	FTol     float64 // stop when the simplex f-spread falls below this; default 1e-10
+	XTol     float64 // stop when the simplex x-spread falls below this; default 1e-9
+	// InitStep scales the initial simplex relative to the box width
+	// (default 0.1).
+	InitStep float64
 }

@@ -26,10 +26,15 @@ type Station struct {
 	Demands    []Demand // indexed by class; len = number of classes
 }
 
+// MaxServers bounds a station's server count. The Erlang formulas cost time
+// linear in the count, so a hostile config with 10⁸ servers would take most
+// of a second per evaluation; real tiers stay far below the bound.
+const MaxServers = 10000
+
 // Validate checks the station's structural parameters.
 func (s *Station) Validate(numClasses int) error {
-	if s.Servers < 1 {
-		return fmt.Errorf("queueing: station %q has %d servers", s.Name, s.Servers)
+	if s.Servers < 1 || s.Servers > MaxServers {
+		return fmt.Errorf("queueing: station %q has %d servers, want 1 to MaxServers = %d", s.Name, s.Servers, MaxServers)
 	}
 	if !(s.Speed > 0) {
 		return fmt.Errorf("queueing: station %q has non-positive speed %g", s.Name, s.Speed)

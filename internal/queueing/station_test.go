@@ -1,7 +1,9 @@
 package queueing
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -43,6 +45,20 @@ func TestStationHelpers(t *testing.T) {
 	}
 	if err := s.Validate(3); err == nil {
 		t.Error("class mismatch accepted")
+	}
+}
+
+// TestStationValidateServerBound: a server count above MaxServers is
+// rejected with an error naming the bound; MaxServers itself is accepted.
+func TestStationValidateServerBound(t *testing.T) {
+	s := &Station{Name: "a", Servers: MaxServers, Speed: 1, Demands: []Demand{{Work: 1, CV2: 1}}}
+	if err := s.Validate(1); err != nil {
+		t.Errorf("%d servers: %v", s.Servers, err)
+	}
+	s.Servers = MaxServers + 1
+	err := s.Validate(1)
+	if want := fmt.Sprintf("MaxServers = %d", MaxServers); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%d servers: got %v, want an error naming %q", s.Servers, err, want)
 	}
 }
 

@@ -47,27 +47,6 @@ func TestRelErrNearZeroReference(t *testing.T) {
 	}
 }
 
-func TestRelativePrecisionNearZeroMean(t *testing.T) {
-	for _, scale := range []float64{1e-300, -1e-300} {
-		b := NewBatchMeans(2)
-		for i := 0; i < 20; i++ {
-			b.Add(scale * float64(1+i%3))
-		}
-		if got := b.RelativePrecision(0.95); !math.IsInf(got, 1) {
-			t.Errorf("RelativePrecision with mean %g = %g, want +Inf", b.Mean(), got)
-		}
-	}
-
-	b := NewBatchMeans(2)
-	for i := 0; i < 20; i++ {
-		b.Add(10 + float64(i%3))
-	}
-	got := b.RelativePrecision(0.95)
-	if math.IsInf(got, 1) || math.IsNaN(got) || got < 0 {
-		t.Errorf("RelativePrecision with mean %g = %g, want finite non-negative", b.Mean(), got)
-	}
-}
-
 func TestAlmostZero(t *testing.T) {
 	for _, x := range []float64{0, 1e-300, -1e-300, 1e-13, -1e-13} {
 		if !almostZero(x) {

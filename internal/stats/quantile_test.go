@@ -118,59 +118,6 @@ func TestExactQuantile(t *testing.T) {
 	}
 }
 
-func TestBatchMeansBasics(t *testing.T) {
-	b := NewBatchMeans(10)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		b.Add(5 + rng.NormFloat64())
-	}
-	if b.Count() != 1000 || b.Batches() != 100 {
-		t.Fatalf("count=%d batches=%d", b.Count(), b.Batches())
-	}
-	if math.Abs(b.Mean()-5) > 0.2 {
-		t.Errorf("mean = %g", b.Mean())
-	}
-	ci := b.CI(0.95)
-	if !(ci > 0 && ci < 1) {
-		t.Errorf("ci = %g", ci)
-	}
-	if rp := b.RelativePrecision(0.95); !almostEq(rp, ci/b.Mean(), 1e-12) {
-		t.Errorf("relative precision = %g", rp)
-	}
-}
-
-func TestBatchMeansCICoversCorrelatedMean(t *testing.T) {
-	// AR(1) sequence: naive i.i.d. CI would be far too small; batch means
-	// with large batches should still cover the true mean most of the time.
-	covered := 0
-	const trials = 40
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		b := NewBatchMeans(500)
-		x := 0.0
-		const phi = 0.9
-		for i := 0; i < 50000; i++ {
-			x = phi*x + rng.NormFloat64()
-			b.Add(x) // true mean is 0
-		}
-		if math.Abs(b.Mean()) <= b.CI(0.95) {
-			covered++
-		}
-	}
-	if covered < trials*3/4 {
-		t.Errorf("batch-means CI covered true mean only %d/%d times", covered, trials)
-	}
-}
-
-func TestBatchMeansInvalidSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for batch size 0")
-		}
-	}()
-	NewBatchMeans(0)
-}
-
 func TestEstimateHelpers(t *testing.T) {
 	e := Estimate{Mean: 10, HalfW: 1, Level: 0.95, Samples: 100}
 	if !e.Contains(10.5) || e.Contains(12) {
@@ -185,53 +132,5 @@ func TestEstimateHelpers(t *testing.T) {
 	noCI := Estimate{Mean: 1, HalfW: math.NaN()}
 	if !noCI.Contains(99) {
 		t.Error("estimate without CI should soft-contain anything")
-	}
-}
-
-func TestHistogramCounts(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, x := range []float64{-1, 0, 0.5, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Count() != 7 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Underflow() != 1 || h.Overflow() != 2 {
-		t.Errorf("under=%d over=%d", h.Underflow(), h.Overflow())
-	}
-	if h.Bin(0) != 2 { // 0 and 0.5
-		t.Errorf("bin0 = %d", h.Bin(0))
-	}
-	if h.Bin(9) != 1 { // 9.99
-		t.Errorf("bin9 = %d", h.Bin(9))
-	}
-	if got := h.BinCenter(0); !almostEq(got, 0.5, 1e-12) {
-		t.Errorf("bin center = %g", got)
-	}
-}
-
-func TestHistogramCDF(t *testing.T) {
-	h := NewHistogram(0, 1, 100)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 100000; i++ {
-		h.Add(rng.Float64())
-	}
-	for _, x := range []float64{0.1, 0.5, 0.9} {
-		if got := h.CDFAt(x); math.Abs(got-x) > 0.01 {
-			t.Errorf("CDF(%g) = %g", x, got)
-		}
-	}
-	if got := h.CDFAt(2); got != 1 {
-		t.Errorf("CDF beyond max = %g", got)
-	}
-}
-
-func TestHistogramSketchNonEmpty(t *testing.T) {
-	h := NewHistogram(0, 4, 4)
-	for _, x := range []float64{0.5, 1.5, 1.6, 2.5} {
-		h.Add(x)
-	}
-	if s := h.Sketch(4); len(s) == 0 {
-		t.Error("empty sketch")
 	}
 }

@@ -9,8 +9,8 @@ import "math"
 const zeroTol = 1e-12
 
 // almostZero reports whether x is indistinguishable from zero at zeroTol.
-// Relative measures (RelErr, RelativePrecision) switch to their degenerate
-// form at this threshold instead of dividing by a noise-sized denominator.
+// Relative measures (RelErr) switch to their degenerate form at this
+// threshold instead of dividing by a noise-sized denominator.
 func almostZero(x float64) bool {
 	return math.Abs(x) < zeroTol
 }

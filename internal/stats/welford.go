@@ -1,7 +1,7 @@
 // Package stats provides the statistical machinery used throughout clusterq:
-// streaming moment accumulators, quantile estimation, batch-means confidence
-// intervals for steady-state simulation output, and the special functions
-// (gamma, incomplete beta, Student-t) they require.
+// streaming moment accumulators, time-weighted averages, quantile
+// estimation, confidence-interval estimates for simulation output, and the
+// special functions (gamma, incomplete beta, Student-t) they require.
 //
 // Everything is implemented from scratch on top of the standard library so
 // the module stays dependency-free.
@@ -41,37 +41,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// AddN incorporates an observation with integer weight n ≥ 1, equivalent to
-// calling Add(x) n times.
-func (w *Welford) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		w.Add(x)
-	}
-}
-
-// Merge combines another accumulator into w (parallel variance formula by
-// Chan et al.). The other accumulator is left unchanged.
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += delta * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
-}
-
 // Count returns the number of observations seen so far.
 func (w *Welford) Count() int64 { return w.n }
 
@@ -90,14 +59,6 @@ func (w *Welford) Variance() float64 {
 		return math.NaN()
 	}
 	return w.m2 / float64(w.n-1)
-}
-
-// PopVariance returns the population variance (divisor n), or NaN when empty.
-func (w *Welford) PopVariance() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.n)
 }
 
 // StdDev returns the sample standard deviation.
@@ -207,6 +168,3 @@ func (tw *TimeWeighted) MeanAt(t float64) float64 {
 
 // Value returns the current signal value.
 func (tw *TimeWeighted) Value() float64 { return tw.lastV }
-
-// Elapsed returns the observation span up to the given time.
-func (tw *TimeWeighted) Elapsed(t float64) float64 { return t - tw.origin }
