@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint fmt tidy-check check overhead-gate fuzz
+.PHONY: all build vet test race lint fmt tidy-check bench-build check overhead-gate fuzz
 
 all: build
 
@@ -30,6 +30,12 @@ fmt:
 tidy-check:
 	$(GO) mod tidy -diff
 
+# bench-build builds and vets the benchmark module (bench/, its own go.mod),
+# which imports the internal packages: it fails when a change removes
+# something the benchmark still uses.
+bench-build:
+	cd bench && $(GO) build ./... && $(GO) vet ./...
+
 # fuzz smoke-runs every fuzz target for 10s each (CI's test job runs this
 # target): the mean-delay duals' option handling and optimality
 # certificates, cluster JSON configs through parsing, validation and
@@ -50,8 +56,9 @@ overhead-gate:
 # check is the full pre-push suite and runs what CI's test and lint jobs run
 # (staticcheck aside): build, go vet, formatting, module hygiene, the
 # nine-analyzer lint gate (including the hotalloc escape-analysis pass, which
-# replays from the go build cache), and the tests. Measured at ~11s wall on a
-# warm build/test cache on a 2-vCPU Xeon VM (2026-10: `time make -k check` =
-# 11.2s real, of which vet is ~1s), comfortably under the 30s budget; a cold
-# cache pays the one-time compile on top.
-check: build vet fmt tidy-check lint test
+# replays from the go build cache), the benchmark module's build and vet, and
+# the tests. Measured at ~14s wall on a warm build/test cache on a 2-vCPU
+# Xeon VM (2026-10: `time make -k check` = 14.2s real, of which vet and
+# bench-build are ~1s each), under the 30s budget; a cold cache pays the
+# one-time compile on top.
+check: build vet fmt tidy-check lint bench-build test

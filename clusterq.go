@@ -136,8 +136,8 @@ type (
 	// Timeline is a sampled multi-series time series (queue lengths,
 	// utilization, power, in-flight counts) recorded by a SimProbe.
 	Timeline = obs.Timeline
-	// MetricRegistry collects named counters, gauges and histograms and
-	// exposes them as JSON or Prometheus text.
+	// MetricRegistry collects named counters and gauges and exposes them as
+	// JSON or Prometheus text.
 	MetricRegistry = obs.Registry
 	// MetricSnapshot is one metric's point-in-time value as exposed by
 	// MetricRegistry.Snapshot and WriteJSON.

@@ -147,9 +147,6 @@ type Cluster struct {
 	Routing []*queueing.ClassRouting
 }
 
-// NumClasses returns the number of customer classes.
-func (c *Cluster) NumClasses() int { return len(c.Classes) }
-
 // Lambdas returns the per-class arrival-rate vector.
 func (c *Cluster) Lambdas() []float64 {
 	l := make([]float64, len(c.Classes))

@@ -411,10 +411,6 @@ func TestCostAndRevenue(t *testing.T) {
 	if got := TotalCost(c); !almostEq(got, 6, 1e-12) {
 		t.Errorf("cost = %g", got)
 	}
-	// 0.8·3 + 0.8·1 = 3.2.
-	if got := Revenue(c); !almostEq(got, 3.2, 1e-12) {
-		t.Errorf("revenue = %g", got)
-	}
 }
 
 func TestSpeedsRoundTrip(t *testing.T) {

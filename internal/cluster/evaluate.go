@@ -324,12 +324,3 @@ func TotalCost(c *Cluster) float64 {
 	}
 	return cost
 }
-
-// Revenue returns the per-unit-time revenue Σ λ_k × price_k.
-func Revenue(c *Cluster) float64 {
-	var rev float64
-	for _, cl := range c.Classes {
-		rev += cl.Lambda * cl.SLA.PricePerRequest
-	}
-	return rev
-}

@@ -286,20 +286,23 @@ func TestBindingClasses(t *testing.T) {
 	}
 }
 
+// TestDelayFrontierShape sweeps MinimizeDelay over energy budgets, the
+// energy/performance curve E5 draws: an infeasible budget is an error and
+// the minimum delay never rises as the budget grows.
 func TestDelayFrontierShape(t *testing.T) {
 	c := symCluster(2, 2, 0.6)
-	budgets := []float64{10, 350, 500, 800}
-	delays, sols, err := DelayFrontier(c, budgets, DelayOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if sol, err := MinimizeDelay(c, DelayOptions{EnergyBudget: 10}); err == nil {
+		t.Errorf("infeasible budget 10 W solved: %+v", sol)
 	}
-	if !math.IsNaN(delays[0]) {
-		t.Error("infeasible budget should produce NaN")
+	var delays []float64
+	for _, b := range []float64{350, 500, 800} {
+		sol, err := MinimizeDelay(c, DelayOptions{EnergyBudget: b})
+		if err != nil {
+			t.Fatalf("budget %g: %v", b, err)
+		}
+		delays = append(delays, sol.Objective)
 	}
-	if sols[0] != nil {
-		t.Error("infeasible budget should produce nil solution")
-	}
-	for i := 2; i < len(delays); i++ {
+	for i := 1; i < len(delays); i++ {
 		if delays[i] > delays[i-1]*1.02 {
 			t.Errorf("frontier not non-increasing: %v", delays)
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"clusterq/internal/cluster"
 )
@@ -53,25 +52,4 @@ func MinimizeDelay(c *cluster.Cluster, o DelayOptions) (*Solution, error) {
 // Deprecated: MinimizeDelay is the dual decomposition; call it.
 func MinimizeDelayDual(c *cluster.Cluster, o DelayOptions) (*Solution, error) {
 	return MinimizeDelay(c, o)
-}
-
-// DelayFrontier sweeps MinimizeDelay over a list of energy budgets and
-// returns the achieved minimum delays — the energy/performance trade-off
-// curve of the paper's Fig.-3-style plot. Budgets below feasibility produce
-// NaN entries rather than an error so sweeps can span the interesting range.
-func DelayFrontier(c *cluster.Cluster, budgets []float64, o DelayOptions) ([]float64, []*Solution, error) {
-	delays := make([]float64, len(budgets))
-	sols := make([]*Solution, len(budgets))
-	for i, b := range budgets {
-		oo := o
-		oo.EnergyBudget = b
-		sol, err := MinimizeDelay(c, oo)
-		if err != nil {
-			delays[i] = math.NaN()
-			continue
-		}
-		delays[i] = sol.Objective
-		sols[i] = sol
-	}
-	return delays, sols, nil
 }

@@ -91,7 +91,7 @@ func (d Diagnostic) String() string {
 // A FactStore carries exported object facts across packages within one
 // analysis run. Facts are keyed by (package path, object, fact name), where
 // object is a package-level name ("NewRNG"), a method ("Registry.Counter"),
-// or a struct field ("Histogram.n"). The driver hands the same store to
+// or a struct field ("Counter.v"). The driver hands the same store to
 // every pass, analyzing packages in dependency order so importers observe
 // the facts of their imports.
 type FactStore struct {

@@ -5,25 +5,35 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 )
 
 // Snapshot is the point-in-time state of one metric, shaped for JSON
-// marshalling and plotting front-ends.
+// marshalling and plotting front-ends. JSON has no NaN or ±Inf, so a
+// non-finite Value (a window gauge before its class's first sojourn, say)
+// marshals as null; the Prometheus text format writes it as NaN, +Inf or
+// -Inf.
 type Snapshot struct {
-	Name string `json:"name"`
-	Help string `json:"help,omitempty"`
-	Type string `json:"type"` // "counter", "gauge" or "histogram"
-	// Value holds the counter or gauge reading (absent for histograms).
+	Name  string  `json:"name"`
+	Help  string  `json:"help,omitempty"`
+	Type  string  `json:"type"` // "counter" or "gauge"
 	Value float64 `json:"value"`
-	// Histogram-only fields: per-bucket upper bounds and counts (overflow
-	// bucket last, with no bound), plus the observation sum and count.
-	Bounds []float64 `json:"bounds,omitempty"`
-	Counts []int64   `json:"counts,omitempty"`
-	Sum    float64   `json:"sum,omitempty"`
-	Count  int64     `json:"count,omitempty"`
+}
+
+// MarshalJSON encodes s as encoding/json would, except that a NaN or ±Inf
+// Value becomes null instead of an error.
+func (s Snapshot) MarshalJSON() ([]byte, error) {
+	type plain Snapshot // drops this method, keeps the field tags
+	if !math.IsNaN(s.Value) && !math.IsInf(s.Value, 0) {
+		return json.Marshal(plain(s))
+	}
+	return json.Marshal(struct {
+		plain
+		Value *float64 `json:"value"`
+	}{plain: plain(s)})
 }
 
 // Snapshot captures every registered metric in registration order.
@@ -38,16 +48,10 @@ func (r *Registry) Snapshot() []Snapshot {
 	out := make([]Snapshot, 0, len(metrics))
 	for _, m := range metrics {
 		s := Snapshot{Name: m.name, Help: m.help, Type: m.kind.String()}
-		switch m.kind {
-		case kindCounter:
+		if m.kind == kindCounter {
 			s.Value = float64(m.c.Value())
-		case kindGauge:
+		} else {
 			s.Value = m.g.Value()
-		case kindHistogram:
-			s.Bounds = m.h.Bounds()
-			s.Counts = m.h.BucketCounts()
-			s.Sum = m.h.Sum()
-			s.Count = m.h.Count()
 		}
 		out = append(out, s)
 	}
@@ -68,9 +72,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // WritePrometheus writes the registry in the Prometheus text exposition
-// format (version 0.0.4): HELP/TYPE comment lines followed by samples, with
-// histogram buckets expanded to cumulative `le`-labelled series. A nil
-// registry writes nothing.
+// format (version 0.0.4): HELP/TYPE comment lines followed by one sample per
+// metric. A nil registry writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -84,28 +87,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", s.Name, s.Type); err != nil {
 			return err
 		}
-		var err error
-		switch s.Type {
-		case "histogram":
-			cum := int64(0)
-			for i, c := range s.Counts {
-				cum += c
-				le := "+Inf"
-				if i < len(s.Bounds) {
-					le = formatFloat(s.Bounds[i])
-				}
-				if _, err = fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", s.Name, le, cum); err != nil {
-					return err
-				}
-			}
-			if _, err = fmt.Fprintf(w, "%s_sum %s\n", s.Name, formatFloat(s.Sum)); err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "%s_count %d\n", s.Name, s.Count)
-		default:
-			_, err = fmt.Fprintf(w, "%s %s\n", s.Name, formatFloat(s.Value))
-		}
-		if err != nil {
+		if _, err := fmt.Fprintf(w, "%s %s\n", s.Name, formatFloat(s.Value)); err != nil {
 			return err
 		}
 	}

@@ -1,14 +1,13 @@
 // Package obs is the observability substrate of clusterq: a lightweight
-// metric registry (counters, gauges, fixed-bucket histograms) with a
-// lock-free hot path, time-series capture (Timeline), and exposition in both
-// JSON and the Prometheus text format. It is stdlib-only, like the rest of
-// the module.
+// metric registry (counters and gauges) with a lock-free hot path,
+// time-series capture (Timeline), and exposition in both JSON and the
+// Prometheus text format. It is stdlib-only, like the rest of the module.
 //
 // Two properties drive the design:
 //
-//   - Zero allocation on the hot path: Counter.Add, Gauge.Set and
-//     Histogram.Observe never allocate; registration (name lookup, slice
-//     growth) happens once up front.
+//   - Zero allocation on the hot path: Counter.Add and Gauge.Set never
+//     allocate; registration (name lookup, slice growth) happens once up
+//     front.
 //   - Near-zero cost when disabled: every metric method is a no-op on a nil
 //     receiver, and a nil *Registry hands out nil metrics, so instrumented
 //     code needs no "is observability on?" branches of its own.
@@ -17,7 +16,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -26,14 +24,6 @@ import (
 // to use; a nil *Counter is a no-op.
 type Counter struct {
 	v atomic.Int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.Add(1)
 }
 
 // Add increases the counter by n (n < 0 is ignored: counters are monotone).
@@ -66,20 +56,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add shifts the gauge by d (atomic read-modify-write).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value (0 on a nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -88,176 +64,19 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into fixed buckets. Bucket i counts
-// observations v ≤ Bounds[i]; one implicit overflow bucket (+Inf) catches the
-// rest. The zero value is unusable — construct through Registry.Histogram —
-// but a nil *Histogram is a no-op.
-type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1, last = overflow
-	sum    atomic.Uint64  // float64 bits of the running sum
-	n      atomic.Int64
-}
-
-func newHistogram(bounds []float64) (*Histogram, error) {
-	if len(bounds) == 0 {
-		return nil, fmt.Errorf("obs: histogram needs at least one bucket bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if !(bounds[i] > bounds[i-1]) {
-			return nil, fmt.Errorf("obs: histogram bounds not strictly increasing at %d: %g, %g",
-				i, bounds[i-1], bounds[i])
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}, nil
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	// Branchless-ish bucket search: the bound lists are short (≤ ~30), so a
-	// linear scan beats binary search and stays allocation-free.
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.n.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
-// Sum returns the running total of all observations (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
-// Bounds returns the bucket upper bounds (the +Inf overflow is implicit).
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
-}
-
-// BucketCounts returns the per-bucket counts, overflow last.
-func (h *Histogram) BucketCounts() []int64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]int64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
-	}
-	return out
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket counts by
-// linear interpolation within the containing bucket, the standard
-// histogram_quantile approach. The first bucket interpolates from 0 when its
-// upper bound is positive (from the bound itself otherwise); ranks landing
-// in the overflow bucket return the largest finite bound, the best the
-// histogram can claim. Returns NaN on a nil or empty histogram or a q
-// outside [0,1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || math.IsNaN(q) || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	n := h.n.Load()
-	if n == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(n)
-	var cum float64
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			if i == len(h.bounds) { // overflow bucket
-				return h.bounds[len(h.bounds)-1]
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			} else if h.bounds[0] <= 0 {
-				lower = h.bounds[0]
-			}
-			upper := h.bounds[i]
-			return lower + (upper-lower)*(rank-cum)/c
-		}
-		cum += c
-	}
-	// Unreachable when counts and n agree; be safe under racing observes.
-	return h.bounds[len(h.bounds)-1]
-}
-
-// LinearBuckets returns n strictly increasing bounds start, start+width, ….
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns n bounds start, start·factor, start·factor², ….
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // metricKind discriminates registry entries.
 type metricKind int
 
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 )
 
 func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
+	if k == kindCounter {
 		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
 	}
+	return "gauge"
 }
 
 // metric is one named registry entry.
@@ -267,11 +86,10 @@ type metric struct {
 	kind metricKind
 	c    *Counter
 	g    *Gauge
-	h    *Histogram
 }
 
 // Registry is an ordered collection of named metrics. Registration
-// (Counter/Gauge/Histogram) is idempotent: asking twice for the same name and
+// (Counter/Gauge) is idempotent: asking twice for the same name and
 // kind returns the same instance. A nil *Registry hands out nil metrics, so
 // instrumentation wired to an optional registry costs (almost) nothing when
 // observability is off.
@@ -350,46 +168,4 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		m.g = &Gauge{}
 	}
 	return m.g
-}
-
-// Histogram returns the named histogram, creating it (with the given bucket
-// upper bounds) on first use; later calls ignore the bounds argument. Invalid
-// bounds panic, matching the other registration errors.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	m := r.lookup(name, help, kindHistogram)
-	if m.h == nil {
-		h, err := newHistogram(bounds)
-		if err != nil {
-			panic(err.Error())
-		}
-		m.h = h
-	}
-	return m.h
-}
-
-// Names returns the registered metric names in registration order.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.order))
-	for i, m := range r.order {
-		out[i] = m.name
-	}
-	return out
-}
-
-// SortedNames returns the registered metric names sorted lexically.
-func (r *Registry) SortedNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := r.Names()
-	sort.Strings(names)
-	return names
 }

@@ -15,7 +15,7 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("requests_total", "requests")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	c.Add(-7) // ignored: counters are monotone
 	if got := c.Value(); got != 5 {
@@ -27,30 +27,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := r.Gauge("depth", "queue depth")
 	g.Set(3.5)
-	g.Add(-1.25)
-	if got := g.Value(); got != 2.25 {
-		t.Fatalf("gauge = %g, want 2.25", got)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("latency", "seconds", []float64{0.1, 1, 10})
-	for _, v := range []float64{0.05, 0.1, 0.5, 2, 100} {
-		h.Observe(v)
-	}
-	want := []int64{2, 1, 1, 1} // ≤0.1 ×2, (0.1,1] ×1, (1,10] ×1, overflow ×1
-	got := h.BucketCounts()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, got[i], want[i], got)
-		}
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
-	if math.Abs(h.Sum()-102.65) > 1e-9 {
-		t.Fatalf("sum = %g, want 102.65", h.Sum())
+	g.Set(-1.25)
+	if got := g.Value(); got != -1.25 {
+		t.Fatalf("gauge = %g, want -1.25", got)
 	}
 }
 
@@ -58,16 +37,12 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x", "")
 	g := r.Gauge("y", "")
-	h := r.Histogram("z", "", []float64{1})
-	c.Inc()
 	c.Add(3)
 	g.Set(9)
-	g.Add(1)
-	h.Observe(2)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil metrics must read as zero")
 	}
-	if r.Snapshot() != nil || r.Names() != nil {
+	if r.Snapshot() != nil {
 		t.Fatal("nil registry must snapshot empty")
 	}
 }
@@ -105,7 +80,7 @@ func TestCounterConcurrentAdds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.Inc()
+				c.Add(1)
 			}
 		}()
 	}
@@ -119,7 +94,6 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("events_total", "all events").Add(42)
 	r.Gauge("util", "utilization").Set(0.8125)
-	r.Histogram("wait", "seconds", []float64{1, 2}).Observe(1.5)
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -131,29 +105,25 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("JSON output does not parse: %v", err)
 	}
-	if len(doc.Metrics) != 3 {
-		t.Fatalf("got %d metrics, want 3", len(doc.Metrics))
+	if len(doc.Metrics) != 2 {
+		t.Fatalf("got %d metrics, want 2", len(doc.Metrics))
 	}
 	if doc.Metrics[0].Name != "events_total" || doc.Metrics[0].Value != 42 {
 		t.Fatalf("counter snapshot wrong: %+v", doc.Metrics[0])
 	}
-	if doc.Metrics[2].Type != "histogram" || doc.Metrics[2].Count != 1 {
-		t.Fatalf("histogram snapshot wrong: %+v", doc.Metrics[2])
+	if doc.Metrics[1].Type != "gauge" || doc.Metrics[1].Value != 0.8125 {
+		t.Fatalf("gauge snapshot wrong: %+v", doc.Metrics[1])
 	}
 }
 
 // Golden-style check that the Prometheus exposition output parses: every
-// non-comment line must be `name{labels}? value`, every metric must carry a
-// TYPE line, and histogram buckets must be cumulative and le-labelled. This
-// is a hand-rolled line check (no external deps, per the module's rules).
+// non-comment line must be `name value` and every metric must carry a TYPE
+// line. This is a hand-rolled line check (no external deps, per the module's
+// rules).
 func TestWritePrometheusParses(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sim_events_arrival_total", "external arrivals").Add(17)
 	r.Gauge("sim_power_watts", "average power").Set(1061.25)
-	h := r.Histogram("solver_step", "step sizes", []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -161,8 +131,8 @@ func TestWritePrometheusParses(t *testing.T) {
 	}
 	out := buf.String()
 
-	sampleRE := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{le="[^"]+"\})? -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
-	typeRE := regexp.MustCompile(`^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram)$`)
+	sampleRE := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]* -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
+	typeRE := regexp.MustCompile(`^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge)$`)
 	helpRE := regexp.MustCompile(`^# HELP [a-zA-Z_:][a-zA-Z0-9_:]* .+$`)
 
 	types := 0
@@ -185,19 +155,69 @@ func TestWritePrometheusParses(t *testing.T) {
 			}
 		}
 	}
-	if types != 3 {
-		t.Fatalf("got %d TYPE lines, want 3\n%s", types, out)
+	if types != 2 {
+		t.Fatalf("got %d TYPE lines, want 2\n%s", types, out)
 	}
+}
 
-	// Histogram invariants: cumulative buckets ending at +Inf == count.
-	for _, want := range []string{
-		`solver_step_bucket{le="0.1"} 1`,
-		`solver_step_bucket{le="1"} 2`,
-		`solver_step_bucket{le="+Inf"} 3`,
-		`solver_step_count 3`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
+// TestWriteJSONNonFiniteIsNull checks that NaN and ±Inf gauges (a window
+// gauge before its class's first sojourn reads NaN) marshal as null rather
+// than failing the whole document, and that finite values keep the default
+// encoding byte for byte.
+func TestWriteJSONNonFiniteIsNull(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("runs_total", "runs").Add(2)
+	r.Gauge("util", "utilization").Set(0.8125)
+	r.Gauge("delay_seconds", "").Set(math.NaN())
+	r.Gauge("hi", "").Set(math.Inf(1))
+	r.Gauge("lo", "").Set(math.Inf(-1))
+
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `{
+  "metrics": [
+    {
+      "name": "runs_total",
+      "help": "runs",
+      "type": "counter",
+      "value": 2
+    },
+    {
+      "name": "util",
+      "help": "utilization",
+      "type": "gauge",
+      "value": 0.8125
+    },
+    {
+      "name": "delay_seconds",
+      "type": "gauge",
+      "value": null
+    },
+    {
+      "name": "hi",
+      "type": "gauge",
+      "value": null
+    },
+    {
+      "name": "lo",
+      "type": "gauge",
+      "value": null
+    }
+  ]
+}
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("got\n%s\nwant\n%s", got, want)
+	}
+	var prom bytes.Buffer
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"delay_seconds NaN", "hi +Inf", "lo -Inf"} {
+		if !strings.Contains(prom.String(), line+"\n") {
+			t.Errorf("Prometheus output lacks %q:\n%s", line, prom.String())
 		}
 	}
 }

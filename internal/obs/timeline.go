@@ -90,14 +90,6 @@ func (t *Timeline) Sample(now float64, values []float64) {
 	}
 }
 
-// Times returns the shared time axis (the live backing slice; do not mutate).
-func (t *Timeline) Times() []float64 {
-	if t == nil {
-		return nil
-	}
-	return t.times
-}
-
 // Values returns the named series (the live backing slice; do not mutate),
 // or nil when the name is unknown.
 func (t *Timeline) Values(name string) []float64 {
@@ -146,19 +138,6 @@ func (t *Timeline) Max(name string) float64 {
 		}
 	}
 	return m
-}
-
-// Last returns the most recent value of the named series, or NaN when
-// unknown or empty.
-func (t *Timeline) Last(name string) float64 {
-	if t == nil {
-		return math.NaN()
-	}
-	vs := t.Values(name)
-	if len(vs) == 0 {
-		return math.NaN()
-	}
-	return vs[len(vs)-1]
 }
 
 // WriteCSV writes the timeline as CSV: a `time,<series...>` header followed

@@ -22,14 +22,11 @@ func TestTimelineSampleAndStats(t *testing.T) {
 	if got := tl.Max("q"); got != 4 {
 		t.Fatalf("max(q) = %g, want 4", got)
 	}
-	if got := tl.Last("util"); got != 1 {
-		t.Fatalf("last(util) = %g, want 1", got)
+	if got := tl.Values("util"); len(got) != 3 || got[2] != 1 {
+		t.Fatalf("values(util) = %v", got)
 	}
 	if !math.IsNaN(tl.Mean("nope")) {
 		t.Fatal("unknown series must give NaN")
-	}
-	if got := tl.Times(); len(got) != 3 || got[2] != 2 {
-		t.Fatalf("times = %v", got)
 	}
 }
 
@@ -110,7 +107,7 @@ func TestNilTimelineIsInert(t *testing.T) {
 	if tl.Len() != 0 || tl.Names() != nil || tl.Values("x") != nil || tl.Row() != nil {
 		t.Fatal("nil timeline must be inert")
 	}
-	if !math.IsNaN(tl.Mean("x")) || !math.IsNaN(tl.Last("x")) || !math.IsNaN(tl.Max("x")) {
+	if !math.IsNaN(tl.Mean("x")) || !math.IsNaN(tl.Max("x")) {
 		t.Fatal("nil timeline stats must be NaN")
 	}
 }

@@ -155,13 +155,13 @@ func TestBindAndPublish(t *testing.T) {
 	}
 	// Quantile 0.999 renders as p99_9 in the gauge name.
 	found := false
-	for _, name := range reg.Names() {
-		if name == "window_class0_p99_9_sojourn_seconds" {
+	for _, m := range reg.Snapshot() {
+		if m.Name == "window_class0_p99_9_sojourn_seconds" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("p99_9 gauge missing from %v", reg.Names())
+		t.Errorf("p99_9 gauge missing from %v", reg.Snapshot())
 	}
 	if got := reg.Gauge("window_tier0_utilization", "").Value(); got != 0.5 {
 		t.Errorf("published util = %g, want 0.5", got)

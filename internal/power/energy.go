@@ -5,23 +5,6 @@ import (
 	"math"
 )
 
-// StationPower returns the average power drawn by a station of c servers at
-// speed s with per-server utilization rho: each server is busy a fraction
-// rho of the time (utilization law), so
-//
-//	P̄ = c · [ρ·P_busy(s) + (1−ρ)·P_idle(s)].
-//
-// rho is clamped to [0, 1]; an unstable station is busy all the time.
-func StationPower(m Model, s float64, c int, rho float64) float64 {
-	if rho < 0 {
-		rho = 0
-	}
-	if rho > 1 || math.IsInf(rho, 1) {
-		rho = 1
-	}
-	return float64(c) * (rho*m.BusyPower(s) + (1-rho)*m.IdlePower(s))
-}
-
 // RequestEnergy returns the marginal (dynamic) energy attributable to serving
 // one request with mean service time svc at speed s: the busy/idle power gap
 // integrated over the service time,
@@ -33,17 +16,6 @@ func StationPower(m Model, s float64, c int, rho float64) float64 {
 // regardless of traffic.
 func RequestEnergy(m Model, s, svc float64) float64 {
 	return (m.BusyPower(s) - m.IdlePower(s)) * svc
-}
-
-// EnergyPerUnitWork returns the dynamic energy to process one unit of work at
-// speed s: (P_busy − P_idle)/s. Under the power law this is κ·s^{γ−1} + 0,
-// strictly increasing in s for γ > 1 — the fundamental energy/performance
-// tension the paper's optimizations trade against delay.
-func EnergyPerUnitWork(m Model, s float64) float64 {
-	if !(s > 0) {
-		return math.NaN()
-	}
-	return (m.BusyPower(s) - m.IdlePower(s)) / s
 }
 
 // Breakdown decomposes a station's average power into its static (idle floor
@@ -60,7 +32,13 @@ func (b Breakdown) String() string {
 	return fmt.Sprintf("static=%.4gW dynamic=%.4gW total=%.4gW", b.Static, b.Dynamic, b.Total())
 }
 
-// StationBreakdown returns the static/dynamic power split of a station.
+// StationBreakdown returns the static/dynamic power split of a station of c
+// servers at speed s with per-server utilization rho. Each server is busy a
+// fraction rho of the time (utilization law), so the total is
+//
+//	P̄ = c · [ρ·P_busy(s) + (1−ρ)·P_idle(s)].
+//
+// rho is clamped to [0, 1]; an unstable station is busy all the time.
 func StationBreakdown(m Model, s float64, c int, rho float64) Breakdown {
 	if rho < 0 {
 		rho = 0

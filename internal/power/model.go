@@ -63,11 +63,6 @@ func (m PowerLaw) BusyPower(s float64) float64 {
 	return m.Idle + m.Kappa*math.Pow(s, m.Gamma)
 }
 
-// DynamicPower returns only the speed-dependent component κ·sᵞ.
-func (m PowerLaw) DynamicPower(s float64) float64 {
-	return m.Kappa * math.Pow(s, m.Gamma)
-}
-
 func (m PowerLaw) String() string {
 	return fmt.Sprintf("PowerLaw(idle=%gW, κ=%g, γ=%g)", m.Idle, m.Kappa, m.Gamma)
 }

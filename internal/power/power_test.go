@@ -22,9 +22,6 @@ func TestPowerLawBasics(t *testing.T) {
 	if got := m.BusyPower(2); !almostEq(got, 100+10*8, 1e-12) {
 		t.Errorf("busy(2) = %g, want 180", got)
 	}
-	if got := m.DynamicPower(2); !almostEq(got, 80, 1e-12) {
-		t.Errorf("dynamic(2) = %g", got)
-	}
 }
 
 func TestPowerLawValidation(t *testing.T) {
@@ -112,24 +109,29 @@ func TestTableValidation(t *testing.T) {
 	}
 }
 
+// stationPower is a station's total average power, its breakdown's sum.
+func stationPower(m Model, s float64, c int, rho float64) float64 {
+	return StationBreakdown(m, s, c, rho).Total()
+}
+
 func TestStationPower(t *testing.T) {
 	m, _ := NewPowerLaw(100, 10, 2) // busy(2) = 140
 	// 4 servers at ρ=0.5: 4·(0.5·140 + 0.5·100) = 480.
-	if got := StationPower(m, 2, 4, 0.5); !almostEq(got, 480, 1e-12) {
+	if got := stationPower(m, 2, 4, 0.5); !almostEq(got, 480, 1e-12) {
 		t.Errorf("station power = %g, want 480", got)
 	}
 	// Zero load: idle floor only.
-	if got := StationPower(m, 2, 4, 0); !almostEq(got, 400, 1e-12) {
+	if got := stationPower(m, 2, 4, 0); !almostEq(got, 400, 1e-12) {
 		t.Errorf("idle floor = %g, want 400", got)
 	}
 	// Clamping: overload and negative.
-	if got := StationPower(m, 2, 4, 1.7); !almostEq(got, 4*140, 1e-12) {
+	if got := stationPower(m, 2, 4, 1.7); !almostEq(got, 4*140, 1e-12) {
 		t.Errorf("overloaded = %g", got)
 	}
-	if got := StationPower(m, 2, 4, math.Inf(1)); !almostEq(got, 4*140, 1e-12) {
+	if got := stationPower(m, 2, 4, math.Inf(1)); !almostEq(got, 4*140, 1e-12) {
 		t.Errorf("infinite rho = %g", got)
 	}
-	if got := StationPower(m, 2, 4, -0.3); !almostEq(got, 400, 1e-12) {
+	if got := stationPower(m, 2, 4, -0.3); !almostEq(got, 400, 1e-12) {
 		t.Errorf("negative rho = %g", got)
 	}
 }
@@ -145,11 +147,11 @@ func TestStationPowerMonotoneInLoadAndSpeed(t *testing.T) {
 		if r1 > r2 {
 			r1, r2 = r2, r1
 		}
-		if StationPower(m, 2, 3, r1) > StationPower(m, 2, 3, r2)+1e-9 {
+		if stationPower(m, 2, 3, r1) > stationPower(m, 2, 3, r2)+1e-9 {
 			return false
 		}
 		// More speed at same load costs more.
-		return StationPower(m, 1.5, 3, r2) <= StationPower(m, 2.5, 3, r2)+1e-9
+		return stationPower(m, 1.5, 3, r2) <= stationPower(m, 2.5, 3, r2)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -164,25 +166,25 @@ func TestRequestEnergy(t *testing.T) {
 	}
 }
 
+// TestEnergyPerUnitWorkIncreasesWithSpeed checks the energy/performance
+// tension the optimizations trade against delay: one unit of work takes 1/s
+// seconds at speed s, and its dynamic energy κ·s^{γ−1} grows with s.
 func TestEnergyPerUnitWorkIncreasesWithSpeed(t *testing.T) {
 	m, _ := NewPowerLaw(100, 10, 3)
-	// κ·s^{γ−1}: at s=1 → 10, at s=2 → 40.
-	if got := EnergyPerUnitWork(m, 1); !almostEq(got, 10, 1e-12) {
+	perWork := func(s float64) float64 { return RequestEnergy(m, s, 1/s) }
+	if got := perWork(1); !almostEq(got, 10, 1e-12) {
 		t.Errorf("e/work at 1 = %g", got)
 	}
-	if got := EnergyPerUnitWork(m, 2); !almostEq(got, 40, 1e-12) {
+	if got := perWork(2); !almostEq(got, 40, 1e-12) {
 		t.Errorf("e/work at 2 = %g", got)
 	}
 	prev := 0.0
 	for s := 0.5; s < 8; s += 0.5 {
-		e := EnergyPerUnitWork(m, s)
+		e := perWork(s)
 		if e <= prev {
 			t.Fatalf("energy per work not increasing at s=%g", s)
 		}
 		prev = e
-	}
-	if !math.IsNaN(EnergyPerUnitWork(m, 0)) {
-		t.Error("zero speed should be NaN")
 	}
 }
 
@@ -195,8 +197,8 @@ func TestBreakdown(t *testing.T) {
 	if !almostEq(b.Dynamic, 4*0.5*40, 1e-12) {
 		t.Errorf("dynamic = %g", b.Dynamic)
 	}
-	if !almostEq(b.Total(), StationPower(m, 2, 4, 0.5), 1e-12) {
-		t.Errorf("breakdown total %g != station power", b.Total())
+	if !almostEq(b.Total(), 480, 1e-12) {
+		t.Errorf("breakdown total %g, want 480", b.Total())
 	}
 	if len(b.String()) == 0 {
 		t.Error("empty string")

@@ -103,17 +103,6 @@ type HyperExp struct {
 	M1, M2 float64 // phase means
 }
 
-// NewHyperExp constructs a two-phase hyperexponential distribution. The
-// negated comparisons also reject NaN, which fails every ordered comparison.
-func NewHyperExp(p, m1, m2 float64) HyperExp {
-	if !(p > 0) || !(p < 1) {
-		panic(fmt.Sprintf("queueing: HyperExp phase probability %g out of (0,1)", p))
-	}
-	mustPositiveMean("HyperExp", m1)
-	mustPositiveMean("HyperExp", m2)
-	return HyperExp{P: p, M1: m1, M2: m2}
-}
-
 // NewHyperExpCV2 builds a balanced-means hyperexponential with the requested
 // mean and squared coefficient of variation cv2 ≥ 1 (cv2 == 1 degenerates to
 // exponential behaviour).
@@ -143,33 +132,6 @@ func (h HyperExp) Scale(f float64) ServiceDist {
 func (h HyperExp) String() string {
 	return fmt.Sprintf("HyperExp(p=%g,m1=%g,m2=%g)", h.P, h.M1, h.M2)
 }
-
-// Uniform is a uniform service distribution on [Lo, Hi].
-type Uniform struct{ Lo, Hi float64 }
-
-// NewUniform returns a uniform service distribution on [lo, hi]. The
-// negated comparisons also reject NaN endpoints.
-func NewUniform(lo, hi float64) Uniform {
-	if !(lo >= 0) || !(hi > lo) || math.IsInf(hi, 1) {
-		panic(fmt.Sprintf("queueing: invalid uniform range [%g,%g]", lo, hi))
-	}
-	return Uniform{Lo: lo, Hi: hi}
-}
-
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-func (u Uniform) SecondMoment() float64 {
-	m := u.Mean()
-	v := (u.Hi - u.Lo) * (u.Hi - u.Lo) / 12
-	return v + m*m
-}
-func (u Uniform) CV2() float64 {
-	m := u.Mean()
-	return (u.Hi - u.Lo) * (u.Hi - u.Lo) / 12 / (m * m)
-}
-func (u Uniform) Scale(f float64) ServiceDist {
-	return Uniform{Lo: u.Lo * f, Hi: u.Hi * f}
-}
-func (u Uniform) String() string { return fmt.Sprintf("Uniform[%g,%g]", u.Lo, u.Hi) }
 
 func mustPositiveMean(kind string, m float64) {
 	if !(m > 0) || math.IsInf(m, 1) || math.IsNaN(m) {

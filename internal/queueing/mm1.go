@@ -43,40 +43,6 @@ func (q MM1) MeanWait() float64 {
 	return q.Rho() / (q.Mu - q.Lambda)
 }
 
-// MeanNumber returns E[N] = ρ/(1−ρ) via Little's law.
-func (q MM1) MeanNumber() float64 {
-	if !q.Stable() {
-		return math.Inf(1)
-	}
-	rho := q.Rho()
-	return rho / (1 - rho)
-}
-
-// ResponseQuantile returns the p-quantile of the response time, which is
-// exponential with rate μ−λ: t_p = −ln(1−p)/(μ−λ).
-func (q MM1) ResponseQuantile(p float64) float64 {
-	if !q.Stable() {
-		return math.Inf(1)
-	}
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return -math.Log(1-p) / (q.Mu - q.Lambda)
-}
-
-// ProbN returns the steady-state probability of n customers in system,
-// (1−ρ)ρⁿ.
-func (q MM1) ProbN(n int) float64 {
-	if !q.Stable() || n < 0 {
-		return 0
-	}
-	rho := q.Rho()
-	return (1 - rho) * math.Pow(rho, float64(n))
-}
-
 // MG1 holds the Pollaczek–Khinchine metrics of an M/G/1 queue.
 type MG1 struct {
 	Lambda  float64
@@ -116,13 +82,4 @@ func (q MG1) MeanResponse() float64 {
 		return w
 	}
 	return w + q.Service.Mean()
-}
-
-// MeanNumber returns E[N] = λE[T] by Little's law.
-func (q MG1) MeanNumber() float64 {
-	t := q.MeanResponse()
-	if math.IsInf(t, 1) {
-		return t
-	}
-	return q.Lambda * t
 }

@@ -20,9 +20,6 @@ func TestMM1KnownValues(t *testing.T) {
 	if got := q.MeanWait(); !almostEq(got, 1, 1e-12) {
 		t.Errorf("E[W] = %g, want 1", got)
 	}
-	if got := q.MeanNumber(); !almostEq(got, 1, 1e-12) {
-		t.Errorf("E[N] = %g, want 1", got)
-	}
 }
 
 func TestMM1Unstable(t *testing.T) {
@@ -30,7 +27,7 @@ func TestMM1Unstable(t *testing.T) {
 	if q.Stable() {
 		t.Fatal("should be unstable")
 	}
-	for _, v := range []float64{q.MeanResponse(), q.MeanWait(), q.MeanNumber()} {
+	for _, v := range []float64{q.MeanResponse(), q.MeanWait()} {
 		if !math.IsInf(v, 1) {
 			t.Errorf("unstable metric = %g, want +Inf", v)
 		}
@@ -46,6 +43,8 @@ func TestMM1InvalidParams(t *testing.T) {
 	}
 }
 
+// TestMM1LittlesLaw checks E[T] against the M/M/1 queue length through
+// Little's law: λ·E[T] = E[N] = ρ/(1−ρ).
 func TestMM1LittlesLaw(t *testing.T) {
 	f := func(l, m float64) bool {
 		lam := math.Mod(math.Abs(l), 5)
@@ -57,38 +56,11 @@ func TestMM1LittlesLaw(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		return almostEq(q.MeanNumber(), lam*q.MeanResponse(), 1e-9)
+		rho := lam / mu
+		return almostEq(rho/(1-rho), lam*q.MeanResponse(), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMM1ResponseQuantile(t *testing.T) {
-	q, _ := NewMM1(0.5, 1)
-	// Response is Exp(0.5); median = ln2/0.5.
-	if got := q.ResponseQuantile(0.5); !almostEq(got, math.Ln2/0.5, 1e-9) {
-		t.Errorf("median = %g", got)
-	}
-	if q.ResponseQuantile(0) != 0 {
-		t.Error("quantile at 0")
-	}
-	if !math.IsInf(q.ResponseQuantile(1), 1) {
-		t.Error("quantile at 1")
-	}
-}
-
-func TestMM1ProbNSumsToOne(t *testing.T) {
-	q, _ := NewMM1(0.7, 1)
-	var sum float64
-	for n := 0; n < 500; n++ {
-		sum += q.ProbN(n)
-	}
-	if !almostEq(sum, 1, 1e-9) {
-		t.Errorf("Σ ProbN = %g", sum)
-	}
-	if q.ProbN(-1) != 0 {
-		t.Error("ProbN(-1) should be 0")
 	}
 }
 
@@ -131,7 +103,7 @@ func TestMG1WaitIncreasesWithVariance(t *testing.T) {
 
 func TestMG1UnstableAndInvalid(t *testing.T) {
 	q, _ := NewMG1(2, NewExponential(1))
-	if q.Stable() || !math.IsInf(q.MeanWait(), 1) || !math.IsInf(q.MeanNumber(), 1) {
+	if q.Stable() || !math.IsInf(q.MeanWait(), 1) || !math.IsInf(q.MeanResponse(), 1) {
 		t.Error("unstable M/G/1 should report +Inf")
 	}
 	if _, err := NewMG1(-1, NewExponential(1)); err == nil {

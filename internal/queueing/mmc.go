@@ -78,30 +78,3 @@ func (q MMc) MeanResponse() float64 {
 	}
 	return w + 1/q.Mu
 }
-
-// MeanNumber returns E[N] = λE[T].
-func (q MMc) MeanNumber() float64 {
-	t := q.MeanResponse()
-	if math.IsInf(t, 1) {
-		return t
-	}
-	return q.Lambda * t
-}
-
-// WaitQuantile returns the p-quantile of the waiting time. In M/M/c the wait
-// is 0 with probability 1−C(c,a) and exponential with rate cμ−λ otherwise.
-func (q MMc) WaitQuantile(p float64) float64 {
-	if !q.Stable() {
-		return math.Inf(1)
-	}
-	pc := q.DelayProbability()
-	if p <= 1-pc {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	// P(W > t) = pc · e^{−(cμ−λ)t}; solve pc·e^{−rt} = 1−p.
-	r := float64(q.C)*q.Mu - q.Lambda
-	return -math.Log((1-p)/pc) / r
-}

@@ -110,31 +110,14 @@ func TestMMcUnstable(t *testing.T) {
 	if q.Stable() {
 		t.Fatal("should be unstable")
 	}
-	if !math.IsInf(q.MeanWait(), 1) || !math.IsInf(q.MeanResponse(), 1) || !math.IsInf(q.MeanNumber(), 1) {
+	if !math.IsInf(q.MeanWait(), 1) || !math.IsInf(q.MeanResponse(), 1) {
 		t.Error("unstable metrics should be +Inf")
 	}
-	if !math.IsInf(q.WaitQuantile(0.9), 1) {
-		t.Error("unstable quantile should be +Inf")
-	}
 }
 
-func TestMMcWaitQuantile(t *testing.T) {
-	q, _ := NewMMc(1, 1, 2)
-	pc := q.DelayProbability() // 1/3
-	// Below the atom at zero.
-	if got := q.WaitQuantile(0.5); got != 0 {
-		t.Errorf("quantile below atom = %g, want 0", got)
-	}
-	// P(W ≤ t) = 0.9 → survival 0.1 = pc e^{−t(cμ−λ)}; t = ln(pc/0.1).
-	want := math.Log(pc / 0.1)
-	if got := q.WaitQuantile(0.9); !almostEq(got, want, 1e-9) {
-		t.Errorf("0.9 quantile = %g, want %g", got, want)
-	}
-	if !math.IsInf(q.WaitQuantile(1), 1) {
-		t.Error("quantile at 1 should be +Inf")
-	}
-}
-
+// TestMMcLittlesLawQuick checks E[T] against the M/M/c queue length through
+// Little's law: λ·E[T] = E[N] = C(c,a)·ρ/(1−ρ) + a, with a = λ/μ and
+// ρ = a/c.
 func TestMMcLittlesLawQuick(t *testing.T) {
 	f := func(l, m float64, cRaw uint8) bool {
 		c := 1 + int(cRaw%8)
@@ -147,7 +130,9 @@ func TestMMcLittlesLawQuick(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		return almostEq(q.MeanNumber(), lam*q.MeanResponse(), 1e-9)
+		a := lam / mu
+		rho := a / float64(c)
+		return almostEq(ErlangC(c, a)*rho/(1-rho)+a, lam*q.MeanResponse(), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -61,15 +61,6 @@ func (h *Hypoexponential) Mean() float64 {
 	return s
 }
 
-// Variance returns Σ 1/r_j².
-func (h *Hypoexponential) Variance() float64 {
-	var s float64
-	for _, r := range h.rates {
-		s += 1 / (r * r)
-	}
-	return s
-}
-
 // Survival returns P(X > t), computed by uniformization: with Λ the maximum
 // stage rate and P = I + Q/Λ the uniformized transition matrix over the
 // transient (stage) states,
@@ -188,9 +179,6 @@ func (h *Hypoexponential) Quantile(p float64) float64 {
 	}
 	return hi
 }
-
-// NumStages returns the number of exponential stages.
-func (h *Hypoexponential) NumStages() int { return len(h.rates) }
 
 // EndToEndQuantile approximates the p-quantile of a class's end-to-end delay
 // from its per-station mean response times along its route, using the

@@ -62,20 +62,6 @@ func (r *ClassRouting) Validate(numStations int) error {
 	return nil
 }
 
-// ExitProbability returns 1 − Σ_j Next[i][j], the probability of leaving the
-// system after service at station i.
-func (r *ClassRouting) ExitProbability(i int) float64 {
-	var rs float64
-	for _, p := range r.Next[i] {
-		rs += p
-	}
-	e := 1 - rs
-	if e < 0 {
-		return 0
-	}
-	return e
-}
-
 // VisitRates solves the traffic equations v = Entry + vᵀNext for the
 // expected visit counts, returning an error when the chain is recurrent
 // (requests never leave) or otherwise singular.

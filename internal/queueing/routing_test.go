@@ -54,12 +54,6 @@ func TestVisitRatesBranching(t *testing.T) {
 	if !almostEq(v[0], 1, 1e-9) || !almostEq(v[1], 0.5, 1e-9) || !almostEq(v[2], 0.5, 1e-9) {
 		t.Errorf("visits = %v", v)
 	}
-	if got := r.ExitProbability(1); got != 1 {
-		t.Errorf("exit prob = %g", got)
-	}
-	if got := r.ExitProbability(0); got != 0 {
-		t.Errorf("exit prob at 0 = %g", got)
-	}
 }
 
 func TestVisitRatesFeedbackToEarlierStation(t *testing.T) {

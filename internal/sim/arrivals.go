@@ -35,9 +35,11 @@ type Sinusoid struct {
 	Mean, Amplitude, Period, Phase float64
 }
 
-// NewSinusoid validates and returns the profile.
+// NewSinusoid validates and returns the profile. Every argument must be
+// finite: an infinite rate would put every arrival at t = 0.
 func NewSinusoid(mean, amplitude, period float64) (Sinusoid, error) {
-	if !(mean >= 0) || amplitude < 0 || amplitude > mean || !(period > 0) {
+	if !(mean >= 0) || math.IsInf(mean, 1) || !(amplitude >= 0) || amplitude > mean ||
+		!(period > 0) || math.IsInf(period, 1) {
 		return Sinusoid{}, fmt.Errorf("sim: invalid sinusoid mean=%g amp=%g period=%g", mean, amplitude, period)
 	}
 	return Sinusoid{Mean: mean, Amplitude: amplitude, Period: period}, nil
@@ -57,9 +59,11 @@ type SquareWave struct {
 	Low, High, Period, HighFraction float64
 }
 
-// NewSquareWave validates and returns the profile.
+// NewSquareWave validates and returns the profile. Every argument must be
+// finite, like NewSinusoid's.
 func NewSquareWave(low, high, period, highFraction float64) (SquareWave, error) {
-	if low < 0 || high < low || !(period > 0) || highFraction < 0 || highFraction > 1 {
+	if !(low >= 0) || !(high >= low) || math.IsInf(high, 1) || !(period > 0) || math.IsInf(period, 1) ||
+		!(highFraction >= 0) || highFraction > 1 {
 		return SquareWave{}, fmt.Errorf("sim: invalid square wave low=%g high=%g period=%g frac=%g",
 			low, high, period, highFraction)
 	}

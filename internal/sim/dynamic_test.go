@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"clusterq/internal/cluster"
@@ -20,6 +21,18 @@ func TestProfilesValidation(t *testing.T) {
 	}
 	if _, err := NewSquareWave(1, 2, 10, 1.5); err == nil {
 		t.Error("fraction > 1 accepted")
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, a := range [][3]float64{{inf, 0, 10}, {nan, 0, 10}, {1, nan, 10}, {1, 0.5, inf}, {1, 0.5, nan}} {
+		if _, err := NewSinusoid(a[0], a[1], a[2]); err == nil {
+			t.Errorf("NewSinusoid%v accepted", a)
+		}
+	}
+	for _, a := range [][4]float64{{1, inf, 10, 0.5}, {nan, 2, 10, 0.5}, {1, nan, 10, 0.5},
+		{1, 2, inf, 0.5}, {1, 2, 10, nan}} {
+		if _, err := NewSquareWave(a[0], a[1], a[2], a[3]); err == nil {
+			t.Errorf("NewSquareWave%v accepted", a)
+		}
 	}
 	sw, err := NewSquareWave(1, 3, 10, 0.25)
 	if err != nil {

@@ -34,104 +34,39 @@ func SimulateForkJoin(k int, lambda, mu, horizon float64, reps int, seed uint64)
 	}, nil
 }
 
-// fjEvent is one event of the dedicated fork-join simulator.
-type fjEvent struct {
-	time  float64
-	seq   uint64
-	queue int // -1 for arrivals, else the queue whose head departs
-}
-
-// fjHeap is a concrete binary min-heap of fork-join events ordered by
-// (time, seq). Like eventHeap it avoids container/heap's per-operation
-// interface boxing; events are small values, so the heap itself is the only
-// storage they ever occupy.
-type fjHeap []fjEvent
-
-func (h fjHeap) less(i, j int) bool {
-	//lint:waive floateq reason="deliberate exact compare: bitwise-equal times fall through to the seq tie-break" until=2027-08-01
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *fjHeap) push(e fjEvent) {
-	*h = append(*h, e)
-	// Sift up.
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *fjHeap) pop() fjEvent {
-	s := *h
-	e := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
-	s = s[:n]
-	// Sift down.
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && s.less(r, l) {
-			m = r
-		}
-		if !s.less(m, i) {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return e
-}
-
 // fjJob tracks one forked job.
 type fjJob struct {
 	arrival float64
 	pending int // siblings not yet finished
 }
 
-// forkJoinRep runs one replication and returns the mean post-warmup response
-// and the sample count.
+// forkJoinRep runs one replication on the simulator's event calendar and
+// returns the mean post-warmup response and the sample count. An arrival is
+// an evArrival event; the departure of queue q's head is an evDeparture with
+// station q.
 func forkJoinRep(k int, lambda, mu, horizon float64, seed uint64) (float64, int64) {
 	rng := NewRNG(seed)
 	warmup := horizon * 0.1
 
-	var cal fjHeap
-	seq := uint64(0)
-	push := func(t float64, queue int) {
-		cal.push(fjEvent{time: t, seq: seq, queue: queue})
-		seq++
-	}
+	cal := newCalendar()
 	if lambda > 0 {
-		push(rng.Exp(lambda), -1)
+		cal.schedule(rng.Exp(lambda), evArrival, 0, nil, -1, nil)
 	}
 
 	queues := make([]deque[*fjJob], k) // FIFO per queue; head is in service
 	var free []*fjJob                  // recycled jobs: live set bounds allocation
 	var resp stats.Welford
 
-	for len(cal) > 0 {
-		e := cal.pop()
-		now := e.time
+	for !cal.empty() {
+		e := cal.next()
+		now, kind, q := e.time, e.kind, e.station
+		cal.recycle(e)
 		if now > horizon {
 			break
 		}
-		if e.queue < 0 {
+		if kind == evArrival {
 			// Arrival: fork into every queue; start service where idle.
-			push(now+rng.Exp(lambda), -1)
+			cal.schedule(now+rng.Exp(lambda), evArrival, 0, nil, -1, nil)
 			var j *fjJob
 			if n := len(free); n > 0 {
 				j, free = free[n-1], free[:n-1]
@@ -139,16 +74,15 @@ func forkJoinRep(k int, lambda, mu, horizon float64, seed uint64) (float64, int6
 				j = &fjJob{}
 			}
 			j.arrival, j.pending = now, k
-			for q := 0; q < k; q++ {
-				queues[q].pushBack(j)
-				if queues[q].len() == 1 {
-					push(now+rng.Exp(mu), q)
+			for i := range queues {
+				queues[i].pushBack(j)
+				if queues[i].len() == 1 {
+					cal.schedule(now+rng.Exp(mu), evDeparture, 0, nil, i, nil)
 				}
 			}
 			continue
 		}
-		// Departure of the head of queue e.queue.
-		q := e.queue
+		// Departure of the head of queue q.
 		j := queues[q].popFront()
 		j.pending--
 		if j.pending == 0 {
@@ -158,7 +92,7 @@ func forkJoinRep(k int, lambda, mu, horizon float64, seed uint64) (float64, int6
 			free = append(free, j) // last sibling done: no queue holds it
 		}
 		if queues[q].len() > 0 {
-			push(now+rng.Exp(mu), q)
+			cal.schedule(now+rng.Exp(mu), evDeparture, 0, nil, q, nil)
 		}
 	}
 	return resp.Mean(), resp.Count()

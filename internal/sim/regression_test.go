@@ -219,7 +219,9 @@ func TestConfidenceDefaults(t *testing.T) {
 // filtered out every arrival and reported NaN delays with a nil error, and
 // a NaN resume level passed both shedding range checks yet never compared
 // true, so shedding could tighten but never relax, and an infinite shedding
-// period scheduled its first epoch at +Inf, silently turning shedding off.
+// period scheduled its first epoch at +Inf, silently turning shedding off,
+// and an infinite profile rate generated arrivals at t = 0 until memory ran
+// out.
 var hostileOptions = []struct {
 	name string
 	o    Options
@@ -230,6 +232,8 @@ var hostileOptions = []struct {
 		Shedding: &SheddingConfig{Threshold: 0.9, ResumeBelow: math.NaN(), Period: 25}}},
 	{"infinite shedding period", Options{Horizon: 1000,
 		Shedding: &SheddingConfig{Threshold: 0.9, Period: math.Inf(1)}}},
+	{"infinite profile rate", Options{Horizon: 1000,
+		Profiles: []Profile{Sinusoid{Mean: math.Inf(1), Period: 10}, nil}}},
 }
 
 // TestHostileOptionsRejected pins that each hostile value is now an error

@@ -111,11 +111,6 @@ func (s hyperSampler) Sample(r *RNG) float64 {
 }
 func (s hyperSampler) Mean() float64 { return s.p*s.m1 + (1-s.p)*s.m2 }
 
-type uniformSampler struct{ lo, hi float64 }
-
-func (s uniformSampler) Sample(r *RNG) float64 { return s.lo + (s.hi-s.lo)*r.Float64() }
-func (s uniformSampler) Mean() float64         { return (s.lo + s.hi) / 2 }
-
 // SamplerFor builds a variate sampler matching a queueing.ServiceDist: the
 // simulator draws from exactly the distribution family the analytical model
 // assumes, so discrepancies measure the *network* approximation, not a
@@ -130,8 +125,6 @@ func SamplerFor(d queueing.ServiceDist) Sampler {
 		return erlangSampler{k: t.K, rate: float64(t.K) / t.M}
 	case queueing.HyperExp:
 		return hyperSampler{p: t.P, m1: t.M1, m2: t.M2}
-	case queueing.Uniform:
-		return uniformSampler{lo: t.Lo, hi: t.Hi}
 	default:
 		// Unknown families fall back to an exponential with the same
 		// mean — documented, conservative, and exercised in tests.

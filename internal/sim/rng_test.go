@@ -89,7 +89,6 @@ func TestSamplersMatchDistMoments(t *testing.T) {
 		queueing.NewDeterministic(1.5),
 		queueing.NewErlang(3, 4),
 		queueing.NewHyperExpCV2(1, 4),
-		queueing.NewUniform(1, 3),
 	}
 	for _, d := range dists {
 		s := SamplerFor(d)

@@ -202,7 +202,10 @@ func (o *Options) validateSleep(numTiers int) error {
 	return nil
 }
 
-// validateProfiles cross-checks the profile list against the class count.
+// validateProfiles cross-checks the profile list against the class count and
+// requires every profile's MaxRate to be finite and non-negative: arrivals
+// are thinned from a Poisson stream at that rate, so an infinite one puts
+// every candidate at t = 0 and the run never advances.
 func (o *Options) validateProfiles(numClasses int) error {
 	if o.Profiles == nil {
 		return nil
@@ -214,8 +217,8 @@ func (o *Options) validateProfiles(numClasses int) error {
 		if p == nil {
 			continue
 		}
-		if !(p.MaxRate() >= 0) {
-			return fmt.Errorf("sim: class %d profile has invalid max rate %g", k, p.MaxRate())
+		if m := p.MaxRate(); !(m >= 0) || math.IsInf(m, 1) {
+			return fmt.Errorf("sim: class %d profile has invalid max rate %g", k, m)
 		}
 	}
 	return nil

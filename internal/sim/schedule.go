@@ -27,7 +27,7 @@ type Schedule struct {
 // NewSchedule validates and returns the profile. times and rates must have
 // equal length ≥ 1, times must start at 0 and strictly ascend, rates must be
 // non-negative, and a positive period must not cut a segment short (every
-// breakpoint below it).
+// breakpoint below it). Every time, rate and period must be finite.
 func NewSchedule(times, rates []float64, period float64) (Schedule, error) {
 	if len(times) == 0 || len(times) != len(rates) {
 		return Schedule{}, fmt.Errorf("sim: schedule needs matching non-empty breakpoints and rates (%d vs %d)",
@@ -38,18 +38,18 @@ func NewSchedule(times, rates []float64, period float64) (Schedule, error) {
 	}
 	var max float64
 	for i, r := range rates {
-		if !(r >= 0) {
-			return Schedule{}, fmt.Errorf("sim: schedule rate %d is %g, must be non-negative", i, r)
+		if !(r >= 0) || math.IsInf(r, 1) {
+			return Schedule{}, fmt.Errorf("sim: schedule rate %d is %g, must be finite and non-negative", i, r)
 		}
 		if r > max {
 			max = r
 		}
-		if i > 0 && !(times[i] > times[i-1]) {
-			return Schedule{}, fmt.Errorf("sim: schedule breakpoints must strictly ascend (%g after %g)",
+		if i > 0 && (!(times[i] > times[i-1]) || math.IsInf(times[i], 1)) {
+			return Schedule{}, fmt.Errorf("sim: schedule breakpoints must be finite and strictly ascend (%g after %g)",
 				times[i], times[i-1])
 		}
 	}
-	if period != 0 && !(period > times[len(times)-1]) {
+	if period != 0 && (!(period > times[len(times)-1]) || math.IsInf(period, 1)) {
 		return Schedule{}, fmt.Errorf("sim: schedule period %g must exceed the last breakpoint %g",
 			period, times[len(times)-1])
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"clusterq/internal/cluster"
@@ -20,6 +21,10 @@ func TestScheduleValidation(t *testing.T) {
 		{"non-ascending", []float64{0, 5, 5}, []float64{1, 2, 3}, 0},
 		{"negative rate", []float64{0, 5}, []float64{1, -2}, 0},
 		{"period inside breakpoints", []float64{0, 10, 20}, []float64{1, 2, 3}, 15},
+		{"infinite rate", []float64{0, 5}, []float64{1, math.Inf(1)}, 0},
+		{"NaN rate", []float64{0, 5}, []float64{math.NaN(), 1}, 0},
+		{"infinite breakpoint", []float64{0, math.Inf(1)}, []float64{1, 2}, 0},
+		{"infinite period", []float64{0, 5}, []float64{1, 2}, math.Inf(1)},
 	}
 	for _, tc := range bad {
 		if _, err := NewSchedule(tc.times, tc.rates, tc.period); err == nil {

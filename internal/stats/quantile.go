@@ -31,9 +31,6 @@ func NewP2Quantile(p float64) *P2Quantile {
 	}
 }
 
-// P returns the probability this estimator targets.
-func (q *P2Quantile) P() float64 { return q.p }
-
 // Count returns the number of observations seen.
 func (q *P2Quantile) Count() int64 { return q.count }
 

@@ -88,9 +88,6 @@ func (w *Welford) Max() float64 {
 	return w.max
 }
 
-// Sum returns the running total of all observations.
-func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
-
 // Reset returns the accumulator to its empty state.
 func (w *Welford) Reset() { *w = Welford{} }
 
@@ -165,6 +162,3 @@ func (tw *TimeWeighted) MeanAt(t float64) float64 {
 	area := tw.area + tw.lastV*(t-tw.lastT)
 	return area / (t - tw.origin)
 }
-
-// Value returns the current signal value.
-func (tw *TimeWeighted) Value() float64 { return tw.lastV }

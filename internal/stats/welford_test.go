@@ -51,9 +51,6 @@ func TestWelfordKnownValues(t *testing.T) {
 	if w.Min() != 2 || w.Max() != 9 {
 		t.Errorf("min/max = %g/%g, want 2/9", w.Min(), w.Max())
 	}
-	if got := w.Sum(); !almostEq(got, 40, 1e-12) {
-		t.Errorf("sum = %g, want 40", got)
-	}
 }
 
 func TestWelfordSingleObservation(t *testing.T) {
@@ -136,9 +133,6 @@ func TestTimeWeightedMean(t *testing.T) {
 	want := (2*4 + 6*6) / 10.0
 	if !almostEq(got, want, 1e-12) {
 		t.Errorf("time mean = %g, want %g", got, want)
-	}
-	if tw.Value() != 6 {
-		t.Errorf("current value = %g", tw.Value())
 	}
 }
 

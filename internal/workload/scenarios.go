@@ -160,12 +160,3 @@ func CapacityFraction(c *cluster.Cluster, frac float64) *cluster.Cluster {
 	}
 	return ScaleArrivals(c, frac/u)
 }
-
-// LoadSweep returns clones of c at each bottleneck-utilization fraction.
-func LoadSweep(c *cluster.Cluster, fracs []float64) []*cluster.Cluster {
-	out := make([]*cluster.Cluster, len(fracs))
-	for i, f := range fracs {
-		out[i] = CapacityFraction(c, f)
-	}
-	return out
-}

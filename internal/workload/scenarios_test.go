@@ -120,22 +120,6 @@ func TestCapacityFraction(t *testing.T) {
 	}
 }
 
-func TestLoadSweep(t *testing.T) {
-	c := Enterprise3Tier(1)
-	sweep := LoadSweep(c, []float64{0.3, 0.5, 0.7})
-	if len(sweep) != 3 {
-		t.Fatal("wrong sweep length")
-	}
-	prev := 0.0
-	for _, s := range sweep {
-		u := bottleneckUtilization(s)
-		if u <= prev {
-			t.Error("sweep not increasing")
-		}
-		prev = u
-	}
-}
-
 // bottleneckUtilization returns the highest per-server utilization over the
 // cluster's tiers at their current speeds.
 func bottleneckUtilization(c *cluster.Cluster) float64 {
