@@ -9,16 +9,23 @@
 // lifecycle tap, whose one guard keeps a detached recorder at a single
 // predictable branch per event.
 //
+// Ingest is batched: Record takes any number of events under one lock, and
+// the simulator's tap hands them over 256 at a time, so between flushes the
+// recorder can trail the simulator by at most 255 events (see
+// sim.Options.Recorder for the flush points).
+//
 // Memory is bounded by construction: events and completed spans live in
 // fixed-capacity rings that overwrite their oldest entries (counting what was
-// dropped), and per-job open-span records are recycled through a free list.
-// Per-class aggregates are never dropped — they accumulate every closed span
-// even after the span ring has wrapped.
+// dropped), and open spans live inline in an open-addressed table keyed by
+// job id, sized by the peak number of jobs in flight. Per-class aggregates
+// are never dropped — they accumulate every closed span even after the span
+// ring has wrapped.
 package trace
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -174,19 +181,23 @@ func (b Breakdown) MeanBackoff() float64 { return b.mean(b.Backoff) }
 // MeanSojourn returns mean sojourn time per closed span (NaN if none).
 func (b Breakdown) MeanSojourn() float64 { return b.mean(b.Sojourn()) }
 
-// spanState is what an open span's clock is currently charging.
+// spanState is what an open span's clock is currently charging; stateFree
+// marks an empty slot of the open-span table.
 type spanState uint8
 
 const (
-	stateQueued spanState = iota
+	stateFree spanState = iota
+	stateQueued
 	stateService
 	statePreempted
 	stateBackoff
 )
 
-// openSpan tracks one in-flight job. fold charges the elapsed time since the
-// last event to the current state's accumulator, then switches state.
+// openSpan tracks one in-flight job in a slot of the open-span table. fold
+// charges the elapsed time since the last event to the current state's
+// accumulator, then switches state.
 type openSpan struct {
+	job       uint64
 	arrival   float64
 	lastT     float64
 	queue     float64
@@ -219,9 +230,11 @@ func (o *openSpan) fold(t float64) {
 // Recorder is the flight recorder. Construct with NewRecorder; the zero
 // value is not usable, but a nil *Recorder is a no-op on every method.
 //
-// All methods are safe for concurrent use (one mutex guards everything), so
-// an HTTP exposition goroutine may snapshot or drain the recorder while the
-// simulator is still feeding it.
+// All methods are safe for concurrent use (one mutex guards everything, and
+// every reader copies under it), so an HTTP exposition goroutine may snapshot
+// or drain the recorder while the simulator is still feeding it. A feeder
+// that batches its events, as the simulator does, is visible to readers only
+// up to its last Record call.
 type Recorder struct {
 	mu sync.Mutex
 
@@ -237,8 +250,11 @@ type Recorder struct {
 	spLen     int
 	spDropped uint64
 
-	open map[uint64]*openSpan
-	free []*openSpan
+	// open is the open-span table: linear probing from a multiplicative
+	// hash of the job id, a power-of-two length, stateFree slots empty.
+	open      []openSpan
+	openN     int  // occupied slots
+	openShift uint // 64 - log2(len(open)): the hash keeps the top bits
 
 	agg []Breakdown // indexed by class, grown on demand
 
@@ -263,11 +279,67 @@ func NewRecorder(capacity int) *Recorder {
 	if spCap < 1024 {
 		spCap = 1024
 	}
-	return &Recorder{
-		ev:   make([]Event, capacity),
-		sp:   make([]Span, spCap),
-		open: make(map[uint64]*openSpan),
+	r := &Recorder{
+		ev: make([]Event, capacity),
+		sp: make([]Span, spCap),
 	}
+	r.resizeOpen(openInitial)
+	return r
+}
+
+// openInitial is the open-span table's initial length; the table doubles
+// whenever it would pass three quarters full.
+const openInitial = 1024
+
+// resizeOpen replaces the open-span table with an empty one of n slots (a
+// power of two) and re-inserts every open span. Caller holds mu.
+func (r *Recorder) resizeOpen(n int) {
+	old := r.open
+	r.open = make([]openSpan, n)
+	r.openShift = uint(64 - bits.TrailingZeros(uint(n)))
+	for i := range old {
+		if old[i].state != stateFree {
+			r.open[r.slot(old[i].job)] = old[i]
+		}
+	}
+}
+
+// home is job's preferred slot: Fibonacci hashing, which spreads the
+// simulator's sequential ids evenly over the table.
+func (r *Recorder) home(job uint64) int {
+	return int((job * fibHash) >> r.openShift)
+}
+
+// fibHash is ⌊2^64/φ⌋, the Fibonacci-hashing multiplier; it is odd, so
+// multiplying by it permutes the ids.
+const fibHash = 0x9E3779B97F4A7C15
+
+// slot returns the index of job's open span, or of the empty slot where it
+// would go. The table is never full, so the probe ends. Caller holds mu.
+func (r *Recorder) slot(job uint64) int {
+	mask := len(r.open) - 1
+	i := r.home(job)
+	for r.open[i].state != stateFree && r.open[i].job != job {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// removeOpen empties slot i by backward-shift deletion: each later span in
+// the probe run that may move back into the hole does, so no tombstones are
+// needed and lookups stay as short as at insertion. Caller holds mu.
+func (r *Recorder) removeOpen(i int) {
+	mask := len(r.open) - 1
+	for j := (i + 1) & mask; r.open[j].state != stateFree; j = (j + 1) & mask {
+		// The span at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if (j-r.home(r.open[j].job))&mask >= (j-i)&mask {
+			r.open[i] = r.open[j]
+			i = j
+		}
+	}
+	r.open[i] = openSpan{}
+	r.openN--
 }
 
 // push appends to the event ring, overwriting (and counting) the oldest
@@ -296,28 +368,11 @@ func (r *Recorder) pushSpan(s Span) {
 	r.spDropped++
 }
 
-func (r *Recorder) allocOpen() *openSpan {
-	if n := len(r.free); n > 0 {
-		o := r.free[n-1]
-		r.free = r.free[:n-1]
-		*o = openSpan{}
-		return o
-	}
-	return &openSpan{}
-}
-
-func (r *Recorder) lookup(job uint64) *openSpan {
-	o := r.open[job]
-	if o == nil {
-		r.unmatched++
-	}
-	return o
-}
-
-// Record ingests one lifecycle event: it appends e to the event ring and
-// applies the kind's transition to the job's open span. An arrival opens a
-// span in the queued state; every other kind first charges the time since
-// the job's previous event to the span's current state, then
+// Record ingests lifecycle events in order, under one lock for the whole
+// batch: each event is appended to the event ring and its kind's transition
+// applied to the job's open span. An arrival opens a span in the queued
+// state; every other kind first charges the time since the job's previous
+// event to the span's current state, then
 //
 //	KindServiceStart             switches it to service,
 //	KindPreempt                  switches it to preempted (forced off a
@@ -331,30 +386,40 @@ func (r *Recorder) lookup(job uint64) *openSpan {
 //	                             to the span ring and folds it into the
 //	                             per-class aggregate.
 //
-// An event for a job with no open span counts as unmatched.
-func (r *Recorder) Record(e Event) {
+// An event for a job with no open span counts as unmatched, and so does an
+// arrival for a job whose span is still open (the stale span is discarded).
+func (r *Recorder) Record(es ...Event) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.push(e)
+	for i := range es {
+		r.ingest(&es[i])
+	}
+}
+
+// ingest applies one event. Caller holds mu.
+func (r *Recorder) ingest(e *Event) {
+	r.push(*e)
 	if e.Kind == KindArrival {
-		if old := r.open[e.Job]; old != nil {
-			// Duplicate id (should not happen): recycle the stale record.
-			r.free = append(r.free, old)
-			r.unmatched++
+		i := r.slot(e.Job)
+		if r.open[i].state != stateFree {
+			r.unmatched++ // a duplicate id: the stale span is discarded
+		} else {
+			if 4*(r.openN+1) > 3*len(r.open) {
+				r.resizeOpen(2 * len(r.open))
+				i = r.slot(e.Job)
+			}
+			r.openN++
 		}
-		o := r.allocOpen()
-		o.class = e.Class
-		o.arrival = e.T
-		o.lastT = e.T
-		o.state = stateQueued
-		r.open[e.Job] = o
+		r.open[i] = openSpan{job: e.Job, class: e.Class, arrival: e.T, lastT: e.T, state: stateQueued}
 		return
 	}
-	o := r.lookup(e.Job)
-	if o == nil {
+	i := r.slot(e.Job)
+	o := &r.open[i]
+	if o.state == stateFree {
+		r.unmatched++
 		return
 	}
 	o.fold(e.T)
@@ -367,16 +432,18 @@ func (r *Recorder) Record(e Event) {
 		o.state = stateBackoff
 		o.attempts++
 	case KindExit:
-		r.close(e.Job, o, e.T, Outcome(e.Value))
+		r.close(i, e.T, Outcome(e.Value))
 	default:
 		o.state = stateQueued
 	}
 }
 
-// close retires an open span with the given outcome. Caller holds mu.
-func (r *Recorder) close(job uint64, o *openSpan, t float64, outcome Outcome) {
+// close retires the open span in slot i with the given outcome. Caller holds
+// mu.
+func (r *Recorder) close(i int, t float64, outcome Outcome) {
+	o := &r.open[i]
 	sp := Span{
-		Job:       job,
+		Job:       o.job,
 		Class:     o.class,
 		Arrival:   o.arrival,
 		End:       t,
@@ -404,8 +471,7 @@ func (r *Recorder) close(job uint64, o *openSpan, t float64, outcome Outcome) {
 	a.Service += sp.Service
 	a.Preempted += sp.Preempted
 	a.Backoff += sp.Backoff
-	delete(r.open, job)
-	r.free = append(r.free, o)
+	r.removeOpen(i)
 }
 
 // Events returns a copy of the buffered events, oldest first.
@@ -508,7 +574,7 @@ func (r *Recorder) OpenSpans() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.open)
+	return r.openN
 }
 
 // Unmatched returns the number of events that referenced a job with no open
@@ -532,10 +598,8 @@ func (r *Recorder) Reset() {
 	defer r.mu.Unlock()
 	r.evHead, r.evLen, r.evDropped = 0, 0, 0
 	r.spHead, r.spLen, r.spDropped = 0, 0, 0
-	for job, o := range r.open {
-		r.free = append(r.free, o)
-		delete(r.open, job)
-	}
+	clear(r.open)
+	r.openN = 0
 	r.agg = r.agg[:0]
 	r.unmatched = 0
 }

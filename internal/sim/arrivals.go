@@ -38,11 +38,19 @@ type Sinusoid struct {
 // NewSinusoid validates and returns the profile. Every argument must be
 // finite: an infinite rate would put every arrival at t = 0.
 func NewSinusoid(mean, amplitude, period float64) (Sinusoid, error) {
-	if !(mean >= 0) || math.IsInf(mean, 1) || !(amplitude >= 0) || amplitude > mean ||
-		!(period > 0) || math.IsInf(period, 1) {
+	s := Sinusoid{Mean: mean, Amplitude: amplitude, Period: period}
+	if !s.valid() {
 		return Sinusoid{}, fmt.Errorf("sim: invalid sinusoid mean=%g amp=%g period=%g", mean, amplitude, period)
 	}
-	return Sinusoid{Mean: mean, Amplitude: amplitude, Period: period}, nil
+	return s, nil
+}
+
+// valid is NewSinusoid's check, which Options.validate also applies to a
+// literal, plus a finite Phase: a NaN phase makes RateAt NaN everywhere,
+// and thinning then accepts every candidate.
+func (s Sinusoid) valid() bool {
+	return s.Mean >= 0 && !math.IsInf(s.Mean, 1) && s.Amplitude >= 0 && s.Amplitude <= s.Mean &&
+		s.Period > 0 && !math.IsInf(s.Period, 1) && !math.IsNaN(s.Phase) && !math.IsInf(s.Phase, 0)
 }
 
 // RateAt implements Profile.
@@ -62,12 +70,19 @@ type SquareWave struct {
 // NewSquareWave validates and returns the profile. Every argument must be
 // finite, like NewSinusoid's.
 func NewSquareWave(low, high, period, highFraction float64) (SquareWave, error) {
-	if !(low >= 0) || !(high >= low) || math.IsInf(high, 1) || !(period > 0) || math.IsInf(period, 1) ||
-		!(highFraction >= 0) || highFraction > 1 {
+	s := SquareWave{Low: low, High: high, Period: period, HighFraction: highFraction}
+	if !s.valid() {
 		return SquareWave{}, fmt.Errorf("sim: invalid square wave low=%g high=%g period=%g frac=%g",
 			low, high, period, highFraction)
 	}
-	return SquareWave{Low: low, High: high, Period: period, HighFraction: highFraction}, nil
+	return s, nil
+}
+
+// valid is NewSquareWave's check, which Options.validate also applies to a
+// literal.
+func (s SquareWave) valid() bool {
+	return s.Low >= 0 && s.High >= s.Low && !math.IsInf(s.High, 1) && s.Period > 0 &&
+		!math.IsInf(s.Period, 1) && s.HighFraction >= 0 && s.HighFraction <= 1
 }
 
 // RateAt implements Profile.

@@ -159,19 +159,26 @@ func (o *Orchestrator) ProcessNextEvent() (idx int, t float64, ok bool) {
 
 // AdvanceTo processes, in global event-time order, every fleet event
 // scheduled at or before t (each replica's own horizon still caps it), and
-// returns how many events it processed.
+// returns how many events it processed. Like sim.Replication.AdvanceTo, on
+// return every replica's flight recorder holds every event processed.
 func (o *Orchestrator) AdvanceTo(t float64) int {
 	n := 0
 	for {
 		_, et, ok := o.Next()
 		if !ok || et > t {
-			return n
+			break
 		}
 		if _, _, ok := o.ProcessNextEvent(); !ok {
-			return n
+			break
 		}
 		n++
 	}
+	// No replica has an event left at or before t, so each AdvanceTo only
+	// flushes the replica's recorder batch.
+	for _, rep := range o.reps {
+		rep.AdvanceTo(t)
+	}
+	return n
 }
 
 // Run drains the whole fleet to its horizons.

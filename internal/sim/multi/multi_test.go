@@ -237,7 +237,31 @@ func TestSharedClockOrdering(t *testing.T) {
 func TestAdvanceToInterleavesReplicas(t *testing.T) {
 	want := fleetHashes(t)
 
-	orch, err := multi.New(heterogeneousFleet())
+	// Each replica's flight recorder, drained in one go, is the reference
+	// stream; after every sliced AdvanceTo the sliced fleet's recorders
+	// must hold exactly its prefix up to that time.
+	recorded := func() ([]multi.Replica, []*trace.Recorder) {
+		reps := heterogeneousFleet()
+		recs := make([]*trace.Recorder, len(reps))
+		for i := range reps {
+			recs[i] = trace.NewRecorder(1 << 16)
+			reps[i].Options.Recorder = recs[i]
+		}
+		return reps, recs
+	}
+	reps, recs := recorded()
+	drained, err := multi.New(reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained.Run()
+	streams := make([][]trace.Event, len(recs))
+	for i, rec := range recs {
+		streams[i] = rec.Events()
+	}
+
+	reps, recs = recorded()
+	orch, err := multi.New(reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +269,12 @@ func TestAdvanceToInterleavesReplicas(t *testing.T) {
 		orch.AdvanceTo(tt)
 		if now := orch.Now(); now > tt {
 			t.Fatalf("AdvanceTo(%g) let the shared clock reach %g", tt, now)
+		}
+		for i, rec := range recs {
+			n := sort.Search(len(streams[i]), func(j int) bool { return streams[i][j].T > tt })
+			if got := rec.Events(); len(got) != n {
+				t.Fatalf("after AdvanceTo(%g) replica %d's recorder holds %d events, want %d", tt, i, len(got), n)
+			}
 		}
 	}
 	results, err := orch.Results()

@@ -76,8 +76,9 @@ func benchObservedReplication(b *testing.B, o Options) {
 }
 
 // BenchmarkEventLoopRecorder is BenchmarkEventLoopFCFS with the flight
-// recorder enabled: every lifecycle event takes a mutex and lands in the
-// ring. The ratio to the FCFS baseline is the enabled-recorder overhead.
+// recorder enabled: every lifecycle event is buffered by the tap and reaches
+// the ring in batches of up to 256, one lock per batch. The ratio to the
+// FCFS baseline is the enabled-recorder overhead.
 func BenchmarkEventLoopRecorder(b *testing.B) {
 	rec := trace.NewRecorder(1 << 16)
 	benchObservedReplication(b, Options{

@@ -78,6 +78,7 @@ func timelineSeriesNames(jn, kn int) []string {
 // count events.
 func (s *simulator) handleSample() {
 	now := s.cal.now
+	s.tap.flushRecorder() // so live readers of the recorder stay current
 	if s.tl != nil {
 		row := s.tl.Row()
 		i := 0

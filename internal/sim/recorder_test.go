@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"flag"
 	"math"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"clusterq/internal/cluster"
+	"clusterq/internal/obs"
 	"clusterq/internal/obs/trace"
 	"clusterq/internal/obs/window"
 	"clusterq/internal/queueing"
@@ -125,6 +129,113 @@ func TestRecorderDoesNotPerturbResults(t *testing.T) {
 
 	if a, b := hashResult(plain, quantiles), hashResult(observed, quantiles); a != b {
 		t.Errorf("recorder perturbed the Result: %s vs %s", a, b)
+	}
+}
+
+// TestRecorderLiveReaders steps a replication with the recorder and probe
+// attached while a second goroutine polls obs.Mux's /trace and the
+// recorder's Breakdowns, as a live dashboard would. After every AdvanceTo
+// the recorder must hold exactly the closed run's event stream up to that
+// time, so AdvanceTo leaves nothing in the tap's batch, and so must a
+// probe sample and Run; after a bare ProcessNextEvent it may trail by at
+// most 255 events, and its stream must still be a prefix of the closed
+// run's.
+func TestRecorderLiveReaders(t *testing.T) {
+	options := func(rec *trace.Recorder) Options {
+		o := failureOptions(rec)
+		o.Horizon = 1495 // past the last probe sample, so Run must flush
+		return o
+	}
+	closedRec := trace.NewRecorder(1 << 17)
+	run(t, failureCluster(), options(closedRec))
+	closed := closedRec.Events()
+	if closedRec.EventsDropped() != 0 || len(closed) < 1000 {
+		t.Fatalf("closed run recorded %d events, dropped %d", len(closed), closedRec.EventsDropped())
+	}
+	upTo := func(t float64) int { // length of the closed stream's prefix with T ≤ t
+		n, _ := slices.BinarySearchFunc(closed, t, func(e trace.Event, t float64) int {
+			if e.T <= t {
+				return -1
+			}
+			return 1
+		})
+		return n
+	}
+
+	rec := trace.NewRecorder(1 << 17)
+	opts := options(rec)
+	rep, err := NewReplication(failureCluster(), opts, opts.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := obs.Mux(obs.NewRegistry(), rec)
+	stop, polled := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			w := httptest.NewRecorder()
+			mux.ServeHTTP(w, httptest.NewRequest("GET", "/trace", nil))
+			if w.Code != 200 {
+				t.Errorf("/trace answered %d", w.Code)
+			}
+			rec.Breakdowns()
+			if i == 0 {
+				close(polled)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-polled
+
+	// check requires the recorder to hold a prefix of the closed run's
+	// stream, between minLen and maxLen events long.
+	check := func(at string, minLen, maxLen int) {
+		got := rec.Events()
+		if len(got) < minLen || len(got) > maxLen || !slices.Equal(got, closed[:len(got)]) {
+			t.Fatalf("%s (now %g): recorder holds %d events, want a prefix of the closed run's of %d to %d",
+				at, rep.Now(), len(got), minLen, maxLen)
+		}
+	}
+	const step = 7.3 // not a multiple of the probe period
+	target := 0.0
+	for ; target < opts.Horizon/2; target += step {
+		rep.AdvanceTo(target)
+		check("AdvanceTo", upTo(target), upTo(target))
+	}
+	samples := 0
+	for i := 0; i < 600 && rep.ProcessNextEvent(); i++ {
+		// Events at exactly Now() may still be pending, so the lag is
+		// counted against the stream strictly before it. A probe sample
+		// (at multiples of the period) flushes the batch.
+		lag := 255
+		if math.Mod(rep.Now(), opts.Probe.Period) == 0 {
+			lag = 0
+			samples++
+		}
+		check("ProcessNextEvent", upTo(math.Nextafter(rep.Now(), 0))-lag, upTo(rep.Now()))
+	}
+	if samples == 0 {
+		t.Fatal("no probe sample fell among the bare ProcessNextEvent steps")
+	}
+	for target = rep.Now(); target < 0.75*opts.Horizon; target += step {
+		rep.AdvanceTo(target)
+		check("AdvanceTo", upTo(target), upTo(target))
+	}
+	rep.Run()
+	check("Run", len(closed), len(closed))
+	close(stop)
+	wg.Wait()
+	if _, err := rep.Result(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rec.Breakdowns(), closedRec.Breakdowns(); !slices.Equal(got, want) {
+		t.Errorf("breakdowns differ:\n got %+v\nwant %+v", got, want)
 	}
 }
 

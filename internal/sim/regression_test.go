@@ -220,8 +220,11 @@ func TestConfidenceDefaults(t *testing.T) {
 // a NaN resume level passed both shedding range checks yet never compared
 // true, so shedding could tighten but never relax, and an infinite shedding
 // period scheduled its first epoch at +Inf, silently turning shedding off,
-// and an infinite profile rate generated arrivals at t = 0 until memory ran
-// out.
+// an infinite profile rate generated arrivals at t = 0 until memory ran
+// out, and a profile literal NewSinusoid or NewSquareWave would reject ran
+// anyway (a NaN phase made every rate NaN, so thinning accepted every
+// candidate and the class arrived at Mean+Amplitude), as did a Schedule
+// literal, whose unset rate bound made thinning drop every arrival.
 var hostileOptions = []struct {
 	name string
 	o    Options
@@ -234,6 +237,22 @@ var hostileOptions = []struct {
 		Shedding: &SheddingConfig{Threshold: 0.9, Period: math.Inf(1)}}},
 	{"infinite profile rate", Options{Horizon: 1000,
 		Profiles: []Profile{Sinusoid{Mean: math.Inf(1), Period: 10}, nil}}},
+	{"NaN sinusoid phase", Options{Horizon: 1000,
+		Profiles: []Profile{Sinusoid{Mean: 0.3, Amplitude: 0.25, Period: 1000, Phase: math.NaN()}, nil}}},
+	{"infinite sinusoid phase", Options{Horizon: 1000,
+		Profiles: []Profile{nil, Sinusoid{Mean: 0.3, Amplitude: 0.25, Period: 1000, Phase: math.Inf(-1)}}}},
+	{"NaN sinusoid period", Options{Horizon: 1000,
+		Profiles: []Profile{Sinusoid{Mean: 0.3, Amplitude: 0.25, Period: math.NaN()}, nil}}},
+	{"zero sinusoid period", Options{Horizon: 1000,
+		Profiles: []Profile{Sinusoid{Mean: 0.3, Amplitude: 0.25}, nil}}},
+	{"NaN square wave period", Options{Horizon: 1000,
+		Profiles: []Profile{SquareWave{Low: 0.1, High: 0.5, Period: math.NaN(), HighFraction: 0.5}, nil}}},
+	{"NaN square wave low rate", Options{Horizon: 1000,
+		Profiles: []Profile{SquareWave{Low: math.NaN(), High: 0.5, Period: 100, HighFraction: 0.5}, nil}}},
+	{"NaN square wave high fraction", Options{Horizon: 1000,
+		Profiles: []Profile{&SquareWave{Low: 0.1, High: 0.5, Period: 100, HighFraction: math.NaN()}, nil}}},
+	{"schedule literal", Options{Horizon: 1000,
+		Profiles: []Profile{Schedule{Times: []float64{0}, Rates: []float64{0.3}}, nil}}},
 }
 
 // TestHostileOptionsRejected pins that each hostile value is now an error

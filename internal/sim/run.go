@@ -72,12 +72,18 @@ type Options struct {
 	// Recorder, when non-nil, attaches the flight recorder: every job
 	// lifecycle event (arrival, service start/stop, preemption, timeout,
 	// backoff, resume, exit) reaches it through the simulator's lifecycle
-	// tap as one Recorder.Record call, and it assembles them into per-job
-	// spans with an exact queue/service/preempted/backoff sojourn
-	// decomposition. Like Trace, the recorder requires Replications == 1:
-	// job ids repeat across replications and interleaved spans would be
-	// meaningless. With no observer attached, the tap costs one
-	// predictable branch per event.
+	// tap, and it assembles them into per-job spans with an exact
+	// queue/service/preempted/backoff sojourn decomposition. The tap
+	// buffers the events and hands them over in batches of up to 256, one
+	// Recorder.Record call (one lock) per batch. It flushes when the batch
+	// is full, on every probe sample, when Replication.AdvanceTo or
+	// Replication.Run returns, and when the replication finishes (Run, or
+	// Replication.Result). Between flushes — mid-Run for a concurrent
+	// reader, or after a bare Replication.ProcessNextEvent — the recorder
+	// trails the simulator by at most 255 events. Like Trace, the recorder
+	// requires Replications == 1: job ids repeat across replications and
+	// interleaved spans would be meaningless. With no observer attached,
+	// the tap costs one predictable branch per event.
 	Recorder *trace.Recorder
 	// Windows, when non-nil, attaches streaming sliding-window estimators
 	// (per-class arrival rate, mean and tail sojourn, per-tier utilization)
@@ -202,10 +208,13 @@ func (o *Options) validateSleep(numTiers int) error {
 	return nil
 }
 
-// validateProfiles cross-checks the profile list against the class count and
-// requires every profile's MaxRate to be finite and non-negative: arrivals
-// are thinned from a Poisson stream at that rate, so an infinite one puts
-// every candidate at t = 0 and the run never advances.
+// validateProfiles cross-checks the profile list against the class count,
+// applies the package's own profiles' constructor checks to them (so a
+// Sinusoid, SquareWave or Schedule literal is held to what its constructor
+// would accept), and requires every profile's MaxRate to be
+// finite and non-negative: arrivals are thinned from a Poisson stream at
+// that rate, so an infinite one puts every candidate at t = 0 and the run
+// never advances.
 func (o *Options) validateProfiles(numClasses int) error {
 	if o.Profiles == nil {
 		return nil
@@ -216,6 +225,9 @@ func (o *Options) validateProfiles(numClasses int) error {
 	for k, p := range o.Profiles {
 		if p == nil {
 			continue
+		}
+		if v, ok := p.(interface{ valid() bool }); ok && !v.valid() {
+			return fmt.Errorf("sim: class %d profile %+v is invalid", k, p)
 		}
 		if m := p.MaxRate(); !(m >= 0) || math.IsInf(m, 1) {
 			return fmt.Errorf("sim: class %d profile has invalid max rate %g", k, m)
@@ -375,10 +387,12 @@ func Run(c *cluster.Cluster, o Options) (*Result, error) {
 	return aggregate(c, o, reps), nil
 }
 
-// finish flushes the replication's trace, surfaces any buffered write error
-// — a trace that stopped writing mid-run is truncated data, not a result —
-// and reduces the collectors to the per-replication summary.
+// finish flushes the replication's trace and recorder, surfaces any
+// buffered trace write error — a trace that stopped writing mid-run is
+// truncated data, not a result — and reduces the collectors to the
+// per-replication summary.
 func (s *simulator) finish() (repOutput, error) {
+	s.tap.flushRecorder()
 	s.tap.tr.flush()
 	if err := s.tap.tr.Err(); err != nil {
 		return repOutput{}, fmt.Errorf("sim: trace write failed: %w", err)

@@ -61,6 +61,14 @@ func NewSchedule(times, rates []float64, period float64) (Schedule, error) {
 	}, nil
 }
 
+// valid reports whether s passes NewSchedule's checks and carries its rate
+// bound, which Options.validate requires of a literal: a literal skips the
+// constructor, so its MaxRate reads 0 and thinning drops every arrival.
+func (s Schedule) valid() bool {
+	c, err := NewSchedule(s.Times, s.Rates, s.Period)
+	return err == nil && s.max >= c.max
+}
+
 // RateAt implements Profile.
 func (s Schedule) RateAt(t float64) float64 {
 	if s.Period > 0 {

@@ -71,6 +71,9 @@ func (r *Replication) PeekNextEventTime() (float64, bool) {
 // ProcessNextEvent pops and dispatches exactly one event, reporting whether
 // it did. It returns false — leaving the calendar untouched — once no event
 // at or before the horizon remains, or after Result sealed the replication.
+// It does not flush the flight recorder's batch: after a bare
+// ProcessNextEvent the recorder may trail by up to 255 events, until the
+// next probe sample, AdvanceTo, Run or Result.
 func (r *Replication) ProcessNextEvent() bool {
 	if r.sealed {
 		return false
@@ -81,12 +84,14 @@ func (r *Replication) ProcessNextEvent() bool {
 // AdvanceTo processes every event scheduled at or before min(t, horizon), in
 // order, and returns how many it processed; like PeekNextEventTime, it does
 // not see dead events taken off the calendar. The clock never exceeds the
-// horizon regardless of t.
+// horizon regardless of t. On return the flight recorder holds every event
+// processed so far.
 func (r *Replication) AdvanceTo(t float64) int {
 	n := 0
 	for {
 		et, ok := r.PeekNextEventTime()
 		if !ok || et > t || !r.ProcessNextEvent() {
+			r.s.tap.flushRecorder()
 			return n
 		}
 		n++
@@ -94,10 +99,11 @@ func (r *Replication) AdvanceTo(t float64) int {
 }
 
 // Run drains the replication to the horizon — the stepped spelling of the
-// closed loop.
+// closed loop. On return the flight recorder holds every event processed.
 func (r *Replication) Run() {
 	for r.ProcessNextEvent() {
 	}
+	r.s.tap.flushRecorder()
 }
 
 // Now is the current simulated time: the time of the last processed event
@@ -108,11 +114,12 @@ func (r *Replication) Now() float64 { return r.s.cal.now }
 // Horizon is the replication's simulated end time.
 func (r *Replication) Horizon() float64 { return r.s.horizon }
 
-// Result finalizes the replication: it flushes the trace, surfaces buffered
-// trace write errors, and aggregates the single replication exactly as Run
-// aggregates many. The first call seals the replication — further stepping
-// is refused, because summarizing finalizes measurement state — and the
-// outcome is memoized, so Result may be called repeatedly.
+// Result finalizes the replication: it flushes the trace and the flight
+// recorder, surfaces buffered trace write errors, and aggregates the single
+// replication exactly as Run aggregates many. The first call seals the
+// replication — further stepping is refused, because summarizing finalizes
+// measurement state — and the outcome is memoized, so Result may be called
+// repeatedly.
 func (r *Replication) Result() (*Result, error) {
 	if !r.sealed {
 		r.sealed = true
