@@ -350,11 +350,11 @@ func (s *simulator) handleShedEpoch() {
 	now := s.cal.now
 	worst := 0.0
 	for _, st := range s.stations {
-		util := st.upUtilization(st.shedBusy.MeanAt(now))
+		util := st.upUtilization(st.clock.mean(&st.clock.shedBusy, st.clock.b, now))
 		if util > worst {
 			worst = util
 		}
-		st.shedBusy.StartAt(now, float64(len(st.running)))
+		st.clock.shedBusy.restart(now)
 	}
 	switch {
 	case worst > s.shedCfg.Threshold && s.shedClasses < s.shedMax:

@@ -88,7 +88,7 @@ func (s *simulator) applyPlan(now float64, d PlanDecision) {
 				s.setParked(st, now, st.servers-want)
 			}
 		}
-		st.epochBusy.StartAt(now, float64(len(st.running)))
+		st.clock.epochBusy.restart(now)
 	}
 }
 

@@ -84,7 +84,7 @@ func (s *simulator) handleSample() {
 		i := 0
 		var totalPower float64
 		for _, st := range s.stations {
-			p := st.instPower()
+			p := st.clock.p
 			row[i] = float64(st.queueLen())
 			row[i+1] = float64(len(st.running))
 			row[i+2] = float64(len(st.running)) / float64(st.servers)

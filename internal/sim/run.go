@@ -564,16 +564,17 @@ func (s *simulator) summarize() repOutput {
 		for cl := 0; cl < k; cl++ {
 			out.tierWait[j][cl] = st.waitByCls[cl].Mean()
 		}
-		busyMean := st.busy.MeanAt(span)
+		c := &st.clock
+		busyMean := c.mean(&c.busy, c.b, span)
 		if math.IsNaN(busyMean) {
 			busyMean = 0
 		}
 		out.tierUtil[j] = busyMean / float64(st.servers)
-		// Power is integrated directly (powerTW) so runtime speed changes
-		// are accounted exactly.
-		p := st.powerTW.MeanAt(span)
+		// Power is integrated directly so runtime speed changes are
+		// accounted exactly.
+		p := c.mean(&c.power, c.p, span)
 		if math.IsNaN(p) {
-			p = st.instPower()
+			p = c.p
 		}
 		out.tierPower[j] = p
 		out.power += out.tierPower[j]

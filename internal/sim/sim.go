@@ -165,9 +165,8 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 			d := t.Demands[k]
 			st.samplers = append(st.samplers, SamplerFor(queueing.DistForCV2(d.Work, d.CV2)))
 		}
-		st.busy.StartAt(0, 0)
-		st.epochBusy.StartAt(0, 0)
-		st.powerTW.StartAt(0, st.instPower())
+		st.clock.p = st.instPower()
+		st.clock.epochOn = s.planController != nil
 		s.stations = append(s.stations, st)
 		s.svcRNG = append(s.svcRNG, root.Split())
 	}
@@ -210,8 +209,7 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 			s.shedMax = len(c.Classes) - 1
 		}
 		for _, st := range s.stations {
-			st.shedEnabled = true
-			st.shedBusy.StartAt(0, 0)
+			st.clock.shedOn = true
 		}
 	}
 	// Prime the arrival machinery: per class, draw the first candidate time
@@ -396,7 +394,7 @@ func (s *simulator) observeStation(st *simStation, now float64) Observation {
 	return Observation{
 		Time:        now,
 		Station:     st.idx,
-		Utilization: st.upUtilization(st.epochBusy.MeanAt(now)),
+		Utilization: st.upUtilization(st.clock.mean(&st.clock.epochBusy, st.clock.b, now)),
 		QueueLen:    st.queueLen(),
 		Speed:       st.speed,
 		Servers:     st.servers,

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 
 	"clusterq/internal/power"
@@ -54,11 +55,8 @@ type simStation struct {
 	settingUp    int // servers currently warming up
 
 	// Failure extension: servers currently broken (fail-stop, drawing no
-	// power) and the admission-control epoch's busy-server measurement
-	// (only observed when shedding is enabled).
-	failed      int
-	shedEnabled bool
-	shedBusy    stats.TimeWeighted
+	// power).
+	failed int
 
 	// Plan-controller extension: servers administratively parked (powered
 	// off, accepting no work). Shrinking is lazy — services already running
@@ -67,12 +65,10 @@ type simStation struct {
 	parked int
 
 	// measurement
-	busy      stats.TimeWeighted // number of busy servers over time
-	powerTW   stats.TimeWeighted // instantaneous power draw over time
-	epochBusy stats.TimeWeighted // busy servers since the last control epoch
-	waitByCls []*stats.Welford   // waiting time per class at this station
-	svcEnergy []float64          // dynamic energy per class (accumulated)
-	servedCls []int64            // completions per class
+	clock     segClock         // busy-server and power integrals
+	waitByCls []*stats.Welford // waiting time per class at this station
+	svcEnergy []float64        // dynamic energy per class (accumulated)
+	servedCls []int64          // completions per class
 }
 
 // setLevels moves the station to a new speed and caches the per-server busy
@@ -249,16 +245,32 @@ func (s *simStation) dropRun(target *serviceRun) {
 	}
 }
 
-// observeBusy records the current busy-server count and instantaneous power,
-// to be called after every change to the running set or the speed.
+// errClockBackwards is observeBusy's panic value: a prebuilt error, because
+// formatting the offending times would allocate on the hot path.
+var errClockBackwards = errors.New("sim: station clock went backwards")
+
+// observeBusy closes the station clock's segment at now and opens the next
+// with the current busy-server count and instantaneous power. It must be
+// called after every change to the running set, the speed or any server
+// count instPower reads, so between calls the clock's b and p equal
+// len(running) and instPower() and readers may use them directly. Time never
+// runs backwards in the event loop; a caller that makes it do so is a bug.
 func (s *simStation) observeBusy(now float64) {
-	b := float64(len(s.running))
-	s.busy.Observe(now, b)
-	s.epochBusy.Observe(now, b)
-	s.powerTW.Observe(now, s.instPower())
-	if s.shedEnabled {
-		s.shedBusy.Observe(now, b)
+	c := &s.clock
+	if now < c.t {
+		panic(errClockBackwards)
 	}
+	d := now - c.t
+	bd := c.b * d
+	c.busy.fold(bd, c.b, c.t, now)
+	if c.epochOn {
+		c.epochBusy.fold(bd, c.b, c.t, now)
+	}
+	if c.shedOn {
+		c.shedBusy.fold(bd, c.b, c.t, now)
+	}
+	c.power.fold(c.p*d, c.p, c.t, now)
+	c.t, c.b, c.p = now, float64(len(s.running)), s.instPower()
 }
 
 // queueLen returns the number of waiting (not in-service) jobs.
@@ -282,6 +294,66 @@ func (s *simStation) resetStats(now float64) {
 		s.svcEnergy[k] = 0
 		s.servedCls[k] = 0
 	}
-	s.busy.StartAt(now, float64(len(s.running)))
-	s.powerTW.StartAt(now, s.instPower())
+	s.clock.busy.restart(now)
+	s.clock.power.restart(now)
+}
+
+// segClock integrates a station's two piecewise-constant signals, the number
+// of busy servers and the power draw, on one clock. Both hold their values b
+// and p from time t until the next observeBusy, which folds the elapsed segment
+// into every live series at once: the segment length and the busy product
+// are computed once rather than once per series.
+//
+// Each series restarts on its own schedule (warmup for busy and power, each
+// control epoch for epochBusy, each shed epoch for shedBusy), and a restart
+// may fall inside the current segment. The series then integrates from its
+// own origin until its next fold, so every area and mean is the same
+// floating-point operations, in the same order, as one accumulator per
+// series that sees every observation would perform.
+type segClock struct {
+	t, b, p float64 // segment start, busy servers and power since t
+
+	busy      segArea // busy servers since the warmup reset
+	power     segArea // power draw since the warmup reset
+	epochBusy segArea // busy servers since the last control epoch
+	shedBusy  segArea // busy servers since the last shed epoch
+
+	// Series only a controller or admission control reads are folded only
+	// when one is attached.
+	epochOn, shedOn bool
+}
+
+// segArea is one series' integral since its origin.
+type segArea struct {
+	area, origin float64
+}
+
+// restart empties the series and starts its span at now. The value it
+// integrates from now on is the clock's current one.
+func (a *segArea) restart(now float64) {
+	a.area, a.origin = 0, now
+}
+
+// fold adds the segment [t, now] of value v, whose full area is seg, to the
+// series. A series restarted after t covers only [origin, now].
+func (a *segArea) fold(seg, v, t, now float64) {
+	if a.origin > t {
+		a.area += v * (now - a.origin)
+		return
+	}
+	a.area += seg
+}
+
+// mean returns series a's time average over [origin, now], holding its
+// current value v (the clock's b or p) over the open segment; NaN when the
+// span is empty.
+func (c *segClock) mean(a *segArea, v, now float64) float64 {
+	if now <= a.origin {
+		return math.NaN()
+	}
+	from := c.t
+	if a.origin > from {
+		from = a.origin
+	}
+	return (a.area + v*(now-from)) / (now - a.origin)
 }

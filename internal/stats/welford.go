@@ -1,7 +1,7 @@
 // Package stats provides the statistical machinery used throughout clusterq:
-// streaming moment accumulators, time-weighted averages, quantile
-// estimation, confidence-interval estimates for simulation output, and the
-// special functions (gamma, incomplete beta, Student-t) they require.
+// streaming moment accumulators, quantile estimation, confidence-interval
+// estimates for simulation output, and the special functions (gamma,
+// incomplete beta, Student-t) they require.
 //
 // Everything is implemented from scratch on top of the standard library so
 // the module stays dependency-free.
@@ -106,59 +106,4 @@ func (w *Welford) CI(level float64) float64 {
 func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g",
 		w.n, w.Mean(), w.StdDev(), w.Min(), w.Max())
-}
-
-// TimeWeighted accumulates the time average of a piecewise-constant signal,
-// such as queue length or instantaneous power in a discrete-event simulation.
-// Call Observe(value, now) every time the signal changes; the value is held
-// from the previous observation time until now.
-type TimeWeighted struct {
-	started  bool
-	lastT    float64
-	lastV    float64
-	area     float64
-	origin   float64
-	min, max float64
-}
-
-// StartAt initializes the signal at time t with value v.
-func (tw *TimeWeighted) StartAt(t, v float64) {
-	tw.started = true
-	tw.origin = t
-	tw.lastT = t
-	tw.lastV = v
-	tw.area = 0
-	tw.min, tw.max = v, v
-}
-
-// Observe records that the signal changed to value v at time t. The previous
-// value is integrated over [lastT, t]. Observing before StartAt starts the
-// signal at t.
-func (tw *TimeWeighted) Observe(t, v float64) {
-	if !tw.started {
-		tw.StartAt(t, v)
-		return
-	}
-	if t < tw.lastT {
-		panic(fmt.Sprintf("stats: TimeWeighted.Observe time went backwards: %g < %g", t, tw.lastT))
-	}
-	tw.area += tw.lastV * (t - tw.lastT)
-	tw.lastT = t
-	tw.lastV = v
-	if v < tw.min {
-		tw.min = v
-	}
-	if v > tw.max {
-		tw.max = v
-	}
-}
-
-// MeanAt returns the time average over [origin, t], extending the current
-// value to t.
-func (tw *TimeWeighted) MeanAt(t float64) float64 {
-	if !tw.started || t <= tw.origin {
-		return math.NaN()
-	}
-	area := tw.area + tw.lastV*(t-tw.lastT)
-	return area / (t - tw.origin)
 }

@@ -124,45 +124,3 @@ func TestWelfordCIShrinks(t *testing.T) {
 		t.Errorf("CI half-widths must be positive: %g, %g", cs, cl)
 	}
 }
-
-func TestTimeWeightedMean(t *testing.T) {
-	var tw TimeWeighted
-	tw.StartAt(0, 2) // value 2 on [0, 4)
-	tw.Observe(4, 6) // value 6 on [4, 10)
-	got := tw.MeanAt(10)
-	want := (2*4 + 6*6) / 10.0
-	if !almostEq(got, want, 1e-12) {
-		t.Errorf("time mean = %g, want %g", got, want)
-	}
-}
-
-func TestTimeWeightedAutoStart(t *testing.T) {
-	var tw TimeWeighted
-	tw.Observe(5, 1)
-	tw.Observe(7, 3)
-	if got := tw.MeanAt(9); !almostEq(got, (1*2+3*2)/4.0, 1e-12) {
-		t.Errorf("mean = %g", got)
-	}
-}
-
-func TestTimeWeightedBackwardsTimePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on time going backwards")
-		}
-	}()
-	var tw TimeWeighted
-	tw.StartAt(10, 1)
-	tw.Observe(5, 2)
-}
-
-func TestTimeWeightedConstantSignal(t *testing.T) {
-	var tw TimeWeighted
-	tw.StartAt(0, 3.25)
-	for i := 1; i <= 10; i++ {
-		tw.Observe(float64(i), 3.25)
-	}
-	if got := tw.MeanAt(10); !almostEq(got, 3.25, 1e-12) {
-		t.Errorf("constant signal mean = %g", got)
-	}
-}
