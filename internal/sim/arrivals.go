@@ -17,14 +17,14 @@ type Profile interface {
 	MaxRate() float64
 }
 
-// ConstantRate is the stationary Poisson profile (the paper's model).
-type ConstantRate float64
+// constantRate is the stationary Poisson profile (the paper's model).
+type constantRate float64
 
 // RateAt implements Profile.
-func (c ConstantRate) RateAt(float64) float64 { return float64(c) }
+func (c constantRate) RateAt(float64) float64 { return float64(c) }
 
 // MaxRate implements Profile.
-func (c ConstantRate) MaxRate() float64 { return float64(c) }
+func (c constantRate) MaxRate() float64 { return float64(c) }
 
 // Sinusoid is a smooth diurnal profile:
 //
@@ -169,12 +169,12 @@ func (s *simulator) refillArrivals(k int) {
 	}
 }
 
-// MeanRate returns the long-run average rate of a profile over one period
-// for the built-in shapes, or the constant rate. Used to pick fair static
-// baselines in experiments.
-func MeanRate(p Profile) float64 {
+// meanRate returns the long-run average rate of a profile over one period
+// for the built-in shapes, or the constant rate. The thinning tests check
+// the realized arrival rate against it.
+func meanRate(p Profile) float64 {
 	switch t := p.(type) {
-	case ConstantRate:
+	case constantRate:
 		return float64(t)
 	case Sinusoid:
 		return t.Mean

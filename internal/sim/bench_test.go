@@ -136,20 +136,26 @@ func BenchmarkCalendar(b *testing.B) {
 }
 
 // benchStation builds a simulator around benchCluster's station, resized to
-// the given server count, and swaps in an empty calendar, so a station
-// benchmark pops only the departures it schedules itself (no arrival,
-// control or probe events).
+// the given server count (see stationSim).
 func benchStation(b *testing.B, servers int, disc queueing.Discipline) (*simulator, *simStation) {
 	b.Helper()
 	c := benchCluster(disc)
 	c.Tiers[0].Servers = servers
+	return stationSim(b, c)
+}
+
+// stationSim builds a simulator around c's first station and swaps in an
+// empty calendar, so the caller drives the station directly and pops only
+// the departures it schedules itself (no arrival, control or probe events).
+func stationSim(tb testing.TB, c *cluster.Cluster) (*simulator, *simStation) {
+	tb.Helper()
 	o := Options{Horizon: 2500, Warmup: 100, Replications: 1, Seed: 1}
 	if err := o.defaults(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s, err := newSimulator(c, o, o.Seed, false)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s.cal = newCalendar()
 	return s, s.stations[0]

@@ -9,6 +9,16 @@ import (
 	"clusterq/internal/queueing"
 )
 
+// StaticPolicy never changes speeds: the controller the tests attach where
+// they need a control loop that holds the configured operating point.
+type StaticPolicy struct{}
+
+// Name implements Controller.
+func (StaticPolicy) Name() string { return "static" }
+
+// Decide implements Controller.
+func (StaticPolicy) Decide(obs Observation) float64 { return obs.Speed }
+
 func TestProfilesValidation(t *testing.T) {
 	if _, err := NewSinusoid(1, 2, 10); err == nil {
 		t.Error("amplitude > mean accepted")
@@ -57,15 +67,15 @@ func TestProfilesValidation(t *testing.T) {
 }
 
 func TestMeanRate(t *testing.T) {
-	if MeanRate(ConstantRate(2.5)) != 2.5 {
+	if meanRate(constantRate(2.5)) != 2.5 {
 		t.Error("constant mean")
 	}
 	sin, _ := NewSinusoid(2, 1, 100)
-	if MeanRate(sin) != 2 {
+	if meanRate(sin) != 2 {
 		t.Error("sinusoid mean")
 	}
 	sw, _ := NewSquareWave(1, 3, 10, 0.5)
-	if MeanRate(sw) != 2 {
+	if meanRate(sw) != 2 {
 		t.Error("square mean")
 	}
 }
@@ -114,7 +124,7 @@ func TestProfileOptionValidation(t *testing.T) {
 	c := oneTier(1, 1, queueing.FCFS,
 		[]cluster.Class{{Name: "a", Lambda: 0.5}},
 		[]queueing.Demand{{Work: 1, CV2: 1}})
-	if _, err := Run(c, Options{Horizon: 100, Profiles: []Profile{ConstantRate(1), ConstantRate(1)}}); err == nil {
+	if _, err := Run(c, Options{Horizon: 100, Profiles: []Profile{constantRate(1), constantRate(1)}}); err == nil {
 		t.Error("profile count mismatch accepted")
 	}
 	if _, err := Run(c, Options{Horizon: 100, Controller: StaticPolicy{}}); err == nil {

@@ -270,7 +270,7 @@ func (s *simulator) handleTimeout(e *event) {
 	now := s.cal.now
 	st := s.stations[j.cur]
 	freedServer := false
-	if run := st.runOf(j); run != nil {
+	if run := j.run; run != nil {
 		s.cancelDeparture(run)
 		st.bankSegment(run, now) // energy already spent is spent
 		st.dropRun(run)

@@ -25,16 +25,6 @@ type Controller interface {
 	Decide(obs Observation) float64
 }
 
-// StaticPolicy never changes speeds: the offline-optimal operating point,
-// used as the baseline the reactive policies are compared against.
-type StaticPolicy struct{}
-
-// Name implements Controller.
-func (StaticPolicy) Name() string { return "static" }
-
-// Decide implements Controller.
-func (StaticPolicy) Decide(obs Observation) float64 { return obs.Speed }
-
 // ZeroQueueGain requests a UtilizationPolicy with NO queue-pressure boost.
 // It exists for the same reason as ZeroWarmup: the zero value of QueueGain
 // must keep meaning "use the default", so an explicit zero is spelled with a

@@ -111,11 +111,11 @@ func (s hyperSampler) Sample(r *RNG) float64 {
 }
 func (s hyperSampler) Mean() float64 { return s.p*s.m1 + (1-s.p)*s.m2 }
 
-// SamplerFor builds a variate sampler matching a queueing.ServiceDist: the
+// samplerFor builds a variate sampler matching a queueing.ServiceDist: the
 // simulator draws from exactly the distribution family the analytical model
 // assumes, so discrepancies measure the *network* approximation, not a
 // distribution mismatch.
-func SamplerFor(d queueing.ServiceDist) Sampler {
+func samplerFor(d queueing.ServiceDist) Sampler {
 	switch t := d.(type) {
 	case queueing.Exponential:
 		return expSampler{mean: t.M}

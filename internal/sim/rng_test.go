@@ -91,7 +91,7 @@ func TestSamplersMatchDistMoments(t *testing.T) {
 		queueing.NewHyperExpCV2(1, 4),
 	}
 	for _, d := range dists {
-		s := SamplerFor(d)
+		s := samplerFor(d)
 		if !almostEq(s.Mean(), d.Mean(), 1e-9) {
 			t.Errorf("%v: sampler mean %g != dist mean %g", d, s.Mean(), d.Mean())
 		}

@@ -49,8 +49,8 @@ func TestSchedulePiecewiseAndPeriodic(t *testing.T) {
 	if s.MaxRate() != 3 {
 		t.Errorf("MaxRate = %g, want 3", s.MaxRate())
 	}
-	if MeanRate(s) != 3 {
-		t.Errorf("open-ended mean = %g, want final rate 3", MeanRate(s))
+	if meanRate(s) != 3 {
+		t.Errorf("open-ended mean = %g, want final rate 3", meanRate(s))
 	}
 
 	// Cycling: t wraps modulo the period, and the mean is time-weighted
@@ -65,7 +65,7 @@ func TestSchedulePiecewiseAndPeriodic(t *testing.T) {
 	if got := p.RateAt(59.9); got != 3 {
 		t.Errorf("periodic RateAt(59.9) = %g, want 3", got)
 	}
-	if got := MeanRate(p); !almostEq(got, 2, 1e-12) {
+	if got := meanRate(p); !almostEq(got, 2, 1e-12) {
 		t.Errorf("periodic mean = %g, want 2", got)
 	}
 }

@@ -118,7 +118,7 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 		if o.Profiles != nil && o.Profiles[k] != nil {
 			s.profiles[k] = o.Profiles[k]
 		} else {
-			s.profiles[k] = ConstantRate(cl.Lambda)
+			s.profiles[k] = constantRate(cl.Lambda)
 		}
 	}
 	for k := range c.Classes {
@@ -141,6 +141,7 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 			discipline: t.Discipline,
 			pm:         t.Power,
 			queues:     make([]jobDeque, len(c.Classes)),
+			runCls:     make([]int, len(c.Classes)),
 			waitByCls:  make([]*stats.Welford, len(c.Classes)),
 			svcEnergy:  make([]float64, len(c.Classes)),
 			servedCls:  make([]int64, len(c.Classes)),
@@ -156,14 +157,14 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 		}
 		if o.Sleep != nil && o.Sleep[j] != nil {
 			st.sleepEnabled = true
-			st.setupSampler = SamplerFor(o.Sleep[j].Setup)
+			st.setupSampler = samplerFor(o.Sleep[j].Setup)
 			st.sleepPower = o.Sleep[j].SleepPower
 		}
 		for k := range c.Classes {
 			st.waitByCls[k] = &stats.Welford{}
 			// Work samplers reproduce the analytical demand shape.
 			d := t.Demands[k]
-			st.samplers = append(st.samplers, SamplerFor(queueing.DistForCV2(d.Work, d.CV2)))
+			st.samplers = append(st.samplers, samplerFor(queueing.DistForCV2(d.Work, d.CV2)))
 		}
 		st.clock.p = st.instPower()
 		st.clock.epochOn = s.planController != nil
@@ -431,39 +432,28 @@ func (s *simulator) handleSetupDone(e *event) {
 
 // setSpeed retunes a station mid-run: every in-flight service banks its
 // segment at the old speed, then resumes at the new one with its departure
-// rescheduled from the remaining work.
+// rescheduled from the remaining work. Each run keeps its slot, so the
+// running set is unchanged.
 func (s *simulator) setSpeed(st *simStation, now, speed float64) {
 	//lint:waive floateq reason="deliberate exact compare: skip the reschedule only when the controller hands back the identical speed" until=2027-08-01
 	if speed == st.speed {
 		return
 	}
 	s.emit(tkRetune, now, -1, 0, st.idx, speed)
-	old := st.running
 	// Bank all segments at the old speed before switching.
-	for _, run := range old {
+	for _, run := range st.running {
 		st.bankSegment(run, now)
 		s.cancelDeparture(run)
 	}
 	st.setLevels(speed)
-	// Swap in the scratch backing array instead of allocating a fresh
-	// running set per retune; the old array becomes the next scratch.
-	st.running = st.runScratch[:0]
-	for _, run := range old {
-		nr := s.allocRun()
-		nr.job, nr.start = run.job, now
-		st.running = append(st.running, nr)
+	for _, run := range st.running {
+		run.start = now
 		rem := run.job.remaining
 		if rem < 1e-12 {
 			rem = 1e-12
 		}
-		nr.dep = s.cal.schedule(now+rem/speed, evDeparture, 0, run.job, st.idx, nr)
+		run.dep = s.cal.schedule(now+rem/speed, evDeparture, 0, run.job, st.idx, run)
 	}
-	// Free the old runs only now: allocRun zeroes a reused run, and the
-	// loop above still read each old run's job.
-	for _, run := range old {
-		s.freeRun(run)
-	}
-	st.runScratch = old[:0]
 	st.observeBusy(now) // record the new power level
 }
 
@@ -496,7 +486,7 @@ func (s *simulator) arriveAtStation(st *simStation, j *job, now float64) {
 		return
 	}
 	if st.discipline == queueing.PreemptiveResume {
-		if victim := st.lowestPriorityRunning(); victim != nil && j.class < victim.job.class {
+		if victim := st.victimFor(j.class); victim != nil {
 			s.preempt(st, victim, now)
 			s.startService(st, j, now)
 			return
@@ -531,7 +521,7 @@ func (s *simulator) startService(st *simStation, j *job, now float64) {
 	s.emit(tkStart, now, j.class, j.id, st.idx, 0)
 	run := s.allocRun()
 	run.job, run.start = j, now
-	st.running = append(st.running, run)
+	st.addRun(run)
 	st.observeBusy(now)
 	run.dep = s.cal.schedule(now+j.remaining/st.speed, evDeparture, 0, j, st.idx, run)
 }

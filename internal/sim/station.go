@@ -13,13 +13,14 @@ import (
 type job struct {
 	id         uint64
 	class      int
-	arrival    float64 // external arrival time
-	routePos   int     // index into the class route (deterministic routing)
-	cur        int     // current station (probabilistic routing)
-	remaining  float64 // remaining WORK at the current station (preemption)
-	enqueued   float64 // time it joined the current station (wait accounting)
-	servedTime float64 // in-service time accumulated at the current station
-	attempts   int     // retries consumed so far (deadline extension)
+	arrival    float64     // external arrival time
+	routePos   int         // index into the class route (deterministic routing)
+	cur        int         // current station (probabilistic routing)
+	remaining  float64     // remaining WORK at the current station (preemption)
+	enqueued   float64     // time it joined the current station (wait accounting)
+	servedTime float64     // in-service time accumulated at the current station
+	attempts   int         // retries consumed so far (deadline extension)
+	run        *serviceRun // the run serving the job; nil while it is not in service
 }
 
 // serviceRun is one (possibly preempted) service occupancy of a server.
@@ -27,6 +28,7 @@ type serviceRun struct {
 	job   *job
 	start float64 // when this run started
 	dep   *event  // the scheduled departure that completes the run
+	slot  int     // its index in the station's running set
 }
 
 // simStation is the runtime state of one tier.
@@ -42,10 +44,10 @@ type simStation struct {
 	idleW      float64   // per-server pm.IdlePower(speed), kept by setLevels
 	samplers   []Sampler // per class: WORK distributions
 
-	queues     []jobDeque    // per-class FIFO queues (priority order = index)
-	fifo       jobDeque      // single queue under FCFS
-	running    []*serviceRun // active service runs, ≤ servers
-	runScratch []*serviceRun // spare backing array swapped in by setSpeed
+	queues  []jobDeque    // per-class FIFO queues (priority order = index)
+	fifo    jobDeque      // single queue under FCFS
+	running []*serviceRun // active service runs, ≤ servers
+	runCls  []int         // running jobs per class
 
 	// Sleep-state extension (instant-off policy): idle servers power down
 	// to sleepPower and pay a setup period (at busy power) to wake.
@@ -202,16 +204,6 @@ func (s *simStation) requeueFront(j *job) {
 	s.queues[j.class].pushFront(j)
 }
 
-// runOf returns the service run currently serving j, or nil.
-func (s *simStation) runOf(j *job) *serviceRun {
-	for _, r := range s.running {
-		if r.job == j {
-			return r
-		}
-	}
-	return nil
-}
-
 // removeWaiting deletes j from its waiting line, preserving the order of the
 // remaining jobs, and reports whether it was found. Timeouts are rare
 // relative to arrivals, so the O(queue) scan does not weigh on the hot path.
@@ -222,27 +214,53 @@ func (s *simStation) removeWaiting(j *job) bool {
 	return s.queues[j.class].removeFirst(j)
 }
 
-// lowestPriorityRunning returns the run with the numerically largest class
-// index (lowest priority), or nil when no server is busy.
-func (s *simStation) lowestPriorityRunning() *serviceRun {
-	var worst *serviceRun
-	for _, r := range s.running {
-		if worst == nil || r.job.class > worst.job.class {
-			worst = r
-		}
-	}
-	return worst
+// addRun puts a run of a job into service: it takes the next slot of the
+// running set, counts towards its class and becomes the job's run.
+func (s *simStation) addRun(run *serviceRun) {
+	run.slot = len(s.running)
+	s.running = append(s.running, run)
+	s.runCls[run.job.class]++
+	run.job.run = run
 }
 
-// dropRun removes a run from the running set.
-func (s *simStation) dropRun(target *serviceRun) {
-	for i, r := range s.running {
-		if r == target {
-			s.running[i] = s.running[len(s.running)-1]
-			s.running = s.running[:len(s.running)-1]
-			return
+// victimFor returns the run that an arrival of the given class evicts at a
+// full preemptive-resume station: among the running jobs of lower priority,
+// the first in slice order of the lowest-priority class, or nil when every
+// running job has the arrival's priority or a higher one. The per-class
+// counts settle whether there is a victim without a scan; the scan that
+// finds it runs only when a preemption happens.
+func (s *simStation) victimFor(class int) *serviceRun {
+	for k := len(s.runCls) - 1; k > class; k-- {
+		if s.runCls[k] == 0 {
+			continue
+		}
+		for _, r := range s.running {
+			if r.job.class == k {
+				return r
+			}
 		}
 	}
+	return nil
+}
+
+// errRunNotHeld is dropRun's panic value, prebuilt so the hot path does not
+// allocate.
+var errRunNotHeld = errors.New("sim: dropRun of a run its slot does not hold")
+
+// dropRun removes a run from the running set: the last run moves into its
+// slot. The run must be in this station's set; dropping it twice, or
+// dropping another station's run, would corrupt the set, so it panics.
+func (s *simStation) dropRun(target *serviceRun) {
+	i, last := target.slot, len(s.running)-1
+	if i > last || s.running[i] != target {
+		panic(errRunNotHeld)
+	}
+	moved := s.running[last]
+	s.running[i] = moved
+	moved.slot = i
+	s.running = s.running[:last]
+	s.runCls[target.job.class]--
+	target.job.run = nil
 }
 
 // errClockBackwards is observeBusy's panic value: a prebuilt error, because
