@@ -58,8 +58,9 @@ func (m *Metrics) Stable() bool {
 // speed, so every delay and power the model reports is a sum of per-tier
 // terms; Evaluate and the optimizers in internal/core compute those terms
 // through Eval alone. A model depends only on the cluster, so it is built
-// once per cluster (TierModels); evaluating it at a speed rewrites the
-// station's speed and nothing else.
+// once per cluster (TierModels, the only constructor); evaluating it at a
+// speed rewrites the station's speed and the model's own per-class
+// buffers, nothing else.
 type TierModel struct {
 	// Station is the tier's queueing station, serving at the
 	// availability-degraded speed Speed·A.
@@ -71,6 +72,11 @@ type TierModel struct {
 	Power    power.Model
 	// Avail is the tier's availability A (EffectiveAvailability).
 	Avail float64
+
+	// m1 and m2 hold the per-class service moments, wait and resp the
+	// results Eval returns; TierModels sizes them. Copies of a model share
+	// them, as they share its Station.
+	m1, m2, wait, resp []float64
 }
 
 // TierModels returns the cluster's per-tier models at its current speeds,
@@ -80,17 +86,27 @@ func (c *Cluster) TierModels() []TierModel {
 	for k := range visits {
 		visits[k] = c.VisitRates(k)
 	}
+	nk := len(c.Classes)
 	ms := make([]TierModel, len(c.Tiers))
+	scratch := make([]float64, 4*nk*len(c.Tiers))
 	for j, t := range c.Tiers {
 		m := &ms[j]
 		*m = t.model()
-		m.Visits, m.Arrivals = make([]float64, len(c.Classes)), make([]float64, len(c.Classes))
+		m.Visits, m.Arrivals = make([]float64, nk), make([]float64, nk)
 		for k, cl := range c.Classes {
 			m.Visits[k] = visits[k][j]
 			m.Arrivals[k] = cl.Lambda * m.Visits[k]
 		}
+		m.setScratch(scratch[4*nk*j : 4*nk*(j+1)])
 	}
 	return ms
+}
+
+// setScratch carves the model's per-class buffers out of buf, 4·K long.
+func (m *TierModel) setScratch(buf []float64) {
+	nk := len(buf) / 4
+	m.m1, m.m2 = buf[:nk:nk], buf[nk:2*nk:2*nk]
+	m.wait, m.resp = buf[2*nk:3*nk:3*nk], buf[3*nk:]
 }
 
 // model returns the tier's model at its current speed, without traffic.
@@ -112,10 +128,15 @@ func (m *TierModel) at(s float64) { m.Station.Speed = s * m.Avail }
 
 // Eval returns the tier's per-class mean waiting and response times per
 // visit at nominal speed s, with its utilization and power. The power's
-// static part is already scaled by A.
+// static part is already scaled by A. Eval allocates nothing: wait and resp
+// are the model's own buffers, valid until the next Eval on the same model
+// or any copy of it, so a caller that keeps them across evaluations copies
+// them.
 func (m *TierModel) Eval(s float64) (wait, resp []float64, tm TierMetrics, err error) {
 	m.at(s)
-	if wait, resp, err = m.Station.ResponseTimes(m.Arrivals); err != nil {
+	st := m.Station
+	st.Moments(m.m1, m.m2)
+	if err := queueing.PriorityTimes(st.Servers, st.Discipline, m.Arrivals, m.m1, m.m2, m.wait, m.resp); err != nil {
 		return nil, nil, tm, err
 	}
 	// rho is the per-up-server busy fraction (the station runs at the
@@ -123,10 +144,18 @@ func (m *TierModel) Eval(s float64) (wait, resp []float64, tm TierMetrics, err e
 	// servers busy is rho·A, which is what dynamic power scales with at
 	// the raw operating speed; failed servers draw nothing, so the static
 	// floor also shrinks by A.
-	rho := m.Station.Utilization(m.Arrivals)
-	br := power.StationBreakdown(m.Power, s, m.Station.Servers, rho*m.Avail)
+	rho := queueing.Utilization(st.Servers, m.Arrivals, m.m1)
+	br := power.StationBreakdown(m.Power, s, st.Servers, rho*m.Avail)
 	br.Static *= m.Avail
-	return wait, resp, TierMetrics{Name: m.Station.Name, Utilization: rho, Power: br}, nil
+	return m.wait, m.resp, TierMetrics{Name: st.Name, Utilization: rho, Power: br}, nil
+}
+
+// Utilization returns the per-server utilization of the tier's station as
+// it stands: at the speed and server count its Station holds (s·A after
+// Eval(s)). It holds for every discipline, including those Eval rejects.
+func (m *TierModel) Utilization() float64 {
+	m.Station.Moments(m.m1, m.m2)
+	return queueing.Utilization(m.Station.Servers, m.Arrivals, m.m1)
 }
 
 // DelayBreakdown holds the per-class, per-tier mean response times plus

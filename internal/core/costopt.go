@@ -157,7 +157,7 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 		st.Speed = hi[j]
 		for t.Servers < maxServers {
 			st.Servers = t.Servers
-			if st.Utilization(ms[j].Arrivals) < 0.999 {
+			if ms[j].Utilization() < 0.999 {
 				break
 			}
 			t.Servers++
@@ -357,7 +357,7 @@ func tuneSpeedsForSLA(c *cluster.Cluster) (*cluster.Cluster, error) {
 func hottestTier(c *cluster.Cluster) int {
 	best, idx := math.Inf(-1), 0
 	for j, m := range c.TierModels() {
-		if u := m.Station.Utilization(m.Arrivals); u > best {
+		if u := m.Utilization(); u > best {
 			best, idx = u, j
 		}
 	}

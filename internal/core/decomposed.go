@@ -470,6 +470,12 @@ func (t *tierFns) curvature(pr *dualProblem, p *dualPoint, act []int) [][]float6
 		h[a] = make([]float64, len(act))
 	}
 	u := make([]float64, len(act))
+	// Each evaluation reuses the tier model's buffers, so the three
+	// response vectors are copied out.
+	var resp [3][]float64
+	for i := range resp {
+		resp[i] = make([]float64, nk)
+	}
 	for j := range t.tiers {
 		f := &t.tiers[j]
 		s := p.speeds[j]
@@ -478,14 +484,14 @@ func (t *tierFns) curvature(pr *dualProblem, p *dualPoint, act []int) [][]float6
 			continue
 		}
 		var l, pow [3]float64
-		var resp [3][]float64
 		for i, x := range [3]float64{s - ds, s, s + ds} {
 			g, r, ok := f.eval(x)
 			if !ok {
 				g = math.NaN()
 			}
-			l[i], pow[i], resp[i] = alpha*g, g, r
+			l[i], pow[i] = alpha*g, g
 			if ok {
+				copy(resp[i], r)
 				l[i] = f.weigh(l[i], theta, r)
 			}
 		}

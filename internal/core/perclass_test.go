@@ -277,7 +277,7 @@ func TestDualsHonourAvailability(t *testing.T) {
 func bottleneckUtilization(c *cluster.Cluster) float64 {
 	u := math.Inf(-1)
 	for _, m := range c.TierModels() {
-		if r := m.Station.Utilization(m.Arrivals); r > u {
+		if r := m.Utilization(); r > u {
 			u = r
 		}
 	}

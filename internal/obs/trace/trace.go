@@ -346,12 +346,12 @@ func (r *Recorder) removeOpen(i int) {
 // entry when full. Caller holds mu.
 func (r *Recorder) push(e Event) {
 	if r.evLen < len(r.ev) {
-		r.ev[(r.evHead+r.evLen)%len(r.ev)] = e
+		r.ev[wrap(r.evHead+r.evLen, len(r.ev))] = e
 		r.evLen++
 		return
 	}
 	r.ev[r.evHead] = e
-	r.evHead = (r.evHead + 1) % len(r.ev)
+	r.evHead = wrap(r.evHead+1, len(r.ev))
 	r.evDropped++
 }
 
@@ -359,13 +359,22 @@ func (r *Recorder) push(e Event) {
 // Caller holds mu.
 func (r *Recorder) pushSpan(s Span) {
 	if r.spLen < len(r.sp) {
-		r.sp[(r.spHead+r.spLen)%len(r.sp)] = s
+		r.sp[wrap(r.spHead+r.spLen, len(r.sp))] = s
 		r.spLen++
 		return
 	}
 	r.sp[r.spHead] = s
-	r.spHead = (r.spHead + 1) % len(r.sp)
+	r.spHead = wrap(r.spHead+1, len(r.sp))
 	r.spDropped++
+}
+
+// wrap reduces a ring index i in [0, 2n) to [0, n) with a compare rather
+// than an integer division, which the per-event pushes would pay.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
 }
 
 // Record ingests lifecycle events in order, under one lock for the whole

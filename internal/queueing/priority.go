@@ -33,191 +33,111 @@ func (d Discipline) String() string {
 	}
 }
 
-// ClassInput describes one customer class at a station: Poisson arrival rate
-// and service-time distribution. Classes are ordered by priority, index 0
-// highest.
-type ClassInput struct {
-	Lambda  float64
-	Service ServiceDist
-}
-
-// PriorityMG1 computes per-class mean waiting and response times for a
-// single-server queue with Poisson arrivals, general service, and the given
-// discipline. The returned slices are indexed by class.
+// PriorityTimes fills wait and resp with the per-class mean waiting and
+// response times of a c-server station with Poisson arrivals under
+// discipline d. Class k arrives at rate lambda[k] with service moments
+// m1[k] = E[S_k] and m2[k] = E[S_k²]; classes are ordered by priority,
+// index 0 highest. wait and resp must be as long as lambda. It allocates
+// nothing (Station.Moments fills the moments the same way).
 //
-// Formulas (classes 0..K−1, 0 highest priority, ρ_k = λ_k E[S_k],
-// σ_k = ρ_0 + … + ρ_k, R_k = Σ_{i≤k} λ_i E[S_i²]/2, R = R_{K−1}):
+// One server, M/G/1 (ρ_k = λ_k E[S_k], σ_k = ρ_0 + … + ρ_k,
+// R_k = Σ_{i≤k} λ_i E[S_i²]/2, R = R_{K−1}):
 //
 //	FCFS:               W_k = R / (1 − σ_{K−1})           (P–K, same for all k)
 //	Non-preemptive:     W_k = R / ((1 − σ_{k−1})(1 − σ_k))  (Cobham)
 //	Preemptive-resume:  T_k = E[S_k]/(1 − σ_{k−1}) + R_k/((1 − σ_{k−1})(1 − σ_k))
 //
-// Classes whose formula diverges (the relevant σ ≥ 1) get +Inf.
-func PriorityMG1(classes []ClassInput, d Discipline) (wait, resp []float64, err error) {
-	if err := validateClasses(classes); err != nil {
-		return nil, nil, err
-	}
-	k := len(classes)
-	wait = make([]float64, k)
-	resp = make([]float64, k)
-
-	sigma := make([]float64, k) // cumulative utilization through class i
-	rk := make([]float64, k)    // cumulative residual work Σ λE[S²]/2
-	cum, rcum := 0.0, 0.0
-	for i, c := range classes {
-		cum += c.Lambda * c.Service.Mean()
-		rcum += c.Lambda * c.Service.SecondMoment() / 2
-		sigma[i] = cum
-		rk[i] = rcum
-	}
-	total := sigma[k-1]
-	rTotal := rk[k-1]
-
-	for i, c := range classes {
-		es := c.Service.Mean()
-		prev := 0.0
-		if i > 0 {
-			prev = sigma[i-1]
-		}
-		switch d {
-		case FCFS:
-			if total >= 1 {
-				wait[i], resp[i] = math.Inf(1), math.Inf(1)
-				continue
-			}
-			wait[i] = rTotal / (1 - total)
-			resp[i] = wait[i] + es
-		case NonPreemptive:
-			if sigma[i] >= 1 || prev >= 1 {
-				wait[i], resp[i] = math.Inf(1), math.Inf(1)
-				continue
-			}
-			// Cobham: delayed by the residual of whoever is in
-			// service, including lower-priority classes.
-			wait[i] = rTotal / ((1 - prev) * (1 - sigma[i]))
-			resp[i] = wait[i] + es
-		case PreemptiveResume:
-			if sigma[i] >= 1 || prev >= 1 {
-				wait[i], resp[i] = math.Inf(1), math.Inf(1)
-				continue
-			}
-			resp[i] = es/(1-prev) + rk[i]/((1-prev)*(1-sigma[i]))
-			wait[i] = resp[i] - es
-		default:
-			return nil, nil, fmt.Errorf("queueing: unknown discipline %v", d)
-		}
-	}
-	return wait, resp, nil
-}
-
-// PriorityMMc computes per-class mean waiting and response times for a
-// c-server station under non-preemptive priority or FCFS.
-//
-// When all classes share the same exponential service time the non-preemptive
-// result is exact (Kella–Yechiali):
-//
-//	W_k = C(c, a) / (cμ) · 1 / ((1 − σ_{k−1})(1 − σ_k))
-//
-// With class-dependent or non-exponential service the function applies the
-// standard two-moment correction (1+CV²_agg)/2 on the aggregate service
-// distribution and uses per-class σ; this is an approximation, validated by
-// the simulator in internal/sim. PreemptiveResume with c > 1 has no usable
+// c > 1 servers, FCFS or non-preemptive, with σ_k = Σ_{i≤k} λ_i E[S_i]/c:
+// the same two forms with R replaced by the aggregate M/M/c wait scaled by
+// the two-moment correction, B = (1+CV²_agg)/2 · C(c, a) · E[S_agg]/c, where
+// a = E[S_agg]·Σ_k λ_k and C is Erlang C. When all classes share one
+// exponential service time the non-preemptive result is exact
+// (Kella–Yechiali); otherwise it is an approximation, validated by the
+// simulator in internal/sim. Preemptive-resume with c > 1 has no usable
 // closed form and returns an error; use c = 1 or the simulator.
-func PriorityMMc(classes []ClassInput, c int, d Discipline) (wait, resp []float64, err error) {
-	if err := validateClasses(classes); err != nil {
-		return nil, nil, err
-	}
-	if c < 1 {
-		return nil, nil, fmt.Errorf("queueing: server count %d < 1", c)
-	}
-	if c == 1 {
-		return PriorityMG1(classes, d)
-	}
-	if d == PreemptiveResume {
-		return nil, nil, fmt.Errorf("queueing: no closed form for preemptive-resume with %d > 1 servers", c)
-	}
-
-	k := len(classes)
-	// Aggregate service distribution moments over the class mix.
-	var lamTot, m1, m2 float64
-	for _, cl := range classes {
-		lamTot += cl.Lambda
-		m1 += cl.Lambda * cl.Service.Mean()
-		m2 += cl.Lambda * cl.Service.SecondMoment()
-	}
-	if lamTot == 0 {
-		wait = make([]float64, k)
-		resp = make([]float64, k)
-		for i, cl := range classes {
-			resp[i] = cl.Service.Mean()
-		}
-		return wait, resp, nil
-	}
-	m1 /= lamTot // aggregate E[S]
-	m2 /= lamTot // aggregate E[S²]
-	cv2 := m2/(m1*m1) - 1
-
-	a := lamTot * m1 // offered load in Erlangs
-	pd := ErlangC(c, a)
-	// Base delay factor: mean wait of the aggregate M/M/c scaled by the
-	// two-moment G-correction, with the (1−ρ) terms split per class below.
-	base := (1 + cv2) / 2 * pd * m1 / float64(c)
-
-	sigma := make([]float64, k)
-	cum := 0.0
-	for i, cl := range classes {
-		cum += cl.Lambda * cl.Service.Mean() / float64(c)
-		sigma[i] = cum
-	}
-
-	wait = make([]float64, k)
-	resp = make([]float64, k)
-	for i, cl := range classes {
-		prev := 0.0
-		if i > 0 {
-			prev = sigma[i-1]
-		}
-		switch d {
-		case FCFS:
-			if sigma[k-1] >= 1 {
-				wait[i], resp[i] = math.Inf(1), math.Inf(1)
-				continue
-			}
-			wait[i] = base / (1 - sigma[k-1])
-		case NonPreemptive:
-			if sigma[i] >= 1 || prev >= 1 {
-				wait[i], resp[i] = math.Inf(1), math.Inf(1)
-				continue
-			}
-			wait[i] = base / ((1 - prev) * (1 - sigma[i]))
-		default:
-			return nil, nil, fmt.Errorf("queueing: unknown discipline %v", d)
-		}
-		resp[i] = wait[i] + cl.Service.Mean()
-	}
-	return wait, resp, nil
-}
-
-// AggregateUtilization returns σ = Σ λ_k E[S_k] / c for the class set.
-func AggregateUtilization(classes []ClassInput, c int) float64 {
-	var u float64
-	for _, cl := range classes {
-		u += cl.Lambda * cl.Service.Mean()
-	}
-	return u / float64(c)
-}
-
-func validateClasses(classes []ClassInput) error {
-	if len(classes) == 0 {
+//
+// Classes whose formula diverges (the relevant σ ≥ 1) get +Inf.
+func PriorityTimes(c int, d Discipline, lambda, m1, m2, wait, resp []float64) error {
+	if len(lambda) == 0 {
 		return fmt.Errorf("queueing: no classes")
 	}
-	for i, c := range classes {
-		if c.Lambda < 0 || math.IsNaN(c.Lambda) || math.IsInf(c.Lambda, 0) {
-			return fmt.Errorf("queueing: class %d has invalid arrival rate %g", i, c.Lambda)
+	for i, l := range lambda {
+		if l < 0 || math.IsNaN(l) || math.IsInf(l, 0) {
+			return fmt.Errorf("queueing: class %d has invalid arrival rate %g", i, l)
 		}
-		if c.Service == nil || !(c.Service.Mean() > 0) {
+		if !(m1[i] > 0) {
 			return fmt.Errorf("queueing: class %d has invalid service distribution", i)
 		}
 	}
+	switch {
+	case c < 1:
+		return fmt.Errorf("queueing: server count %d < 1", c)
+	case d != FCFS && d != NonPreemptive && d != PreemptiveResume:
+		return fmt.Errorf("queueing: unknown discipline %v", d)
+	case c > 1 && d == PreemptiveResume:
+		return fmt.Errorf("queueing: no closed form for preemptive-resume with %d > 1 servers", c)
+	}
+
+	fc := float64(c)
+	// Totals over the classes: arrival rate, Σλ E[S], Σλ E[S²], the
+	// utilization σ_{K−1} and the residual work R.
+	var lamTot, work, sec, total, rTotal float64
+	for i, l := range lambda {
+		lamTot += l
+		work += l * m1[i]
+		sec += l * m2[i]
+		total += l * m1[i] / fc
+		rTotal += l * m2[i] / 2
+	}
+	// base is the numerator every class's wait shares.
+	base := rTotal
+	if c > 1 {
+		if lamTot == 0 {
+			for i := range lambda {
+				wait[i], resp[i] = 0, m1[i]
+			}
+			return nil
+		}
+		mean, meanSq := work/lamTot, sec/lamTot // aggregate E[S], E[S²]
+		cv2 := meanSq/(mean*mean) - 1
+		a := lamTot * mean // offered load in Erlangs
+		base = (1 + cv2) / 2 * ErlangC(c, a) * mean / fc
+	}
+
+	// The running sums σ_k and R_k repeat the totals' additions in the same
+	// order, so σ_{K−1} here equals total bit for bit.
+	sigma, rk := 0.0, 0.0
+	for i, l := range lambda {
+		prev := sigma
+		sigma += l * m1[i] / fc
+		rk += l * m2[i] / 2
+		es := m1[i]
+		switch {
+		case d == FCFS && total >= 1, d != FCFS && (sigma >= 1 || prev >= 1):
+			wait[i], resp[i] = math.Inf(1), math.Inf(1)
+		case d == FCFS:
+			wait[i] = base / (1 - total)
+			resp[i] = wait[i] + es
+		case d == NonPreemptive:
+			// Cobham: delayed by the residual of whoever is in
+			// service, including lower-priority classes.
+			wait[i] = base / ((1 - prev) * (1 - sigma))
+			resp[i] = wait[i] + es
+		default: // preemptive-resume, one server
+			resp[i] = es/(1-prev) + rk/((1-prev)*(1-sigma))
+			wait[i] = resp[i] - es
+		}
+	}
 	return nil
+}
+
+// Utilization returns a c-server station's per-server utilization
+// σ = Σ λ_k E[S_k] / c from per-class arrival rates and mean service
+// times.
+func Utilization(c int, lambda, m1 []float64) float64 {
+	var u float64
+	for i, l := range lambda {
+		u += l * m1[i]
+	}
+	return u / float64(c)
 }

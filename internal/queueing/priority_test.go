@@ -6,8 +6,47 @@ import (
 	"testing/quick"
 )
 
-func twoClasses(l1, l2, m1, m2 float64) []ClassInput {
-	return []ClassInput{
+// classInput is one class of a test station: its Poisson arrival rate and
+// service-time distribution.
+type classInput struct {
+	Lambda  float64
+	Service ServiceDist
+}
+
+// priorityMMc runs PriorityTimes on the classes, with the moments read from
+// their distributions (0 for a nil one, which PriorityTimes rejects).
+func priorityMMc(classes []classInput, c int, d Discipline) (wait, resp []float64, err error) {
+	n := len(classes)
+	lam, m1, m2 := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i, cl := range classes {
+		lam[i] = cl.Lambda
+		if cl.Service != nil {
+			m1[i], m2[i] = cl.Service.Mean(), cl.Service.SecondMoment()
+		}
+	}
+	wait, resp = make([]float64, n), make([]float64, n)
+	if err := PriorityTimes(c, d, lam, m1, m2, wait, resp); err != nil {
+		return nil, nil, err
+	}
+	return wait, resp, nil
+}
+
+// priorityMG1 is priorityMMc with one server.
+func priorityMG1(classes []classInput, d Discipline) (wait, resp []float64, err error) {
+	return priorityMMc(classes, 1, d)
+}
+
+// utilization returns Utilization for the classes.
+func utilization(classes []classInput, c int) float64 {
+	lam, m1 := make([]float64, len(classes)), make([]float64, len(classes))
+	for i, cl := range classes {
+		lam[i], m1[i] = cl.Lambda, cl.Service.Mean()
+	}
+	return Utilization(c, lam, m1)
+}
+
+func twoClasses(l1, l2, m1, m2 float64) []classInput {
+	return []classInput{
 		{Lambda: l1, Service: NewExponential(m1)},
 		{Lambda: l2, Service: NewExponential(m2)},
 	}
@@ -15,8 +54,8 @@ func twoClasses(l1, l2, m1, m2 float64) []ClassInput {
 
 func TestPriorityMG1SingleClassMatchesPK(t *testing.T) {
 	for _, d := range []Discipline{FCFS, NonPreemptive, PreemptiveResume} {
-		cl := []ClassInput{{Lambda: 0.6, Service: NewExponential(1)}}
-		wait, resp, err := PriorityMG1(cl, d)
+		cl := []classInput{{Lambda: 0.6, Service: NewExponential(1)}}
+		wait, resp, err := priorityMG1(cl, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +73,7 @@ func TestPriorityMG1CobhamKnownValue(t *testing.T) {
 	// Two exponential classes, λ1=λ2=0.25, E[S]=1 each:
 	// ρ1=ρ2=0.25, R = (0.25·2 + 0.25·2)/2 = 0.5.
 	// W1 = 0.5/(1·0.75) = 2/3; W2 = 0.5/(0.75·0.5) = 4/3.
-	wait, resp, err := PriorityMG1(twoClasses(0.25, 0.25, 1, 1), NonPreemptive)
+	wait, resp, err := priorityMG1(twoClasses(0.25, 0.25, 1, 1), NonPreemptive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +93,7 @@ func TestPriorityMG1PreemptiveKnownValue(t *testing.T) {
 	// T1 = E[S1]/(1−0) + R1/((1)(1−σ1)), R1 = 0.25·2/2 = 0.25.
 	// T1 = 1 + 0.25/0.75 = 4/3.
 	// T2 = 1/(1−0.25) + 0.5/((0.75)(0.5)) = 4/3 + 4/3 = 8/3.
-	_, resp, err := PriorityMG1(twoClasses(0.25, 0.25, 1, 1), PreemptiveResume)
+	_, resp, err := priorityMG1(twoClasses(0.25, 0.25, 1, 1), PreemptiveResume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +110,11 @@ func TestPreemptiveHighClassIgnoresLowClass(t *testing.T) {
 	// its response must not depend on lower-class load at all.
 	base := twoClasses(0.3, 0.1, 1, 1)
 	loaded := twoClasses(0.3, 0.55, 1, 1)
-	_, r1, err := PriorityMG1(base, PreemptiveResume)
+	_, r1, err := priorityMG1(base, PreemptiveResume)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, r2, err := PriorityMG1(loaded, PreemptiveResume)
+	_, r2, err := priorityMG1(loaded, PreemptiveResume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +133,8 @@ func TestNonPreemptiveHighClassSeesResidualOfLow(t *testing.T) {
 	// increase the top class's wait.
 	base := twoClasses(0.3, 0.1, 1, 1)
 	loaded := twoClasses(0.3, 0.5, 1, 1)
-	w1, _, _ := PriorityMG1(base, NonPreemptive)
-	w2, _, _ := PriorityMG1(loaded, NonPreemptive)
+	w1, _, _ := priorityMG1(base, NonPreemptive)
+	w2, _, _ := priorityMG1(loaded, NonPreemptive)
 	if !(w2[0] > w1[0]) {
 		t.Errorf("top-class wait should grow with low-class load: %g vs %g", w1[0], w2[0])
 	}
@@ -112,19 +151,19 @@ func TestConservationLaw(t *testing.T) {
 		if math.IsNaN(l1 + l2 + l3) {
 			return true
 		}
-		classes := []ClassInput{
+		classes := []classInput{
 			{Lambda: l1, Service: NewExponential(1)},
 			{Lambda: l2, Service: NewExponential(1)},
 			{Lambda: l3, Service: NewExponential(1)},
 		}
-		if AggregateUtilization(classes, 1) >= 0.98 {
+		if utilization(classes, 1) >= 0.98 {
 			return true
 		}
-		wNP, _, err := PriorityMG1(classes, NonPreemptive)
+		wNP, _, err := priorityMG1(classes, NonPreemptive)
 		if err != nil {
 			return false
 		}
-		wF, _, err := PriorityMG1(classes, FCFS)
+		wF, _, err := priorityMG1(classes, FCFS)
 		if err != nil {
 			return false
 		}
@@ -151,16 +190,16 @@ func TestPriorityOrderingInvariant(t *testing.T) {
 		if math.IsNaN(l1 + l2 + l3) {
 			return true
 		}
-		classes := []ClassInput{
+		classes := []classInput{
 			{Lambda: l1, Service: NewExponential(1)},
 			{Lambda: l2, Service: NewExponential(1)},
 			{Lambda: l3, Service: NewExponential(1)},
 		}
-		if AggregateUtilization(classes, 1) >= 0.97 {
+		if utilization(classes, 1) >= 0.97 {
 			return true
 		}
 		for _, d := range []Discipline{NonPreemptive, PreemptiveResume} {
-			wait, _, err := PriorityMG1(classes, d)
+			wait, _, err := priorityMG1(classes, d)
 			if err != nil {
 				return false
 			}
@@ -177,7 +216,7 @@ func TestPriorityOrderingInvariant(t *testing.T) {
 
 func TestPriorityMG1PartialStability(t *testing.T) {
 	// σ1 = 0.5 < 1 but σ2 = 1.5: class 0 finite, class 1 diverges.
-	wait, resp, err := PriorityMG1(twoClasses(0.5, 1.0, 1, 1), NonPreemptive)
+	wait, resp, err := priorityMG1(twoClasses(0.5, 1.0, 1, 1), NonPreemptive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +227,7 @@ func TestPriorityMG1PartialStability(t *testing.T) {
 		t.Error("low class should diverge")
 	}
 	// FCFS: everyone diverges.
-	wf, _, _ := PriorityMG1(twoClasses(0.5, 1.0, 1, 1), FCFS)
+	wf, _, _ := priorityMG1(twoClasses(0.5, 1.0, 1, 1), FCFS)
 	if !math.IsInf(wf[0], 1) {
 		t.Error("FCFS should diverge for all classes when overloaded")
 	}
@@ -196,11 +235,11 @@ func TestPriorityMG1PartialStability(t *testing.T) {
 
 func TestPriorityMMcReducesToMG1(t *testing.T) {
 	classes := twoClasses(0.2, 0.3, 1, 1)
-	w1, r1, err := PriorityMMc(classes, 1, NonPreemptive)
+	w1, r1, err := priorityMMc(classes, 1, NonPreemptive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, r2, err := PriorityMG1(classes, NonPreemptive)
+	w2, r2, err := priorityMG1(classes, NonPreemptive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +251,8 @@ func TestPriorityMMcReducesToMG1(t *testing.T) {
 }
 
 func TestPriorityMMcSingleClassMatchesErlangC(t *testing.T) {
-	cl := []ClassInput{{Lambda: 1.2, Service: NewExponential(1)}}
-	wait, _, err := PriorityMMc(cl, 2, NonPreemptive)
+	cl := []classInput{{Lambda: 1.2, Service: NewExponential(1)}}
+	wait, _, err := priorityMMc(cl, 2, NonPreemptive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +264,7 @@ func TestPriorityMMcSingleClassMatchesErlangC(t *testing.T) {
 
 func TestPriorityMMcFCFSAllClassesEqualWait(t *testing.T) {
 	classes := twoClasses(0.5, 0.7, 1, 1)
-	wait, _, err := PriorityMMc(classes, 2, FCFS)
+	wait, _, err := priorityMMc(classes, 2, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +274,12 @@ func TestPriorityMMcFCFSAllClassesEqualWait(t *testing.T) {
 }
 
 func TestPriorityMMcOrdering(t *testing.T) {
-	classes := []ClassInput{
+	classes := []classInput{
 		{Lambda: 0.5, Service: NewExponential(1)},
 		{Lambda: 0.5, Service: NewExponential(1)},
 		{Lambda: 0.4, Service: NewExponential(1)},
 	}
-	wait, _, err := PriorityMMc(classes, 2, NonPreemptive)
+	wait, _, err := priorityMMc(classes, 2, NonPreemptive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,17 +289,17 @@ func TestPriorityMMcOrdering(t *testing.T) {
 }
 
 func TestPriorityMMcPreemptiveMultiServerRejected(t *testing.T) {
-	if _, _, err := PriorityMMc(twoClasses(0.1, 0.1, 1, 1), 2, PreemptiveResume); err == nil {
+	if _, _, err := priorityMMc(twoClasses(0.1, 0.1, 1, 1), 2, PreemptiveResume); err == nil {
 		t.Error("preemptive multi-server should be rejected")
 	}
 }
 
 func TestPriorityMMcZeroTraffic(t *testing.T) {
-	classes := []ClassInput{
+	classes := []classInput{
 		{Lambda: 0, Service: NewExponential(2)},
 		{Lambda: 0, Service: NewExponential(3)},
 	}
-	wait, resp, err := PriorityMMc(classes, 4, NonPreemptive)
+	wait, resp, err := priorityMMc(classes, 4, NonPreemptive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,15 +314,15 @@ func TestPriorityMMcZeroTraffic(t *testing.T) {
 }
 
 func TestValidateClassesErrors(t *testing.T) {
-	if _, _, err := PriorityMG1(nil, FCFS); err == nil {
+	if _, _, err := priorityMG1(nil, FCFS); err == nil {
 		t.Error("empty classes accepted")
 	}
-	bad := []ClassInput{{Lambda: -1, Service: NewExponential(1)}}
-	if _, _, err := PriorityMG1(bad, FCFS); err == nil {
+	bad := []classInput{{Lambda: -1, Service: NewExponential(1)}}
+	if _, _, err := priorityMG1(bad, FCFS); err == nil {
 		t.Error("negative lambda accepted")
 	}
-	noSvc := []ClassInput{{Lambda: 1, Service: nil}}
-	if _, _, err := PriorityMG1(noSvc, FCFS); err == nil {
+	noSvc := []classInput{{Lambda: 1, Service: nil}}
+	if _, _, err := priorityMG1(noSvc, FCFS); err == nil {
 		t.Error("nil service accepted")
 	}
 }

@@ -62,57 +62,63 @@ func (s *Station) Validate(numClasses int) error {
 	return nil
 }
 
-// ServiceDistFor returns the service-time distribution of class k at the
-// station's current speed: mean Work/Speed with the demand's CV², realized
-// as Deterministic (CV²=0), Erlang (CV²<1), Exponential (CV²=1) or balanced
-// hyperexponential (CV²>1).
-func (s *Station) ServiceDistFor(k int) ServiceDist {
-	d := s.Demands[k]
-	return DistForCV2(d.Work/s.Speed, d.CV2)
+// Moments fills m1 and m2 with each class's service-time moments E[S_k]
+// and E[S_k²] at the station's current speed: mean Work/Speed with the
+// demand's CV², read from the distribution DistForCV2 would build. It
+// allocates nothing.
+func (s *Station) Moments(m1, m2 []float64) {
+	for k, d := range s.Demands {
+		m1[k], m2[k], _ = forCV2(d.Work/s.Speed, d.CV2, false)
+	}
 }
 
 // DistForCV2 constructs a service distribution with the given mean and
 // squared coefficient of variation using the standard moment-matching
-// recipes of queueing analysis.
+// recipes of queueing analysis: Deterministic (CV²=0), Erlang (CV²<1),
+// Exponential (CV²=1) or balanced hyperexponential (CV²>1).
 func DistForCV2(mean, cv2 float64) ServiceDist {
+	_, _, d := forCV2(mean, cv2, true)
+	return d
+}
+
+// forCV2 is the one moment-matching recipe behind DistForCV2 and
+// Station.Moments. It returns the first two moments of the distribution
+// with the given mean and CV², read from the concrete type (so HyperExp's
+// mean is P·M1+(1−P)·M2, not the mean passed in), and, when dist is set,
+// the distribution itself. Without dist nothing is boxed or allocated.
+func forCV2(mean, cv2 float64, dist bool) (m1, m2 float64, d ServiceDist) {
 	switch {
 	case cv2 == 0:
-		return NewDeterministic(mean)
+		x := NewDeterministic(mean)
+		if dist {
+			d = x
+		}
+		return x.Mean(), x.SecondMoment(), d
 	case cv2 < 1:
 		// Erlang-k with k = round(1/cv²); exact when 1/cv² is integral.
 		k := int(math.Round(1 / cv2))
 		if k < 1 {
 			k = 1
 		}
-		return NewErlang(mean, k)
+		x := NewErlang(mean, k)
+		if dist {
+			d = x
+		}
+		return x.Mean(), x.SecondMoment(), d
 	//lint:waive floateq reason="deliberate exact compare: CV^2 exactly 1 selects the exponential family" until=2027-08-01
 	case cv2 == 1:
-		return NewExponential(mean)
+		x := NewExponential(mean)
+		if dist {
+			d = x
+		}
+		return x.Mean(), x.SecondMoment(), d
 	default:
-		return NewHyperExpCV2(mean, cv2)
+		x := NewHyperExpCV2(mean, cv2)
+		if dist {
+			d = x
+		}
+		return x.Mean(), x.SecondMoment(), d
 	}
-}
-
-// ClassInputs builds the per-class queueing inputs for the station given the
-// per-class arrival rates (indexed like Demands).
-func (s *Station) ClassInputs(lambda []float64) []ClassInput {
-	in := make([]ClassInput, len(s.Demands))
-	for k := range s.Demands {
-		in[k] = ClassInput{Lambda: lambda[k], Service: s.ServiceDistFor(k)}
-	}
-	return in
-}
-
-// Utilization returns the per-server utilization of the station under the
-// given arrival rates.
-func (s *Station) Utilization(lambda []float64) float64 {
-	return AggregateUtilization(s.ClassInputs(lambda), s.Servers)
-}
-
-// ResponseTimes returns per-class mean waiting and response times at the
-// station under the given per-class arrival rates.
-func (s *Station) ResponseTimes(lambda []float64) (wait, resp []float64, err error) {
-	return PriorityMMc(s.ClassInputs(lambda), s.Servers, s.Discipline)
 }
 
 // MinSpeedForStability returns the smallest speed at which the station is

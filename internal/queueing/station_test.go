@@ -29,14 +29,15 @@ func TestStationHelpers(t *testing.T) {
 	if err := s.Validate(2); err != nil {
 		t.Fatal(err)
 	}
-	// Class 1: mean 2/4 = 0.5, CV² 0.5 → Erlang-2.
-	d := s.ServiceDistFor(1)
-	if !almostEq(d.Mean(), 0.5, 1e-12) || !almostEq(d.CV2(), 0.5, 1e-12) {
-		t.Errorf("service dist: %v", d)
+	// Class 1: mean 2/4 = 0.5, CV² 0.5 → Erlang-2, E[S²] = 0.25·(1 + 1/2).
+	m1, m2 := make([]float64, 2), make([]float64, 2)
+	s.Moments(m1, m2)
+	if !almostEq(m1[1], 0.5, 1e-12) || !almostEq(m2[1], 0.375, 1e-12) {
+		t.Errorf("class 1 moments: %g, %g", m1[1], m2[1])
 	}
 	lam := []float64{1, 1}
 	// ρ = (1·0.25 + 1·0.5)/2 = 0.375.
-	if got := s.Utilization(lam); !almostEq(got, 0.375, 1e-12) {
+	if got := Utilization(s.Servers, lam, m1); !almostEq(got, 0.375, 1e-12) {
 		t.Errorf("util = %g", got)
 	}
 	// Min speed: (1·1 + 1·2)/2 = 1.5 work-units/s.

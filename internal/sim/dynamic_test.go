@@ -281,3 +281,43 @@ func TestReactiveControllerTracksDiurnalLoad(t *testing.T) {
 			resCtl.Delay[0].Mean, resMean.Delay[0].Mean)
 	}
 }
+
+// meanRate returns the long-run average rate of a profile over one period
+// for the built-in shapes, or the constant rate. The thinning tests check
+// the realized arrival rate against it.
+func meanRate(p Profile) float64 {
+	switch t := p.(type) {
+	case constantRate:
+		return float64(t)
+	case Sinusoid:
+		return t.Mean
+	case SquareWave:
+		return t.High*t.HighFraction + t.Low*(1-t.HighFraction)
+	case Schedule:
+		if t.Period > 0 {
+			// Time-weighted average over one cycle.
+			var sum float64
+			for i, r := range t.Rates {
+				end := t.Period
+				if i+1 < len(t.Times) {
+					end = t.Times[i+1]
+				}
+				sum += r * (end - t.Times[i])
+			}
+			return sum / t.Period
+		}
+		// Without cycling the final segment holds forever and dominates the
+		// long-run average.
+		return t.Rates[len(t.Rates)-1]
+	default:
+		// Numerical average over a generic profile, using its max rate to
+		// choose a sampling span.
+		const samples = 10000
+		span := 1000.0
+		var sum float64
+		for i := 0; i < samples; i++ {
+			sum += p.RateAt(span * float64(i) / samples)
+		}
+		return sum / samples
+	}
+}

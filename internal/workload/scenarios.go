@@ -151,7 +151,7 @@ func ScaleArrivals(c *cluster.Cluster, f float64) *cluster.Cluster {
 func CapacityFraction(c *cluster.Cluster, frac float64) *cluster.Cluster {
 	u := math.Inf(-1)
 	for _, m := range c.TierModels() {
-		if r := m.Station.Utilization(m.Arrivals); r > u {
+		if r := m.Utilization(); r > u {
 			u = r
 		}
 	}
