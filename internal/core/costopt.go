@@ -147,22 +147,7 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 		return worst
 	}
 
-	// Start from the smallest stable counts at max speed.
-	ms := work.TierModels()
-	for j, t := range work.Tiers {
-		t.Servers = 1
-		_, hi := work.SpeedBounds()
-		// Grow until the tier alone is stable at max speed.
-		st := ms[j].Station
-		st.Speed = hi[j]
-		for t.Servers < maxServers {
-			st.Servers = t.Servers
-			if ms[j].Utilization() < 0.999 {
-				break
-			}
-			t.Servers++
-		}
-	}
+	startServers(work, maxServers)
 
 	// Greedy growth to feasibility. The violation after a step is the
 	// winning candidate's, already evaluated.
@@ -350,6 +335,28 @@ func tuneSpeedsForSLA(c *cluster.Cluster) (*cluster.Cluster, error) {
 		}
 	}
 	return sol.Cluster, nil
+}
+
+// startServers sets every tier of c to the fewest servers, at most
+// maxServers, that keep it stable alone at maximum speed: below 0.999
+// utilization at the availability-degraded capacity hi·A that every model
+// path serves at.
+func startServers(c *cluster.Cluster, maxServers int) {
+	for _, t := range c.Tiers {
+		t.Servers = 1
+	}
+	_, hi := c.SpeedBounds()
+	ms := c.TierModels()
+	for j, t := range c.Tiers {
+		st := ms[j].Station
+		st.Speed = hi[j] * ms[j].Avail
+		for ; t.Servers < maxServers; t.Servers++ {
+			st.Servers = t.Servers
+			if ms[j].Utilization() < 0.999 {
+				break
+			}
+		}
+	}
 }
 
 // hottestTier returns the index of the tier with the highest utilization at

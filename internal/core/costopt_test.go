@@ -314,6 +314,34 @@ func TestMinimizeCostAvailabilityMargin(t *testing.T) {
 	}
 }
 
+// TestMinimizeCostStartIsStable: MinimizeCost's greedy growth starts from
+// the fewest servers that keep each tier stable alone at maximum speed, with
+// the capacity hi·A the tier actually serves at. At the planning
+// availability 0.7 of TestMinimizeCostAvailabilityMargin, counts sized at
+// the nominal hi left slaCluster's web and db tiers 103% and 120% busy.
+func TestMinimizeCostStartIsStable(t *testing.T) {
+	for _, a := range []float64{1, 0.7, 0.4} {
+		c := slaCluster()
+		for _, tier := range c.Tiers {
+			tier.Availability = a
+		}
+		startServers(c, 64)
+		_, hi := c.SpeedBounds()
+		ms := c.TierModels()
+		for j, tier := range c.Tiers {
+			m := &ms[j]
+			_, _, tm, err := m.Eval(hi[j])
+			if err != nil || !(tm.Utilization < 0.999) {
+				t.Errorf("A=%g tier %q: %d servers start at utilization %g (%v), want below 0.999",
+					a, tier.Name, tier.Servers, tm.Utilization, err)
+			}
+			if m.Station.Servers = tier.Servers - 1; tier.Servers > 1 && m.Utilization() < 0.999 {
+				t.Errorf("A=%g tier %q: %d servers start, but %d are already stable", a, tier.Name, tier.Servers, tier.Servers-1)
+			}
+		}
+	}
+}
+
 // TestTuneSpeedsPercentileCertified: a percentile bound enters C4's speed
 // tuning as a linearized tail row of the dual, here next to a mean bound on
 // the same class. The tuned speeds must meet every SLA strictly, at no more

@@ -42,6 +42,7 @@ type tierFn struct {
 	m     cluster.TierModel
 	tailW []float64 // per-class tail weights w_kj; nil without tail rows
 	knots []float64 // lo, the power curve's kinks inside (lo, hi), hi
+	warm  []float64 // per piece between knots, its last interior minimizer (NaN: none yet)
 }
 
 func newTierFn(m cluster.TierModel, lo, hi float64) tierFn {
@@ -54,8 +55,18 @@ func newTierFn(m cluster.TierModel, lo, hi float64) tierFn {
 			}
 		}
 	}
-	knots = append(knots, hi)
-	return tierFn{m: m, knots: knots}
+	f := tierFn{m: m}
+	f.setKnots(append(knots, hi))
+	return f
+}
+
+// setKnots sets the tier's knots and forgets every piece's warm start.
+func (f *tierFn) setKnots(knots []float64) {
+	f.knots = knots
+	f.warm = make([]float64, len(knots)-1)
+	for i := range f.warm {
+		f.warm[i] = math.NaN()
+	}
 }
 
 // eval returns the tier's average power and per-class response times at
@@ -104,48 +115,64 @@ func (f *tierFn) weigh(l float64, theta, resp []float64) float64 {
 // the Lagrangian is convex in the service time u = 1/s: the power term is a
 // multiple of u^(1−γ) (power law), constant (linear) or affine in u (a table
 // segment), and every response time is convex in u. So it is unimodal in s
-// there, and pieceMin applies.
+// there, and pieceMin applies, started from the piece's last interior
+// minimizer: successive calls come from nearby multipliers.
 func (f *tierFn) argmin(alpha float64, theta []float64) float64 {
 	obj := func(s float64) float64 { return f.lagrangian(s, alpha, theta) }
 	best, bestF := f.knots[0], math.Inf(1)
 	for i := 1; i < len(f.knots); i++ {
-		x := pieceMin(obj, f.knots[i-1], f.knots[i])
-		if v := obj(x); v < bestF {
+		a, b := f.knots[i-1], f.knots[i]
+		x, v := pieceMin(obj, a, b, f.warm[i-1])
+		if x > a && x < b {
+			f.warm[i-1] = x
+		}
+		if v < bestF {
 			best, bestF = x, v
 		}
 	}
 	return best
 }
 
-// pieceMin returns the minimizer of a function unimodal on [a, b]: an end
-// where the slope points out of the interval, otherwise the root of the
-// slope, by Newton steps on difference quotients safeguarded by bisection of
-// the bracket. Root-finding on the slope resolves the speed to rounding,
-// where comparing function values (golden section) stalls at √ε relative —
-// too coarse for the C3b dual, whose bound residuals move with the speeds.
-// The difference step is wide enough that rounding cannot flip the slope's
-// sign near the root; the root's resulting offset is smooth in the
-// multipliers and costs only second order in the objective. Quotients are
-// kept inside [a, b], so a kink at either end does not leak in, narrowing
-// near an end down to 1e-9 of the speed; the ends are judged by one-sided
-// quotients 1e-9 wide. Near a stability floor, 0.1% below a tier's lowest
-// speed, the minimizer moves by far less than a wide quotient resolves.
-func pieceMin(obj func(float64) float64, a, b float64) float64 {
+// pieceMin returns the minimizer of a function unimodal on [a, b] and the
+// function's value there: an end where the slope points out of the interval,
+// otherwise the root of the slope, by Newton steps on difference quotients
+// safeguarded by bisection of the bracket. The steps start from x0 when it
+// lies inside (a, b), else from the midpoint. Root-finding on the slope
+// resolves the speed to rounding, where comparing function values (golden
+// section) stalls at √ε relative — too coarse for the C3b dual, whose bound
+// residuals move with the speeds. The difference step, 1e-4 of the speed, is
+// wide enough that rounding cannot flip the slope's sign near the root; the
+// root's resulting offset is smooth in the multipliers and costs only second
+// order in the objective. Quotients are kept inside [a, b], so a kink at
+// either end does not leak in, narrowing near an end down to 1e-9 of the
+// speed; the ends are judged by one-sided quotients 1e-9 wide. Near a
+// stability floor, 0.1% below a tier's lowest speed, the minimizer moves by
+// far less than a wide quotient resolves. A Newton step of at most 1e-12 of
+// the speed has converged, and the point it starts from is returned with the
+// value already computed there: such a step can round onto the bracket's end
+// at that point, and bisection would then halve the bracket down to 1e-12 of
+// the speed. The value is computed afresh only at a point not evaluated yet.
+func pieceMin(obj func(float64) float64, a, b, x0 float64) (x, fx float64) {
 	if !(b > a) {
-		return a
+		return a, obj(a)
 	}
 	lo, hi := a, b
 	slope := func(x float64) float64 {
 		l, r := math.Max(x-1e-4*x, lo), math.Min(x+1e-4*x, hi)
 		return (obj(r) - obj(l)) / (r - l)
 	}
-	if !((obj(a+1e-9*a)-obj(a))/(1e-9*a) < 0) {
-		return a
+	fa := obj(a)
+	if !((obj(a+1e-9*a)-fa)/(1e-9*a) < 0) {
+		return a, fa
 	}
-	if !((obj(b)-obj(b-1e-9*b))/(1e-9*b) > 0) {
-		return b
+	fb := obj(b)
+	if !((fb-obj(b-1e-9*b))/(1e-9*b) > 0) {
+		return b, fb
 	}
-	x := a + (b-a)/2
+	x = a + (b-a)/2
+	if x0 > a && x0 < b {
+		x = x0
+	}
 	for i := 0; i < 100 && b-a > 1e-12*b; i++ {
 		h := math.Max(math.Min(1e-4*x, math.Min(x-lo, hi-x)/2), 1e-9*x)
 		newton := math.NaN()
@@ -158,7 +185,9 @@ func pieceMin(obj func(float64) float64, a, b float64) float64 {
 				b = x
 			}
 			if d2 > 0 {
-				newton = x - d1/d2
+				if newton = x - d1/d2; math.Abs(newton-x) <= 1e-12*x {
+					return x, fm
+				}
 			}
 		} else if slope(x) < 0 {
 			a = x
@@ -170,11 +199,11 @@ func pieceMin(obj func(float64) float64, a, b float64) float64 {
 			next = newton
 		}
 		if math.Abs(next-x) <= 1e-12*x {
-			return next
+			return next, obj(next)
 		}
 		x = next
 	}
-	return x
+	return x, obj(x)
 }
 
 // tierFns holds the tier functions of one cluster.
@@ -283,7 +312,7 @@ func (t *tierFns) convexParts() []*tierFns {
 					knots = append(knots, k)
 				}
 			}
-			u.tiers[j].knots = append(knots, hi)
+			u.tiers[j].setKnots(append(knots, hi))
 		}
 		parts = append(parts, &u)
 		j := 0
