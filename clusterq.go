@@ -305,8 +305,8 @@ func Simulate(c *Cluster, o SimOptions) (*SimResult, error) { return sim.Run(c, 
 type (
 	// Autoscaler is the model-driven PlanController.
 	Autoscaler = control.Controller
-	// AutoscalerConfig parameterizes the autoscaler (objective, smoothing,
-	// deadband, safety margin, solver options).
+	// AutoscalerConfig parameterizes the autoscaler (objective, its bound,
+	// smoothing, safety margin).
 	AutoscalerConfig = control.Config
 	// AutoscalerObjective selects which problem the autoscaler re-solves:
 	// ObjectiveEnergySLA (C3b), ObjectiveEnergyAggregate (C3a),

@@ -45,7 +45,7 @@ func main() {
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-4s %s\n", e.ID(), e.Title())
+			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
 		return
 	}
@@ -108,7 +108,7 @@ func main() {
 		n := completed.Add(1)
 		if *progress {
 			fmt.Fprintf(os.Stderr, "clusterq: %s done in %s (%d/%d)\n",
-				e.ID(), results[i].elapsed.Round(time.Millisecond), n, len(toRun))
+				e.ID, results[i].elapsed.Round(time.Millisecond), n, len(toRun))
 		}
 	}
 	if *parallel {
@@ -130,13 +130,13 @@ func main() {
 	var tables int64
 	for i, e := range toRun {
 		if results[i].err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID(), results[i].err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, results[i].err)
 			os.Exit(1)
 		}
-		reg.Gauge("clusterq_"+strings.ToLower(e.ID())+"_seconds",
-			"wall time of "+e.ID()).Set(results[i].elapsed.Seconds())
+		reg.Gauge("clusterq_"+strings.ToLower(e.ID)+"_seconds",
+			"wall time of "+e.ID).Set(results[i].elapsed.Seconds())
 		tables += int64(len(results[i].tables))
-		fmt.Printf("=== %s: %s ===\n\n", e.ID(), e.Title())
+		fmt.Printf("=== %s: %s ===\n\n", e.ID, e.Title)
 		for ti, t := range results[i].tables {
 			if err := t.WriteASCII(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -144,7 +144,7 @@ func main() {
 			}
 			fmt.Println()
 			if *csvDir != "" {
-				if err := writeCSV(*csvDir, e.ID(), ti, t); err != nil {
+				if err := writeCSV(*csvDir, e.ID, ti, t); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(1)
 				}

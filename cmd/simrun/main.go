@@ -7,7 +7,7 @@
 //	simrun -config cluster.json [-horizon 30000] [-reps 5] [-seed 0] [-q 0.95]
 //	       [-swing 0.5 -period 5000]      # diurnal sinusoidal load
 //	       [-reactive 0.7 -epoch 20]      # runtime DVFS controller
-//	       [-controller model -control-period 100]  # operating strategy: static|reactive|model
+//	       [-controller model -epoch 100] # operating strategy: static|reactive|model
 //	                                      # (model = online autoscaler re-solving the energy/SLA
 //	                                      # plan each epoch from window estimates; 1 replication)
 //	       [-sleep 2.0 -sleep-watts 20]   # instant-off sleep on every tier
@@ -63,10 +63,9 @@ func main() {
 		period = flag.Float64("period", 0, "diurnal period in simulated seconds (required with -swing)")
 
 		reactive = flag.Float64("reactive", 0, "enable the reactive DVFS controller with this utilization target (0 disables)")
-		epoch    = flag.Float64("epoch", 20, "controller epoch in simulated seconds")
+		epoch    = flag.Float64("epoch", 20, "control epoch in simulated seconds, for -reactive and -controller")
 
-		controller    = flag.String("controller", "", "operating strategy: static (no runtime control), reactive (utilization-target DVFS, target from -reactive or 0.7), or model (model-driven autoscaler re-solving the energy/SLA plan each epoch against window estimates; forces 1 replication)")
-		controlPeriod = flag.Float64("control-period", 0, "control epoch in simulated seconds for -controller (default: -epoch)")
+		controller = flag.String("controller", "", "operating strategy: static (no runtime control), reactive (utilization-target DVFS, target from -reactive or 0.7), or model (model-driven autoscaler re-solving the energy/SLA plan each epoch against window estimates; forces 1 replication)")
 
 		sleepSetup = flag.Float64("sleep", 0, "enable instant-off sleep on every tier with this mean setup time (0 disables)")
 		sleepWatts = flag.Float64("sleep-watts", 0, "per-server power while asleep (with -sleep)")
@@ -266,32 +265,28 @@ func main() {
 	}
 	// Operating strategy. -controller is the umbrella flag; the original
 	// -reactive spelling keeps working when -controller is unset.
-	ctlPeriod := *controlPeriod
-	if ctlPeriod <= 0 {
-		ctlPeriod = *epoch
-	}
 	var modelCtl *control.Controller
 	switch *controller {
 	case "":
-		if *reactive > 0 {
+		if *reactive != 0 {
 			opts.Controller = sim.UtilizationPolicy{Target: *reactive}
-			opts.ControlPeriod = ctlPeriod
-			fmt.Printf("reactive DVFS: target utilization %.2f, epoch %.4g s\n", *reactive, ctlPeriod)
+			opts.ControlPeriod = *epoch
+			fmt.Printf("reactive DVFS: target utilization %.2f, epoch %.4g s\n", *reactive, *epoch)
 		}
 	case "static":
-		if *reactive > 0 {
+		if *reactive != 0 {
 			fatal(fmt.Errorf("-controller=static contradicts -reactive %g", *reactive))
 		}
 	case "reactive":
 		target := *reactive
-		if target <= 0 {
+		if target == 0 {
 			target = 0.7
 		}
 		opts.Controller = sim.UtilizationPolicy{Target: target}
-		opts.ControlPeriod = ctlPeriod
-		fmt.Printf("reactive DVFS: target utilization %.2f, epoch %.4g s\n", target, ctlPeriod)
+		opts.ControlPeriod = *epoch
+		fmt.Printf("reactive DVFS: target utilization %.2f, epoch %.4g s\n", target, *epoch)
 	case "model":
-		if *reactive > 0 {
+		if *reactive != 0 {
 			fatal(fmt.Errorf("-controller=model contradicts -reactive %g", *reactive))
 		}
 		ctl, err := control.New(c, control.Config{Objective: control.EnergySLA})
@@ -300,12 +295,12 @@ func main() {
 		}
 		modelCtl = ctl
 		opts.PlanController = ctl
-		opts.ControlPeriod = ctlPeriod
+		opts.ControlPeriod = *epoch
 		if opts.Windows == nil {
 			// The autoscaler estimates arrival rates from the window
 			// sensors; attach a set sized to the control epoch when the
 			// user did not configure one with -window.
-			w, err := window.NewSet(window.Config{Width: ctlPeriod}, len(c.Classes), len(c.Tiers))
+			w, err := window.NewSet(window.Config{Width: *epoch}, len(c.Classes), len(c.Tiers))
 			if err != nil {
 				fatal(err)
 			}
@@ -318,7 +313,7 @@ func main() {
 			opts.Replications = 1
 			fmt.Println("model controller: single replication (the controller is stateful across epochs)")
 		}
-		fmt.Printf("model-driven autoscaler: objective %v, epoch %.4g s\n", control.EnergySLA, ctlPeriod)
+		fmt.Printf("model-driven autoscaler: objective %v, epoch %.4g s\n", control.EnergySLA, *epoch)
 	default:
 		fatal(fmt.Errorf("-controller must be static, reactive or model, got %q", *controller))
 	}

@@ -82,12 +82,6 @@ type Config struct {
 	// estimate, in (0, 1]: est ← Smoothing·λ̂ + (1−Smoothing)·est. Default
 	// 0.5; 1 trusts each window reading outright.
 	Smoothing float64
-	// Deadband is the relative per-class estimate change below which the
-	// controller holds the current plan instead of re-solving (default
-	// 0.05). Any negative value disables the deadband — re-solve every
-	// epoch — following the repo's negative-sentinel convention for
-	// explicit zeros (see sim.ZeroWarmup).
-	Deadband float64
 	// Margin inflates every estimate before solving — the plan serves
 	// λ̂·(1+Margin) — covering the estimation lag of the sliding window and
 	// EWMA during load rises. The offline problems place the binding
@@ -166,14 +160,6 @@ func New(c *cluster.Cluster, cfg Config) (*Controller, error) {
 		cfg.Smoothing = 0.5
 	case !(cfg.Smoothing > 0) || cfg.Smoothing > 1:
 		return nil, fmt.Errorf("control: smoothing %g out of (0, 1]", cfg.Smoothing)
-	}
-	switch {
-	case cfg.Deadband == 0:
-		cfg.Deadband = 0.05
-	case cfg.Deadband < 0:
-		cfg.Deadband = 0
-	case !(cfg.Deadband < 1):
-		return nil, fmt.Errorf("control: deadband %g must be below 1", cfg.Deadband)
 	}
 	switch {
 	case cfg.Margin == 0:
@@ -281,15 +267,20 @@ func (a *Controller) drainBoost(obs sim.PlanObservation) float64 {
 	return boost
 }
 
+// deadband is the relative change, in each class's estimate and in the
+// margin·drain factor, below which the controller holds the current plan
+// instead of re-solving.
+const deadband = 0.05
+
 // withinDeadband reports whether every class's estimate — and the overall
 // inflation factor — is within the relative deadband of the last solve's
 // anchor. A backlog surge therefore re-solves even while the arrival-rate
 // estimates are quiet.
 func (a *Controller) withinDeadband(factor float64) bool {
-	if a.cfg.Deadband == 0 || a.anchor == nil {
+	if a.anchor == nil {
 		return false
 	}
-	if !(a.anchorF > 0) || math.Abs(factor-a.anchorF)/a.anchorF > a.cfg.Deadband {
+	if !(a.anchorF > 0) || math.Abs(factor-a.anchorF)/a.anchorF > deadband {
 		return false
 	}
 	for k, e := range a.est {
@@ -300,7 +291,7 @@ func (a *Controller) withinDeadband(factor float64) bool {
 			}
 			continue
 		}
-		if math.Abs(e-ref)/ref > a.cfg.Deadband {
+		if math.Abs(e-ref)/ref > deadband {
 			return false
 		}
 	}

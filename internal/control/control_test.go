@@ -32,16 +32,15 @@ func TestNewValidation(t *testing.T) {
 		{"unknown objective", c, Config{Objective: Objective(99)}},
 		{"smoothing above 1", c, Config{Smoothing: 1.5}},
 		{"smoothing negative", c, Config{Smoothing: -0.5}},
-		{"deadband at 1", c, Config{Deadband: 1}},
 		{"margin absurd", c, Config{Margin: 10}},
 	} {
 		if _, err := New(tc.c, tc.cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	// The negative sentinels are explicit zeros, not errors.
-	if _, err := New(c, Config{Deadband: -1, Margin: -1}); err != nil {
-		t.Errorf("negative sentinels rejected: %v", err)
+	// The negative margin sentinel is an explicit zero, not an error.
+	if _, err := New(c, Config{Margin: -1}); err != nil {
+		t.Errorf("negative margin sentinel rejected: %v", err)
 	}
 	// Aggregate and budget objectives construct with their bound set.
 	if _, err := New(c, Config{Objective: EnergyAggregate, MaxWeightedDelay: 3}); err != nil {
@@ -70,7 +69,7 @@ func TestObjectiveStrings(t *testing.T) {
 // in with the configured smoothing.
 func TestEWMASkipsNonEstimates(t *testing.T) {
 	c := workload.Enterprise3Tier(1)
-	a, err := New(c, Config{Smoothing: 0.5, Deadband: -1})
+	a, err := New(c, Config{Smoothing: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +89,11 @@ func TestEWMASkipsNonEstimates(t *testing.T) {
 }
 
 // TestDeadbandHoldsQuietEstimates pins the hold path: after the initial
-// solve, epochs whose estimates and backlog stay within the deadband return
-// the zero decision (hold) without re-solving.
+// solve, epochs whose estimates and backlog stay within the 5% deadband
+// return the zero decision (hold) without re-solving.
 func TestDeadbandHoldsQuietEstimates(t *testing.T) {
 	c := workload.Enterprise3Tier(1)
-	a, err := New(c, Config{Deadband: 0.1})
+	a, err := New(c, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +115,8 @@ func TestDeadbandHoldsQuietEstimates(t *testing.T) {
 	for k, v := range nominal {
 		shifted[k] = 1.6 * v
 	}
-	// Two epochs at the shifted rate: EWMA 0.5 reaches 1.3×, 13% above the
-	// 10% deadband around the anchor.
+	// One epoch at the shifted rate: EWMA 0.5 reaches 1.3×, 30% from the
+	// anchor and well past the 5% deadband.
 	a.DecidePlan(mkObs(300, shifted...))
 	if got := a.Stats().Solves; got != 2 {
 		t.Errorf("shifted epoch did not re-solve: solves=%d", got)
@@ -128,7 +127,7 @@ func TestDeadbandHoldsQuietEstimates(t *testing.T) {
 // even while the arrival-rate estimates sit exactly on the anchor.
 func TestBacklogBoostBreaksHold(t *testing.T) {
 	c := workload.Enterprise3Tier(1)
-	a, err := New(c, Config{Deadband: 0.1})
+	a, err := New(c, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +189,9 @@ func TestStatsAndName(t *testing.T) {
 // controller's cold solve at the same estimates.
 func TestEnergySLAWarmStartMatchesCold(t *testing.T) {
 	c := workload.Enterprise3Tier(1)
-	cfg := Config{Smoothing: 1, Deadband: -1}
+	// Every epoch moves the estimates at least 30%, past the 5% deadband,
+	// so each one re-solves.
+	cfg := Config{Smoothing: 1}
 	warm, err := New(c, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -335,7 +335,7 @@ func meanProblem(c *cluster.Cluster, kind string, limit float64, weights, bounds
 // certifies a gap of at most tol of its objective.
 func certifyMean(t *testing.T, name string, c *cluster.Cluster, weights []float64, pr *dualProblem, sol *Solution, tol float64) {
 	t.Helper()
-	tf, err := newTierFns(c, weights)
+	tf, err := weightedTierFns(c, weights)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -348,6 +348,50 @@ func certifyMean(t *testing.T, name string, c *cluster.Cluster, weights []float6
 		t.Errorf("%s: objective %.12g, certified gap %.3g (%.3g relative)",
 			name, sol.Objective, gap, gap/math.Abs(sol.Objective))
 	}
+}
+
+// weightedTierFns is newTierFns with the per-class delay weights w,
+// normalized to sum 1, in place of the arrival rates; nil w keeps the rates.
+// It rejects weights MinimizeDelay could never be asked to use: one per
+// class, finite and non-negative, with a positive finite sum.
+func weightedTierFns(c *cluster.Cluster, w []float64) (*tierFns, error) {
+	tf, err := newTierFns(c)
+	if err != nil || w == nil {
+		return tf, err
+	}
+	if len(w) != len(c.Classes) {
+		return nil, fmt.Errorf("%d weights for %d classes", len(w), len(c.Classes))
+	}
+	var sum float64
+	for k, v := range w {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("weight %d is %g, want finite and non-negative", k, v)
+		}
+		sum += v
+	}
+	if !(sum > 0) || math.IsInf(sum, 1) {
+		return nil, fmt.Errorf("weights sum to %g, want a positive finite sum", sum)
+	}
+	tf.wBy = make([]float64, len(w))
+	for k, v := range w {
+		tf.wBy[k] = v / sum
+	}
+	return tf, nil
+}
+
+// minimizeDelayWeighted is MinimizeDelay with the per-class delay weights w
+// of weightedTierFns in place of the arrival rates: the C2 solver on an
+// objective the paper does not pose, which exercises the dual at weights
+// arrival rates do not produce, a zero weight among them.
+func minimizeDelayWeighted(c *cluster.Cluster, budget float64, w []float64) (*Solution, error) {
+	if !(budget > 0) {
+		return nil, fmt.Errorf("energy budget %g must be positive", budget)
+	}
+	tf, err := weightedTierFns(c, w)
+	if err != nil {
+		return nil, err
+	}
+	return tf.minimizeDelay(budget)
 }
 
 // certifySLA fails t unless a solveSLA solution with mean bounds mean and
@@ -364,7 +408,7 @@ func certifySLA(t *testing.T, name string, c *cluster.Cluster, mean []float64, t
 		certifyMean(t, name, c, nil, meanProblem(c, "c3b", 0, nil, mean), sol, tol)
 		return
 	}
-	tf, err := newTierFns(c, nil)
+	tf, err := newTierFns(c)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -215,27 +215,22 @@ type tierFns struct {
 	wBy   []float64 // per-class weights, normalized to sum 1
 }
 
-// newTierFns prepares the decomposition for the cluster. Weights default to
-// arrival-rate weighting.
-func newTierFns(c *cluster.Cluster, weights []float64) (*tierFns, error) {
+// newTierFns prepares the decomposition for the cluster, weighting each
+// class by its arrival rate. Validate accepts a cluster whose classes all
+// have rate zero; that leaves no delay to weight, so it is rejected here.
+func newTierFns(c *cluster.Cluster) (*tierFns, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	work := c.Clone()
 	lo, hi := work.SpeedBounds()
-	w := weights
-	if w == nil {
-		w = work.Lambdas()
-	}
+	w := work.Lambdas()
 	var sum float64
-	for k, v := range w {
-		if !(v >= 0) || math.IsInf(v, 1) {
-			return nil, fmt.Errorf("core: weight %d is %g, want finite and non-negative", k, v)
-		}
+	for _, v := range w {
 		sum += v
 	}
-	if !(sum > 0) || math.IsInf(sum, 1) {
-		return nil, fmt.Errorf("core: weights sum to %g, want a positive finite sum", sum)
+	if !(sum > 0) {
+		return nil, fmt.Errorf("core: arrival rates sum to %g, want a positive total", sum)
 	}
 	wn := make([]float64, len(w))
 	for i, v := range w {
@@ -865,7 +860,7 @@ func solveSLA(c *cluster.Cluster, mean []float64, tail []TailBound, nu0 []float6
 	if !bounded && !hasTail {
 		return nil, fmt.Errorf("core: no positive delay or tail bound given")
 	}
-	t, err := newTierFns(c, nil)
+	t, err := newTierFns(c)
 	if err != nil {
 		return nil, err
 	}

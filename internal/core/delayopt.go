@@ -10,17 +10,14 @@ import (
 type DelayOptions struct {
 	// EnergyBudget is the average power cap in watts (required, > 0).
 	EnergyBudget float64
-	// Weights optionally reweights the per-class delays in the objective;
-	// nil uses arrival-rate weighting (the paper's all-class average).
-	// Entries must be finite and non-negative, with a positive sum.
-	Weights []float64
 }
 
 // MinimizeDelay solves the paper's C2 problem: choose per-tier speeds to
-// minimize the average end-to-end delay subject to the cluster's average
-// power staying within the energy budget.
+// minimize the all-class average end-to-end delay, each class weighted by
+// its arrival rate, subject to the cluster's average power staying within
+// the energy budget.
 //
-//	min_s  Σ_k w_k D_k(s) / Σ_k w_k
+//	min_s  Σ_k λ_k D_k(s) / Σ_k λ_k
 //	s.t.   P(s) ≤ EnergyBudget,  s ∈ [s_min, s_max] per tier
 //
 // Delay and power are both sums of per-tier terms, so the problem is solved
@@ -33,13 +30,15 @@ func MinimizeDelay(c *cluster.Cluster, o DelayOptions) (*Solution, error) {
 	if !(budget > 0) {
 		return nil, fmt.Errorf("core: energy budget %g must be positive", budget)
 	}
-	if o.Weights != nil && len(o.Weights) != len(c.Classes) {
-		return nil, fmt.Errorf("core: %d weights for %d classes", len(o.Weights), len(c.Classes))
-	}
-	t, err := newTierFns(c, o.Weights)
+	t, err := newTierFns(c)
 	if err != nil {
 		return nil, err
 	}
+	return t.minimizeDelay(budget)
+}
+
+// minimizeDelay solves C2 over t's class weights.
+func (t *tierFns) minimizeDelay(budget float64) (*Solution, error) {
 	// Feasibility: the point of least power.
 	if pMin := t.evalAt(t.cheapest(), make([]float64, len(t.wBy))); pMin > budget {
 		return nil, fmt.Errorf("core: energy budget %g W infeasible: minimum stable power is %g W", budget, pMin)

@@ -32,7 +32,7 @@ type dualPin struct {
 type dualPinCase struct {
 	name    string
 	c       *cluster.Cluster
-	kind    string // "c2", "c2w" (C2 with Weights) or "c3a"
+	kind    string // "c2", "c2w" (C2 with weights) or "c3a"
 	limit   float64
 	weights []float64
 }
@@ -48,7 +48,7 @@ func (pc dualPinCase) solve() (sol *Solution, value float64, err error) {
 			value = sol.Metrics.WeightedDelay
 		}
 	default:
-		sol, err = MinimizeDelay(pc.c, DelayOptions{EnergyBudget: pc.limit, Weights: pc.weights})
+		sol, err = minimizeDelayWeighted(pc.c, pc.limit, pc.weights)
 		if err == nil {
 			value = sol.Metrics.TotalPower
 		}

@@ -44,7 +44,7 @@ func MinimizeEnergy(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
 	if !(bound > 0) {
 		return nil, fmt.Errorf("core: delay bound %g must be positive", bound)
 	}
-	t, err := newTierFns(c, nil)
+	t, err := newTierFns(c)
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func TestTierEvalAllocationFree(t *testing.T) {
 
 func mustTierFns(t *testing.T, c *cluster.Cluster) *tierFns {
 	t.Helper()
-	tf, err := newTierFns(c, nil)
+	tf, err := newTierFns(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,7 +207,7 @@ func TestTierArgminIsGlobal(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Tiers[3].Power = pl
-	tf, err := newTierFns(c, nil)
+	tf, err := newTierFns(c)
 	if err != nil {
 		t.Fatal(err)
 	}

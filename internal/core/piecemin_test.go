@@ -179,7 +179,7 @@ func FuzzPieceMinStart(f *testing.F) {
 	} {
 		f.Add(seed.a, seed.b, seed.x0, seed.w0, seed.w1, seed.w2, seed.kind)
 	}
-	tf, err := newTierFns(workload.Enterprise3TierHeavyDB(1), nil)
+	tf, err := newTierFns(workload.Enterprise3TierHeavyDB(1))
 	if err != nil {
 		f.Fatal(err)
 	}

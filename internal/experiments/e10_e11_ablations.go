@@ -17,14 +17,7 @@ import (
 // FCFS and non-preemptive come from both model and simulation; preemptive-
 // resume on multi-server tiers has no closed form, so its column is
 // simulation-only (exactly why the simulator exists).
-type E10 struct{}
-
-func (E10) ID() string { return "E10" }
-func (E10) Title() string {
-	return "Fig. 7 — scheduling-discipline ablation: FCFS vs non-preemptive vs preemptive-resume"
-}
-
-func (E10) Run(cfg Config) ([]*Table, error) {
+func runE10(cfg Config) ([]*Table, error) {
 	horizon, reps := cfg.simScale()
 	base := workload.CapacityFraction(workload.Enterprise3Tier(1), 0.8)
 
@@ -76,14 +69,7 @@ func (E10) Run(cfg Config) ([]*Table, error) {
 // γ, with κ renormalized so full-speed busy power stays constant — isolating
 // the curvature effect. Higher γ makes fast speeds disproportionately
 // expensive, pushing the optimum toward slower, flatter allocations.
-type E11 struct{}
-
-func (E11) ID() string { return "E11" }
-func (E11) Title() string {
-	return "Fig. 8 — sensitivity of the optimal operating point to the DVFS exponent γ"
-}
-
-func (E11) Run(cfg Config) ([]*Table, error) {
+func runE11(cfg Config) ([]*Table, error) {
 	t := NewTable("C3a optimum vs power exponent (busy power at max speed held fixed)",
 		"gamma", "power (W)", "mean speed", "speeds web/app/db", "delay (s)")
 	base := workload.Enterprise3Tier(1)

@@ -20,14 +20,7 @@ import (
 //
 // Expected shape: reactive achieves close to static-peak's delay at close to
 // static-mean's power — the classic dynamic-voltage-scaling win.
-type E12 struct{}
-
-func (E12) ID() string { return "E12" }
-func (E12) Title() string {
-	return "Extension — dynamic DVFS control under diurnal load: static-mean vs static-peak vs reactive"
-}
-
-func (E12) Run(cfg Config) ([]*Table, error) {
+func runE12(cfg Config) ([]*Table, error) {
 	horizon, reps := cfg.simScale()
 	horizon *= 2 // cover several diurnal periods
 
@@ -106,14 +99,7 @@ func (E12) Run(cfg Config) ([]*Table, error) {
 // I buy the next server, and at which tier?". Expected shape: a monotone
 // staircase in cost with tier-targeted increments (the cheap web tier grows
 // before the expensive db tier only when it is the binding resource).
-type E13 struct{}
-
-func (E13) ID() string { return "E13" }
-func (E13) Title() string {
-	return "Extension — minimum provisioning cost vs traffic scale (C4 staircase)"
-}
-
-func (E13) Run(cfg Config) ([]*Table, error) {
+func runE13(cfg Config) ([]*Table, error) {
 	t := NewTable("C4 minimum-cost allocation as traffic grows",
 		"traffic ×", "total λ (req/s)", "cost ($/h)", "servers web/app/db", "power (W)", "binding class")
 	factors := []float64{1.0, 1.5, 2.0, 2.5, 3.0, 3.5}

@@ -18,14 +18,7 @@ import (
 // heuristics across the load range, with the optimal split's delay verified
 // by simulating each pool at its assigned rate (probabilistic splitting of a
 // Poisson stream yields exact independent Poisson pools).
-type E14 struct{}
-
-func (E14) ID() string { return "E14" }
-func (E14) Title() string {
-	return "Extension — optimal traffic splitting across heterogeneous pools vs heuristics"
-}
-
-func (E14) Run(cfg Config) ([]*Table, error) {
+func runE14(cfg Config) ([]*Table, error) {
 	horizon, reps := cfg.simScale()
 	mus := []float64{8, 3, 1.5} // heterogeneous pool rates
 	capTotal := 12.5
@@ -99,14 +92,7 @@ func onePool(mu float64) *cluster.Cluster {
 // the alternative (and complement) to DVFS. Sweep the load and compare the
 // always-on cluster's power and delay against the sleeping one, analytic
 // (Welch + cycle analysis) and simulated, and report the break-even load.
-type E15 struct{}
-
-func (E15) ID() string { return "E15" }
-func (E15) Title() string {
-	return "Extension — sleep states (instant-off + setup) vs always-on: power/delay trade-off"
-}
-
-func (E15) Run(cfg Config) ([]*Table, error) {
+func runE15(cfg Config) ([]*Table, error) {
 	horizon, reps := cfg.simScale()
 	// Parameters chosen so the trade-off is visible: a long wake-up (four
 	// service times, at busy power) against a moderate sleep saving puts
@@ -185,14 +171,7 @@ func (E15) Run(cfg Config) ([]*Table, error) {
 // E16 is the tail-SLA extension of C3: how much more power a percentile
 // guarantee costs than a mean guarantee of the same magnitude, with the
 // achieved tail verified by simulation.
-type E16 struct{}
-
-func (E16) ID() string { return "E16" }
-func (E16) Title() string {
-	return "Extension — C3 with percentile (tail) bounds: power premium over mean bounds, sim-verified"
-}
-
-func (E16) Run(cfg Config) ([]*Table, error) {
+func runE16(cfg Config) ([]*Table, error) {
 	horizon, reps := cfg.simScale()
 	c, xs, err := e16Bounds()
 	if err != nil {

@@ -11,22 +11,6 @@ import (
 	"clusterq/internal/workload"
 )
 
-// E17 is the solver ablation: the Lagrangian dual decomposition (which
-// exploits the model's separability across tiers — the structure the paper's
-// analytical setting provides) against a general-purpose augmented
-// Lagrangian, on identical C2, C3a, C3b and C4-speed-tuning instances, and on
-// E16's percentile bounds, which the dual meets through re-linearized tail
-// rows. Expected: identical solutions, with the dual orders of magnitude
-// cheaper — evidence that the paper's "efficient" claim is structural, not
-// solver luck. Its reference (auglag.go) is the only use of the augmented
-// Lagrangian.
-type E17 struct{}
-
-func (E17) ID() string { return "E17" }
-func (E17) Title() string {
-	return "Ablation — Lagrangian dual decomposition vs general augmented Lagrangian (C2, C3a, C3b, C4 tuning, C3 tail)"
-}
-
 // tuneMargin is the fraction of each SLA bound C4's speed tuning plans
 // against (core's tuning margin), so the tuned speeds meet the SLAs strictly.
 const tuneMargin = 0.998
@@ -41,7 +25,16 @@ func solverScale(cfg Config) (starts int, al opt.AugLagOptions) {
 	return 4, opt.AugLagOptions{}
 }
 
-func (E17) Run(cfg Config) ([]*Table, error) {
+// E17 is the solver ablation: the Lagrangian dual decomposition (which
+// exploits the model's separability across tiers — the structure the paper's
+// analytical setting provides) against a general-purpose augmented
+// Lagrangian, on identical C2, C3a, C3b and C4-speed-tuning instances, and on
+// E16's percentile bounds, which the dual meets through re-linearized tail
+// rows. Expected: identical solutions, with the dual orders of magnitude
+// cheaper — evidence that the paper's "efficient" claim is structural, not
+// solver luck. Its reference (auglag.go) is the only use of the augmented
+// Lagrangian.
+func runE17(cfg Config) ([]*Table, error) {
 	starts, al := solverScale(cfg)
 	shapes := []struct{ j, k int }{{2, 2}, {3, 3}, {5, 3}, {8, 4}}
 	if cfg.Quick {

@@ -8,19 +8,6 @@ import (
 	"clusterq/internal/queueing"
 )
 
-// E18 is the retry (probabilistic routing) extension: a fraction of bronze
-// requests fails at the database tier and retries the app→db leg. Retries
-// inflate the effective load — capacity the provider never billed for — so
-// delay and energy erode super-linearly in the retry probability, and the
-// cluster saturates well before the nominal load suggests. Analytic (traffic
-// equations + priority network) and simulated side by side.
-type E18 struct{}
-
-func (E18) ID() string { return "E18" }
-func (E18) Title() string {
-	return "Extension — retry storms under probabilistic routing: delay and energy vs retry probability"
-}
-
 // bronzeRetryRouting builds the 3-tier chains: gold and silver flow
 // web→app→db and exit; bronze retries the app tier after db with
 // probability p (a failed transaction replays its application logic).
@@ -36,7 +23,13 @@ func bronzeRetryRouting(p float64) []*queueing.ClassRouting {
 	return []*queueing.ClassRouting{tandem, tandem, retry}
 }
 
-func (E18) Run(cfg Config) ([]*Table, error) {
+// E18 is the retry (probabilistic routing) extension: a fraction of bronze
+// requests fails at the database tier and retries the app→db leg. Retries
+// inflate the effective load — capacity the provider never billed for — so
+// delay and energy erode super-linearly in the retry probability, and the
+// cluster saturates well before the nominal load suggests. Analytic (traffic
+// equations + priority network) and simulated side by side.
+func runE18(cfg Config) ([]*Table, error) {
 	horizon, reps := cfg.simScale()
 	probs := []float64{0, 0.1, 0.25, 0.4, 0.5}
 	type point struct {

@@ -14,14 +14,7 @@ import (
 // (dynamic power is convex in speed, so splitting work across more servers
 // saves watts). The experiment sweeps the energy price and reports the
 // chosen fleet, speeds, power and cost split.
-type E19 struct{}
-
-func (E19) ID() string { return "E19" }
-func (E19) Title() string {
-	return "Extension — C4 with priced energy: fleet size and speeds vs electricity price"
-}
-
-func (E19) Run(cfg Config) ([]*Table, error) {
+func runE19(cfg Config) ([]*Table, error) {
 	c := workload.ScaleArrivals(workload.Enterprise3Tier(1), 2.2)
 	// The canonical scenario's servers have a high idle floor (90–130 W)
 	// against ~25 W of dynamic range — in that regime extra servers NEVER

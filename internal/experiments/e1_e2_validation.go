@@ -41,14 +41,7 @@ func runValidationPoint(cfg Config, frac float64, seed uint64) (validationPoint,
 // E1 reconstructs Table I: analytical vs simulated per-class mean end-to-end
 // delay across load levels, with the relative model error — the "accurate"
 // claim of the abstract, quantified.
-type E1 struct{}
-
-func (E1) ID() string { return "E1" }
-func (E1) Title() string {
-	return "Table I — model validation: per-class mean end-to-end delay, analytic vs simulation"
-}
-
-func (E1) Run(cfg Config) ([]*Table, error) {
+func runE1(cfg Config) ([]*Table, error) {
 	base := workload.Enterprise3Tier(1)
 	points, err := sweep(cfg, len(validationFracs), func(i int) (validationPoint, error) {
 		return runValidationPoint(cfg, validationFracs[i], cfg.Seed+1)
@@ -112,14 +105,7 @@ func e1WindowTable(cfg Config) (*Table, error) {
 
 // E2 reconstructs Table II: analytical vs simulated average power and
 // per-class energy per request.
-type E2 struct{}
-
-func (E2) ID() string { return "E2" }
-func (E2) Title() string {
-	return "Table II — model validation: average power and per-request energy, analytic vs simulation"
-}
-
-func (E2) Run(cfg Config) ([]*Table, error) {
+func runE2(cfg Config) ([]*Table, error) {
 	base := workload.Enterprise3Tier(1)
 	points, err := sweep(cfg, len(validationFracs), func(i int) (validationPoint, error) {
 		return runValidationPoint(cfg, validationFracs[i], cfg.Seed+2)

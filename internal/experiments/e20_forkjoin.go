@@ -12,14 +12,7 @@ import (
 // The table reports the synchronization penalty R(k)/R(1) from the
 // Nelson–Tantawi approximation with simulation alongside — the quantitative
 // answer to "how much of my k-way speedup does the straggler barrier eat?".
-type E20 struct{}
-
-func (E20) ID() string { return "E20" }
-func (E20) Title() string {
-	return "Extension — fork-join synchronization penalty R(k)/R(1), Nelson–Tantawi vs simulation"
-}
-
-func (E20) Run(cfg Config) ([]*Table, error) {
+func runE20(cfg Config) ([]*Table, error) {
 	horizon, reps := cfg.simScale()
 	widths := []int{1, 2, 4, 8, 16}
 	loads := []float64{0.3, 0.6, 0.85}

@@ -46,20 +46,6 @@ func e21Failures(c *cluster.Cluster, a float64) []*sim.FailureConfig {
 	return fcs
 }
 
-// E21 is the failure extension: server breakdown/repair injection swept over
-// availability, validated against the analytic availability-degraded model
-// (Tier.Availability), then re-run with the full graceful-degradation
-// pipeline — per-class deadlines, retry-with-backoff, and priority-aware
-// admission control — to measure what each class actually gets when capacity
-// keeps dropping out: goodput, timeout/retry/abandon/shed counts, and mean
-// delay against the SLA.
-type E21 struct{}
-
-func (E21) ID() string { return "E21" }
-func (E21) Title() string {
-	return "Extension — failure injection: delay, power and per-class goodput vs server availability"
-}
-
 type e21Point struct {
 	model    *cluster.Metrics // analytic, availability-degraded
 	plain    *sim.Result      // breakdowns only
@@ -140,7 +126,14 @@ func runE21Recorder(cfg Config, a float64, seed uint64) (*trace.Recorder, error)
 	return rec, nil
 }
 
-func (E21) Run(cfg Config) ([]*Table, error) {
+// E21 is the failure extension: server breakdown/repair injection swept over
+// availability, validated against the analytic availability-degraded model
+// (Tier.Availability), then re-run with the full graceful-degradation
+// pipeline — per-class deadlines, retry-with-backoff, and priority-aware
+// admission control — to measure what each class actually gets when capacity
+// keeps dropping out: goodput, timeout/retry/abandon/shed counts, and mean
+// delay against the SLA.
+func runE21(cfg Config) ([]*Table, error) {
 	base := e21Cluster()
 	points, err := sweep(cfg, len(e21Availabilities), func(i int) (e21Point, error) {
 		return runE21Point(cfg, e21Availabilities[i], cfg.Seed+21)

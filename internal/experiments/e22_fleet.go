@@ -77,14 +77,7 @@ func e22Fleet(cfg Config) []multi.Replica {
 // point is the orchestration surface (the unlock for fleet-level control),
 // with per-replica results bit-identical to standalone runs (pinned by the
 // multi package's tests).
-type E22 struct{}
-
-func (E22) ID() string { return "E22" }
-func (E22) Title() string {
-	return "Extension — shared-clock fleet: heterogeneous cluster generations under one orchestrator"
-}
-
-func (E22) Run(cfg Config) ([]*Table, error) {
+func runE22(cfg Config) ([]*Table, error) {
 	replicas := e22Fleet(cfg)
 	orch, err := multi.New(replicas)
 	if err != nil {

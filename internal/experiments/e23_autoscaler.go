@@ -11,6 +11,18 @@ import (
 	"clusterq/internal/workload"
 )
 
+// e23Row is one (scenario, strategy) cell in structured form, shared by the
+// table rendering and the acceptance test pinning "model beats static".
+type e23Row struct {
+	scenario, strategy string
+	power              float64 // mean cluster power (W)
+	weighted           float64 // completion-weighted mean delay (s)
+	misses             int     // classes whose mean delay exceeds their SLA bound
+	worstFrac          float64 // max over bounded classes of delay/bound
+	stats              control.Stats
+	model              bool
+}
+
 // E23 closes ROADMAP item 1's loop: under three transient workloads — a
 // diurnal ramp, a flash crowd, and a repeating multi-period staircase — it
 // compares three operating strategies on the canonical cluster:
@@ -29,26 +41,7 @@ import (
 // beating static on energy at equal-or-better SLA misses — while the
 // SLA-blind reactive policy saves power but concedes misses on the tightest
 // class.
-type E23 struct{}
-
-func (E23) ID() string { return "E23" }
-func (E23) Title() string {
-	return "Extension — closing the loop: model-driven autoscaler vs static plan vs reactive DVFS under transient load"
-}
-
-// e23Row is one (scenario, strategy) cell in structured form, shared by the
-// table rendering and the acceptance test pinning "model beats static".
-type e23Row struct {
-	scenario, strategy string
-	power              float64 // mean cluster power (W)
-	weighted           float64 // completion-weighted mean delay (s)
-	misses             int     // classes whose mean delay exceeds their SLA bound
-	worstFrac          float64 // max over bounded classes of delay/bound
-	stats              control.Stats
-	model              bool
-}
-
-func (E23) Run(cfg Config) ([]*Table, error) {
+func runE23(cfg Config) ([]*Table, error) {
 	rows, err := e23Rows(cfg)
 	if err != nil {
 		return nil, err

@@ -10,14 +10,7 @@ import (
 // E3 reconstructs Fig. 1: per-class mean end-to-end delay as a function of
 // the total arrival rate — the priority-separation figure: gold stays nearly
 // flat while bronze blows up as the cluster saturates.
-type E3 struct{}
-
-func (E3) ID() string { return "E3" }
-func (E3) Title() string {
-	return "Fig. 1 — per-class mean delay vs load (priority separation)"
-}
-
-func (E3) Run(cfg Config) ([]*Table, error) {
+func runE3(cfg Config) ([]*Table, error) {
 	base := workload.Enterprise3Tier(1)
 	t := NewTable("mean end-to-end delay (s) by class",
 		"load", "total λ (req/s)", "gold", "silver", "bronze")
@@ -35,14 +28,7 @@ func (E3) Run(cfg Config) ([]*Table, error) {
 // E4 reconstructs Fig. 2: cluster average power vs load at several fixed
 // DVFS settings, plus the energy-per-job view that exposes the sweet spot
 // (static power amortizes with load; dynamic power grows with speed).
-type E4 struct{}
-
-func (E4) ID() string { return "E4" }
-func (E4) Title() string {
-	return "Fig. 2 — average power and energy-per-job vs load at fixed speeds"
-}
-
-func (E4) Run(cfg Config) ([]*Table, error) {
+func runE4(cfg Config) ([]*Table, error) {
 	speeds := []float64{2.5, 4, 6}
 	base := workload.Enterprise3Tier(1)
 

@@ -11,14 +11,7 @@ import (
 // E5 reconstructs Fig. 3: the delay/energy trade-off frontier of problem C2 —
 // minimized average delay across an energy-budget sweep, against the uniform
 // (single-knob) baseline.
-type E5 struct{}
-
-func (E5) ID() string { return "E5" }
-func (E5) Title() string {
-	return "Fig. 3 — minimized average delay vs energy budget (C2), optimizer vs uniform baseline"
-}
-
-func (E5) Run(cfg Config) ([]*Table, error) {
+func runE5(cfg Config) ([]*Table, error) {
 	// The asymmetric (heavy-db) scenario: on a symmetric cluster the
 	// optimum is uniform and the two curves coincide.
 	c := workload.Enterprise3TierHeavyDB(1)
@@ -58,14 +51,7 @@ func (E5) Run(cfg Config) ([]*Table, error) {
 
 // E6 reconstructs Fig. 4: minimized average power across an aggregate delay-
 // bound sweep (problem C3a), against the uniform baseline.
-type E6 struct{}
-
-func (E6) ID() string { return "E6" }
-func (E6) Title() string {
-	return "Fig. 4 — minimized average power vs aggregate delay bound (C3a), optimizer vs uniform baseline"
-}
-
-func (E6) Run(cfg Config) ([]*Table, error) {
+func runE6(cfg Config) ([]*Table, error) {
 	c := workload.Enterprise3TierHeavyDB(1) // see E5: asymmetry is the point
 	dBest, dWorst, err := delayRange(c)
 	if err != nil {
@@ -104,14 +90,7 @@ func (E6) Run(cfg Config) ([]*Table, error) {
 // class's delay bound tightens while the others stay loose, reporting which
 // classes bind. The punchline: the cheap-to-serve classes never bind; energy
 // is spent on the class priority cannot help.
-type E7 struct{}
-
-func (E7) ID() string { return "E7" }
-func (E7) Title() string {
-	return "Fig. 5 — minimized power vs per-class delay bounds (C3b), binding classes"
-}
-
-func (E7) Run(cfg Config) ([]*Table, error) {
+func runE7(cfg Config) ([]*Table, error) {
 	c := workload.Enterprise3Tier(1)
 
 	// Best achievable per-class delays at max speed set the bound scale.

@@ -12,14 +12,7 @@ import (
 // E8 reconstructs Table III: the C4 cost minimization — the cheapest server
 // allocation meeting every priority class's SLA, against the uniform and
 // load-proportional sizing baselines, with the SLAs verified by simulation.
-type E8 struct{}
-
-func (E8) ID() string { return "E8" }
-func (E8) Title() string {
-	return "Table III — min-cost allocation under priority SLAs (C4) vs sizing baselines, sim-verified"
-}
-
-func (E8) Run(cfg Config) ([]*Table, error) {
+func runE8(cfg Config) ([]*Table, error) {
 	horizon, reps := cfg.simScale()
 	// Load the scenario heavily enough that single servers cannot meet the
 	// SLAs — the sizing problem has to do real work.

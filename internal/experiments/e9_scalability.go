@@ -12,14 +12,7 @@ import (
 // evaluations (each one minimization per tier) of the C3a optimization as
 // the cluster grows in tiers and classes (the "efficient" claim of the
 // abstract).
-type E9 struct{}
-
-func (E9) ID() string { return "E9" }
-func (E9) Title() string {
-	return "Fig. 6 — solver efficiency vs problem size (tiers × classes)"
-}
-
-func (E9) Run(cfg Config) ([]*Table, error) {
+func runE9(cfg Config) ([]*Table, error) {
 	shapes := []struct{ j, k int }{{2, 2}, {3, 3}, {5, 3}, {5, 6}, {8, 4}}
 	if cfg.Quick {
 		shapes = shapes[:3]

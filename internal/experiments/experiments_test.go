@@ -18,22 +18,22 @@ func TestAllExperimentsRun(t *testing.T) {
 	// whole harness wired together.
 	for _, e := range All() {
 		e := e
-		t.Run(e.ID(), func(t *testing.T) {
+		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			tables, err := e.Run(quickCfg())
 			if err != nil {
-				t.Fatalf("%s: %v", e.ID(), err)
+				t.Fatalf("%s: %v", e.ID, err)
 			}
 			if len(tables) == 0 {
-				t.Fatalf("%s: no tables", e.ID())
+				t.Fatalf("%s: no tables", e.ID)
 			}
 			for _, tab := range tables {
 				if len(tab.Rows) == 0 {
-					t.Errorf("%s: empty table %q", e.ID(), tab.Title)
+					t.Errorf("%s: empty table %q", e.ID, tab.Title)
 				}
 				for _, row := range tab.Rows {
 					if len(row) != len(tab.Columns) {
-						t.Errorf("%s: ragged row in %q: %v", e.ID(), tab.Title, row)
+						t.Errorf("%s: ragged row in %q: %v", e.ID, tab.Title, row)
 					}
 				}
 			}
@@ -41,10 +41,25 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
+// TestByID pins the registry: All lists E1…E23 once each and in index
+// order, the order `clusterq -list` and `-run all` print, and ByID finds
+// every entry under its own ID with its title.
 func TestByID(t *testing.T) {
-	e, err := ByID("E5")
-	if err != nil || e.ID() != "E5" {
-		t.Fatalf("ByID(E5) = %v, %v", e, err)
+	all := All()
+	if len(all) != 23 {
+		t.Fatalf("All() has %d experiments, want 23", len(all))
+	}
+	for i, e := range all {
+		if want := "E" + strconv.Itoa(i+1); e.ID != want {
+			t.Errorf("All()[%d].ID = %q, want %q", i, e.ID, want)
+		}
+		if e.Title == "" || e.Run == nil {
+			t.Errorf("%s: empty title or nil Run", e.ID)
+		}
+		got, err := ByID(e.ID)
+		if err != nil || got.ID != e.ID || got.Title != e.Title {
+			t.Errorf("ByID(%q) = %q %q, %v; want %q %q", e.ID, got.ID, got.Title, err, e.ID, e.Title)
+		}
 	}
 	if _, err := ByID("E99"); err == nil {
 		t.Error("unknown id accepted")
@@ -53,7 +68,11 @@ func TestByID(t *testing.T) {
 
 func TestRunAndPrint(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunAndPrint(E3{}, quickCfg(), &buf); err != nil {
+	e, err := ByID("E3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RunAndPrint(e, quickCfg(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -79,7 +98,7 @@ func TestE1ValidationAccuracy(t *testing.T) {
 }
 
 func TestE3PrioritySeparationShape(t *testing.T) {
-	tables, err := E3{}.Run(quickCfg())
+	tables, err := runE3(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +127,7 @@ func TestE3PrioritySeparationShape(t *testing.T) {
 }
 
 func TestE5OptimizerDominatesBaseline(t *testing.T) {
-	tables, err := E5{}.Run(quickCfg())
+	tables, err := runE5(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +149,7 @@ func TestE5OptimizerDominatesBaseline(t *testing.T) {
 }
 
 func TestE6OptimizerDominatesBaseline(t *testing.T) {
-	tables, err := E6{}.Run(quickCfg())
+	tables, err := runE6(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +171,7 @@ func TestE6OptimizerDominatesBaseline(t *testing.T) {
 }
 
 func TestE7BronzeBindsWhenTight(t *testing.T) {
-	tables, err := E7{}.Run(quickCfg())
+	tables, err := runE7(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +196,7 @@ func TestE7BronzeBindsWhenTight(t *testing.T) {
 }
 
 func TestE8GreedyCheapest(t *testing.T) {
-	tables, err := E8{}.Run(quickCfg())
+	tables, err := runE8(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +232,7 @@ func TestE8GreedyCheapest(t *testing.T) {
 }
 
 func TestE10DisciplineShape(t *testing.T) {
-	tables, err := E10{}.Run(quickCfg())
+	tables, err := runE10(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

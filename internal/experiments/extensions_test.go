@@ -7,7 +7,7 @@ import (
 )
 
 func TestE12ReactiveBetweenStatics(t *testing.T) {
-	tables, err := E12{}.Run(quickCfg())
+	tables, err := runE12(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestE12ReactiveBetweenStatics(t *testing.T) {
 }
 
 func TestE13StaircaseMonotone(t *testing.T) {
-	tables, err := E13{}.Run(quickCfg())
+	tables, err := runE13(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestE13StaircaseMonotone(t *testing.T) {
 }
 
 func TestE14OptimalDominates(t *testing.T) {
-	tables, err := E14{}.Run(quickCfg())
+	tables, err := runE14(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestE14OptimalDominates(t *testing.T) {
 }
 
 func TestE15SleepCrossover(t *testing.T) {
-	tables, err := E15{}.Run(quickCfg())
+	tables, err := runE15(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestE15SleepCrossover(t *testing.T) {
 }
 
 func TestE17DualMatchesAugLag(t *testing.T) {
-	tables, err := E17{}.Run(quickCfg())
+	tables, err := runE17(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestE17DualMatchesAugLag(t *testing.T) {
 }
 
 func TestE18RetryErosion(t *testing.T) {
-	tables, err := E18{}.Run(quickCfg())
+	tables, err := runE18(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestE18RetryErosion(t *testing.T) {
 }
 
 func TestE19FleetGrowsWithEnergyPrice(t *testing.T) {
-	tables, err := E19{}.Run(quickCfg())
+	tables, err := runE19(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestE19FleetGrowsWithEnergyPrice(t *testing.T) {
 }
 
 func TestE20ForkJoinShapes(t *testing.T) {
-	tables, err := E20{}.Run(quickCfg())
+	tables, err := runE20(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestE20ForkJoinShapes(t *testing.T) {
 }
 
 func TestE16TailPremiumPositive(t *testing.T) {
-	tables, err := E16{}.Run(quickCfg())
+	tables, err := runE16(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,40 +8,6 @@ import (
 	"clusterq/internal/queueing"
 )
 
-// TestQueueGainSentinel pins the zero-vs-unset fix: QueueGain's zero value
-// means "unset, use the default", and disabling the queue-pressure boost
-// takes the explicit ZeroQueueGain sentinel — exactly the ZeroWarmup
-// convention. Before the fix an explicit 0 silently became the default 0.1,
-// so the boost could not be turned off at all.
-func TestQueueGainSentinel(t *testing.T) {
-	if got := (UtilizationPolicy{}).queueGain(); got != 0.1 {
-		t.Errorf("unset QueueGain = %g, want default 0.1", got)
-	}
-	if got := (UtilizationPolicy{QueueGain: ZeroQueueGain}.queueGain()); got != 0 {
-		t.Errorf("ZeroQueueGain = %g, want boost disabled (0)", got)
-	}
-	if got := (UtilizationPolicy{QueueGain: -3}.queueGain()); got != 0 {
-		t.Errorf("negative QueueGain = %g, want boost disabled (0)", got)
-	}
-	if got := (UtilizationPolicy{QueueGain: 0.3}.queueGain()); got != 0.3 {
-		t.Errorf("explicit QueueGain = %g, want 0.3", got)
-	}
-
-	// Decision-level regression: with a long queue the boost must be fully
-	// inert under ZeroQueueGain — the decision collapses to the pure
-	// utilization step (util 1.0 at target 0.5, gain 1 ⇒ double the speed).
-	obs := Observation{Utilization: 1, Speed: 2, Servers: 2, QueueLen: 50,
-		MinSpeed: 0.1, MaxSpeed: 100}
-	boosted := UtilizationPolicy{Target: 0.5, Gain: 1}.Decide(obs)
-	flat := UtilizationPolicy{Target: 0.5, Gain: 1, QueueGain: ZeroQueueGain}.Decide(obs)
-	if !almostEq(flat, 4, 1e-9) {
-		t.Errorf("ZeroQueueGain decision = %g, want pure utilization step 4", flat)
-	}
-	if !(boosted > flat) {
-		t.Errorf("default boost %g not above disabled boost %g", boosted, flat)
-	}
-}
-
 // nanPolicy is a broken controller that always returns NaN — the shape a
 // divide-by-zero inside a user policy produces.
 type nanPolicy struct{}

@@ -198,23 +198,25 @@ func (flipFlop) Decide(obs Observation) float64 {
 }
 
 func TestUtilizationPolicyDecide(t *testing.T) {
-	p := UtilizationPolicy{Target: 0.5, Gain: 1}
-	// Running at util 1.0 with target 0.5 → double the speed.
+	p := UtilizationPolicy{Target: 0.5}
+	// Running at util 1.0 with target 0.5 → the estimate doubles the
+	// speed to 4, and the gain of 0.5 takes half that step.
 	obs := Observation{Utilization: 1, Speed: 2, Servers: 2, QueueLen: 0, MinSpeed: 0.5, MaxSpeed: 10}
-	if got := p.Decide(obs); !almostEq(got, 4, 1e-9) {
-		t.Errorf("decide = %g, want 4", got)
+	if got := p.Decide(obs); !almostEq(got, 3, 1e-9) {
+		t.Errorf("decide = %g, want 3", got)
 	}
-	// Util below target → slow down.
+	// Util below target → slow down: estimate 1, half the step.
 	obs.Utilization = 0.25
-	if got := p.Decide(obs); !almostEq(got, 1, 1e-9) {
-		t.Errorf("decide = %g, want 1", got)
+	if got := p.Decide(obs); !almostEq(got, 1.5, 1e-9) {
+		t.Errorf("decide = %g, want 1.5", got)
 	}
-	// Queue pressure boosts beyond the pure-utilization estimate.
+	// Queue pressure boosts beyond the pure-utilization estimate: 10 queued
+	// jobs per server at 0.1 each double the estimate to 8.
 	obs.Utilization = 1
 	obs.QueueLen = 20
 	boosted := p.Decide(obs)
-	if !(boosted > 4) {
-		t.Errorf("queue pressure ignored: %g", boosted)
+	if !almostEq(boosted, 5, 1e-9) {
+		t.Errorf("queue pressure: decide = %g, want 5", boosted)
 	}
 	// Clamping.
 	obs.MaxSpeed = 3
@@ -223,8 +225,8 @@ func TestUtilizationPolicyDecide(t *testing.T) {
 	}
 	// Defaults are sane.
 	d := UtilizationPolicy{}
-	if d.target() != 0.7 || d.gain() != 0.5 || d.queueGain() != 0.1 {
-		t.Error("defaults wrong")
+	if d.target() != 0.7 {
+		t.Error("default target wrong")
 	}
 	if len(d.Name()) == 0 || len(StaticPolicy{}.Name()) == 0 {
 		t.Error("policy names empty")

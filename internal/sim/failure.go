@@ -58,22 +58,20 @@ type DeadlineConfig struct {
 // simulator measures each tier's utilization of its UP servers; when the
 // worst tier exceeds Threshold one more of the lowest-priority classes is
 // shed (its new arrivals are refused at admission), and when it falls below
-// ResumeBelow one class is re-admitted. Class 0 (highest priority) is never
-// shed.
+// resumeFrac·Threshold one class is re-admitted. Every class but class 0
+// (highest priority) may be shed; class 0 never is.
 type SheddingConfig struct {
 	// Threshold is the worst-tier utilization above which shedding tightens
 	// (required, in (0, 1]).
 	Threshold float64
-	// ResumeBelow is the utilization under which shedding relaxes; it must
-	// be below Threshold (hysteresis). 0 selects 0.8·Threshold.
-	ResumeBelow float64
 	// Period is the measurement epoch in simulated seconds (required,
 	// finite, > 0).
 	Period float64
-	// MaxShedClasses caps how many classes may be shed at once; 0 selects
-	// the maximum, every class but class 0.
-	MaxShedClasses int
 }
+
+// resumeFrac places the shedding hysteresis band: shedding relaxes once the
+// worst tier's utilization falls below resumeFrac·Threshold.
+const resumeFrac = 0.8
 
 // validateFailures cross-checks the failure configs against the tier count
 // and the sleep configs (a tier cannot combine instant-off sleep with
@@ -128,7 +126,7 @@ func (o *Options) validateDeadlines(numClasses int) error {
 }
 
 // validateShedding checks the admission-control config.
-func (o *Options) validateShedding(numClasses int) error {
+func (o *Options) validateShedding() error {
 	sc := o.Shedding
 	if sc == nil {
 		return nil
@@ -136,17 +134,8 @@ func (o *Options) validateShedding(numClasses int) error {
 	if !(sc.Threshold > 0) || sc.Threshold > 1 {
 		return fmt.Errorf("sim: shedding threshold %g out of (0, 1]", sc.Threshold)
 	}
-	// Zero selects the default resume level; anything else must lie inside
-	// the band. The negated form also rejects NaN, which would otherwise
-	// pass both comparisons and keep shedding from ever relaxing.
-	if sc.ResumeBelow != 0 && !(sc.ResumeBelow > 0 && sc.ResumeBelow < sc.Threshold) {
-		return fmt.Errorf("sim: shedding resume level %g must lie in (0, threshold %g)", sc.ResumeBelow, sc.Threshold)
-	}
 	if !(sc.Period > 0) || math.IsInf(sc.Period, 1) {
 		return fmt.Errorf("sim: shedding period %g must be positive and finite", sc.Period)
-	}
-	if sc.MaxShedClasses < 0 || sc.MaxShedClasses > numClasses-1 {
-		return fmt.Errorf("sim: shedding may drop at most %d classes, got %d", numClasses-1, sc.MaxShedClasses)
 	}
 	return nil
 }
@@ -345,7 +334,7 @@ func (s *simulator) handleRetry(e *event) {
 // tier's utilization of its UP servers over the elapsed epoch (failed
 // servers are capacity the cluster does not have; shedding reacts to the
 // capacity that is actually on the floor). One level is added or removed per
-// epoch, with hysteresis between Threshold and ResumeBelow.
+// epoch, with hysteresis between Threshold and resumeFrac·Threshold.
 func (s *simulator) handleShedEpoch() {
 	now := s.cal.now
 	worst := 0.0
@@ -357,10 +346,10 @@ func (s *simulator) handleShedEpoch() {
 		st.clock.shedBusy.restart(now)
 	}
 	switch {
-	case worst > s.shedCfg.Threshold && s.shedClasses < s.shedMax:
+	case worst > s.shedCfg.Threshold && s.shedClasses < len(s.c.Classes)-1:
 		s.shedClasses++
 		s.emit(tkShedLevel, now, -1, 0, -1, float64(s.shedClasses))
-	case worst < s.shedResume && s.shedClasses > 0:
+	case worst < resumeFrac*s.shedCfg.Threshold && s.shedClasses > 0:
 		s.shedClasses--
 		s.emit(tkShedLevel, now, -1, 0, -1, float64(s.shedClasses))
 	}

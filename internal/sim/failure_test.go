@@ -54,14 +54,8 @@ func TestFailureOptionValidation(t *testing.T) {
 		"shedding threshold above one": func(o *Options) {
 			o.Shedding = &SheddingConfig{Threshold: 1.5, Period: 10}
 		},
-		"shedding resume above threshold": func(o *Options) {
-			o.Shedding = &SheddingConfig{Threshold: 0.8, ResumeBelow: 0.9, Period: 10}
-		},
 		"shedding period zero": func(o *Options) {
 			o.Shedding = &SheddingConfig{Threshold: 0.8}
-		},
-		"shedding too many classes": func(o *Options) {
-			o.Shedding = &SheddingConfig{Threshold: 0.8, Period: 10, MaxShedClasses: 2}
 		},
 	}
 	for name, mutate := range cases {
@@ -76,7 +70,7 @@ func TestFailureOptionValidation(t *testing.T) {
 	o := base
 	o.Failures = []*FailureConfig{{MTBF: 50, MTTR: 5}}
 	o.Deadlines = []*DeadlineConfig{{Deadline: 20, MaxRetries: 2, RetryBackoff: 1}, nil}
-	o.Shedding = &SheddingConfig{Threshold: 0.9, Period: 10, MaxShedClasses: 1}
+	o.Shedding = &SheddingConfig{Threshold: 0.9, Period: 10}
 	if _, err := Run(c, o); err != nil {
 		t.Errorf("valid failure options rejected: %v", err)
 	}
@@ -269,7 +263,7 @@ func TestSheddingDropsLowestClassFirst(t *testing.T) {
 		[]queueing.Demand{{Work: 1, CV2: 1}, {Work: 1, CV2: 1}})
 	res := run(t, c, Options{
 		Horizon: 20000, Replications: 3, Seed: 23,
-		Shedding: &SheddingConfig{Threshold: 0.9, ResumeBelow: 0.7, Period: 50},
+		Shedding: &SheddingConfig{Threshold: 0.9, Period: 50},
 		Probe:    &Probe{Period: 100},
 	})
 	if res.Shed[0] != 0 {

@@ -25,57 +25,43 @@ type Controller interface {
 	Decide(obs Observation) float64
 }
 
-// ZeroQueueGain requests a UtilizationPolicy with NO queue-pressure boost.
-// It exists for the same reason as ZeroWarmup: the zero value of QueueGain
-// must keep meaning "use the default", so an explicit zero is spelled with a
-// negative sentinel instead (any negative value disables the boost).
-const ZeroQueueGain = -1.0
-
 // UtilizationPolicy is the classic reactive DVFS rule: scale the speed so
 // the observed utilization moves toward Target, with first-order smoothing
-// (Gain) and a queue-pressure boost that accelerates recovery when work has
-// already piled up (utilization alone saturates at 1 and cannot see backlog).
+// (half the correction per epoch) and a queue-pressure boost of 0.1 per
+// queued job per server that accelerates recovery when work has already
+// piled up (utilization alone saturates at 1 and cannot see backlog).
 type UtilizationPolicy struct {
-	// Target is the desired per-server utilization (default 0.7).
+	// Target is the desired per-server utilization, in [0, 1); 0 selects
+	// the default 0.7. The simulator rejects any other value.
 	Target float64
-	// Gain in (0, 1] is the fraction of the correction applied per epoch
-	// (default 0.5; 1 = jump straight to the estimate).
-	Gain float64
-	// QueueGain scales the backlog boost (default 0.1 per queued job per
-	// server). Leaving it at zero selects the default; to disable the boost
-	// entirely, set QueueGain to ZeroQueueGain (any negative value works).
-	QueueGain float64
 }
+
+// The reactive rule's fixed gains: the fraction of the correction applied
+// per epoch, and the backlog boost per queued job per server.
+const (
+	policyGain      = 0.5
+	policyQueueGain = 0.1
+)
 
 // Name implements Controller.
 func (p UtilizationPolicy) Name() string {
 	return fmt.Sprintf("reactive(ρ*=%.2g)", p.target())
 }
 
+// validate rejects a target outside [0, 1), NaN included, which Decide would
+// otherwise steer toward on every epoch.
+func (p UtilizationPolicy) validate() error {
+	if !(p.Target >= 0 && p.Target < 1) {
+		return fmt.Errorf("sim: utilization target %g out of [0, 1)", p.Target)
+	}
+	return nil
+}
+
 func (p UtilizationPolicy) target() float64 {
-	if p.Target <= 0 || p.Target >= 1 {
+	if p.Target == 0 {
 		return 0.7
 	}
 	return p.Target
-}
-
-func (p UtilizationPolicy) gain() float64 {
-	if p.Gain <= 0 || p.Gain > 1 {
-		return 0.5
-	}
-	return p.Gain
-}
-
-func (p UtilizationPolicy) queueGain() float64 {
-	if p.QueueGain < 0 {
-		// ZeroQueueGain (or any negative value): boost explicitly disabled.
-		return 0
-	}
-	if p.QueueGain == 0 {
-		// The unset field, not an explicit zero — that is ZeroQueueGain.
-		return 0.1
-	}
-	return p.QueueGain
 }
 
 // PlanObservation is what a plan-level controller sees at a control epoch:
@@ -132,9 +118,9 @@ type PlanController interface {
 func (p UtilizationPolicy) Decide(obs Observation) float64 {
 	desired := obs.Speed * obs.Utilization / p.target()
 	if obs.QueueLen > obs.Servers {
-		desired *= 1 + p.queueGain()*float64(obs.QueueLen)/float64(obs.Servers)
+		desired *= 1 + policyQueueGain*float64(obs.QueueLen)/float64(obs.Servers)
 	}
-	next := obs.Speed + p.gain()*(desired-obs.Speed)
+	next := obs.Speed + policyGain*(desired-obs.Speed)
 	if next < obs.MinSpeed {
 		next = obs.MinSpeed
 	}

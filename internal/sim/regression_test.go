@@ -185,41 +185,13 @@ func assertSetupOnlyAllocs(t *testing.T, c *cluster.Cluster, o Options) {
 	}
 }
 
-// TestConfidenceDefaults pins the fix for silently rewritten confidence
-// levels: the zero value still selects 0.95, a valid explicit level is kept,
-// and an out-of-range level is an error instead of being replaced behind the
-// caller's back.
-func TestConfidenceDefaults(t *testing.T) {
-	unset := Options{Horizon: 1000}
-	if err := unset.defaults(); err != nil {
-		t.Fatal(err)
-	}
-	if unset.Confidence != 0.95 {
-		t.Errorf("unset confidence resolved to %g, want 0.95", unset.Confidence)
-	}
-
-	given := Options{Horizon: 1000, Confidence: 0.99}
-	if err := given.defaults(); err != nil {
-		t.Fatal(err)
-	}
-	if given.Confidence != 0.99 {
-		t.Errorf("explicit confidence changed to %g, want 0.99 unchanged", given.Confidence)
-	}
-
-	for _, level := range []float64{1.5, -0.2, 1, math.NaN()} {
-		bad := Options{Horizon: 1000, Confidence: level}
-		if err := bad.defaults(); err == nil {
-			t.Errorf("confidence %g accepted, want error", level)
-		}
-	}
-}
-
 // hostileOptions are option values that used to pass validation and then
 // broke the run: an infinite horizon never let Run return, a NaN warmup
-// filtered out every arrival and reported NaN delays with a nil error, and
-// a NaN resume level passed both shedding range checks yet never compared
-// true, so shedding could tighten but never relax, and an infinite shedding
-// period scheduled its first epoch at +Inf, silently turning shedding off,
+// filtered out every arrival and reported NaN delays with a nil error, a NaN
+// utilization target made the reactive policy decide NaN, which the station
+// adapter clamped to the minimum speed on every epoch, a target of 1.5 was
+// silently replaced by the default 0.7, an infinite shedding period
+// scheduled its first epoch at +Inf, silently turning shedding off,
 // an infinite profile rate generated arrivals at t = 0 until memory ran
 // out, and a profile literal NewSinusoid or NewSquareWave would reject ran
 // anyway (a NaN phase made every rate NaN, so thinning accepted every
@@ -231,8 +203,10 @@ var hostileOptions = []struct {
 }{
 	{"infinite horizon", Options{Horizon: math.Inf(1)}},
 	{"NaN warmup", Options{Horizon: 1000, Warmup: math.NaN()}},
-	{"NaN shedding resume level", Options{Horizon: 1000,
-		Shedding: &SheddingConfig{Threshold: 0.9, ResumeBelow: math.NaN(), Period: 25}}},
+	{"NaN utilization target", Options{Horizon: 1000,
+		Controller: UtilizationPolicy{Target: math.NaN()}, ControlPeriod: 25}},
+	{"utilization target above one", Options{Horizon: 1000,
+		Controller: &UtilizationPolicy{Target: 1.5}, ControlPeriod: 25}},
 	{"infinite shedding period", Options{Horizon: 1000,
 		Shedding: &SheddingConfig{Threshold: 0.9, Period: math.Inf(1)}}},
 	{"infinite profile rate", Options{Horizon: 1000,
@@ -269,26 +243,26 @@ func TestHostileOptionsRejected(t *testing.T) {
 	}
 }
 
-// FuzzOptionsDefaults drives the horizon, warmup, confidence and shedding
-// floats through defaults() and validation. Every input must either be
-// rejected or leave a finite positive horizon, a warmup in [0, horizon), a
-// confidence level in (0, 1) and a shedding band the event loop can act on;
-// none may panic. The corpus starts from the hostile values above.
+// FuzzOptionsDefaults drives the horizon, warmup and shedding floats through
+// defaults() and validation. Every input must either be rejected or leave a
+// finite positive horizon, a warmup in [0, horizon) and a shedding band the
+// event loop can act on; none may panic. The corpus starts from the hostile
+// values above.
 func FuzzOptionsDefaults(f *testing.F) {
 	for _, tc := range hostileOptions {
 		sc := SheddingConfig{Threshold: 0.9, Period: 25}
 		if tc.o.Shedding != nil {
 			sc = *tc.o.Shedding
 		}
-		f.Add(tc.o.Horizon, tc.o.Warmup, tc.o.Confidence, sc.Threshold, sc.ResumeBelow, sc.Period)
+		f.Add(tc.o.Horizon, tc.o.Warmup, sc.Threshold, sc.Period)
 	}
-	f.Add(1000.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-	f.Add(1000.0, -1.0, 0.99, 1.0, 0.5, 10.0)
+	f.Add(1000.0, 0.0, 0.0, 0.0)
+	f.Add(1000.0, -1.0, 1.0, 10.0)
 	c := regressionCluster()
-	f.Fuzz(func(t *testing.T, horizon, warmup, confidence, threshold, resume, period float64) {
-		o := Options{Horizon: horizon, Warmup: warmup, Confidence: confidence}
+	f.Fuzz(func(t *testing.T, horizon, warmup, threshold, period float64) {
+		o := Options{Horizon: horizon, Warmup: warmup}
 		if threshold != 0 {
-			o.Shedding = &SheddingConfig{Threshold: threshold, ResumeBelow: resume, Period: period}
+			o.Shedding = &SheddingConfig{Threshold: threshold, Period: period}
 		}
 		if err := o.validate(c); err != nil {
 			return
@@ -299,15 +273,9 @@ func FuzzOptionsDefaults(f *testing.F) {
 		if !(o.Warmup >= 0 && o.Warmup < o.Horizon) {
 			t.Errorf("warmup %g accepted for horizon %g, want it in [0, horizon)", o.Warmup, o.Horizon)
 		}
-		if !(o.Confidence > 0 && o.Confidence < 1) {
-			t.Errorf("confidence %g accepted, want it in (0, 1)", o.Confidence)
-		}
 		if sc := o.Shedding; sc != nil {
 			if !(sc.Threshold > 0 && sc.Threshold <= 1) {
 				t.Errorf("shedding threshold %g accepted, want it in (0, 1]", sc.Threshold)
-			}
-			if sc.ResumeBelow != 0 && !(sc.ResumeBelow > 0 && sc.ResumeBelow < sc.Threshold) {
-				t.Errorf("shedding resume level %g accepted for threshold %g", sc.ResumeBelow, sc.Threshold)
 			}
 			if !(sc.Period > 0) || math.IsInf(sc.Period, 0) {
 				t.Errorf("shedding period %g accepted, want finite and positive", sc.Period)

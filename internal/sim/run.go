@@ -32,7 +32,7 @@ type Options struct {
 	// measure from t=0 with no discard, set Warmup to ZeroWarmup (any
 	// negative value works). Values in (0, Horizon) are used as given.
 	Warmup float64
-	// Replications is the number of independent runs (default 5); the
+	// Replications is the number of independent runs (default 5); the 95%
 	// confidence intervals come from across-replication variability.
 	Replications int
 	// Seed selects the replication seed sequence (replication r uses
@@ -41,8 +41,6 @@ type Options struct {
 	// Quantiles lists end-to-end delay quantiles to estimate per class
 	// (e.g. 0.95); empty means none.
 	Quantiles []float64
-	// Confidence is the CI level (default 0.95).
-	Confidence float64
 	// Profiles optionally replaces each class's constant Poisson arrivals
 	// with a time-varying profile (nil entries keep the constant rate).
 	// When set, its length must equal the class count. This is the
@@ -156,17 +154,13 @@ func (o *Options) defaults() error {
 	if o.Replications <= 0 {
 		o.Replications = 5
 	}
-	switch {
-	case o.Confidence == 0:
-		o.Confidence = 0.95
-	case !(o.Confidence > 0) || o.Confidence >= 1:
-		// An explicitly out-of-range (or NaN) level is a configuration
-		// mistake, not a request for the default: reject it like a bad
-		// warmup instead of silently rewriting it.
-		return fmt.Errorf("sim: confidence level %g out of (0, 1)", o.Confidence)
-	}
 	if (o.Controller != nil || o.PlanController != nil) && !(o.ControlPeriod > 0) {
 		return fmt.Errorf("sim: a controller requires a positive control period")
+	}
+	if v, ok := o.Controller.(interface{ validate() error }); ok {
+		if err := v.validate(); err != nil {
+			return err
+		}
 	}
 	if o.Controller != nil && o.PlanController != nil {
 		return fmt.Errorf("sim: Controller and PlanController are mutually exclusive")
@@ -333,7 +327,7 @@ func (o *Options) validate(c *cluster.Cluster) error {
 	if err := o.validateDeadlines(k); err != nil {
 		return err
 	}
-	if err := o.validateShedding(k); err != nil {
+	if err := o.validateShedding(); err != nil {
 		return err
 	}
 	if o.Windows != nil && (o.Windows.Classes() != k || o.Windows.Tiers() != jn) {
@@ -400,6 +394,9 @@ func (s *simulator) finish() (repOutput, error) {
 	return s.summarize(), nil
 }
 
+// confidence is the level of every confidence interval a Result reports.
+const confidence = 0.95
+
 // aggregate folds per-replication summaries into the cross-replication
 // Result (confidence intervals from across-replication variability) and
 // publishes the probe's registry output. Shared by Run and the stepped
@@ -432,7 +429,7 @@ func aggregate(c *cluster.Cluster, o Options, reps []repOutput) *Result {
 		}
 		n = w.Count()
 		return stats.Estimate{
-			Mean: w.Mean(), HalfW: w.CI(o.Confidence), Level: o.Confidence,
+			Mean: w.Mean(), HalfW: w.CI(confidence), Level: confidence,
 			Samples: n, Batches: n,
 		}
 	}

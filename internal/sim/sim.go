@@ -48,16 +48,14 @@ type simulator struct {
 	// Failure extension (nil/zero unless the corresponding option is set):
 	// per-tier breakdown configs and RNG streams, per-class deadline
 	// configs, armed-timeout FIFOs and retry-backoff streams, the shedding
-	// config with its resolved hysteresis/cap, the current shed level, and
-	// the per-class degraded-mode counters (post-warmup arrivals only).
+	// config, the current shed level, and the per-class degraded-mode
+	// counters (post-warmup arrivals only).
 	failures    []*FailureConfig
 	failRNG     []*RNG
 	deadlines   []*DeadlineConfig
 	timeoutQ    []deque[timeoutEntry]
 	retryRNG    []*RNG
 	shedCfg     *SheddingConfig
-	shedResume  float64
-	shedMax     int
 	shedClasses int
 	timeouts    []int64
 	retries     []int64
@@ -201,14 +199,6 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 	}
 	if o.Shedding != nil {
 		s.shedCfg = o.Shedding
-		s.shedResume = o.Shedding.ResumeBelow
-		if s.shedResume == 0 {
-			s.shedResume = 0.8 * o.Shedding.Threshold
-		}
-		s.shedMax = o.Shedding.MaxShedClasses
-		if s.shedMax == 0 {
-			s.shedMax = len(c.Classes) - 1
-		}
 		for _, st := range s.stations {
 			st.clock.shedOn = true
 		}

@@ -288,27 +288,3 @@ func TestSimCIsCoverAnalytic(t *testing.T) {
 		t.Errorf("CI %v does not cover %g", res.Delay[0], want)
 	}
 }
-
-func TestSimCustomConfidenceLevel(t *testing.T) {
-	c := oneTier(1, 1, queueing.FCFS,
-		[]cluster.Class{{Name: "a", Lambda: 0.5}},
-		[]queueing.Demand{{Work: 1, CV2: 1}})
-	r90, err := Run(c, Options{Horizon: 5000, Replications: 4, Seed: 71, Confidence: 0.90})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r99, err := Run(c, Options{Horizon: 5000, Replications: 4, Seed: 71, Confidence: 0.99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same replications, wider level → wider interval, identical mean.
-	if r90.Delay[0].Mean != r99.Delay[0].Mean {
-		t.Error("confidence level changed the point estimate")
-	}
-	if !(r99.Delay[0].HalfW > r90.Delay[0].HalfW) {
-		t.Errorf("99%% CI (%g) not wider than 90%% (%g)", r99.Delay[0].HalfW, r90.Delay[0].HalfW)
-	}
-	if r90.Delay[0].Level != 0.90 || r99.Delay[0].Level != 0.99 {
-		t.Error("levels not recorded")
-	}
-}
