@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint fmt tidy-check bench-build check overhead-gate fuzz
+.PHONY: all build vet test race examples lint fmt tidy-check bench-build check overhead-gate fuzz
 
 all: build
 
@@ -15,6 +15,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# examples runs every program under examples/ (about 3 s; CI's test job runs
+# this target) and fails on the first that exits non-zero.
+examples:
+	@for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # lint runs the in-tree analyzer suite (see internal/lint); it exits non-zero
 # on any finding.

@@ -11,7 +11,9 @@ import (
 // The baselines implement the naive allocation policies the paper-style
 // evaluation compares against: they use a single scalar knob (a common speed
 // multiplier) instead of optimizing per-tier speeds, which is what real
-// deployments without a model tend to do ("run everything at 80%").
+// deployments without a model tend to do ("run everything at 80%"). The
+// speed baselines evaluate candidates through the same tier models as the
+// duals (newTierFns) and report their answer as the duals do (solution).
 
 // UniformDelayBaseline spends the energy budget with all tiers at the same
 // speed: it bisects the largest common speed multiplier whose power fits the
@@ -20,37 +22,30 @@ func UniformDelayBaseline(c *cluster.Cluster, budget float64) (*Solution, error)
 	if !(budget > 0) {
 		return nil, fmt.Errorf("core: energy budget %g must be positive", budget)
 	}
-	ev, err := newEvaluator(c)
+	t, err := newTierFns(c)
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := ev.c.SpeedBounds()
-	speedsAt := func(f float64) []float64 {
-		s := make([]float64, len(lo))
-		for i := range s {
-			s[i] = lo[i] + f*(hi[i]-lo[i])
-		}
-		return s
-	}
-	if ev.power(speedsAt(0)) > budget {
+	x := make([]float64, t.width())
+	powerAt := func(f float64) float64 { return t.evalAt(t.uniform(f), x) }
+	// The minimum speeds are stable unless some tier is unstable even at
+	// its maximum (SpeedBounds), which makes the power +Inf at every f.
+	switch p := powerAt(0); {
+	case math.IsInf(p, 1):
+		return nil, fmt.Errorf("core: cluster unstable at maximum speeds")
+	case !(p <= budget):
 		return nil, fmt.Errorf("core: energy budget %g W infeasible even at minimum speeds", budget)
 	}
 	// Power is increasing in f; find the largest affordable f.
 	f := 1.0
-	if ev.power(speedsAt(1)) > budget {
-		// g(f) = budget − power is decreasing-negating; use bisection on
-		// power(f) = budget.
-		root, err := opt.Bisect(func(f float64) float64 {
-			return ev.power(speedsAt(f)) - budget
-		}, 0, 1, 1e-9)
+	if powerAt(1) > budget {
+		root, err := opt.Bisect(func(f float64) float64 { return powerAt(f) - budget }, 0, 1, 1e-9)
 		if err != nil {
 			return nil, err
 		}
 		f = root * 0.999999 // stay strictly inside the budget
 	}
-	s := speedsAt(f)
-	d := ev.weightedDelay(s)
-	return ev.finish(s, d, opt.Result{Converged: true})
+	return t.solution(t.uniform(f), t.delayRow(), opt.Result{Converged: true})
 }
 
 // UniformEnergyBaseline meets the aggregate delay bound with all tiers at the
@@ -60,33 +55,30 @@ func UniformEnergyBaseline(c *cluster.Cluster, maxDelay float64) (*Solution, err
 	if !(maxDelay > 0) {
 		return nil, fmt.Errorf("core: delay bound %g must be positive", maxDelay)
 	}
-	ev, err := newEvaluator(c)
+	t, err := newTierFns(c)
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := ev.c.SpeedBounds()
-	speedsAt := func(f float64) []float64 {
-		s := make([]float64, len(lo))
-		for i := range s {
-			s[i] = lo[i] + f*(hi[i]-lo[i])
-		}
-		return s
-	}
-	delayAt := func(f float64) float64 { return ev.weightedDelay(speedsAt(f)) }
-	if delayAt(1) > maxDelay {
-		return nil, fmt.Errorf("core: delay bound %g s infeasible: best achievable is %g s", maxDelay, delayAt(1))
+	x, row := make([]float64, t.width()), t.delayRow()
+	delayAt := func(f float64) float64 { return dot(row, t.evalAt(t.uniform(f), x), x) }
+	if d := delayAt(1); !(d <= maxDelay) {
+		return nil, fmt.Errorf("core: delay bound %g s infeasible: best achievable is %g s", maxDelay, d)
 	}
 	f := 0.0
 	if delayAt(0) > maxDelay {
-		root, err := opt.BisectDecreasing(delayAt, maxDelay, 0, 1, 1e-9)
+		root, err := opt.Bisect(func(f float64) float64 {
+			d := delayAt(f)
+			if math.IsInf(d, 1) {
+				return 1 // unstable counts as above the bound
+			}
+			return d - maxDelay
+		}, 0, 1, 1e-9)
 		if err != nil {
 			return nil, err
 		}
 		f = math.Min(1, root*1.000001) // stay strictly feasible
 	}
-	s := speedsAt(f)
-	p := ev.power(s)
-	return ev.finish(s, p, opt.Result{Converged: true})
+	return t.solution(t.uniform(f), t.powerRow(), opt.Result{Converged: true})
 }
 
 // UniformCostBaseline sizes every tier with the same server count (the
@@ -101,16 +93,8 @@ func UniformCostBaseline(c *cluster.Cluster, maxServersPerTier int) (*Solution, 
 		for _, t := range work.Tiers {
 			t.Servers = n
 		}
-		if slasHoldAtMaxSpeed(work) {
-			m, err := cluster.Evaluate(work)
-			if err != nil {
-				return nil, err
-			}
-			return &Solution{
-				Cluster: work, Metrics: m,
-				Objective: cluster.TotalCost(work),
-				Result:    opt.Result{Iters: n, Converged: true},
-			}, nil
+		if slaViolation(work) <= 0 {
+			return costSolution(work, n)
 		}
 	}
 	return nil, fmt.Errorf("core: uniform baseline cannot meet SLAs within %d servers per tier", maxServersPerTier)
@@ -146,16 +130,8 @@ func ProportionalCostBaseline(c *cluster.Cluster, maxServersPerTier int) (*Solut
 			}
 			t.Servers = n
 		}
-		if slasHoldAtMaxSpeed(work) {
-			m, err := cluster.Evaluate(work)
-			if err != nil {
-				return nil, err
-			}
-			return &Solution{
-				Cluster: work, Metrics: m,
-				Objective: cluster.TotalCost(work),
-				Result:    opt.Result{Converged: true},
-			}, nil
+		if slaViolation(work) <= 0 {
+			return costSolution(work, 0)
 		}
 		if tooBig {
 			return nil, fmt.Errorf("core: proportional baseline cannot meet SLAs within %d servers per tier", maxServersPerTier)
@@ -163,25 +139,16 @@ func ProportionalCostBaseline(c *cluster.Cluster, maxServersPerTier int) (*Solut
 	}
 }
 
-// slasHoldAtMaxSpeed reports whether every SLA holds with all tiers at their
-// maximum speed.
-func slasHoldAtMaxSpeed(c *cluster.Cluster) bool {
-	_, hi := c.SpeedBounds()
-	if err := c.SetSpeeds(hi); err != nil {
-		return false
-	}
+// costSolution reports a sized cluster, which slaViolation left at maximum
+// speeds, priced by its servers, after iters sizing steps.
+func costSolution(c *cluster.Cluster, iters int) (*Solution, error) {
 	m, err := cluster.Evaluate(c)
 	if err != nil {
-		return false
+		return nil, err
 	}
-	reports, err := cluster.CheckSLAs(c, m)
-	if err != nil {
-		return false
-	}
-	for _, r := range reports {
-		if !r.Satisfied() {
-			return false
-		}
-	}
-	return true
+	return &Solution{
+		Cluster: c, Metrics: m,
+		Objective: cluster.TotalCost(c),
+		Result:    opt.Result{Iters: iters, Converged: true},
+	}, nil
 }

@@ -26,7 +26,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"clusterq/internal/cluster"
 	"clusterq/internal/opt"
@@ -59,63 +58,4 @@ type Solution struct {
 func (s *Solution) String() string {
 	return fmt.Sprintf("objective=%.6g speeds=%v (evals=%d)",
 		s.Objective, s.Cluster.Speeds(), s.Result.Evals)
-}
-
-// evaluator caches the cloned cluster and provides the objective plumbing
-// every optimizer shares: write a candidate speed vector, evaluate, map
-// failures to +Inf.
-type evaluator struct {
-	c *cluster.Cluster
-}
-
-func newEvaluator(c *cluster.Cluster) (*evaluator, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return &evaluator{c: c.Clone()}, nil
-}
-
-// metricsAt evaluates the cluster at the candidate speeds; nil means the
-// configuration is invalid or unstable in a way Evaluate rejects.
-func (e *evaluator) metricsAt(speeds []float64) *cluster.Metrics {
-	if err := e.c.SetSpeeds(speeds); err != nil {
-		return nil
-	}
-	m, err := cluster.Evaluate(e.c)
-	if err != nil {
-		return nil
-	}
-	return m
-}
-
-// weightedDelay returns the arrival-rate-weighted mean delay at the
-// candidate speeds, +Inf when unstable/invalid.
-func (e *evaluator) weightedDelay(speeds []float64) float64 {
-	m := e.metricsAt(speeds)
-	if m == nil || !m.Stable() {
-		return math.Inf(1)
-	}
-	return m.WeightedDelay
-}
-
-// power returns total average power at the candidate speeds, +Inf on failure.
-func (e *evaluator) power(speeds []float64) float64 {
-	m := e.metricsAt(speeds)
-	if m == nil {
-		return math.Inf(1)
-	}
-	return m.TotalPower
-}
-
-// finish assembles a Solution at the given speeds.
-func (e *evaluator) finish(speeds []float64, objective float64, r opt.Result) (*Solution, error) {
-	out := e.c.Clone()
-	if err := out.SetSpeeds(speeds); err != nil {
-		return nil, err
-	}
-	m, err := cluster.Evaluate(out)
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{Cluster: out, Metrics: m, Objective: objective, Result: r}, nil
 }

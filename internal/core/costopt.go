@@ -12,10 +12,9 @@ import (
 type CostOptions struct {
 	// MaxServersPerTier caps the search (default 64).
 	MaxServersPerTier int
-	// TuneSpeeds selects whether, after sizing, tier speeds are lowered to
-	// the energy-minimal point that still meets all SLAs (default true
-	// via the zero value being interpreted as true; set SkipSpeedTuning
-	// to disable).
+	// SkipSpeedTuning leaves every tier at its maximum speed after sizing.
+	// By default the speeds are lowered to the energy-minimal point that
+	// still meets all SLAs. EnergyPrice overrides it.
 	SkipSpeedTuning bool
 	// SafetyMargin tightens every SLA bound by this fraction during
 	// planning (e.g. 0.05 plans against 95% of each bound) so the plan
@@ -112,39 +111,10 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 	}
 	evals := 0
 
-	// violationAt computes the worst relative SLA violation with the
-	// current server counts, all tiers at maximum speed (the best case for
-	// every delay-type guarantee). ≤ 0 means feasible.
+	// violationAt is slaViolation, counted in the result's evaluations.
 	violationAt := func(w *cluster.Cluster) float64 {
-		_, hi := w.SpeedBounds()
-		if err := w.SetSpeeds(hi); err != nil {
-			return math.Inf(1)
-		}
 		evals++
-		m, err := cluster.Evaluate(w)
-		if err != nil {
-			return math.Inf(1)
-		}
-		worst := math.Inf(-1)
-		for k, cl := range w.Classes {
-			if cl.SLA.HasMeanBound() {
-				v := (m.Delay[k] - cl.SLA.MaxMeanDelay) / cl.SLA.MaxMeanDelay
-				if v > worst {
-					worst = v
-				}
-			}
-			if cl.SLA.HasPercentileBound() {
-				q, err := cluster.DelayQuantile(w, m, k, cl.SLA.Percentile)
-				if err != nil || math.IsInf(q, 1) {
-					return math.Inf(1)
-				}
-				v := (q - cl.SLA.PercentileDelay) / cl.SLA.PercentileDelay
-				if v > worst {
-					worst = v
-				}
-			}
-		}
-		return worst
+		return slaViolation(w)
 	}
 
 	startServers(work, maxServers)
@@ -248,6 +218,39 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 	}
 	result := opt.Result{Iters: added, Evals: evals, Converged: true}
 	return &Solution{Cluster: work, Metrics: m, Objective: objective, Result: result}, nil
+}
+
+// slaViolation sets every tier of c to its maximum speed, the best case for
+// every delay guarantee, and returns the worst relative SLA violation there:
+// ≤ 0 means every SLA holds. A configuration Evaluate rejects, an unbounded
+// or failed quantile and a NaN delay count as +Inf, so slaViolation(c) ≤ 0
+// exactly when CheckSLAs at maximum speeds finds every SLA satisfied.
+func slaViolation(c *cluster.Cluster) float64 {
+	_, hi := c.SpeedBounds()
+	if err := c.SetSpeeds(hi); err != nil {
+		return math.Inf(1)
+	}
+	m, err := cluster.Evaluate(c)
+	if err != nil {
+		return math.Inf(1)
+	}
+	worst := math.Inf(-1) // math.Max keeps a NaN
+	for k, cl := range c.Classes {
+		if cl.SLA.HasMeanBound() {
+			worst = math.Max(worst, (m.Delay[k]-cl.SLA.MaxMeanDelay)/cl.SLA.MaxMeanDelay)
+		}
+		if cl.SLA.HasPercentileBound() {
+			q, err := cluster.DelayQuantile(c, m, k, cl.SLA.Percentile)
+			if err != nil || math.IsInf(q, 1) {
+				return math.Inf(1)
+			}
+			worst = math.Max(worst, (q-cl.SLA.PercentileDelay)/cl.SLA.PercentileDelay)
+		}
+	}
+	if math.IsNaN(worst) {
+		return math.Inf(1)
+	}
+	return worst
 }
 
 // tcoCost returns the total cost of ownership of a cluster at its current

@@ -8,6 +8,7 @@ import (
 	"clusterq/internal/cluster"
 	"clusterq/internal/power"
 	"clusterq/internal/queueing"
+	"clusterq/internal/workload"
 )
 
 // slaCluster builds a 3-tier cluster with per-class SLA bounds and priced
@@ -225,6 +226,36 @@ func TestUniformDelayBaselineInfeasible(t *testing.T) {
 	}
 	if _, err := UniformDelayBaseline(c, -1); err == nil {
 		t.Error("negative budget accepted")
+	}
+}
+
+// TestSpeedBaselinesRejectUnsolvableClusters holds both speed baselines to
+// the clusters MinimizeDelay rejects: the heavy-database cluster with its db
+// tier pinned at speed 4, which no speed stabilises, and one whose arrival
+// rates sum to zero. UniformDelayBaseline once returned a +Inf objective for
+// the first, with no error.
+func TestSpeedBaselinesRejectUnsolvableClusters(t *testing.T) {
+	unstable := workload.Enterprise3TierHeavyDB(1.0)
+	unstable.Tiers[2].Speed, unstable.Tiers[2].MaxSpeed = 4, 4
+	idle := workload.Enterprise3TierHeavyDB(1.0)
+	for k := range idle.Classes {
+		idle.Classes[k].Lambda = 0
+	}
+	for _, tc := range []struct {
+		name string
+		c    *cluster.Cluster
+	}{{"unstable", unstable}, {"idle", idle}} {
+		if _, err := MinimizeDelay(tc.c, DelayOptions{EnergyBudget: 1e6}); err == nil {
+			t.Fatalf("%s: MinimizeDelay accepted the cluster", tc.name)
+		}
+		if sol, err := UniformDelayBaseline(tc.c, 1e6); err == nil {
+			t.Errorf("%s: UniformDelayBaseline returned objective %g (stable %v), want an error",
+				tc.name, sol.Objective, sol.Metrics.Stable())
+		}
+		if sol, err := UniformEnergyBaseline(tc.c, 1e6); err == nil {
+			t.Errorf("%s: UniformEnergyBaseline returned objective %g (stable %v), want an error",
+				tc.name, sol.Objective, sol.Metrics.Stable())
+		}
 	}
 }
 

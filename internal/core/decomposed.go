@@ -370,6 +370,16 @@ func (t *tierFns) cheapest() []float64 {
 	return s
 }
 
+// uniform returns the speeds a fraction f of the way from every tier's
+// slowest speed to its fastest: the speed baselines' one knob.
+func (t *tierFns) uniform(f float64) []float64 {
+	s := make([]float64, len(t.lo))
+	for i := range s {
+		s[i] = t.lo[i] + f*(t.hi[i]-t.lo[i])
+	}
+	return s
+}
+
 // width returns the number of quantities after the power: the K class
 // delays, and the K tail sums when the tiers carry tail weights.
 func (t *tierFns) width() int {
@@ -801,22 +811,30 @@ func (t *tierFns) solveParts(pr *dualProblem, nu0 []float64) (*Solution, error) 
 	if best == nil {
 		return nil, fmt.Errorf("core: no part of the speed box meets every bound")
 	}
+	sol, err := t.solution(best.speeds, pr.obj, opt.Result{
+		Iters: len(trace), Evals: evals, Converged: converged, Trace: trace,
+	})
+	if err != nil {
+		return nil, err
+	}
+	sol.Multipliers = best.nu
+	return sol, nil
+}
+
+// solution evaluates a clone of the cluster at the speeds and reports the
+// objective row applied to its metrics, as r's F, with the speeds as r's X.
+// Every solver and speed baseline builds its answer here.
+func (t *tierFns) solution(speeds, objRow []float64, r opt.Result) (*Solution, error) {
 	out := t.c.Clone()
-	if err := out.SetSpeeds(best.speeds); err != nil {
+	if err := out.SetSpeeds(speeds); err != nil {
 		return nil, err
 	}
 	m, err := cluster.Evaluate(out)
 	if err != nil {
 		return nil, err
 	}
-	obj := dot(pr.obj, m.TotalPower, m.Delay)
-	return &Solution{
-		Cluster: out, Metrics: m, Objective: obj, Multipliers: best.nu,
-		Result: opt.Result{
-			X: best.speeds, F: obj, Iters: len(trace), Evals: evals,
-			Converged: converged, Trace: trace,
-		},
-	}, nil
+	r.X, r.F = speeds, dot(objRow, m.TotalPower, m.Delay)
+	return &Solution{Cluster: out, Metrics: m, Objective: r.F, Result: r}, nil
 }
 
 // Tail linearization stopping rules: every quantile within dualExcess of its

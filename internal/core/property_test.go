@@ -158,7 +158,7 @@ func TestCostSolverPropertyRandomClusters(t *testing.T) {
 			}
 			probe := sol.Cluster.Clone()
 			probe.Tiers[j].Servers--
-			if slasHoldAtMaxSpeed(probe) {
+			if slaViolation(probe) <= 0 {
 				t.Errorf("trial %d: tier %d has a removable server", trial, j)
 			}
 		}

@@ -224,11 +224,7 @@ func runE16(cfg Config) ([]*Table, error) {
 func e16Bounds() (*cluster.Cluster, []float64, error) {
 	c := workload.Enterprise3Tier(1)
 	_, hi := c.SpeedBounds()
-	fast := c.Clone()
-	if err := fast.SetSpeeds(hi); err != nil {
-		return nil, nil, err
-	}
-	mFast, err := cluster.Evaluate(fast)
+	mFast, err := evaluateAt(c, hi)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -174,27 +174,15 @@ func e17Row(t *Table, key1, key2 any, dual, auglag func() (*core.Solution, error
 }
 
 // e17ClassBounds gives every class but the highest-priority one a mean-delay
-// bound halfway between its delay at maximum speeds and at a leisurely
-// operating point (20% above the speed floor); the top class is left
-// unbounded.
+// bound halfway between its delay at maximum speeds and at slowSpeeds; the
+// top class is left unbounded.
 func e17ClassBounds(c *cluster.Cluster) ([]float64, error) {
-	lo, hi := c.SpeedBounds()
-	slow := make([]float64, len(lo))
-	for i := range lo {
-		slow[i] = lo[i] + 0.2*(hi[i]-lo[i])
-	}
-	at := func(speeds []float64) (*cluster.Metrics, error) {
-		x := c.Clone()
-		if err := x.SetSpeeds(speeds); err != nil {
-			return nil, err
-		}
-		return cluster.Evaluate(x)
-	}
-	mf, err := at(hi)
+	_, hi := c.SpeedBounds()
+	mf, err := evaluateAt(c, hi)
 	if err != nil {
 		return nil, err
 	}
-	ms, err := at(slow)
+	ms, err := evaluateAt(c, slowSpeeds(c))
 	if err != nil {
 		return nil, err
 	}

@@ -95,11 +95,7 @@ func runE7(cfg Config) ([]*Table, error) {
 
 	// Best achievable per-class delays at max speed set the bound scale.
 	_, hi := c.SpeedBounds()
-	fast := c.Clone()
-	if err := fast.SetSpeeds(hi); err != nil {
-		return nil, err
-	}
-	mFast, err := cluster.Evaluate(fast)
+	mFast, err := evaluateAt(c, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -139,45 +135,46 @@ func runE7(cfg Config) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
+// evaluateAt returns the metrics of a clone of c at the given speeds.
+func evaluateAt(c *cluster.Cluster, speeds []float64) (*cluster.Metrics, error) {
+	x := c.Clone()
+	if err := x.SetSpeeds(speeds); err != nil {
+		return nil, err
+	}
+	return cluster.Evaluate(x)
+}
+
+// slowSpeeds returns a stable-but-leisurely operating point: every tier 20%
+// of the way from its speed floor to its maximum.
+func slowSpeeds(c *cluster.Cluster) []float64 {
+	lo, hi := c.SpeedBounds()
+	s := make([]float64, len(lo))
+	for i := range lo {
+		s[i] = lo[i] + 0.2*(hi[i]-lo[i])
+	}
+	return s
+}
+
 // budgetRange returns the feasible power range [cheapest stable, full speed].
 func budgetRange(c *cluster.Cluster) (lo, hi float64) {
 	loS, hiS := c.SpeedBounds()
-	a := c.Clone()
-	if err := a.SetSpeeds(loS); err == nil {
-		if m, err := cluster.Evaluate(a); err == nil {
-			lo = m.TotalPower * 1.02
-		}
+	if m, err := evaluateAt(c, loS); err == nil {
+		lo = m.TotalPower * 1.02
 	}
-	b := c.Clone()
-	if err := b.SetSpeeds(hiS); err == nil {
-		if m, err := cluster.Evaluate(b); err == nil {
-			hi = m.TotalPower
-		}
+	if m, err := evaluateAt(c, hiS); err == nil {
+		hi = m.TotalPower
 	}
 	return lo, hi
 }
 
 // delayRange returns [best achievable delay, delay at a slow stable point].
 func delayRange(c *cluster.Cluster) (best, worst float64, err error) {
-	loS, hiS := c.SpeedBounds()
-	fast := c.Clone()
-	if err := fast.SetSpeeds(hiS); err != nil {
-		return 0, 0, err
-	}
-	mf, err := cluster.Evaluate(fast)
+	_, hiS := c.SpeedBounds()
+	mf, err := evaluateAt(c, hiS)
 	if err != nil {
 		return 0, 0, err
 	}
-	slowSpeeds := make([]float64, len(loS))
-	for i := range loS {
-		// A stable-but-leisurely operating point: 20% above the floor.
-		slowSpeeds[i] = loS[i] + 0.2*(hiS[i]-loS[i])
-	}
-	slow := c.Clone()
-	if err := slow.SetSpeeds(slowSpeeds); err != nil {
-		return 0, 0, err
-	}
-	ms, err := cluster.Evaluate(slow)
+	ms, err := evaluateAt(c, slowSpeeds(c))
 	if err != nil {
 		return 0, 0, err
 	}

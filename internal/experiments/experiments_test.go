@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -78,6 +80,41 @@ func TestRunAndPrint(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "E3") || !strings.Contains(out, "gold") {
 		t.Errorf("unexpected output: %.200q", out)
+	}
+}
+
+// TestAnalyticTablesMatchFullResults reruns at full fidelity the experiments
+// whose tables hold no simulated or timed column, and requires each printed
+// block to equal its section of the committed full_results.txt byte for
+// byte. The E-tables are the behaviour contract; these eight check it in
+// milliseconds.
+func TestAnalyticTablesMatchFullResults(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "full_results.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
+	for _, id := range []string{"E3", "E4", "E5", "E6", "E7", "E11", "E13", "E19"} {
+		start := strings.Index(text, "=== "+id+": ")
+		if start < 0 {
+			t.Errorf("%s: no section in full_results.txt", id)
+			continue
+		}
+		want := text[start:]
+		if end := strings.Index(want, "\n=== "); end >= 0 {
+			want = want[:end+1]
+		}
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := RunAndPrint(e, Config{}, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want {
+			t.Errorf("%s differs from full_results.txt:\ngot:\n%s\nwant:\n%s", id, got.String(), want)
+		}
 	}
 }
 

@@ -261,16 +261,16 @@ type Recorder struct {
 	unmatched uint64 // events for jobs with no open span (should be zero)
 }
 
-// DefaultCapacity is the event-ring capacity NewRecorder uses when given a
+// defaultCapacity is the event-ring capacity NewRecorder uses when given a
 // non-positive capacity.
-const DefaultCapacity = 1 << 16
+const defaultCapacity = 1 << 16
 
 // NewRecorder returns a recorder whose event ring holds capacity events and
 // whose span ring holds capacity/4 completed spans (at least 1024 each).
-// Non-positive capacity selects DefaultCapacity.
+// Non-positive capacity selects defaultCapacity.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
-		capacity = DefaultCapacity
+		capacity = defaultCapacity
 	}
 	spCap := capacity / 4
 	if capacity < 1024 {

@@ -1,8 +1,10 @@
 // Package opt holds the solver plumbing shared by the paper's optimizers:
-// the Result every solve reports, its per-iteration TraceEntry, and the
-// one-dimensional searches — golden-section minimization and bisection —
-// that the dual decompositions in internal/core and the uniform baselines
-// are built on. It is stdlib-only.
+// the Result every solve reports, its per-iteration TraceEntry, and two
+// one-dimensional searches. Bisection serves internal/core's uniform
+// baselines. Golden-section minimization serves only tests, among them the
+// weak-duality certificate of internal/core. The dual decompositions search
+// each tier with their own safeguarded Newton iteration (pieceMin). It is
+// stdlib-only.
 //
 // The general-purpose reference solver that experiment E17 compares the
 // duals with (a multi-start augmented Lagrangian over Nelder–Mead) lives
@@ -10,9 +12,9 @@
 // configure it and stay here so that callers outside internal/experiments
 // can still name its settings.
 //
-// The searches minimize. Objectives may return +Inf to mark infeasible
-// points (e.g. an unstable queueing configuration); the searches treat such
-// points as uniformly bad and retreat from them.
+// Golden section's objective may return +Inf to mark infeasible points
+// (e.g. an unstable queueing configuration); it treats such points as
+// uniformly bad and retreats from them.
 package opt
 
 import "fmt"

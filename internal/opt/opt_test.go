@@ -57,38 +57,6 @@ func TestBisect(t *testing.T) {
 	}
 }
 
-func TestBisectDecreasing(t *testing.T) {
-	// g(x) = 10/x, target 2 → x = 5.
-	g := func(x float64) float64 { return 10 / x }
-	x, err := BisectDecreasing(g, 2, 0.1, 100, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(x, 5, 1e-8) {
-		t.Errorf("x = %g", x)
-	}
-	if _, err := BisectDecreasing(g, 200, 0.1, 100, 0); err == nil {
-		t.Error("unreachable high target accepted")
-	}
-	if _, err := BisectDecreasing(g, 0.01, 0.1, 100, 0); err == nil {
-		t.Error("unreachable low target accepted")
-	}
-	// Infeasible (+Inf) left region treated as above-target.
-	gInf := func(x float64) float64 {
-		if x < 1 {
-			return math.Inf(1)
-		}
-		return 10 / x
-	}
-	x, err = BisectDecreasing(gInf, 2, 0.5, 100, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(x, 5, 1e-8) {
-		t.Errorf("x with inf region = %g", x)
-	}
-}
-
 func TestResultString(t *testing.T) {
 	r := Result{X: []float64{1}, F: 2, Iters: 3, Evals: 4, Converged: true}
 	if len(r.String()) == 0 {

@@ -69,24 +69,3 @@ func Bisect(g func(float64) float64, lo, hi, tol float64) (float64, error) {
 	}
 	return lo + (hi-lo)/2, nil
 }
-
-// BisectDecreasing finds x in [lo, hi] with g(x) = target for a
-// non-increasing g, handling the common resource-allocation shape where
-// g(lo) ≥ target ≥ g(hi) (e.g. delay as a function of speed). It returns an
-// error when the target is outside the achievable range.
-func BisectDecreasing(g func(float64) float64, target, lo, hi, tol float64) (float64, error) {
-	glo, ghi := g(lo), g(hi)
-	if glo < target {
-		return 0, fmt.Errorf("opt: target %g above range (g(lo)=%g)", target, glo)
-	}
-	if ghi > target {
-		return 0, fmt.Errorf("opt: target %g below range (g(hi)=%g)", target, ghi)
-	}
-	return Bisect(func(x float64) float64 {
-		v := g(x)
-		if math.IsInf(v, 1) {
-			return 1 // treat infeasible as "above target"
-		}
-		return v - target
-	}, lo, hi, tol)
-}

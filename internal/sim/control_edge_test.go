@@ -48,7 +48,7 @@ func TestNaNControllerDecisionDegradesToMinSpeed(t *testing.T) {
 	}
 	// The degraded decision is applied as a real retune to MinSpeed (once:
 	// subsequent identical decisions are skipped by setSpeed).
-	if res.EventCounts[TraceRetune] == 0 {
+	if res.EventCounts[traceRetune] == 0 {
 		t.Error("no retune events: the clamped NaN decision was never applied")
 	}
 }

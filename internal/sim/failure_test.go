@@ -108,7 +108,7 @@ func TestBreakdownsMatchEffectiveCapacityMMc(t *testing.T) {
 		t.Errorf("degraded delay %g not above nominal M/M/2 response %g",
 			res.Delay[0].Mean, nominal.MeanResponse())
 	}
-	if res.EventCounts[TraceBreakdown] == 0 || res.EventCounts[TraceRepair] == 0 {
+	if res.EventCounts[traceBreakdown] == 0 || res.EventCounts[traceRepair] == 0 {
 		t.Errorf("no breakdown/repair events counted: %v", res.EventCounts)
 	}
 	// Nothing times out, so all arrivals complete: goodput ≈ λ.
@@ -272,7 +272,7 @@ func TestSheddingDropsLowestClassFirst(t *testing.T) {
 	if res.Shed[1] == 0 {
 		t.Error("overloaded run shed no bronze arrivals")
 	}
-	if res.EventCounts[TraceShed] == 0 {
+	if res.EventCounts[traceShed] == 0 {
 		t.Errorf("no shed events counted: %v", res.EventCounts)
 	}
 	// With bronze shed the station is left with ρ well below 1; gold's delay

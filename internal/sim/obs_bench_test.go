@@ -28,7 +28,7 @@ func BenchmarkTraceWriterBuffered(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tw.event(float64(i), TraceArrival, 1, uint64(i), -1, 0)
+		tw.event(float64(i), traceArrival, 1, uint64(i), -1, 0)
 	}
 	b.StopTimer()
 	tw.flush()
@@ -50,7 +50,7 @@ func BenchmarkTraceWriterUnbuffered(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fmt.Fprintf(f, "%.9g,%s,%d,%d,%d,%.9g\n",
-			float64(i), TraceArrival, 1, uint64(i), -1, 0.0); err != nil {
+			float64(i), traceArrival, 1, uint64(i), -1, 0.0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -185,10 +185,10 @@ func TestObserverStreamsGoldenHash(t *testing.T) {
 		})
 	}
 	for _, k := range []string{
-		TraceArrival, TraceStart, TracePreempt, TraceVisitEnd, TraceExit,
-		TraceRetune, TraceSetupBegin, TraceSetupDone, TraceBreakdown,
-		TraceRepair, TraceTimeout, TraceRetry, TraceAbandon, TraceShed,
-		TraceShedLevel, TracePark,
+		traceArrival, traceStart, tracePreempt, traceVisitEnd, traceExit,
+		traceRetune, traceSetupBegin, traceSetupDone, traceBreakdown,
+		traceRepair, traceTimeout, traceRetry, traceAbandon, traceShed,
+		traceShedLevel, tracePark,
 	} {
 		if !seen[k] {
 			t.Errorf("no case emitted trace kind %q", k)

@@ -113,8 +113,8 @@ func TestPlanDecisionClampsAndHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EventCounts[TraceRetune] != 0 {
-		t.Errorf("NaN plan speed caused %d retunes, want 0 (hold)", res.EventCounts[TraceRetune])
+	if res.EventCounts[traceRetune] != 0 {
+		t.Errorf("NaN plan speed caused %d retunes, want 0 (hold)", res.EventCounts[traceRetune])
 	}
 	if math.IsNaN(res.Delay[0].Mean) {
 		t.Error("NaN plan speed leaked into results")
@@ -127,11 +127,11 @@ func TestPlanDecisionClampsAndHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EventCounts[TraceRetune] == 0 {
+	if res.EventCounts[traceRetune] == 0 {
 		t.Error("clamped over-max speed was never applied")
 	}
-	if res.EventCounts[TracePark] != 0 {
-		t.Errorf("capped server request caused %d park events, want 0", res.EventCounts[TracePark])
+	if res.EventCounts[tracePark] != 0 {
+		t.Errorf("capped server request caused %d park events, want 0", res.EventCounts[tracePark])
 	}
 	if !(res.Completed[0] > 0) || math.IsNaN(res.TotalPower.Mean) {
 		t.Error("clamped plan produced a broken run")
@@ -163,7 +163,7 @@ func TestPlanParkingShedsIdlePower(t *testing.T) {
 		t.Errorf("parked power %g not below full-pool power %g",
 			parked.TotalPower.Mean, full.TotalPower.Mean)
 	}
-	if parked.EventCounts[TracePark] == 0 {
+	if parked.EventCounts[tracePark] == 0 {
 		t.Error("no park events recorded")
 	}
 	// Same arrival stream (control consumes no RNG), ample capacity on the

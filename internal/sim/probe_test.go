@@ -64,15 +64,15 @@ func TestProbeEventCountsAndRegistry(t *testing.T) {
 		Horizon: 5000, Replications: 2, Seed: 11,
 		Probe: &Probe{Period: 10, Registry: reg},
 	})
-	arr := res.EventCounts[TraceArrival]
-	exits := res.EventCounts[TraceExit]
+	arr := res.EventCounts[traceArrival]
+	exits := res.EventCounts[traceExit]
 	if arr == 0 || exits == 0 {
 		t.Fatalf("event counts empty: %v", res.EventCounts)
 	}
 	if exits > arr {
 		t.Fatalf("exits %d exceed arrivals %d", exits, arr)
 	}
-	if starts := res.EventCounts[TraceStart]; starts < exits {
+	if starts := res.EventCounts[traceStart]; starts < exits {
 		t.Fatalf("service starts %d below exits %d", starts, exits)
 	}
 	// The registry sees the same totals.

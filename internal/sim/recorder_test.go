@@ -100,10 +100,10 @@ func TestSpanAccountingProperty(t *testing.T) {
 		completed += b.Completed
 		abandoned += b.Abandoned
 	}
-	if got := res.EventCounts[TraceExit]; completed != got {
+	if got := res.EventCounts[traceExit]; completed != got {
 		t.Errorf("recorder completed %d vs simulator exits %d", completed, got)
 	}
-	if got := res.EventCounts[TraceAbandon]; abandoned != got {
+	if got := res.EventCounts[traceAbandon]; abandoned != got {
 		t.Errorf("recorder abandoned %d vs simulator abandons %d", abandoned, got)
 	}
 }

@@ -67,8 +67,8 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64())
 }
 
-// Sampler draws service (work) samples from a distribution.
-type Sampler interface {
+// sampler draws service (work) samples from a distribution.
+type sampler interface {
 	Sample(r *RNG) float64
 	// Mean returns the distribution mean, for verification.
 	Mean() float64
@@ -115,7 +115,7 @@ func (s hyperSampler) Mean() float64 { return s.p*s.m1 + (1-s.p)*s.m2 }
 // simulator draws from exactly the distribution family the analytical model
 // assumes, so discrepancies measure the *network* approximation, not a
 // distribution mismatch.
-func samplerFor(d queueing.ServiceDist) Sampler {
+func samplerFor(d queueing.ServiceDist) sampler {
 	switch t := d.(type) {
 	case queueing.Exponential:
 		return expSampler{mean: t.M}

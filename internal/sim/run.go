@@ -63,9 +63,10 @@ type Options struct {
 	PlanController PlanController
 	ControlPeriod  float64
 	// Trace, when non-nil, streams every simulator event as a CSV row
-	// (header sim.TraceHeader). Tracing requires Replications == 1 —
-	// interleaved traces from parallel replications would be meaningless.
-	// Wrap the writer in bufio for long runs; traces are large.
+	// (header time,event,class,job,station,value). Tracing requires
+	// Replications == 1 — interleaved traces from parallel replications
+	// would be meaningless. Wrap the writer in bufio for long runs; traces
+	// are large.
 	Trace io.Writer
 	// Recorder, when non-nil, attaches the flight recorder: every job
 	// lifecycle event (arrival, service start/stop, preemption, timeout,

@@ -200,7 +200,7 @@ func TestStationClockCachesLevels(t *testing.T) {
 				PlanController: &cyclePlan{ds: retunes},
 				ControlPeriod:  40,
 			},
-			kinds: []string{TraceSetupBegin, TraceSetupDone, TraceRetune, TracePark, TracePreempt},
+			kinds: []string{traceSetupBegin, traceSetupDone, traceRetune, tracePark, tracePreempt},
 		},
 		{
 			name: "failures",
@@ -212,7 +212,7 @@ func TestStationClockCachesLevels(t *testing.T) {
 				PlanController: &cyclePlan{ds: retunes},
 				ControlPeriod:  30,
 			},
-			kinds: []string{TraceBreakdown, TraceRepair, TraceTimeout, TraceShed, TraceRetune, TracePark, TracePreempt},
+			kinds: []string{traceBreakdown, traceRepair, traceTimeout, traceShed, traceRetune, tracePark, tracePreempt},
 		},
 	}
 	for _, tc := range cases {

@@ -42,7 +42,7 @@ type simStation struct {
 	pm         power.Model
 	busyW      float64   // per-server pm.BusyPower(speed), kept by setLevels
 	idleW      float64   // per-server pm.IdlePower(speed), kept by setLevels
-	samplers   []Sampler // per class: WORK distributions
+	samplers   []sampler // per class: WORK distributions
 
 	queues  []jobDeque    // per-class FIFO queues (priority order = index)
 	fifo    jobDeque      // single queue under FCFS
@@ -52,7 +52,7 @@ type simStation struct {
 	// Sleep-state extension (instant-off policy): idle servers power down
 	// to sleepPower and pay a setup period (at busy power) to wake.
 	sleepEnabled bool
-	setupSampler Sampler
+	setupSampler sampler
 	sleepPower   float64
 	settingUp    int // servers currently warming up
 

@@ -69,22 +69,22 @@ type tapSpec struct {
 }
 
 var tapKinds = [numTapKinds]tapSpec{
-	tkArrival:    {TraceArrival, trace.KindArrival, 0, winArrival, +1},
-	tkStart:      {TraceStart, trace.KindServiceStart, 0, winNone, 0},
-	tkPreempt:    {TracePreempt, trace.KindPreempt, 0, winNone, 0},
-	tkVisitEnd:   {TraceVisitEnd, trace.KindServiceStop, 0, winNone, 0},
-	tkExit:       {TraceExit, trace.KindExit, trace.OutcomeCompleted, winSojourn, -1},
-	tkRetune:     {TraceRetune, recNone, 0, winNone, 0},
-	tkSetupBegin: {TraceSetupBegin, recNone, 0, winNone, 0},
-	tkSetupDone:  {TraceSetupDone, recNone, 0, winNone, 0},
-	tkBreakdown:  {TraceBreakdown, recNone, 0, winNone, 0},
-	tkRepair:     {TraceRepair, recNone, 0, winNone, 0},
-	tkTimeout:    {TraceTimeout, trace.KindTimeout, 0, winNone, 0},
-	tkRetry:      {TraceRetry, trace.KindBackoff, 0, winNone, 0},
-	tkAbandon:    {TraceAbandon, trace.KindExit, trace.OutcomeAbandoned, winNone, -1},
-	tkShed:       {TraceShed, recNone, 0, winNone, 0},
-	tkPark:       {TracePark, recNone, 0, winNone, 0},
-	tkShedLevel:  {TraceShedLevel, recNone, 0, winNone, 0},
+	tkArrival:    {traceArrival, trace.KindArrival, 0, winArrival, +1},
+	tkStart:      {traceStart, trace.KindServiceStart, 0, winNone, 0},
+	tkPreempt:    {tracePreempt, trace.KindPreempt, 0, winNone, 0},
+	tkVisitEnd:   {traceVisitEnd, trace.KindServiceStop, 0, winNone, 0},
+	tkExit:       {traceExit, trace.KindExit, trace.OutcomeCompleted, winSojourn, -1},
+	tkRetune:     {traceRetune, recNone, 0, winNone, 0},
+	tkSetupBegin: {traceSetupBegin, recNone, 0, winNone, 0},
+	tkSetupDone:  {traceSetupDone, recNone, 0, winNone, 0},
+	tkBreakdown:  {traceBreakdown, recNone, 0, winNone, 0},
+	tkRepair:     {traceRepair, recNone, 0, winNone, 0},
+	tkTimeout:    {traceTimeout, trace.KindTimeout, 0, winNone, 0},
+	tkRetry:      {traceRetry, trace.KindBackoff, 0, winNone, 0},
+	tkAbandon:    {traceAbandon, trace.KindExit, trace.OutcomeAbandoned, winNone, -1},
+	tkShed:       {traceShed, recNone, 0, winNone, 0},
+	tkPark:       {tracePark, recNone, 0, winNone, 0},
+	tkShedLevel:  {traceShedLevel, recNone, 0, winNone, 0},
 	tkVictim:     {"", trace.KindPreempt, 0, winNone, 0},
 	tkResume:     {"", trace.KindResume, 0, winNone, 0},
 	tkDropped:    {"", trace.KindExit, trace.OutcomeDropped, winNone, -1},

@@ -6,8 +6,8 @@ import (
 	"io"
 )
 
-// TraceHeader is the CSV header line of the event trace.
-const TraceHeader = "time,event,class,job,station,value"
+// traceHeader is the CSV header line of the event trace.
+const traceHeader = "time,event,class,job,station,value"
 
 // traceBufSize is the traceWriter's internal buffer: large enough that a
 // busy trace issues one underlying write per ~64 KiB of rows instead of one
@@ -27,7 +27,7 @@ type traceWriter struct {
 
 func newTraceWriter(w io.Writer) *traceWriter {
 	t := &traceWriter{bw: bufio.NewWriterSize(w, traceBufSize)}
-	t.line("%s\n", TraceHeader)
+	t.line("%s\n", traceHeader)
 	return t
 }
 
@@ -69,20 +69,20 @@ func (t *traceWriter) event(now float64, kind string, class int, jobID uint64, s
 
 // Trace event kinds, written in the `event` column.
 const (
-	TraceArrival    = "arrival" // external arrival accepted
-	TraceStart      = "service_start"
-	TracePreempt    = "preempt"
-	TraceVisitEnd   = "visit_end"   // service at a station completed
-	TraceExit       = "exit"        // request left the system
-	TraceRetune     = "retune"      // controller changed a station's speed (value = new speed)
-	TraceSetupBegin = "setup_begin" // a sleeping server starts warming up
-	TraceSetupDone  = "setup_done"
-	TraceBreakdown  = "breakdown"  // a server failed (value = failed count after)
-	TraceRepair     = "repair"     // a server was repaired (value = failed count after)
-	TraceTimeout    = "timeout"    // an attempt's deadline expired (value = age)
-	TraceRetry      = "retry"      // a timed-out request re-enters (value = attempt #)
-	TraceAbandon    = "abandon"    // retry budget spent; the request leaves unserved
-	TraceShed       = "shed"       // an arrival refused by admission control
-	TraceShedLevel  = "shed_level" // admission level changed (value = classes shed)
-	TracePark       = "park"       // plan controller resized a tier's active pool (value = parked count after)
+	traceArrival    = "arrival" // external arrival accepted
+	traceStart      = "service_start"
+	tracePreempt    = "preempt"
+	traceVisitEnd   = "visit_end"   // service at a station completed
+	traceExit       = "exit"        // request left the system
+	traceRetune     = "retune"      // controller changed a station's speed (value = new speed)
+	traceSetupBegin = "setup_begin" // a sleeping server starts warming up
+	traceSetupDone  = "setup_done"
+	traceBreakdown  = "breakdown"  // a server failed (value = failed count after)
+	traceRepair     = "repair"     // a server was repaired (value = failed count after)
+	traceTimeout    = "timeout"    // an attempt's deadline expired (value = age)
+	traceRetry      = "retry"      // a timed-out request re-enters (value = attempt #)
+	traceAbandon    = "abandon"    // retry budget spent; the request leaves unserved
+	traceShed       = "shed"       // an arrival refused by admission control
+	traceShedLevel  = "shed_level" // admission level changed (value = classes shed)
+	tracePark       = "park"       // plan controller resized a tier's active pool (value = parked count after)
 )

@@ -23,7 +23,7 @@ type traceRow struct {
 
 func parseRows(t *testing.T, buf *bytes.Buffer) []traceRow {
 	t.Helper()
-	nFields := len(strings.Split(TraceHeader, ","))
+	nFields := len(strings.Split(traceHeader, ","))
 	var rows []traceRow
 	for i, fields := range traceLines(t, buf) {
 		if len(fields) != nFields {
@@ -82,9 +82,9 @@ func TestTraceSleepInterleaving(t *testing.T) {
 	begins, dones := 0, 0
 	for _, r := range rows {
 		switch r.event {
-		case TraceSetupBegin:
+		case traceSetupBegin:
 			begins++
-		case TraceSetupDone:
+		case traceSetupDone:
 			dones++
 		}
 		if dones > begins {
@@ -100,7 +100,7 @@ func TestTraceSleepInterleaving(t *testing.T) {
 	}
 	// Setup events are tier-level: no job id, station recorded.
 	for _, r := range rows {
-		if r.event == TraceSetupBegin || r.event == TraceSetupDone {
+		if r.event == traceSetupBegin || r.event == traceSetupDone {
 			if r.job != 0 || r.station != 0 || r.class != -1 {
 				t.Fatalf("malformed setup row: %+v", r)
 			}
@@ -128,9 +128,9 @@ func TestTracePreemptInterleaving(t *testing.T) {
 	preempts := 0
 	for i, r := range rows {
 		switch r.event {
-		case TraceStart:
+		case traceStart:
 			starts[r.job]++
-		case TracePreempt:
+		case tracePreempt:
 			preempts++
 			if r.class != 1 {
 				t.Fatalf("row %d: preempted class %d, only the low class can be preempted", i, r.class)
@@ -142,7 +142,7 @@ func TestTracePreemptInterleaving(t *testing.T) {
 			// The same instant must hand the server to a class-0 job.
 			j := i + 1
 			for j < len(rows) && rows[j].time == r.time {
-				if rows[j].event == TraceStart && rows[j].class == 0 {
+				if rows[j].event == traceStart && rows[j].class == 0 {
 					break
 				}
 				j++
@@ -150,7 +150,7 @@ func TestTracePreemptInterleaving(t *testing.T) {
 			if j >= len(rows) || rows[j].time != r.time {
 				t.Fatalf("row %d: preempt at t=%g not followed by a class-0 start at the same instant", i, r.time)
 			}
-		case TraceVisitEnd:
+		case traceVisitEnd:
 			// A visit can only end while the job holds the server: its
 			// starts must outnumber its preempts.
 			if starts[r.job] <= preempted[r.job] {

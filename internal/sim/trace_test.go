@@ -13,7 +13,7 @@ import (
 func traceLines(t *testing.T, buf *bytes.Buffer) [][]string {
 	t.Helper()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != TraceHeader {
+	if lines[0] != traceHeader {
 		t.Fatalf("missing header, got %q", lines[0])
 	}
 	var rows [][]string
@@ -53,18 +53,18 @@ func TestTraceBasicInvariants(t *testing.T) {
 		counts[r[1]]++
 	}
 	// Flow conservation: every exit had an arrival; starts cover visits.
-	if counts[TraceExit] > counts[TraceArrival] {
-		t.Errorf("more exits (%d) than arrivals (%d)", counts[TraceExit], counts[TraceArrival])
+	if counts[traceExit] > counts[traceArrival] {
+		t.Errorf("more exits (%d) than arrivals (%d)", counts[traceExit], counts[traceArrival])
 	}
-	if counts[TraceVisitEnd] > counts[TraceStart] {
-		t.Errorf("more visit ends (%d) than service starts (%d)", counts[TraceVisitEnd], counts[TraceStart])
+	if counts[traceVisitEnd] > counts[traceStart] {
+		t.Errorf("more visit ends (%d) than service starts (%d)", counts[traceVisitEnd], counts[traceStart])
 	}
-	if counts[TraceArrival]-counts[TraceExit] > 50 {
-		t.Errorf("too many in-flight at horizon: %d", counts[TraceArrival]-counts[TraceExit])
+	if counts[traceArrival]-counts[traceExit] > 50 {
+		t.Errorf("too many in-flight at horizon: %d", counts[traceArrival]-counts[traceExit])
 	}
 	// Single-tier tandem: one visit per exit.
-	if counts[TraceVisitEnd] < counts[TraceExit] {
-		t.Errorf("exits (%d) exceed visit ends (%d)", counts[TraceExit], counts[TraceVisitEnd])
+	if counts[traceVisitEnd] < counts[traceExit] {
+		t.Errorf("exits (%d) exceed visit ends (%d)", counts[traceExit], counts[traceVisitEnd])
 	}
 }
 
@@ -78,7 +78,7 @@ func TestTraceExitValueIsSojourn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range traceLines(t, &buf) {
-		if r[1] != TraceExit {
+		if r[1] != traceExit {
 			continue
 		}
 		d, err := strconv.ParseFloat(r[5], 64)
@@ -105,7 +105,7 @@ func TestTraceCapturesRetunesAndSetups(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, TraceRetune) {
+	if !strings.Contains(out, traceRetune) {
 		t.Error("no retune events traced")
 	}
 
@@ -118,7 +118,7 @@ func TestTraceCapturesRetunesAndSetups(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = buf.String()
-	if !strings.Contains(out, TraceSetupBegin) || !strings.Contains(out, TraceSetupDone) {
+	if !strings.Contains(out, traceSetupBegin) || !strings.Contains(out, traceSetupDone) {
 		t.Error("no setup events traced")
 	}
 }

@@ -25,12 +25,12 @@ var exportedCeiling = map[string]int{
 	"internal/lint":          82,
 	"internal/lint/linttest": 3,
 	"internal/obs":           33,
-	"internal/obs/trace":     66,
+	"internal/obs/trace":     65,
 	"internal/obs/window":    25,
-	"internal/opt":           28,
+	"internal/opt":           27,
 	"internal/power":         30,
 	"internal/queueing":      129,
-	"internal/sim":           141,
+	"internal/sim":           123,
 	"internal/sim/multi":     22,
 	"internal/stats":         37,
 	"internal/workload":      9,
