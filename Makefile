@@ -43,12 +43,15 @@ bench-build:
 
 # fuzz smoke-runs every fuzz target for 10s each (CI's test job runs this
 # target): the mean-delay duals' option handling and optimality
-# certificates, the tier argmin's start-independence, cluster JSON configs through parsing, validation and
-# evaluation, a tier evaluation against its boxed reference, the simulator's option defaults, the event calendar against a
-# sorted reference, and a station's running set against the linear scans.
+# certificates, the tier argmin's start-independence, the solvers' memoised
+# tier evaluation against a fresh one, cluster JSON configs through parsing,
+# validation and evaluation, a tier evaluation against its boxed reference,
+# the simulator's option defaults, the event calendar against a sorted
+# reference, and a station's running set against the linear scans.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMeanDuals$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPieceMinStart$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzTierMemoMatchesEval$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzTierEvalMatchesReference$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzOptionsDefaults$$' -fuzztime 10s ./internal/sim

@@ -123,7 +123,7 @@ func (t *Tier) Validate(numClasses int) error {
 	if t.Availability != 0 && (!(t.Availability > 0) || t.Availability > 1) {
 		return fmt.Errorf("cluster: tier %q availability %g out of (0,1]", t.Name, t.Availability)
 	}
-	return t.model().Station.Validate(numClasses)
+	return t.model(new(queueing.Station)).Station.Validate(numClasses)
 }
 
 // Clone returns a deep copy of the tier.

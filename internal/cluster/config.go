@@ -80,8 +80,8 @@ type ClassConfig struct {
 	PricePerRequest float64 `json:"price_per_request,omitempty"`
 }
 
-// ParseDiscipline maps a config string to a queueing discipline.
-func ParseDiscipline(s string) (queueing.Discipline, error) {
+// parseDiscipline maps a config string to a queueing discipline.
+func parseDiscipline(s string) (queueing.Discipline, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "nonpreemptive", "non-preemptive", "np":
 		return queueing.NonPreemptive, nil
@@ -124,7 +124,7 @@ func (cfg Config) Build() (*Cluster, error) {
 		Routes:  cfg.Routes,
 	}
 	for i, tc := range cfg.Tiers {
-		d, err := ParseDiscipline(tc.Discipline)
+		d, err := parseDiscipline(tc.Discipline)
 		if err != nil {
 			return nil, fmt.Errorf("tier %q: %w", tc.Name, err)
 		}

@@ -112,9 +112,9 @@ func TestParseDisciplineAliases(t *testing.T) {
 		"pr":         queueing.PreemptiveResume,
 	}
 	for s, want := range aliases {
-		got, err := ParseDiscipline(s)
+		got, err := parseDiscipline(s)
 		if err != nil || got != want {
-			t.Errorf("ParseDiscipline(%q) = %v, %v", s, got, err)
+			t.Errorf("parseDiscipline(%q) = %v, %v", s, got, err)
 		}
 	}
 }

@@ -80,7 +80,8 @@ type TierModel struct {
 }
 
 // TierModels returns the cluster's per-tier models at its current speeds,
-// solving each class's traffic equations once.
+// solving each class's traffic equations once. The models' stations and
+// per-class slices come from one allocation each.
 func (c *Cluster) TierModels() []TierModel {
 	visits := make([][]float64, len(c.Classes))
 	for k := range visits {
@@ -88,16 +89,18 @@ func (c *Cluster) TierModels() []TierModel {
 	}
 	nk := len(c.Classes)
 	ms := make([]TierModel, len(c.Tiers))
-	scratch := make([]float64, 4*nk*len(c.Tiers))
+	sts := make([]queueing.Station, len(c.Tiers))
+	scratch := make([]float64, 6*nk*len(c.Tiers))
 	for j, t := range c.Tiers {
 		m := &ms[j]
-		*m = t.model()
-		m.Visits, m.Arrivals = make([]float64, nk), make([]float64, nk)
+		*m = t.model(&sts[j])
+		buf := scratch[6*nk*j : 6*nk*(j+1)]
+		m.Visits, m.Arrivals = buf[:nk:nk], buf[nk:2*nk:2*nk]
 		for k, cl := range c.Classes {
 			m.Visits[k] = visits[k][j]
 			m.Arrivals[k] = cl.Lambda * m.Visits[k]
 		}
-		m.setScratch(scratch[4*nk*j : 4*nk*(j+1)])
+		m.setScratch(buf[2*nk:])
 	}
 	return ms
 }
@@ -109,15 +112,11 @@ func (m *TierModel) setScratch(buf []float64) {
 	m.wait, m.resp = buf[2*nk:3*nk:3*nk], buf[3*nk:]
 }
 
-// model returns the tier's model at its current speed, without traffic.
-func (t *Tier) model() TierModel {
-	m := TierModel{
-		Station: &queueing.Station{
-			Name: t.Name, Servers: t.Servers, Discipline: t.Discipline, Demands: t.Demands,
-		},
-		Power: t.Power,
-		Avail: t.EffectiveAvailability(),
-	}
+// model returns the tier's model at its current speed, without traffic,
+// on the station st, which it overwrites.
+func (t *Tier) model(st *queueing.Station) TierModel {
+	*st = queueing.Station{Name: t.Name, Servers: t.Servers, Discipline: t.Discipline, Demands: t.Demands}
+	m := TierModel{Station: st, Power: t.Power, Avail: t.EffectiveAvailability()}
 	m.at(t.Speed)
 	return m
 }
@@ -181,23 +180,38 @@ func Evaluate(c *Cluster) (*Metrics, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	nk := len(c.Classes)
+	return EvaluateModels(c, c.TierModels())
+}
+
+// EvaluateModels is Evaluate over tier models already built: ms must be the
+// models TierModels returns for a valid cluster with c's tiers, classes and
+// routes (c's own, or copies of them), and each is evaluated at c's
+// Tier.Speed. A solver that holds a cluster's models reports its answer
+// through it without validating the cluster or solving its traffic
+// equations again. Like Eval, it rewrites each model's station speed and
+// buffers.
+func EvaluateModels(c *Cluster, ms []TierModel) (*Metrics, error) {
+	nk, nt := len(c.Classes), len(c.Tiers)
+	buf := make([]float64, 2*nk*(nt+1))
+	row := func(n int) []float64 {
+		r := buf[:n:n]
+		buf = buf[n:]
+		return r
+	}
 	bd := &DelayBreakdown{
 		PerStation: make([][]float64, nk),
 		Wait:       make([][]float64, nk),
-		EndToEnd:   make([]float64, nk),
+		EndToEnd:   row(nk),
 	}
 	for k := range bd.PerStation {
-		bd.PerStation[k] = make([]float64, len(c.Tiers))
-		bd.Wait[k] = make([]float64, len(c.Tiers))
+		bd.PerStation[k], bd.Wait[k] = row(nt), row(nt)
 	}
 	m := &Metrics{
 		Delay:            bd.EndToEnd,
-		EnergyPerRequest: make([]float64, nk),
+		EnergyPerRequest: row(nk),
 		Tiers:            make([]TierMetrics, len(c.Tiers)),
 		Breakdown:        bd,
 	}
-	ms := c.TierModels()
 	for j, t := range c.Tiers {
 		wait, resp, tm, err := ms[j].Eval(t.Speed)
 		if err != nil {

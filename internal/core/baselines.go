@@ -26,8 +26,8 @@ func UniformDelayBaseline(c *cluster.Cluster, budget float64) (*Solution, error)
 	if err != nil {
 		return nil, err
 	}
-	x := make([]float64, t.width())
-	powerAt := func(f float64) float64 { return t.evalAt(t.uniform(f), x) }
+	x, s := make([]float64, t.width()), make([]float64, len(t.tiers))
+	powerAt := func(f float64) float64 { return t.evalAt(t.uniform(f, s), x) }
 	// The minimum speeds are stable unless some tier is unstable even at
 	// its maximum (SpeedBounds), which makes the power +Inf at every f.
 	switch p := powerAt(0); {
@@ -45,7 +45,7 @@ func UniformDelayBaseline(c *cluster.Cluster, budget float64) (*Solution, error)
 		}
 		f = root * 0.999999 // stay strictly inside the budget
 	}
-	return t.solution(t.uniform(f), t.delayRow(), opt.Result{Converged: true})
+	return t.solution(t.uniform(f, s), t.delayRow(), opt.Result{Converged: true})
 }
 
 // UniformEnergyBaseline meets the aggregate delay bound with all tiers at the
@@ -59,8 +59,8 @@ func UniformEnergyBaseline(c *cluster.Cluster, maxDelay float64) (*Solution, err
 	if err != nil {
 		return nil, err
 	}
-	x, row := make([]float64, t.width()), t.delayRow()
-	delayAt := func(f float64) float64 { return dot(row, t.evalAt(t.uniform(f), x), x) }
+	x, s, row := make([]float64, t.width()), make([]float64, len(t.tiers)), t.delayRow()
+	delayAt := func(f float64) float64 { return dot(row, t.evalAt(t.uniform(f, s), x), x) }
 	if d := delayAt(1); !(d <= maxDelay) {
 		return nil, fmt.Errorf("core: delay bound %g s infeasible: best achievable is %g s", maxDelay, d)
 	}
@@ -78,13 +78,16 @@ func UniformEnergyBaseline(c *cluster.Cluster, maxDelay float64) (*Solution, err
 		}
 		f = math.Min(1, root*1.000001) // stay strictly feasible
 	}
-	return t.solution(t.uniform(f), t.powerRow(), opt.Result{Converged: true})
+	return t.solution(t.uniform(f, s), t.powerRow(), opt.Result{Converged: true})
 }
 
 // UniformCostBaseline sizes every tier with the same server count (the
 // smallest n such that all SLAs hold at maximum speeds). Comparable to
 // MinimizeCost.
 func UniformCostBaseline(c *cluster.Cluster, maxServersPerTier int) (*Solution, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
 	if maxServersPerTier <= 0 {
 		maxServersPerTier = 64
 	}
@@ -102,8 +105,13 @@ func UniformCostBaseline(c *cluster.Cluster, maxServersPerTier int) (*Solution, 
 
 // ProportionalCostBaseline sizes tiers proportionally to their offered work
 // (the classic "capacity planning by utilization" rule): the smallest scale
-// factor whose rounded-up counts meet all SLAs at maximum speeds.
+// factor whose rounded-up counts meet all SLAs at maximum speeds. Without
+// offered work anywhere every scale gives one server per tier, so that one
+// sizing is all it tries.
 func ProportionalCostBaseline(c *cluster.Cluster, maxServersPerTier int) (*Solution, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
 	if maxServersPerTier <= 0 {
 		maxServersPerTier = 64
 	}
@@ -111,12 +119,14 @@ func ProportionalCostBaseline(c *cluster.Cluster, maxServersPerTier int) (*Solut
 	// Offered work per tier at max speed (Erlangs).
 	_, hi := work.SpeedBounds()
 	loads := make([]float64, len(work.Tiers))
+	idle := true
 	for j, m := range work.TierModels() {
 		var w float64
 		for k, d := range work.Tiers[j].Demands {
 			w += m.Arrivals[k] * d.Work
 		}
 		loads[j] = w / hi[j]
+		idle = idle && !(loads[j] > 0)
 	}
 	for scale := 1.0; ; scale += 0.25 {
 		tooBig := false
@@ -133,7 +143,7 @@ func ProportionalCostBaseline(c *cluster.Cluster, maxServersPerTier int) (*Solut
 		if slaViolation(work) <= 0 {
 			return costSolution(work, 0)
 		}
-		if tooBig {
+		if tooBig || idle {
 			return nil, fmt.Errorf("core: proportional baseline cannot meet SLAs within %d servers per tier", maxServersPerTier)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"clusterq/internal/cluster"
 	"clusterq/internal/power"
@@ -216,6 +217,65 @@ func TestUniformCostBaselineErrors(t *testing.T) {
 	}
 	if _, err := ProportionalCostBaseline(c, 4); err == nil {
 		t.Error("unreachable SLA accepted by proportional baseline")
+	}
+}
+
+// costBaselines are the two cost baselines, by name.
+var costBaselines = []struct {
+	name string
+	size func(*cluster.Cluster, int) (*Solution, error)
+}{{"uniform", UniformCostBaseline}, {"proportional", ProportionalCostBaseline}}
+
+// answerWithin runs a cost baseline on c with at most 4 servers per tier
+// under a 5 s timer, so a search that never ends fails the test instead of
+// hanging it.
+func answerWithin(t *testing.T, name string, size func(*cluster.Cluster, int) (*Solution, error), c *cluster.Cluster) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := size(c, 4)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	//lint:waive simdeterm reason="a wall-clock timer bounds a search that may never end; nothing simulated reads it" until=2027-10-01
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no answer within 5 s", name)
+		return nil
+	}
+}
+
+// TestCostBaselinesReturnOnIdleClusters: with every arrival rate zero each
+// scale of the proportional rule gives one server per tier, so when that
+// misses an SLA both cost baselines must report it rather than search
+// forever.
+func TestCostBaselinesReturnOnIdleClusters(t *testing.T) {
+	c := slaCluster()
+	for k := range c.Classes {
+		c.Classes[k].Lambda = 0
+	}
+	c.Classes[0].SLA.MaxMeanDelay = 1e-9
+	for _, b := range costBaselines {
+		if err := answerWithin(t, b.name, b.size, c.Clone()); err == nil {
+			t.Errorf("%s: unreachable SLA accepted", b.name)
+		}
+	}
+}
+
+// TestCostBaselinesValidate: both cost baselines reject an invalid cluster
+// with its validation error, not as unmet SLAs.
+func TestCostBaselinesValidate(t *testing.T) {
+	c := slaCluster()
+	c.Classes[1].Lambda = math.NaN()
+	want := c.Validate()
+	if want == nil {
+		t.Fatal("a NaN arrival rate passed validation")
+	}
+	for _, b := range costBaselines {
+		if err := answerWithin(t, b.name, b.size, c.Clone()); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: error %v, want %v", b.name, err, want)
+		}
 	}
 }
 
