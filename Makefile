@@ -47,7 +47,8 @@ bench-build:
 # tier evaluation against a fresh one, cluster JSON configs through parsing,
 # validation and evaluation, a tier evaluation against its boxed reference,
 # the simulator's option defaults, the event calendar against a sorted
-# reference, and a station's running set against the linear scans.
+# reference, a station's running set against the linear scans, and the
+# flight recorder against its map model.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMeanDuals$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPieceMinStart$$' -fuzztime 10s ./internal/core
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOptionsDefaults$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzCalendarMatchesSorted$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzRunSetMatchesScan$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzRecorderMatchesModel$$' -fuzztime 10s ./internal/obs/trace
 
 # overhead-gate asserts the disabled-flight-recorder event loop stays near
 # the recorded baseline (results/BENCH_obs.json; CI's bench-smoke job runs

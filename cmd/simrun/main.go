@@ -425,8 +425,8 @@ func main() {
 				cl.Name, b.Spans(), b.Abandoned, b.Dropped,
 				b.MeanQueue(), b.MeanService(), b.MeanPreempted(), b.MeanBackoff(), b.MeanSojourn())
 		}
-		if n := rec.SpansDropped() + rec.EventsDropped(); n > 0 {
-			fmt.Printf("  (ring overflow: %d records dropped; raise the recorder capacity)\n", n)
+		if n := rec.EventsDropped(); n > 0 {
+			fmt.Printf("  (ring overflow: %d events dropped; raise the recorder capacity)\n", n)
 		}
 	}
 	if w := opts.Windows; w != nil {

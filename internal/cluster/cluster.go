@@ -315,9 +315,17 @@ func (c *Cluster) SetSpeeds(s []float64) error {
 // if a tier cannot be stabilized even at MaxSpeed, lo is pinned to hi and the
 // tier's delays stay +Inf (the optimizers then report infeasibility).
 func (c *Cluster) SpeedBounds() (lo, hi []float64) {
+	return ModelSpeedBounds(c, c.TierModels())
+}
+
+// ModelSpeedBounds is SpeedBounds over tier models already built: ms must be
+// the models TierModels returns for c (or for a cluster with c's tiers,
+// classes and routes). A solver that keeps a cluster's models reads its
+// bounds from them without building the models again.
+func ModelSpeedBounds(c *Cluster, ms []TierModel) (lo, hi []float64) {
 	lo = make([]float64, len(c.Tiers))
 	hi = make([]float64, len(c.Tiers))
-	for i, m := range c.TierModels() {
+	for i, m := range ms {
 		// MinSpeedForStability is in station-speed units; the station runs at
 		// Speed·A, so the tier's nominal speed must clear stab/A.
 		stab := m.Station.MinSpeedForStability(m.Arrivals) / m.Avail

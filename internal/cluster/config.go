@@ -94,8 +94,8 @@ func parseDiscipline(s string) (queueing.Discipline, error) {
 	}
 }
 
-// BuildPower constructs the power model a PowerConfig describes.
-func BuildPower(pc PowerConfig) (power.Model, error) {
+// buildPower constructs the power model a PowerConfig describes.
+func buildPower(pc PowerConfig) (power.Model, error) {
 	switch strings.ToLower(strings.TrimSpace(pc.Type)) {
 	case "", "powerlaw", "power-law":
 		gamma := pc.Gamma
@@ -128,7 +128,7 @@ func (cfg Config) Build() (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tier %q: %w", tc.Name, err)
 		}
-		pm, err := BuildPower(tc.Power)
+		pm, err := buildPower(tc.Power)
 		if err != nil {
 			return nil, fmt.Errorf("tier %q: %w", tc.Name, err)
 		}

@@ -121,7 +121,7 @@ func TestParseDisciplineAliases(t *testing.T) {
 
 func TestBuildPowerDefaults(t *testing.T) {
 	// Empty type defaults to powerlaw with γ=3.
-	m, err := BuildPower(PowerConfig{Idle: 10, Kappa: 1})
+	m, err := buildPower(PowerConfig{Idle: 10, Kappa: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestBuildPowerDefaults(t *testing.T) {
 		t.Errorf("default gamma busy = %g", m.BusyPower(2))
 	}
 	// Table model.
-	tb, err := BuildPower(PowerConfig{Type: "table", Idle: 5, Speeds: []float64{1, 2}, BusyW: []float64{10, 20}})
+	tb, err := buildPower(PowerConfig{Type: "table", Idle: 5, Speeds: []float64{1, 2}, BusyW: []float64{10, 20}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,11 +130,14 @@ func (m *TierModel) at(s float64) { m.Station.Speed = s * m.Avail }
 // static part is already scaled by A. Eval allocates nothing: wait and resp
 // are the model's own buffers, valid until the next Eval on the same model
 // or any copy of it, so a caller that keeps them across evaluations copies
-// them.
+// them. A speed that is not positive and finite, or so small that a class's
+// service time Work/(s·A) overflows, is an error.
 func (m *TierModel) Eval(s float64) (wait, resp []float64, tm TierMetrics, err error) {
 	m.at(s)
 	st := m.Station
-	st.Moments(m.m1, m.m2)
+	if err := st.Moments(m.m1, m.m2); err != nil {
+		return nil, nil, tm, err
+	}
 	if err := queueing.PriorityTimes(st.Servers, st.Discipline, m.Arrivals, m.m1, m.m2, m.wait, m.resp); err != nil {
 		return nil, nil, tm, err
 	}
@@ -151,9 +154,12 @@ func (m *TierModel) Eval(s float64) (wait, resp []float64, tm TierMetrics, err e
 
 // Utilization returns the per-server utilization of the tier's station as
 // it stands: at the speed and server count its Station holds (s·A after
-// Eval(s)). It holds for every discipline, including those Eval rejects.
+// Eval(s)). It holds for every discipline, including those Eval rejects;
+// at a speed Eval rejects it is NaN.
 func (m *TierModel) Utilization() float64 {
-	m.Station.Moments(m.m1, m.m2)
+	if err := m.Station.Moments(m.m1, m.m2); err != nil {
+		return math.NaN()
+	}
 	return queueing.Utilization(m.Station.Servers, m.Arrivals, m.m1)
 }
 

@@ -38,7 +38,7 @@ var fuzzFinds = []string{
 	// traffic.
 	`{"tiers":[{"name":"a","servers":1,"speed":1,"discipline":"np","power":{"type":"linear","idle":50,"slope":20},"demands":[{"work":1,"cv2":1},{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":2},{"name":"y","lambda":0}]}`,
 	// Busy power below idle: +Inf static plus -Inf dynamic power was NaN.
-	// BuildPower rejects a negative linear slope and NewTable a busy power
+	// buildPower rejects a negative linear slope and NewTable a busy power
 	// below idle.
 	`{"tiers":[{"name":"a","servers":2,"speed":4,"discipline":"np","power":{"type":"linear","idle":1e308,"slope":-1e308},"demands":[{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":1}]}`,
 	`{"tiers":[{"name":"a","servers":2,"speed":4,"discipline":"np","power":{"type":"table","idle":1e308,"speeds":[1],"busy_watts":[0]},"demands":[{"work":1,"cv2":1}]}],"classes":[{"name":"x","lambda":7.6}]}`,

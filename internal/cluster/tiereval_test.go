@@ -187,7 +187,12 @@ func refEval(m *TierModel, s float64) (wait, resp []float64, tm TierMetrics, err
 	st.Speed = s * m.Avail
 	classes := make([]refClass, len(st.Demands))
 	for k, d := range st.Demands {
-		classes[k] = refClass{lambda: m.Arrivals[k], service: refDist(d.Work/st.Speed, d.CV2)}
+		mean := d.Work / st.Speed
+		if !(mean > 0) || math.IsInf(mean, 1) {
+			return nil, nil, tm, fmt.Errorf("queueing: station %q class %d service time %g (work %g at speed %g) is not positive and finite",
+				st.Name, k, mean, d.Work, st.Speed)
+		}
+		classes[k] = refClass{lambda: m.Arrivals[k], service: refDist(mean, d.CV2)}
 	}
 	if wait, resp, err = refPriorityMMc(classes, st.Servers, st.Discipline); err != nil {
 		return nil, nil, tm, err
@@ -341,10 +346,29 @@ func TestTierEvalMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTierEvalRejectsBadSpeeds: at a speed that is not positive and finite,
+// or so small that a service time overflows, Eval returns an error on every
+// service family, the hyperexponential one included, and does not panic.
+// The model still evaluates at a good speed afterwards.
+func TestTierEvalRejectsBadSpeeds(t *testing.T) {
+	for _, cv2 := range []float64{0, 0.5, 1, 3} {
+		m := tierModel(2, queueing.PreemptiveResume, 0.9,
+			[]queueing.Demand{{Work: 1, CV2: cv2}, {Work: 0.5, CV2: cv2}}, []float64{0.2, 0.3})
+		for _, s := range []float64{0, math.Copysign(0, -1), -1, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324} {
+			o := outcome(func() ([]float64, []float64, TierMetrics, error) { return m.Eval(s) })
+			if o.panicked != nil || o.err == nil {
+				t.Errorf("CV² %g, speed %g: panic %v, error %v; want an error", cv2, s, o.panicked, o.err)
+			}
+		}
+		checkTierEval(t, fmt.Sprintf("CV² %g after bad speeds", cv2), m, 2)
+	}
+}
+
 // FuzzTierEvalMatchesReference checks TierModel.Eval bit for bit against
 // the reference on arbitrary two-class stations: any server count up to
-// 256, discipline, speed, availability, rates, works and CV²s. Panics must
-// match too (the distribution constructors reject unrepresentable means).
+// 256, discipline, speed, availability, rates, works and CV²s. Errors must
+// match, and so must panics (the distribution constructors reject a CV²
+// they cannot represent).
 func FuzzTierEvalMatchesReference(f *testing.F) {
 	f.Add(uint8(0), uint8(1), 2.0, 1.0, 0.3, 1.0, 1.0, 0.4, 0.5, 0.5)
 	f.Add(uint8(3), uint8(0), 1.7, 0.9, 0.8, 1.2, 0.3, 1.1, 0.6, 4.0)

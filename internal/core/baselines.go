@@ -117,10 +117,11 @@ func ProportionalCostBaseline(c *cluster.Cluster, maxServersPerTier int) (*Solut
 	}
 	work := c.Clone()
 	// Offered work per tier at max speed (Erlangs).
-	_, hi := work.SpeedBounds()
+	ms := work.TierModels()
+	_, hi := cluster.ModelSpeedBounds(work, ms)
 	loads := make([]float64, len(work.Tiers))
 	idle := true
-	for j, m := range work.TierModels() {
+	for j, m := range ms {
 		var w float64
 		for k, d := range work.Tiers[j].Demands {
 			w += m.Arrivals[k] * d.Work

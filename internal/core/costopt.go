@@ -348,8 +348,8 @@ func startServers(c *cluster.Cluster, maxServers int) {
 	for _, t := range c.Tiers {
 		t.Servers = 1
 	}
-	_, hi := c.SpeedBounds()
 	ms := c.TierModels()
+	_, hi := cluster.ModelSpeedBounds(c, ms)
 	for j, t := range c.Tiers {
 		st := ms[j].Station
 		st.Speed = hi[j] * ms[j].Avail

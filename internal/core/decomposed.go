@@ -296,7 +296,6 @@ func newTierFns(c *cluster.Cluster) (*tierFns, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	lo, hi := c.SpeedBounds()
 	w := c.Lambdas()
 	var sum float64
 	for _, v := range w {
@@ -310,6 +309,7 @@ func newTierFns(c *cluster.Cluster) (*tierFns, error) {
 		wn[i] = v / sum
 	}
 	ms := c.TierModels()
+	lo, hi := cluster.ModelSpeedBounds(c, ms)
 	tiers := make([]tierFn, len(ms))
 	for j, m := range ms {
 		tiers[j] = newTierFn(m, lo[j], hi[j])

@@ -79,12 +79,14 @@ func memoReference(m *cluster.TierModel, s float64) (pow float64, resp []float64
 // bit on the power and every response time, with the same ok, whatever
 // sequence of speeds it is asked: repeats, the end checks its memo pins,
 // more distinct speeds than its ring holds, NaN, ±0, ±Inf, and speeds
-// outside the tier's range or below its stability floor. Where Eval
-// panics (a speed of 0 or ±Inf on a tier with hyperexponential service),
-// the memoised evaluation must panic too, and so must not remember the
-// speed. kind picks the cluster and the tier. Each byte of seq below the
-// palette's length picks a palette speed (memoPalette); any other byte
-// takes the next eight bytes as a speed's bits.
+// outside the tier's range or below its stability floor. Eval returns an
+// error, which the memo remembers as not ok, at a speed that is not
+// positive and finite or so small that a service time overflows; on these
+// valid clusters it panics nowhere, and wherever it did, the memoised
+// evaluation would have to panic too, and so not remember the speed. kind
+// picks the cluster and the tier. Each byte of seq below the palette's
+// length picks a palette speed (memoPalette); any other byte takes the
+// next eight bytes as a speed's bits.
 func FuzzTierMemoMatchesEval(f *testing.F) {
 	raw := func(s float64) []byte {
 		return binary.LittleEndian.AppendUint64([]byte{255}, math.Float64bits(s))

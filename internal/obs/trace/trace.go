@@ -14,12 +14,13 @@
 // recorder can trail the simulator by at most 255 events (see
 // sim.Options.Recorder for the flush points).
 //
-// Memory is bounded by construction: events and completed spans live in
-// fixed-capacity rings that overwrite their oldest entries (counting what was
-// dropped), and open spans live inline in an open-addressed table keyed by
-// job id, sized by the peak number of jobs in flight. Per-class aggregates
-// are never dropped — they accumulate every closed span even after the span
-// ring has wrapped.
+// Memory is bounded by construction: events live in a fixed-capacity ring
+// that overwrites its oldest entries (counting what was dropped), and open
+// spans live inline in an open-addressed table keyed by job id, sized by the
+// peak number of jobs in flight. A closed span is folded into its class's
+// aggregate and not kept: Spans assembles the closed spans when it is read,
+// from the events still in the ring. Per-class aggregates are never dropped —
+// they count every closed span, whatever the ring has lost since.
 package trace
 
 import (
@@ -227,6 +228,126 @@ func (o *openSpan) fold(t float64) {
 	}
 }
 
+// spanTable is the span state machine: the open spans of the events applied
+// so far, in an open-addressed table keyed by job id (linear probing from a
+// multiplicative hash, a power-of-two length, stateFree slots empty), and
+// the count of events that matched no open span. Record drives the
+// recorder's own table as events arrive; Spans drives a scratch one over
+// the buffered events.
+type spanTable struct {
+	open      []openSpan
+	n         int  // occupied slots
+	shift     uint // 64 - log2(len(open)): the hash keeps the top bits
+	unmatched uint64
+}
+
+// openInitial is the open-span table's initial length; the table doubles
+// whenever it would pass three quarters full.
+const openInitial = 1024
+
+// resize replaces the table with an empty one of n slots (a power of two)
+// and re-inserts every open span.
+func (t *spanTable) resize(n int) {
+	old := t.open
+	t.open = make([]openSpan, n)
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for i := range old {
+		if old[i].state != stateFree {
+			t.open[t.slot(old[i].job)] = old[i]
+		}
+	}
+}
+
+// home is job's preferred slot: Fibonacci hashing, which spreads the
+// simulator's sequential ids evenly over the table.
+func (t *spanTable) home(job uint64) int {
+	return int((job * fibHash) >> t.shift)
+}
+
+// fibHash is ⌊2^64/φ⌋, the Fibonacci-hashing multiplier; it is odd, so
+// multiplying by it permutes the ids.
+const fibHash = 0x9E3779B97F4A7C15
+
+// slot returns the index of job's open span, or of the empty slot where it
+// would go. The table is never full, so the probe ends.
+func (t *spanTable) slot(job uint64) int {
+	mask := len(t.open) - 1
+	i := t.home(job)
+	for t.open[i].state != stateFree && t.open[i].job != job {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// remove empties slot i by backward-shift deletion: each later span in the
+// probe run that may move back into the hole does, so no tombstones are
+// needed and lookups stay as short as at insertion.
+func (t *spanTable) remove(i int) {
+	mask := len(t.open) - 1
+	for j := (i + 1) & mask; t.open[j].state != stateFree; j = (j + 1) & mask {
+		// The span at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if (j-t.home(t.open[j].job))&mask >= (j-i)&mask {
+			t.open[i] = t.open[j]
+			i = j
+		}
+	}
+	t.open[i] = openSpan{}
+	t.n--
+}
+
+// apply applies e's transition (see Record). When e closes a span, apply
+// writes it to *sp and returns true.
+func (t *spanTable) apply(e *Event, sp *Span) bool {
+	i := t.slot(e.Job)
+	if e.Kind == KindArrival {
+		if t.open[i].state != stateFree {
+			t.unmatched++ // a duplicate id: the stale span is discarded
+		} else {
+			if 4*(t.n+1) > 3*len(t.open) {
+				t.resize(2 * len(t.open))
+				i = t.slot(e.Job)
+			}
+			t.n++
+		}
+		t.open[i] = openSpan{job: e.Job, class: e.Class, arrival: e.T, lastT: e.T, state: stateQueued}
+		return false
+	}
+	o := &t.open[i]
+	if o.state == stateFree {
+		t.unmatched++
+		return false
+	}
+	o.fold(e.T)
+	switch e.Kind {
+	case KindServiceStart:
+		o.state = stateService
+	case KindPreempt:
+		o.state = statePreempted
+	case KindBackoff:
+		o.state = stateBackoff
+		o.attempts++
+	case KindExit:
+		*sp = Span{
+			Job:       o.job,
+			Class:     o.class,
+			Arrival:   o.arrival,
+			End:       e.T,
+			Queue:     o.queue,
+			Service:   o.service,
+			Preempted: o.preempted,
+			Backoff:   o.backoff,
+			Attempts:  o.attempts,
+			Outcome:   Outcome(e.Value),
+		}
+		t.remove(i)
+		return true
+	default:
+		o.state = stateQueued
+	}
+	return false
+}
+
 // Recorder is the flight recorder. Construct with NewRecorder; the zero
 // value is not usable, but a nil *Recorder is a no-op on every method.
 //
@@ -244,102 +365,23 @@ type Recorder struct {
 	evLen     int
 	evDropped uint64
 
-	// completed spans ring
-	sp        []Span
-	spHead    int
-	spLen     int
-	spDropped uint64
-
-	// open is the open-span table: linear probing from a multiplicative
-	// hash of the job id, a power-of-two length, stateFree slots empty.
-	open      []openSpan
-	openN     int  // occupied slots
-	openShift uint // 64 - log2(len(open)): the hash keeps the top bits
-
-	agg []Breakdown // indexed by class, grown on demand
-
-	unmatched uint64 // events for jobs with no open span (should be zero)
+	spans spanTable   // applied to every event since the last Reset
+	agg   []Breakdown // indexed by class, grown on demand
 }
 
 // defaultCapacity is the event-ring capacity NewRecorder uses when given a
 // non-positive capacity.
 const defaultCapacity = 1 << 16
 
-// NewRecorder returns a recorder whose event ring holds capacity events and
-// whose span ring holds capacity/4 completed spans (at least 1024 each).
-// Non-positive capacity selects defaultCapacity.
+// NewRecorder returns a recorder whose event ring holds capacity events (at
+// least 1024). Non-positive capacity selects defaultCapacity.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = defaultCapacity
 	}
-	spCap := capacity / 4
-	if capacity < 1024 {
-		capacity = 1024
-	}
-	if spCap < 1024 {
-		spCap = 1024
-	}
-	r := &Recorder{
-		ev: make([]Event, capacity),
-		sp: make([]Span, spCap),
-	}
-	r.resizeOpen(openInitial)
+	r := &Recorder{ev: make([]Event, max(capacity, 1024))}
+	r.spans.resize(openInitial)
 	return r
-}
-
-// openInitial is the open-span table's initial length; the table doubles
-// whenever it would pass three quarters full.
-const openInitial = 1024
-
-// resizeOpen replaces the open-span table with an empty one of n slots (a
-// power of two) and re-inserts every open span. Caller holds mu.
-func (r *Recorder) resizeOpen(n int) {
-	old := r.open
-	r.open = make([]openSpan, n)
-	r.openShift = uint(64 - bits.TrailingZeros(uint(n)))
-	for i := range old {
-		if old[i].state != stateFree {
-			r.open[r.slot(old[i].job)] = old[i]
-		}
-	}
-}
-
-// home is job's preferred slot: Fibonacci hashing, which spreads the
-// simulator's sequential ids evenly over the table.
-func (r *Recorder) home(job uint64) int {
-	return int((job * fibHash) >> r.openShift)
-}
-
-// fibHash is ⌊2^64/φ⌋, the Fibonacci-hashing multiplier; it is odd, so
-// multiplying by it permutes the ids.
-const fibHash = 0x9E3779B97F4A7C15
-
-// slot returns the index of job's open span, or of the empty slot where it
-// would go. The table is never full, so the probe ends. Caller holds mu.
-func (r *Recorder) slot(job uint64) int {
-	mask := len(r.open) - 1
-	i := r.home(job)
-	for r.open[i].state != stateFree && r.open[i].job != job {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// removeOpen empties slot i by backward-shift deletion: each later span in
-// the probe run that may move back into the hole does, so no tombstones are
-// needed and lookups stay as short as at insertion. Caller holds mu.
-func (r *Recorder) removeOpen(i int) {
-	mask := len(r.open) - 1
-	for j := (i + 1) & mask; r.open[j].state != stateFree; j = (j + 1) & mask {
-		// The span at j may fill the hole at i unless its home lies
-		// cyclically in (i, j].
-		if (j-r.home(r.open[j].job))&mask >= (j-i)&mask {
-			r.open[i] = r.open[j]
-			i = j
-		}
-	}
-	r.open[i] = openSpan{}
-	r.openN--
 }
 
 // push appends to the event ring, overwriting (and counting) the oldest
@@ -353,19 +395,6 @@ func (r *Recorder) push(e Event) {
 	r.ev[r.evHead] = e
 	r.evHead = wrap(r.evHead+1, len(r.ev))
 	r.evDropped++
-}
-
-// pushSpan appends to the span ring, overwriting the oldest when full.
-// Caller holds mu.
-func (r *Recorder) pushSpan(s Span) {
-	if r.spLen < len(r.sp) {
-		r.sp[wrap(r.spHead+r.spLen, len(r.sp))] = s
-		r.spLen++
-		return
-	}
-	r.sp[r.spHead] = s
-	r.spHead = wrap(r.spHead+1, len(r.sp))
-	r.spDropped++
 }
 
 // wrap reduces a ring index i in [0, 2n) to [0, n) with a compare rather
@@ -391,9 +420,8 @@ func wrap(i, n int) int {
 //	KindResume                   return it to queued (between stations,
 //	                             awaiting the retry-or-abandon decision, or
 //	                             re-entering after backoff),
-//	KindExit                     closes it with Outcome(e.Value), appends it
-//	                             to the span ring and folds it into the
-//	                             per-class aggregate.
+//	KindExit                     closes it with Outcome(e.Value) and folds
+//	                             it into the per-class aggregate.
 //
 // An event for a job with no open span counts as unmatched, and so does an
 // arrival for a job whose span is still open (the stale span is discarded).
@@ -403,72 +431,22 @@ func (r *Recorder) Record(es ...Event) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	var sp Span
 	for i := range es {
-		r.ingest(&es[i])
-	}
-}
-
-// ingest applies one event. Caller holds mu.
-func (r *Recorder) ingest(e *Event) {
-	r.push(*e)
-	if e.Kind == KindArrival {
-		i := r.slot(e.Job)
-		if r.open[i].state != stateFree {
-			r.unmatched++ // a duplicate id: the stale span is discarded
-		} else {
-			if 4*(r.openN+1) > 3*len(r.open) {
-				r.resizeOpen(2 * len(r.open))
-				i = r.slot(e.Job)
-			}
-			r.openN++
+		r.push(es[i])
+		if r.spans.apply(&es[i], &sp) {
+			r.close(&sp)
 		}
-		r.open[i] = openSpan{job: e.Job, class: e.Class, arrival: e.T, lastT: e.T, state: stateQueued}
-		return
-	}
-	i := r.slot(e.Job)
-	o := &r.open[i]
-	if o.state == stateFree {
-		r.unmatched++
-		return
-	}
-	o.fold(e.T)
-	switch e.Kind {
-	case KindServiceStart:
-		o.state = stateService
-	case KindPreempt:
-		o.state = statePreempted
-	case KindBackoff:
-		o.state = stateBackoff
-		o.attempts++
-	case KindExit:
-		r.close(i, e.T, Outcome(e.Value))
-	default:
-		o.state = stateQueued
 	}
 }
 
-// close retires the open span in slot i with the given outcome. Caller holds
-// mu.
-func (r *Recorder) close(i int, t float64, outcome Outcome) {
-	o := &r.open[i]
-	sp := Span{
-		Job:       o.job,
-		Class:     o.class,
-		Arrival:   o.arrival,
-		End:       t,
-		Queue:     o.queue,
-		Service:   o.service,
-		Preempted: o.preempted,
-		Backoff:   o.backoff,
-		Attempts:  o.attempts,
-		Outcome:   outcome,
-	}
-	r.pushSpan(sp)
-	for int(o.class) >= len(r.agg) {
+// close folds a closed span into its class's aggregate. Caller holds mu.
+func (r *Recorder) close(sp *Span) {
+	for int(sp.Class) >= len(r.agg) {
 		r.agg = append(r.agg, Breakdown{Class: len(r.agg)})
 	}
-	a := &r.agg[o.class]
-	switch outcome {
+	a := &r.agg[sp.Class]
+	switch sp.Outcome {
 	case OutcomeAbandoned:
 		a.Abandoned++
 	case OutcomeDropped:
@@ -480,7 +458,6 @@ func (r *Recorder) close(i int, t float64, outcome Outcome) {
 	a.Service += sp.Service
 	a.Preempted += sp.Preempted
 	a.Backoff += sp.Backoff
-	r.removeOpen(i)
 }
 
 // Events returns a copy of the buffered events, oldest first.
@@ -502,7 +479,7 @@ func (r *Recorder) copyEventsLocked() []Event {
 }
 
 // Drain returns the buffered events, oldest first, and clears the event
-// ring (open spans, closed spans, and aggregates are untouched).
+// ring (open spans and aggregates are untouched).
 func (r *Recorder) Drain() []Event {
 	if r == nil {
 		return nil
@@ -514,16 +491,28 @@ func (r *Recorder) Drain() []Event {
 	return out
 }
 
-// Spans returns a copy of the buffered closed spans, oldest first.
+// Spans returns the closed spans whose arrival is still in the event ring,
+// in the order they closed. They are assembled when read, by replaying the
+// buffered events through the state machine Record applies, and are
+// bit-identical to the spans Record closed: a span depends only on the
+// events since its job's arrival. So once the ring wraps, or after Drain,
+// the spans opened by the lost events are gone (the aggregates still count
+// them), and a span still open when it is read is not returned.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, r.spLen)
-	for i := 0; i < r.spLen; i++ {
-		out[i] = r.sp[(r.spHead+i)%len(r.sp)]
+	es := r.copyEventsLocked()
+	r.mu.Unlock()
+	var t spanTable
+	t.resize(openInitial)
+	var out []Span
+	var sp Span
+	for i := range es {
+		if t.apply(&es[i], &sp) {
+			out = append(out, sp)
+		}
 	}
 	return out
 }
@@ -565,17 +554,6 @@ func (r *Recorder) EventsDropped() uint64 {
 	return r.evDropped
 }
 
-// SpansDropped returns how many closed spans were overwritten before being
-// read (aggregates still counted them).
-func (r *Recorder) SpansDropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.spDropped
-}
-
 // OpenSpans returns the number of jobs currently in flight.
 func (r *Recorder) OpenSpans() int {
 	if r == nil {
@@ -583,7 +561,7 @@ func (r *Recorder) OpenSpans() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.openN
+	return r.spans.n
 }
 
 // Unmatched returns the number of events that referenced a job with no open
@@ -594,10 +572,10 @@ func (r *Recorder) Unmatched() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.unmatched
+	return r.spans.unmatched
 }
 
-// Reset clears all rings, open spans, aggregates, and drop counters,
+// Reset clears the event ring, open spans, aggregates, and counters,
 // returning the recorder to its freshly constructed state.
 func (r *Recorder) Reset() {
 	if r == nil {
@@ -606,9 +584,7 @@ func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.evHead, r.evLen, r.evDropped = 0, 0, 0
-	r.spHead, r.spLen, r.spDropped = 0, 0, 0
-	clear(r.open)
-	r.openN = 0
+	clear(r.spans.open)
+	r.spans.n, r.spans.unmatched = 0, 0
 	r.agg = r.agg[:0]
-	r.unmatched = 0
 }

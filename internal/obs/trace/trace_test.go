@@ -2,7 +2,9 @@ package trace
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // ev builds one recorder event; station is -1 for events not tied to a
@@ -123,22 +125,80 @@ func TestEventRingOverwrite(t *testing.T) {
 }
 
 // TestSpanRingOverwriteKeepsAggregates checks that the per-class aggregate
-// counts every closed span even after the span ring wraps.
+// counts every closed span after the event ring wraps and after a Drain,
+// while Spans returns exactly the closed spans whose arrival is still
+// buffered: a span whose arrival the ring has overwritten, or a Drain has
+// taken, is gone from Spans even when its exit is still buffered.
 func TestSpanRingOverwriteKeepsAggregates(t *testing.T) {
-	r := NewRecorder(1024) // span ring also 1024 (min)
+	r := NewRecorder(1024)
 	n := 1500
 	for i := 0; i < n; i++ {
 		r.Record(ev(KindArrival, float64(i), 0, uint64(i), -1, 0))
 		r.Record(ev(KindExit, float64(i)+0.5, 0, uint64(i), -1, float64(OutcomeCompleted)))
 	}
-	if got := r.Breakdown(0).Completed; got != int64(n) {
-		t.Errorf("aggregate completed = %d, want %d", got, n)
+	jobs := func() (ids []uint64) {
+		for _, sp := range r.Spans() {
+			if sp.Queue != 0.5 || sp.End != sp.Arrival+0.5 {
+				t.Errorf("span %+v, want half a second queued", sp)
+			}
+			ids = append(ids, sp.Job)
+		}
+		return ids
 	}
-	if len(r.Spans()) != 1024 {
-		t.Errorf("span ring holds %d, want 1024", len(r.Spans()))
+	wantJobs := func(at string, first, last int) {
+		t.Helper()
+		ids := jobs()
+		if len(ids) != last-first || (len(ids) > 0 && (ids[0] != uint64(first) || ids[len(ids)-1] != uint64(last-1))) {
+			t.Errorf("%s: spans of jobs %v, want %d..%d", at, ids, first, last-1)
+		}
 	}
-	if got := r.SpansDropped(); got != uint64(n-1024) {
-		t.Errorf("SpansDropped = %d, want %d", got, n-1024)
+	// The ring holds the last 512 arrival-exit pairs.
+	wantJobs("wrapped", n-512, n)
+	// One more arrival overwrites job n-512's arrival: its exit is still
+	// buffered, its span is not.
+	r.Record(ev(KindArrival, float64(n), 0, uint64(n), -1, 0))
+	wantJobs("arrival overwritten", n-511, n)
+	r.Drain()
+	wantJobs("drained", 0, 0)
+	// Job n arrived before the Drain: its exit closes it and the aggregate
+	// counts it, but Spans cannot assemble it.
+	r.Record(ev(KindExit, float64(n)+0.5, 0, uint64(n), -1, float64(OutcomeCompleted)))
+	wantJobs("closed after drain", 0, 0)
+	if got := r.Breakdown(0).Completed; got != int64(n+1) {
+		t.Errorf("aggregate completed = %d, want %d", got, n+1)
+	}
+}
+
+// TestNewRecorderFootprint pins what a default recorder costs to build: its
+// event ring and the initial open-span table, and little else.
+func TestNewRecorderFootprint(t *testing.T) {
+	const slack = 16 << 10
+	want := uint64(defaultCapacity*unsafe.Sizeof(Event{}) + openInitial*unsafe.Sizeof(openSpan{}))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRecorder(0)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	if got := after.TotalAlloc - before.TotalAlloc; got > want+slack {
+		t.Errorf("NewRecorder(0) allocated %d B, want at most %d B (event ring and open-span table) + %d B", got, want, slack)
+	}
+}
+
+// TestRecordBatchAllocatesNothing: once a recorder has seen a batch's
+// classes, recording a 256-event batch allocates nothing.
+func TestRecordBatchAllocatesNothing(t *testing.T) {
+	r := NewRecorder(0)
+	var batch []Event
+	for job := uint64(0); job < 64; job++ {
+		c, now := int32(job%3), float64(job)
+		batch = append(batch,
+			ev(KindArrival, now, c, job, -1, 0),
+			ev(KindServiceStart, now+0.25, c, job, 0, 0),
+			ev(KindServiceStop, now+0.5, c, job, 0, 0),
+			ev(KindExit, now+0.75, c, job, -1, float64(OutcomeCompleted)))
+	}
+	if got := testing.AllocsPerRun(100, func() { r.Record(batch...) }); got != 0 {
+		t.Errorf("Record of a %d-event batch: %v allocations, want 0", len(batch), got)
 	}
 }
 
@@ -151,7 +211,7 @@ func TestRecorderNilSafe(t *testing.T) {
 	if r.Events() != nil || r.Drain() != nil || r.Spans() != nil || r.Breakdowns() != nil {
 		t.Error("nil recorder returned non-nil data")
 	}
-	if r.EventsDropped() != 0 || r.SpansDropped() != 0 || r.OpenSpans() != 0 || r.Unmatched() != 0 {
+	if r.EventsDropped() != 0 || r.OpenSpans() != 0 || r.Unmatched() != 0 {
 		t.Error("nil recorder returned nonzero counters")
 	}
 	if b := r.Breakdown(3); b.Class != 3 || b.Spans() != 0 {

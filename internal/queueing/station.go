@@ -64,12 +64,20 @@ func (s *Station) Validate(numClasses int) error {
 
 // Moments fills m1 and m2 with each class's service-time moments E[S_k]
 // and E[S_k²] at the station's current speed: mean Work/Speed with the
-// demand's CV², read from the distribution DistForCV2 would build. It
-// allocates nothing.
-func (s *Station) Moments(m1, m2 []float64) {
+// demand's CV², read from the distribution DistForCV2 would build. Where
+// the distributions would panic because a class's mean is not positive and
+// finite (a speed that is not, or one so small that the mean overflows), it
+// returns an error instead. It allocates nothing.
+func (s *Station) Moments(m1, m2 []float64) error {
 	for k, d := range s.Demands {
-		m1[k], m2[k], _ = forCV2(d.Work/s.Speed, d.CV2, false)
+		mean := d.Work / s.Speed
+		if !(mean > 0) || math.IsInf(mean, 1) {
+			return fmt.Errorf("queueing: station %q class %d service time %g (work %g at speed %g) is not positive and finite",
+				s.Name, k, mean, d.Work, s.Speed)
+		}
+		m1[k], m2[k], _ = forCV2(mean, d.CV2, false)
 	}
+	return nil
 }
 
 // DistForCV2 constructs a service distribution with the given mean and

@@ -31,7 +31,9 @@ func TestStationHelpers(t *testing.T) {
 	}
 	// Class 1: mean 2/4 = 0.5, CV² 0.5 → Erlang-2, E[S²] = 0.25·(1 + 1/2).
 	m1, m2 := make([]float64, 2), make([]float64, 2)
-	s.Moments(m1, m2)
+	if err := s.Moments(m1, m2); err != nil {
+		t.Fatal(err)
+	}
 	if !almostEq(m1[1], 0.5, 1e-12) || !almostEq(m2[1], 0.375, 1e-12) {
 		t.Errorf("class 1 moments: %g, %g", m1[1], m2[1])
 	}

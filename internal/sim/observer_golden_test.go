@@ -79,9 +79,8 @@ func observerStreamsHash(t *testing.T, c *cluster.Cluster, o Options) (string, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.EventsDropped() != 0 || rec.SpansDropped() != 0 {
-		t.Fatalf("recorder ring overflow (events %d, spans %d): grow the capacity",
-			rec.EventsDropped(), rec.SpansDropped())
+	if rec.EventsDropped() != 0 {
+		t.Fatalf("recorder ring overflow (%d events): grow the capacity", rec.EventsDropped())
 	}
 
 	kinds := make(map[string]bool)

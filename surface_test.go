@@ -25,7 +25,7 @@ var exportedCeiling = map[string]int{
 	"internal/lint":          82,
 	"internal/lint/linttest": 3,
 	"internal/obs":           33,
-	"internal/obs/trace":     65,
+	"internal/obs/trace":     64,
 	"internal/obs/window":    25,
 	"internal/opt":           27,
 	"internal/power":         30,
