@@ -192,18 +192,29 @@ func (c *Cluster) routing(k int) *queueing.ClassRouting {
 // of its routing chain. Invalid chains yield all-zero rates (Validate
 // reports the underlying error).
 func (c *Cluster) VisitRates(k int) []float64 {
-	if r := c.routing(k); r != nil {
-		v, err := r.VisitRates()
-		if err != nil {
-			return make([]float64, len(c.Tiers))
-		}
-		return v
-	}
 	v := make([]float64, len(c.Tiers))
-	for _, j := range c.Route(k) {
+	c.visitRates(k, v)
+	return v
+}
+
+// visitRates writes VisitRates(k) into v, one entry per tier.
+func (c *Cluster) visitRates(k int, v []float64) {
+	clear(v)
+	if r := c.routing(k); r != nil {
+		if rv, err := r.VisitRates(); err == nil {
+			copy(v, rv)
+		}
+		return
+	}
+	if c.Routes != nil {
+		for _, j := range c.Routes[k] {
+			v[j]++
+		}
+		return
+	}
+	for j := range v {
 		v[j]++
 	}
-	return v
 }
 
 // Validate checks the full configuration.

@@ -108,14 +108,24 @@ type HyperExp struct {
 // exponential behaviour).
 func NewHyperExpCV2(mean, cv2 float64) HyperExp {
 	mustPositiveMean("HyperExp", mean)
-	if !(cv2 >= 1) || math.IsInf(cv2, 1) {
+	if !validHyperCV2(cv2) {
 		panic(fmt.Sprintf("queueing: hyperexponential requires finite CV² ≥ 1, got %g", cv2))
 	}
-	// Balanced means: p/m1 = (1-p)/m2. Standard construction.
-	p := 0.5 * (1 + math.Sqrt((cv2-1)/(cv2+1)))
-	m1 := mean / (2 * p)
-	m2 := mean / (2 * (1 - p))
-	return HyperExp{P: p, M1: m1, M2: m2}
+	return balancedHyperExp(mean, hyperP(cv2))
+}
+
+// validHyperCV2 reports whether a balanced hyperexponential has CV² cv2.
+func validHyperCV2(cv2 float64) bool { return cv2 >= 1 && !math.IsInf(cv2, 1) }
+
+// hyperP returns the phase-1 probability of the balanced-means
+// hyperexponential with CV² cv2: p/m1 = (1−p)/m2, the standard
+// construction.
+func hyperP(cv2 float64) float64 { return 0.5 * (1 + math.Sqrt((cv2-1)/(cv2+1))) }
+
+// balancedHyperExp returns the balanced-means hyperexponential with the
+// given mean and phase-1 probability p.
+func balancedHyperExp(mean, p float64) HyperExp {
+	return HyperExp{P: p, M1: mean / (2 * p), M2: mean / (2 * (1 - p))}
 }
 
 func (h HyperExp) Mean() float64 { return h.P*h.M1 + (1-h.P)*h.M2 }

@@ -24,6 +24,10 @@ type Station struct {
 	Speed      float64
 	Discipline Discipline
 	Demands    []Demand // indexed by class; len = number of classes
+
+	// recipes holds each class's moment-matching recipe, built by the
+	// station's first Moments and rebuilt for a class whose CV² changed.
+	recipes []recipe
 }
 
 // MaxServers bounds a station's server count. The Erlang formulas cost time
@@ -67,15 +71,28 @@ func (s *Station) Validate(numClasses int) error {
 // demand's CV², read from the distribution DistForCV2 would build. Where
 // the distributions would panic because a class's mean is not positive and
 // finite (a speed that is not, or one so small that the mean overflows), it
-// returns an error instead. It allocates nothing.
+// returns an error instead. Each class's recipe (its family, Erlang stages
+// or hyperexponential phase probability) depends on its CV² alone, so the
+// station builds it on its first call and only reads it afterwards; that
+// first call allocates, no later one does.
 func (s *Station) Moments(m1, m2 []float64) error {
+	if len(s.recipes) != len(s.Demands) {
+		s.recipes = make([]recipe, len(s.Demands))
+		for k, d := range s.Demands {
+			s.recipes[k] = recipeFor(d.CV2)
+		}
+	}
 	for k, d := range s.Demands {
 		mean := d.Work / s.Speed
 		if !(mean > 0) || math.IsInf(mean, 1) {
 			return fmt.Errorf("queueing: station %q class %d service time %g (work %g at speed %g) is not positive and finite",
 				s.Name, k, mean, d.Work, s.Speed)
 		}
-		m1[k], m2[k], _ = forCV2(mean, d.CV2, false)
+		r := &s.recipes[k]
+		if math.Float64bits(r.cv2) != math.Float64bits(d.CV2) {
+			*r = recipeFor(d.CV2)
+		}
+		m1[k], m2[k] = r.moments(mean)
 	}
 	return nil
 }
@@ -85,47 +102,89 @@ func (s *Station) Moments(m1, m2 []float64) error {
 // recipes of queueing analysis: Deterministic (CV²=0), Erlang (CV²<1),
 // Exponential (CV²=1) or balanced hyperexponential (CV²>1).
 func DistForCV2(mean, cv2 float64) ServiceDist {
-	_, _, d := forCV2(mean, cv2, true)
-	return d
+	return recipeFor(cv2).dist(mean)
 }
 
-// forCV2 is the one moment-matching recipe behind DistForCV2 and
-// Station.Moments. It returns the first two moments of the distribution
-// with the given mean and CV², read from the concrete type (so HyperExp's
-// mean is P·M1+(1−P)·M2, not the mean passed in), and, when dist is set,
-// the distribution itself. Without dist nothing is boxed or allocated.
-func forCV2(mean, cv2 float64, dist bool) (m1, m2 float64, d ServiceDist) {
+// Service-time families a recipe picks; badHyper is a CV² above 1 that no
+// hyperexponential represents (NaN, +Inf).
+const (
+	deterministic = iota
+	erlang
+	exponential
+	hyperExp
+	badHyper
+)
+
+// recipe is the one moment-matching recipe behind DistForCV2 and
+// Station.Moments, fixed by a CV² alone: the family, with Erlang-k's stages
+// k = round(1/CV²) and the balanced hyperexponential's phase probability.
+type recipe struct {
+	cv2    float64
+	family int
+	k      int     // Erlang stages
+	p      float64 // hyperexponential phase-1 probability
+}
+
+// recipeFor returns the recipe for CV² cv2.
+func recipeFor(cv2 float64) recipe {
+	r := recipe{cv2: cv2}
 	switch {
 	case cv2 == 0:
-		x := NewDeterministic(mean)
-		if dist {
-			d = x
-		}
-		return x.Mean(), x.SecondMoment(), d
+		r.family = deterministic
 	case cv2 < 1:
 		// Erlang-k with k = round(1/cv²); exact when 1/cv² is integral.
-		k := int(math.Round(1 / cv2))
-		if k < 1 {
-			k = 1
+		r.family, r.k = erlang, int(math.Round(1/cv2))
+		if r.k < 1 {
+			r.k = 1
 		}
-		x := NewErlang(mean, k)
-		if dist {
-			d = x
-		}
-		return x.Mean(), x.SecondMoment(), d
 	//lint:waive floateq reason="deliberate exact compare: CV^2 exactly 1 selects the exponential family" until=2027-08-01
 	case cv2 == 1:
-		x := NewExponential(mean)
-		if dist {
-			d = x
-		}
-		return x.Mean(), x.SecondMoment(), d
+		r.family = exponential
+	case validHyperCV2(cv2):
+		r.family, r.p = hyperExp, hyperP(cv2)
 	default:
-		x := NewHyperExpCV2(mean, cv2)
-		if dist {
-			d = x
-		}
-		return x.Mean(), x.SecondMoment(), d
+		r.family = badHyper
+	}
+	return r
+}
+
+// dist returns the recipe's distribution with the given mean; the
+// constructors panic on a mean that is not positive and finite, and on a
+// CV² no hyperexponential represents.
+func (r recipe) dist(mean float64) ServiceDist {
+	switch r.family {
+	case deterministic:
+		return NewDeterministic(mean)
+	case erlang:
+		return NewErlang(mean, r.k)
+	case exponential:
+		return NewExponential(mean)
+	default:
+		return NewHyperExpCV2(mean, r.cv2)
+	}
+}
+
+// moments returns the first two moments of the recipe's distribution with
+// the given mean, read from the concrete type (so HyperExp's mean is
+// P·M1+(1−P)·M2, not the mean passed in). mean must be positive and finite;
+// it panics, as dist does, on a CV² no hyperexponential represents.
+func (r recipe) moments(mean float64) (m1, m2 float64) {
+	switch r.family {
+	case deterministic:
+		x := Deterministic{M: mean}
+		return x.Mean(), x.SecondMoment()
+	case erlang:
+		x := Erlang{M: mean, K: r.k}
+		return x.Mean(), x.SecondMoment()
+	case exponential:
+		x := Exponential{M: mean}
+		return x.Mean(), x.SecondMoment()
+	case hyperExp:
+		x := balancedHyperExp(mean, r.p)
+		return x.Mean(), x.SecondMoment()
+	default:
+		x := NewHyperExpCV2(mean, r.cv2)
+		return x.Mean(), x.SecondMoment()
 	}
 }
 

@@ -82,3 +82,29 @@ func TestStationValidateErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestMomentsFollowDemandChanges: Moments builds each class's recipe on its
+// first call, and a later call still reads the demands as they stand: a
+// class whose CV² changed in place, or a station whose demands were
+// replaced, gets the moments of its new family, equal to DistForCV2's.
+func TestMomentsFollowDemandChanges(t *testing.T) {
+	s := &Station{Name: "x", Servers: 1, Speed: 2, Demands: []Demand{{Work: 1, CV2: 0.5}, {Work: 3, CV2: 4}}}
+	m1, m2 := make([]float64, 3), make([]float64, 3)
+	check := func(when string) {
+		t.Helper()
+		if err := s.Moments(m1, m2); err != nil {
+			t.Fatal(err)
+		}
+		for k, d := range s.Demands {
+			want := DistForCV2(d.Work/s.Speed, d.CV2)
+			if m1[k] != want.Mean() || m2[k] != want.SecondMoment() {
+				t.Errorf("%s: class %d moments %g, %g; %v has %g, %g", when, k, m1[k], m2[k], want, want.Mean(), want.SecondMoment())
+			}
+		}
+	}
+	check("first call")
+	s.Demands[0].CV2, s.Demands[1].CV2 = 2.5, 0
+	check("CV² changed in place")
+	s.Demands = append(s.Demands, Demand{Work: 0.5, CV2: 1})
+	check("a class added")
+}
