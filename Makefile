@@ -46,7 +46,8 @@ bench-build:
 # certificates, the tier argmin's start-independence, the solvers' memoised
 # tier evaluation against a fresh one, cluster JSON configs through parsing,
 # validation and evaluation, a tier evaluation against its boxed reference,
-# the simulator's option defaults, the event calendar against a sorted
+# a tier evaluation's derivatives against central differences of its
+# values, the simulator's option defaults, the event calendar against a sorted
 # reference, a station's running set against the linear scans, and the
 # flight recorder against its map model.
 fuzz:
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTierMemoMatchesEval$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzTierEvalMatchesReference$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzTierSlopes$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzOptionsDefaults$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzCalendarMatchesSorted$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzRunSetMatchesScan$$' -fuzztime 10s ./internal/sim

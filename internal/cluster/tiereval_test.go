@@ -255,13 +255,23 @@ func diffBits(got, want evalOutcome) string {
 	return ""
 }
 
-// checkTierEval evaluates m at s both ways and reports any difference.
+// checkTierEval evaluates m at s both ways and reports any difference. Eval
+// runs twice, without and with derivatives, and must match the reference
+// both times.
 func checkTierEval(t testing.TB, name string, m *TierModel, s float64) {
 	t.Helper()
 	want := outcome(func() ([]float64, []float64, TierMetrics, error) { return refEval(m, s) })
-	got := outcome(func() ([]float64, []float64, TierMetrics, error) { return m.Eval(s) })
-	if d := diffBits(got, want); d != "" {
-		t.Errorf("%s at speed %v: %s", name, s, d)
+	d1, d2 := make([]float64, len(m.Arrivals)+1), make([]float64, len(m.Arrivals)+1)
+	for _, slopes := range []bool{false, true} {
+		got := outcome(func() ([]float64, []float64, TierMetrics, error) {
+			if slopes {
+				return m.Eval(s, d1, d2)
+			}
+			return m.Eval(s, nil, nil)
+		})
+		if d := diffBits(got, want); d != "" {
+			t.Errorf("%s at speed %v (derivatives %t): %s", name, s, slopes, d)
+		}
 	}
 }
 
@@ -336,7 +346,7 @@ func TestTierEvalMatchesReference(t *testing.T) {
 	var got []evalOutcome
 	for j := range ms {
 		got = append(got, evalOutcome{})
-		got[j].wait, got[j].resp, got[j].tm, got[j].err = ms[j].Eval(3.3)
+		got[j].wait, got[j].resp, got[j].tm, got[j].err = ms[j].Eval(3.3, nil, nil)
 	}
 	for j := range ms {
 		want := outcome(func() ([]float64, []float64, TierMetrics, error) { return refEval(&ms[j], 3.3) })
@@ -355,7 +365,7 @@ func TestTierEvalRejectsBadSpeeds(t *testing.T) {
 		m := tierModel(2, queueing.PreemptiveResume, 0.9,
 			[]queueing.Demand{{Work: 1, CV2: cv2}, {Work: 0.5, CV2: cv2}}, []float64{0.2, 0.3})
 		for _, s := range []float64{0, math.Copysign(0, -1), -1, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324} {
-			o := outcome(func() ([]float64, []float64, TierMetrics, error) { return m.Eval(s) })
+			o := outcome(func() ([]float64, []float64, TierMetrics, error) { return m.Eval(s, nil, nil) })
 			if o.panicked != nil || o.err == nil {
 				t.Errorf("CV² %g, speed %g: panic %v, error %v; want an error", cv2, s, o.panicked, o.err)
 			}

@@ -28,19 +28,13 @@ import (
 const certGrid = 32
 
 // certGapTol bounds the certified gap of a solve relative to its objective:
-// the duals stop at a duality gap of 1e-9. Tail solves certify the
-// mean-type problem that linearize builds at the returned speeds, while the
-// returned multipliers solve the linearization at the previous iterate,
-// whose power lies within tailSettle (2e-9) of the returned one; the
-// largest such gap in the suites is 5e-11 relative.
+// the duals stop at a duality gap of 1e-9, taken at tier minimizers resolved
+// to rounding, so the gap they see is the gap the checker certifies. Tail
+// solves certify the mean-type problem that linearize builds at the
+// returned speeds, while the returned multipliers solve the linearization at
+// the previous iterate, whose power lies within tailSettle (2e-9) of the
+// returned one; the largest such gap in the suites is 5e-11 relative.
 const certGapTol = 1e-9
-
-// certFuzzTol bounds the certified gap of FuzzMeanDuals' fuzzed inputs. The
-// duals stop once their own gap, taken at their own tier minimizers, is
-// within 1e-9; those minimizers lie a second-order distance off the true
-// ones, so an arbitrary input can certify a little above 1e-9 (fuzzing
-// found 1.03e-9 and 1.14e-9 on C3a, 9.7e-10 even at the best multiplier).
-const certFuzzTol = 1e-8
 
 // certTier is one tier as the checker sees it: its model and, for tail
 // rows, its tail weights w_kj.
@@ -53,7 +47,7 @@ type certTier struct {
 // tail terms Σ_k θ_(K+k)·w_k·v_k·r_k(s)), +Inf where the tier is unstable.
 // Zero coefficients are skipped.
 func (ct *certTier) term(s, alpha float64, theta []float64) float64 {
-	_, resp, tm, err := ct.m.Eval(s)
+	_, resp, tm, err := ct.m.Eval(s, nil, nil)
 	if err != nil {
 		return math.Inf(1)
 	}
@@ -169,7 +163,7 @@ func (cp *certProblem) infeasible(lo, hi []float64) bool {
 	x := make([]float64, len(pr.obj)) // (P, D…, W…) at the fastest corner
 	for j := range cp.tiers {
 		ct := &cp.tiers[j]
-		_, resp, tm, err := ct.m.Eval(hi[j])
+		_, resp, tm, err := ct.m.Eval(hi[j], nil, nil)
 		if err != nil {
 			return false
 		}

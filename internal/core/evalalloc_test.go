@@ -9,8 +9,9 @@ import (
 )
 
 // TestTierEvalAllocationFree: one tier evaluation, the solvers' inner loop,
-// allocates nothing, whether through cluster.TierModel.Eval or through the
-// tier Lagrangian that argmin minimizes. It covers the heavy-database
+// allocates nothing, whether through cluster.TierModel.Eval, with or
+// without derivatives, or through the tier Lagrangian that argmin
+// minimizes. It covers the heavy-database
 // cluster's two-server tiers and single-server tiers under each discipline
 // with deterministic, Erlang and hyperexponential service.
 func TestTierEvalAllocationFree(t *testing.T) {
@@ -39,14 +40,22 @@ func TestTierEvalAllocationFree(t *testing.T) {
 				t.Fatalf("%s tier %d has %d servers, want %d", c.name, j, got, c.servers)
 			}
 			s := (c.tiers.lo[j] + c.tiers.hi[j]) / 2
-			if _, _, _, err := f.m.Eval(s); err != nil {
+			if _, _, _, err := f.m.Eval(s, nil, nil); err != nil {
 				t.Fatalf("%s tier %d: %v", c.name, j, err)
 			}
-			if n := testing.AllocsPerRun(100, func() { f.m.Eval(s) }); n != 0 {
+			d1, d2 := make([]float64, len(theta)+1), make([]float64, len(theta)+1)
+			if n := testing.AllocsPerRun(100, func() { f.m.Eval(s, nil, nil) }); n != 0 {
 				t.Errorf("%s tier %d: TierModel.Eval made %v allocations, want 0", c.name, j, n)
 			}
-			if n := testing.AllocsPerRun(100, func() { f.lagrangian(s, 1, theta) }); n != 0 {
-				t.Errorf("%s tier %d: tierFn.lagrangian made %v allocations, want 0", c.name, j, n)
+			if n := testing.AllocsPerRun(100, func() { f.m.Eval(s, d1, d2) }); n != 0 {
+				t.Errorf("%s tier %d: TierModel.Eval with derivatives made %v allocations, want 0", c.name, j, n)
+			}
+			for i, slopes := range []bool{false, true} {
+				// A new speed each run, so the memo evaluates it.
+				x := s * (1 + 1e-6*float64(i))
+				if n := testing.AllocsPerRun(100, func() { x *= 1 + 1e-9; f.lagrangian(x, slopes, 1, theta) }); n != 0 {
+					t.Errorf("%s tier %d: tierFn.lagrangian (derivatives %t) made %v allocations, want 0", c.name, j, slopes, n)
+				}
 			}
 		}
 	}
@@ -54,10 +63,12 @@ func TestTierEvalAllocationFree(t *testing.T) {
 
 // warmResolveAllocs is what one warm C3b re-solve allocates in
 // TestWarmResolveAllocations, measured once the dual's iterations reused
-// one workspace per solve, each tier memoised its evaluations and the speed
-// bounds came from the solve's own tier models. Before those, a re-solve
-// allocated 204 objects, then 76.
-const warmResolveAllocs = 66
+// one workspace per solve, each tier memoised its evaluations, the speed
+// bounds came from the solve's own tier models and TierModels filled the
+// classes' visit rates into one scratch vector (each station's moment
+// recipes are one allocation of their own). Before those, a re-solve
+// allocated 204 objects, then 76, then 66.
+const warmResolveAllocs = 62
 
 // TestWarmResolveAllocations holds the allocations of the online
 // controller's re-solve: C3b on the three-tier enterprise cluster at loads

@@ -216,11 +216,11 @@ func TestTierArgminIsGlobal(t *testing.T) {
 		for _, nu := range []float64{0, 0.1, 1, 10, 100, 1e3, 1e4} {
 			theta := []float64{nu, 2 * nu}
 			s := f.argmin(1, theta)
-			got := f.lagrangian(s, 1, theta)
+			got, _, _ := f.lagrangian(s, false, 1, theta)
 			const n = 20000
 			for i := 0; i <= n; i++ {
 				x := tf.lo[j] + (tf.hi[j]-tf.lo[j])*float64(i)/n
-				if v := f.lagrangian(x, 1, theta); v < got-1e-9*math.Abs(got) {
+				if v, _, _ := f.lagrangian(x, false, 1, theta); v < got-1e-9*math.Abs(got) {
 					t.Errorf("tier %d (%v) ν=%g: argmin %g gives %.12g, grid point %g gives %.12g",
 						j, f.m.Power, nu, s, got, x, v)
 					break

@@ -32,6 +32,10 @@ type Model interface {
 	// BusyPower returns the power drawn by a server at speed s while
 	// serving a request.
 	BusyPower(s float64) float64
+	// Derivatives returns the first and second derivatives in s of
+	// IdlePower and BusyPower at s. A model with kinks (Table) returns
+	// those of the piece its BusyPower evaluates at s.
+	Derivatives(s float64) (dIdle, d2Idle, dBusy, d2Busy float64)
 	// String names the model for diagnostics.
 	String() string
 }
@@ -63,6 +67,13 @@ func (m PowerLaw) BusyPower(s float64) float64 {
 	return m.Idle + m.Kappa*math.Pow(s, m.Gamma)
 }
 
+// Derivatives implements Model: κ·γ·s^(γ−1) and κ·γ·(γ−1)·s^(γ−2) for the
+// busy power, 0 for the idle power.
+func (m PowerLaw) Derivatives(s float64) (dIdle, d2Idle, dBusy, d2Busy float64) {
+	q := m.Kappa * m.Gamma * math.Pow(s, m.Gamma-2)
+	return 0, 0, q * s, q * (m.Gamma - 1)
+}
+
 func (m PowerLaw) String() string {
 	return fmt.Sprintf("PowerLaw(idle=%gW, κ=%g, γ=%g)", m.Idle, m.Kappa, m.Gamma)
 }
@@ -79,6 +90,11 @@ func (m Linear) IdlePower(float64) float64 { return m.Idle }
 
 // BusyPower implements Model.
 func (m Linear) BusyPower(s float64) float64 { return m.Idle + m.Slope*s }
+
+// Derivatives implements Model: the slope, and 0 everywhere else.
+func (m Linear) Derivatives(float64) (dIdle, d2Idle, dBusy, d2Busy float64) {
+	return 0, 0, m.Slope, 0
+}
 
 func (m Linear) String() string {
 	return fmt.Sprintf("Linear(idle=%gW, slope=%g)", m.Idle, m.Slope)
@@ -122,15 +138,38 @@ func (t *Table) IdlePower(float64) float64 { return t.IdleW }
 
 // BusyPower implements Model by interpolating the table.
 func (t *Table) BusyPower(s float64) float64 {
+	lo, hi := t.segment(s)
+	if lo == hi {
+		return t.BusyW[lo]
+	}
+	f := (s - t.Speeds[lo]) / (t.Speeds[hi] - t.Speeds[lo])
+	return t.BusyW[lo] + f*(t.BusyW[hi]-t.BusyW[lo])
+}
+
+// Derivatives implements Model: the slope of the segment BusyPower
+// interpolates on at s, 0 where it clamps to an end point, and 0 for every
+// second derivative and the idle power.
+func (t *Table) Derivatives(s float64) (dIdle, d2Idle, dBusy, d2Busy float64) {
+	lo, hi := t.segment(s)
+	if lo == hi {
+		return 0, 0, 0, 0
+	}
+	return 0, 0, (t.BusyW[hi] - t.BusyW[lo]) / (t.Speeds[hi] - t.Speeds[lo]), 0
+}
+
+// segment returns the listed points BusyPower interpolates between at s:
+// lo == hi at or outside an end of the table, where it clamps, else
+// Speeds[lo] ≤ s < Speeds[hi] with hi = lo+1.
+func (t *Table) segment(s float64) (lo, hi int) {
 	n := len(t.Speeds)
 	if s <= t.Speeds[0] {
-		return t.BusyW[0]
+		return 0, 0
 	}
 	if s >= t.Speeds[n-1] {
-		return t.BusyW[n-1]
+		return n - 1, n - 1
 	}
 	// Binary search for the bracketing segment.
-	lo, hi := 0, n-1
+	lo, hi = 0, n-1
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if t.Speeds[mid] <= s {
@@ -139,8 +178,7 @@ func (t *Table) BusyPower(s float64) float64 {
 			hi = mid
 		}
 	}
-	f := (s - t.Speeds[lo]) / (t.Speeds[hi] - t.Speeds[lo])
-	return t.BusyW[lo] + f*(t.BusyW[hi]-t.BusyW[lo])
+	return lo, hi
 }
 
 func (t *Table) String() string {

@@ -223,3 +223,35 @@ func TestModelStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestDerivativesMatchDifferences: every model's Derivatives match central
+// differences of its IdlePower and BusyPower, 1e-6 of the speed wide, at
+// speeds off a table's listed ones; a table's slope is its segment's, and
+// 0 where it clamps to an end point.
+func TestDerivativesMatchDifferences(t *testing.T) {
+	pl, _ := NewPowerLaw(100, 10, 2.6)
+	tb, _ := NewTable(30, []float64{1, 2.5, 4}, []float64{40, 46, 69})
+	for _, m := range []Model{pl, Linear{Idle: 50, Slope: 20}, tb} {
+		for _, s := range []float64{0.5, 1.7, 3.2, 6} {
+			h := 1e-6 * s
+			i1, i2, b1, b2 := m.Derivatives(s)
+			for _, q := range []struct {
+				name   string
+				f      func(float64) float64
+				d1, d2 float64
+			}{{"idle", m.IdlePower, i1, i2}, {"busy", m.BusyPower, b1, b2}} {
+				lo, mid, hi := q.f(s-h), q.f(s), q.f(s+h)
+				fd1, fd2 := (hi-lo)/(2*h), (hi-2*mid+lo)/(h*h)
+				if !(math.Abs(q.d1-fd1) <= 1e-6*math.Abs(fd1)+1e-8*mid/s) {
+					t.Errorf("%v at %g: %s ∂/∂s %g, central difference %g", m, s, q.name, q.d1, fd1)
+				}
+				if !(math.Abs(q.d2-fd2) <= 1e-3*math.Abs(fd2)+1e-3*mid/(s*s)) {
+					t.Errorf("%v at %g: %s ∂²/∂s² %g, central difference %g", m, s, q.name, q.d2, fd2)
+				}
+			}
+		}
+	}
+	if _, _, b1, _ := tb.Derivatives(3); !almostEq(b1, 23/1.5, 1e-12) {
+		t.Errorf("table slope at 3 is %g, want its segment's %g", b1, 23/1.5)
+	}
+}

@@ -12,26 +12,58 @@ func ErlangB(c int, a float64) float64 {
 	if c < 0 || a < 0 {
 		return math.NaN()
 	}
-	b := 1.0
-	for k := 1; k <= c; k++ {
-		b = a * b / (float64(k) + a*b)
-	}
+	b, _, _ := erlangB(c, a, false)
 	return b
+}
+
+// erlangB runs ErlangB's recurrence for c ≥ 0 and a ≥ 0. With slopes it
+// also returns ∂B/∂a and ∂²B/∂a², carried through the recurrence: with
+// n = a·B(k−1, a), B(k, a) = n/(k + n) has ∂ = k·n′/(k + n)² and
+// ∂² = k·(n″·(k + n) − 2n′²)/(k + n)³. B is the same bits either way.
+func erlangB(c int, a float64, slopes bool) (b, db, ddb float64) {
+	b = 1
+	for k := 1; k <= c; k++ {
+		n := a * b
+		den := float64(k) + n
+		if slopes {
+			dn, ddn := b+a*db, 2*db+a*ddb
+			fk := float64(k)
+			db, ddb = fk*dn/(den*den), fk*(ddn*den-2*dn*dn)/(den*den*den)
+		}
+		b = n / den
+	}
+	return b, db, ddb
 }
 
 // ErlangC returns the Erlang-C delay probability C(c, a) — the probability an
 // arriving customer must wait in an M/M/c queue with offered load a = λ/μ.
 // It returns 1 when the queue is saturated (a ≥ c).
 func ErlangC(c int, a float64) float64 {
+	v, _, _ := erlangC(c, a, false)
+	return v
+}
+
+// erlangC is ErlangC, with ∂C/∂a and ∂²C/∂a² when slopes is set (0 where C
+// is the saturated 1), differentiated through erlangB:
+// C = B/D with D = 1 − (a/c)·(1 − B).
+func erlangC(c int, a float64, slopes bool) (v, dv, ddv float64) {
 	if c <= 0 || a < 0 {
-		return math.NaN()
+		return math.NaN(), math.NaN(), math.NaN()
 	}
-	if a >= float64(c) {
-		return 1
+	fc := float64(c)
+	if a >= fc {
+		return 1, 0, 0
 	}
-	b := ErlangB(c, a)
-	rho := a / float64(c)
-	return b / (1 - rho*(1-b))
+	b, db, ddb := erlangB(c, a, slopes)
+	rho := a / fc
+	den := 1 - rho*(1-b)
+	v = b / den
+	if slopes {
+		dden, ddden := -(1-b)/fc+rho*db, 2*db/fc+rho*ddb
+		dv = (db*den - b*dden) / (den * den)
+		ddv = (ddb*den-b*ddden)/(den*den) - 2*dden*dv/den
+	}
+	return v, dv, ddv
 }
 
 // MMc holds the metrics of an M/M/c queue: arrival rate Lambda, per-server

@@ -150,3 +150,30 @@ func TestMMcInvalidParams(t *testing.T) {
 		t.Error("negative mu accepted")
 	}
 }
+
+// TestErlangCSlopes: the derivatives erlangC carries through the Erlang-B
+// recursion match central differences of ErlangC, and its value is
+// ErlangC's, bit for bit.
+func TestErlangCSlopes(t *testing.T) {
+	for _, c := range []int{1, 2, 5, 16, 60} {
+		for _, rho := range []float64{0.05, 0.4, 0.8, 0.97} {
+			a := rho * float64(c)
+			h := 1e-5 * a
+			v, d1, d2 := erlangC(c, a, true)
+			if v != ErlangC(c, a) {
+				t.Errorf("C(%d, %g) = %v with slopes, %v without", c, a, v, ErlangC(c, a))
+			}
+			lo, hi := ErlangC(c, a-h), ErlangC(c, a+h)
+			fd1, fd2 := (hi-lo)/(2*h), (hi-2*v+lo)/(h*h)
+			if !almostEq(d1, fd1, 1e-6) {
+				t.Errorf("C(%d, %g): ∂C/∂a %.12g, central difference %.12g", c, a, d1, fd1)
+			}
+			if !(math.Abs(d2-fd2) <= 1e-4*math.Abs(fd2)+1e-5*v/(a*a)) {
+				t.Errorf("C(%d, %g): ∂²C/∂a² %.12g, central difference %.12g", c, a, d2, fd2)
+			}
+		}
+	}
+	if v, d1, d2 := erlangC(2, 2.5, true); v != 1 || d1 != 0 || d2 != 0 {
+		t.Errorf("saturated C(2, 2.5) = %g, %g, %g; want 1, 0, 0", v, d1, d2)
+	}
+}

@@ -28,7 +28,7 @@ var exportedCeiling = map[string]int{
 	"internal/obs/trace":     64,
 	"internal/obs/window":    25,
 	"internal/opt":           27,
-	"internal/power":         30,
+	"internal/power":         33,
 	"internal/queueing":      129,
 	"internal/sim":           123,
 	"internal/sim/multi":     22,
