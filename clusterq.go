@@ -28,7 +28,6 @@ import (
 	"clusterq/internal/obs"
 	"clusterq/internal/obs/trace"
 	"clusterq/internal/obs/window"
-	"clusterq/internal/opt"
 	"clusterq/internal/power"
 	"clusterq/internal/queueing"
 	"clusterq/internal/sim"
@@ -142,9 +141,6 @@ type (
 	// MetricSnapshot is one metric's point-in-time value as exposed by
 	// MetricRegistry.Snapshot and WriteJSON.
 	MetricSnapshot = obs.Snapshot
-	// SolverTraceEntry is one point of an optimizer's convergence trace
-	// (Solution.Result.Trace).
-	SolverTraceEntry = opt.TraceEntry
 	// FlightRecorder is the fixed-capacity ring-buffer recorder of typed
 	// lifecycle events, attached via SimOptions.Recorder; it assembles
 	// per-job Spans and exports Chrome trace-event JSON.
@@ -305,24 +301,12 @@ func Simulate(c *Cluster, o SimOptions) (*SimResult, error) { return sim.Run(c, 
 type (
 	// Autoscaler is the model-driven PlanController.
 	Autoscaler = control.Controller
-	// AutoscalerConfig parameterizes the autoscaler (objective, its bound,
-	// smoothing, safety margin).
+	// AutoscalerConfig parameterizes the autoscaler (smoothing, safety
+	// margin).
 	AutoscalerConfig = control.Config
-	// AutoscalerObjective selects which problem the autoscaler re-solves:
-	// ObjectiveEnergySLA (C3b), ObjectiveEnergyAggregate (C3a),
-	// ObjectiveDelayBudget (C2), or ObjectiveCostServers (C4).
-	AutoscalerObjective = control.Objective
 	// AutoscalerStats counts the autoscaler's solves, deadband holds, and
 	// infeasible-solve fallbacks.
 	AutoscalerStats = control.Stats
-)
-
-// Autoscaler objectives.
-const (
-	ObjectiveEnergySLA       = control.EnergySLA
-	ObjectiveEnergyAggregate = control.EnergyAggregate
-	ObjectiveDelayBudget     = control.DelayBudget
-	ObjectiveCostServers     = control.CostServers
 )
 
 // NewAutoscaler validates the config against the cluster and returns the

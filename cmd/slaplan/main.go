@@ -126,7 +126,6 @@ func recordSolution(reg *obs.Registry, name string, sol *core.Solution) {
 	reg.Gauge("slaplan_"+name+"_power_watts", "average power of the allocation").Set(sol.Metrics.TotalPower)
 	reg.Gauge("slaplan_"+name+"_solver_evals", "objective evaluations spent").Set(float64(sol.Result.Evals))
 	reg.Gauge("slaplan_"+name+"_solver_iters", "outer solver iterations").Set(float64(sol.Result.Iters))
-	reg.Gauge("slaplan_"+name+"_trace_points", "convergence-trace entries recorded").Set(float64(len(sol.Result.Trace)))
 }
 
 func printAllocation(sol *core.Solution) {

@@ -2,19 +2,17 @@
 // level simulator controller (sim.PlanController) that closes ROADMAP item
 // 1's loop. At every control epoch it re-estimates per-class arrival rates
 // from the sliding-window sensors (internal/obs/window, delivered through
-// PlanObservation.Rates), smooths them, and re-runs the paper's offline
-// optimizations — C2 (MinimizeDelay), C3a (MinimizeEnergy), C3b
-// (MinimizeEnergyPerClass) or C4 (MinimizeCost) — against the live
-// estimates, retuning per-tier speeds (and, under the cost objective,
-// effective server counts) to the re-solved operating point.
+// PlanObservation.Rates), smooths them, and re-runs the paper's C3b
+// (MinimizeEnergyPerClass) against the live estimates, retuning per-tier
+// speeds to the re-solved operating point.
 //
-// The controller is deliberately an MPC-without-the-P: the solvers already
-// embed the queueing model, so each epoch's plan is the steady-state-optimal
+// The controller is deliberately an MPC-without-the-P: the solver already
+// embeds the queueing model, so each epoch's plan is the steady-state-optimal
 // operating point for the currently estimated load. A relative-change
 // deadband skips re-solves while the estimates are quiet, and an infeasible
 // solve (estimated load beyond what even maximum speeds can serve within the
-// bounds) falls back to maximum speeds with every server active — protect
-// the SLA first, save energy when the model says it is safe.
+// bounds) falls back to maximum speeds — protect the SLA first, save energy
+// when the model says it is safe.
 //
 // Determinism: decisions are pure functions of the observation stream and
 // the configuration. The package draws no randomness and reads no clocks —
@@ -34,50 +32,24 @@ import (
 )
 
 // Objective selects which of the paper's optimization problems the
-// controller re-solves each epoch.
+// controller re-solves each epoch. C3b is the only one.
 type Objective int
 
-const (
-	// EnergySLA re-solves C3b: minimize power subject to every class's SLA
-	// mean-delay bound (read from the cluster's SLAs). The default.
-	EnergySLA Objective = iota
-	// EnergyAggregate re-solves C3a: minimize power subject to the
-	// arrival-rate-weighted average delay staying within MaxWeightedDelay.
-	EnergyAggregate
-	// DelayBudget re-solves C2: minimize the weighted average delay
-	// subject to the cluster's average power staying within PowerBudget.
-	DelayBudget
-	// CostServers re-solves C4: minimize provisioning cost over server
-	// counts and speeds; the decision also resizes each tier's active pool
-	// (parking the servers the plan does not need), capped at the
-	// configured count — the simulator cannot buy hardware mid-run.
-	CostServers
-)
+// EnergySLA re-solves C3b: minimize power subject to every class's SLA
+// mean-delay bound (read from the cluster's SLAs).
+const EnergySLA Objective = 0
 
 func (o Objective) String() string {
-	switch o {
-	case EnergySLA:
+	if o == EnergySLA {
 		return "C3b"
-	case EnergyAggregate:
-		return "C3a"
-	case DelayBudget:
-		return "C2"
-	case CostServers:
-		return "C4"
 	}
 	return fmt.Sprintf("Objective(%d)", int(o))
 }
 
 // Config parameterizes the autoscaler.
 type Config struct {
-	// Objective selects the re-solved problem (default EnergySLA).
+	// Objective must be EnergySLA, its zero value.
 	Objective Objective
-	// MaxWeightedDelay is the aggregate delay bound (required > 0 for
-	// EnergyAggregate, unused otherwise).
-	MaxWeightedDelay float64
-	// PowerBudget is the average power cap in watts (required > 0 for
-	// DelayBudget, unused otherwise).
-	PowerBudget float64
 	// Smoothing is the EWMA factor applied to each epoch's windowed rate
 	// estimate, in (0, 1]: est ← Smoothing·λ̂ + (1−Smoothing)·est. Default
 	// 0.5; 1 trusts each window reading outright.
@@ -110,7 +82,7 @@ type Controller struct {
 	solved  bool      // an initial solve has produced a plan
 	nu      []float64 // the last C3b solve's multipliers, the next one's start
 
-	fallback sim.PlanDecision // max speeds (and full pools): the safe plan
+	fallback sim.PlanDecision // max speeds: the safe plan
 
 	stats Stats
 }
@@ -133,27 +105,17 @@ func New(c *cluster.Cluster, cfg Config) (*Controller, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	switch cfg.Objective {
-	case EnergySLA, CostServers:
-		any := false
-		for _, cl := range c.Classes {
-			if cl.SLA.HasMeanBound() {
-				any = true
-			}
-		}
-		if !any {
-			return nil, fmt.Errorf("control: objective %v needs at least one class with an SLA mean-delay bound", cfg.Objective)
-		}
-	case EnergyAggregate:
-		if !(cfg.MaxWeightedDelay > 0) {
-			return nil, fmt.Errorf("control: objective %v needs MaxWeightedDelay > 0, got %g", cfg.Objective, cfg.MaxWeightedDelay)
-		}
-	case DelayBudget:
-		if !(cfg.PowerBudget > 0) {
-			return nil, fmt.Errorf("control: objective %v needs PowerBudget > 0, got %g", cfg.Objective, cfg.PowerBudget)
-		}
-	default:
+	if cfg.Objective != EnergySLA {
 		return nil, fmt.Errorf("control: unknown objective %v", cfg.Objective)
+	}
+	any := false
+	for _, cl := range c.Classes {
+		if cl.SLA.HasMeanBound() {
+			any = true
+		}
+	}
+	if !any {
+		return nil, fmt.Errorf("control: objective %v needs at least one class with an SLA mean-delay bound", cfg.Objective)
 	}
 	switch {
 	case cfg.Smoothing == 0:
@@ -175,17 +137,10 @@ func New(c *cluster.Cluster, cfg Config) (*Controller, error) {
 		nominal: c.Lambdas(),
 	}
 	a.est = append([]float64(nil), a.nominal...)
-	// The safe plan: every tier at its optimizer speed ceiling with the
-	// full pool active. SpeedBounds' hi respects the configured MaxSpeed.
+	// The safe plan: every tier at its optimizer speed ceiling.
+	// SpeedBounds' hi respects the configured MaxSpeed.
 	_, hi := a.base.SpeedBounds()
 	a.fallback = sim.PlanDecision{Speeds: hi}
-	if cfg.Objective == CostServers {
-		full := make([]int, len(a.base.Tiers))
-		for j, t := range a.base.Tiers {
-			full[j] = t.Servers
-		}
-		a.fallback.Servers = full
-	}
 	return a, nil
 }
 
@@ -205,8 +160,8 @@ func (a *Controller) Estimates() []float64 {
 
 // DecidePlan implements sim.PlanController: fold the epoch's windowed rate
 // estimates into the EWMA, compute the margin·drain inflation factor, hold
-// inside the deadband, otherwise re-solve the configured problem at the
-// inflated estimates and return its operating point.
+// inside the deadband, otherwise re-solve C3b at the inflated estimates and
+// return its operating point.
 func (a *Controller) DecidePlan(obs sim.PlanObservation) sim.PlanDecision {
 	for k := range a.est {
 		if k >= len(obs.Rates) {
@@ -298,12 +253,12 @@ func (a *Controller) withinDeadband(factor float64) bool {
 	return true
 }
 
-// solve re-runs the configured optimization at the current estimates scaled
-// by the margin·drain factor, returning ok=false when the problem is
-// infeasible at that load (or the solver rejects it), in which case the
-// caller applies the fallback.
+// solve re-runs C3b at the current estimates scaled by the margin·drain
+// factor, returning ok=false when the problem is infeasible at that load (or
+// the solver rejects it), in which case the caller applies the fallback.
 func (a *Controller) solve(factor float64) (sim.PlanDecision, bool) {
 	c := a.base.Clone()
+	bounds := make([]float64, len(c.Classes))
 	for k := range c.Classes {
 		// A numerically dead class still needs a positive rate for the
 		// evaluator; floor the estimate at 1% of nominal.
@@ -312,54 +267,14 @@ func (a *Controller) solve(factor float64) (sim.PlanDecision, bool) {
 			lam = 0.01 * a.nominal[k]
 		}
 		c.Classes[k].Lambda = lam
+		bounds[k] = c.Classes[k].SLA.MaxMeanDelay
 	}
-	var (
-		sol *core.Solution
-		err error
-	)
-	switch a.cfg.Objective {
-	case EnergySLA:
-		bounds := make([]float64, len(c.Classes))
-		for k, cl := range c.Classes {
-			bounds[k] = cl.SLA.MaxMeanDelay
-		}
-		sol, err = core.MinimizeEnergyPerClass(c, core.EnergyOptions{
-			MaxClassDelay: bounds, WarmStart: a.nu,
-		})
-		if err == nil {
-			a.nu = sol.Multipliers
-		}
-	case EnergyAggregate:
-		sol, err = core.MinimizeEnergy(c, core.EnergyOptions{MaxWeightedDelay: a.cfg.MaxWeightedDelay})
-	case DelayBudget:
-		sol, err = core.MinimizeDelay(c, core.DelayOptions{EnergyBudget: a.cfg.PowerBudget})
-	case CostServers:
-		sol, err = core.MinimizeCost(c, core.CostOptions{})
-	}
-	if err != nil || sol == nil {
+	sol, err := core.MinimizeEnergyPerClass(c, core.EnergyOptions{
+		MaxClassDelay: bounds, WarmStart: a.nu,
+	})
+	if err != nil {
 		return sim.PlanDecision{}, false
 	}
-	dec := sim.PlanDecision{Speeds: sol.Cluster.Speeds()}
-	if a.cfg.Objective == CostServers {
-		dec.Servers = make([]int, len(sol.Cluster.Tiers))
-		for j, t := range sol.Cluster.Tiers {
-			n := t.Servers
-			if max := a.base.Tiers[j].Servers; n > max {
-				n = max
-			}
-			dec.Servers[j] = n
-		}
-	}
-	return dec, true
+	a.nu = sol.Multipliers
+	return sim.PlanDecision{Speeds: sol.Cluster.Speeds()}, true
 }
-
-// NoOp is a plan controller that holds every knob at every epoch — the
-// perturbation-freedom baseline: attaching it must leave every simulation
-// result bit-identical to a controller-free run.
-type NoOp struct{}
-
-// Name implements sim.PlanController.
-func (NoOp) Name() string { return "noop" }
-
-// DecidePlan implements sim.PlanController.
-func (NoOp) DecidePlan(sim.PlanObservation) sim.PlanDecision { return sim.PlanDecision{} }

@@ -26,9 +26,10 @@ func TestNewValidation(t *testing.T) {
 		cfg  Config
 	}{
 		{"EnergySLA without SLA bounds", noSLA, Config{Objective: EnergySLA}},
-		{"CostServers without SLA bounds", noSLA, Config{Objective: CostServers}},
-		{"EnergyAggregate without bound", c, Config{Objective: EnergyAggregate}},
-		{"DelayBudget without budget", c, Config{Objective: DelayBudget}},
+		// The C3a, C2 and C4 objectives the controller once re-solved.
+		{"objective 1", c, Config{Objective: Objective(1)}},
+		{"objective 2", c, Config{Objective: Objective(2)}},
+		{"objective 3", c, Config{Objective: Objective(3)}},
 		{"unknown objective", c, Config{Objective: Objective(99)}},
 		{"smoothing above 1", c, Config{Smoothing: 1.5}},
 		{"smoothing negative", c, Config{Smoothing: -0.5}},
@@ -42,22 +43,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(c, Config{Margin: -1}); err != nil {
 		t.Errorf("negative margin sentinel rejected: %v", err)
 	}
-	// Aggregate and budget objectives construct with their bound set.
-	if _, err := New(c, Config{Objective: EnergyAggregate, MaxWeightedDelay: 3}); err != nil {
-		t.Errorf("EnergyAggregate rejected: %v", err)
-	}
-	if _, err := New(c, Config{Objective: DelayBudget, PowerBudget: 2000}); err != nil {
-		t.Errorf("DelayBudget rejected: %v", err)
-	}
 }
 
 func TestObjectiveStrings(t *testing.T) {
-	for o, want := range map[Objective]string{
-		EnergySLA: "C3b", EnergyAggregate: "C3a", DelayBudget: "C2", CostServers: "C4",
-	} {
-		if got := o.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(o), got, want)
-		}
+	if got := EnergySLA.String(); got != "C3b" {
+		t.Errorf("EnergySLA.String() = %q, want \"C3b\"", got)
 	}
 	if got := Objective(42).String(); got != "Objective(42)" {
 		t.Errorf("unknown objective string %q", got)

@@ -10,8 +10,19 @@ import (
 	"clusterq/internal/workload"
 )
 
-// TestNoOpIsPerturbationFree pins satellite 3 from the control side, with
-// the exported NoOp itself: attaching it (with window sensors) must leave
+// NoOp is a plan controller that holds every knob at every epoch — the
+// perturbation-freedom baseline: attaching it must leave every simulation
+// result bit-identical to a controller-free run.
+type NoOp struct{}
+
+// Name implements sim.PlanController.
+func (NoOp) Name() string { return "noop" }
+
+// DecidePlan implements sim.PlanController.
+func (NoOp) DecidePlan(sim.PlanObservation) sim.PlanDecision { return sim.PlanDecision{} }
+
+// TestNoOpIsPerturbationFree pins perturbation freedom from the control
+// side: attaching NoOp (with window sensors) must leave
 // the entire Result exactly equal to a controller-free run. The comparison formats every field with %#v — the default
 // float formatting is the shortest round-trippable representation, so two
 // distinct bit patterns render distinctly — instead of reflect.DeepEqual,

@@ -1,10 +1,9 @@
 // Package opt holds the solver plumbing shared by the paper's optimizers:
-// the Result every solve reports, its per-iteration TraceEntry, and two
-// one-dimensional searches. Bisection serves internal/core's uniform
-// baselines. Golden-section minimization serves only tests, among them the
-// weak-duality certificate of internal/core. The dual decompositions search
-// each tier with their own safeguarded Newton iteration (pieceMin). It is
-// stdlib-only.
+// the Result every solve reports and two one-dimensional searches.
+// Bisection serves internal/core's uniform baselines. Golden-section
+// minimization serves only tests, among them the weak-duality certificate of
+// internal/core. The dual decompositions search each tier with their own
+// safeguarded Newton iteration (pieceMin). It is stdlib-only.
 //
 // The general-purpose reference solver that experiment E17 compares the
 // duals with (a multi-start augmented Lagrangian over Nelder–Mead) lives
@@ -19,17 +18,6 @@ package opt
 
 import "fmt"
 
-// TraceEntry is one point of a solver's convergence trace: the state at the
-// end of one (outer) iteration. The Step field is solver-specific scale
-// information; the dual decompositions record their damping.
-type TraceEntry struct {
-	Iter      int     // 0-based (outer) iteration index
-	F         float64 // incumbent objective value
-	Violation float64 // max inequality-constraint violation (0 when unconstrained)
-	Step      float64 // solver step scale (see above)
-	Evals     int     // cumulative objective evaluations so far
-}
-
 // Result reports the outcome of a minimization.
 type Result struct {
 	X         []float64 // best point found
@@ -37,9 +25,6 @@ type Result struct {
 	Iters     int       // outer iterations performed
 	Evals     int       // objective evaluations
 	Converged bool      // tolerance met before the iteration cap
-	// Trace records per-iteration convergence (objective, constraint
-	// violation, step scale) for plotting solver behavior.
-	Trace []TraceEntry
 }
 
 func (r Result) String() string {

@@ -10,8 +10,9 @@ import (
 )
 
 // holdAllPlan is a plan controller that holds every knob — the sim-package
-// twin of control.NoOp (which cannot be imported here: control depends on
-// sim). internal/control pins that NoOp returns the identical zero decision.
+// twin of internal/control's test NoOp (which cannot be imported here:
+// control depends on sim). internal/control pins that NoOp returns the
+// identical zero decision.
 type holdAllPlan struct{}
 
 func (holdAllPlan) Name() string                            { return "hold-all" }
