@@ -49,6 +49,7 @@ import (
 	"clusterq/internal/queueing"
 	"clusterq/internal/sim"
 	"clusterq/internal/sim/multi"
+	"clusterq/internal/stats"
 )
 
 func main() {
@@ -373,8 +374,8 @@ func main() {
 		opts.Replications, *horizon, *horizon*0.1)
 	fmt.Println("per-class mean end-to-end delay (s):")
 	for k, cl := range c.Classes {
-		line := fmt.Sprintf("  %-10s model %8.4g   sim %8.4g ±%.3g  (err %.1f%%)",
-			cl.Name, m.Delay[k], res.Delay[k].Mean, res.Delay[k].HalfW,
+		line := fmt.Sprintf("  %-10s model %8.4g   sim %8.4g %s  (err %.1f%%)",
+			cl.Name, m.Delay[k], res.Delay[k].Mean, halfWidth(res.Delay[k]),
 			100*res.Delay[k].RelErr(m.Delay[k]))
 		if len(opts.Quantiles) > 0 {
 			mq, err := cluster.DelayQuantile(c, m, k, *q)
@@ -385,8 +386,8 @@ func main() {
 		}
 		fmt.Println(line)
 	}
-	fmt.Printf("\ncluster average power (W): model %.5g   sim %.5g ±%.3g  (err %.1f%%)\n",
-		m.TotalPower, res.TotalPower.Mean, res.TotalPower.HalfW,
+	fmt.Printf("\ncluster average power (W): model %.5g   sim %.5g %s  (err %.1f%%)\n",
+		m.TotalPower, res.TotalPower.Mean, halfWidth(res.TotalPower),
 		100*res.TotalPower.RelErr(m.TotalPower))
 	fmt.Println("\nper-tier utilization:")
 	for j, tr := range res.Tiers {
@@ -395,8 +396,8 @@ func main() {
 	}
 	fmt.Println("\nper-class dynamic energy per request (J):")
 	for k, cl := range c.Classes {
-		fmt.Printf("  %-10s model %8.4g   sim %8.4g ±%.3g\n",
-			cl.Name, m.EnergyPerRequest[k], res.EnergyPerRequest[k].Mean, res.EnergyPerRequest[k].HalfW)
+		fmt.Printf("  %-10s model %8.4g   sim %8.4g %s\n",
+			cl.Name, m.EnergyPerRequest[k], res.EnergyPerRequest[k].Mean, halfWidth(res.EnergyPerRequest[k]))
 	}
 
 	if modelCtl != nil {
@@ -579,6 +580,15 @@ func writeSpans(path string, rec *trace.Recorder) error {
 		return err
 	}
 	return f.Close()
+}
+
+// halfWidth renders an estimate's confidence half-width as "±h", or as
+// "(no CI)" when a single replication gave no interval.
+func halfWidth(e stats.Estimate) string {
+	if !e.HasCI() {
+		return "(no CI)"
+	}
+	return fmt.Sprintf("±%.3g", e.HalfW)
 }
 
 func fatal(err error) {
