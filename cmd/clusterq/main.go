@@ -136,14 +136,12 @@ func main() {
 		reg.Gauge("clusterq_"+strings.ToLower(e.ID)+"_seconds",
 			"wall time of "+e.ID).Set(results[i].elapsed.Seconds())
 		tables += int64(len(results[i].tables))
-		fmt.Printf("=== %s: %s ===\n\n", e.ID, e.Title)
-		for ti, t := range results[i].tables {
-			if err := t.WriteASCII(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println()
-			if *csvDir != "" {
+		if err := experiments.WriteSection(os.Stdout, e, results[i].tables); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if *csvDir != "" {
+			for ti, t := range results[i].tables {
 				if err := writeCSV(*csvDir, e.ID, ti, t); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(1)

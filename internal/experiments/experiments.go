@@ -88,12 +88,19 @@ func ByID(id string) (Experiment, error) {
 
 // RunAndPrint runs an experiment and renders all its tables to w.
 func RunAndPrint(e Experiment, cfg Config, w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "=== %s: %s ===\n\n", e.ID, e.Title); err != nil {
-		return err
-	}
 	tables, err := e.Run(cfg)
 	if err != nil {
 		return fmt.Errorf("%s: %w", e.ID, err)
+	}
+	return WriteSection(w, e, tables)
+}
+
+// WriteSection renders an experiment's tables to w as one section of the
+// suite's report: a "=== ID: title ===" header, then each table followed by
+// a blank line.
+func WriteSection(w io.Writer, e Experiment, tables []*Table) error {
+	if _, err := fmt.Fprintf(w, "=== %s: %s ===\n\n", e.ID, e.Title); err != nil {
+		return err
 	}
 	for _, t := range tables {
 		if err := t.WriteASCII(w); err != nil {
