@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"clusterq/internal/cluster"
@@ -275,11 +276,8 @@ func TestBindingClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binding := BindingClasses(sol, bounds, 0.05)
-	for _, k := range binding {
-		if k == 0 {
-			t.Error("loose high-priority bound reported as binding")
-		}
+	if binding := BindingClasses(sol, bounds); !reflect.DeepEqual(binding, []int{1}) {
+		t.Errorf("binding classes %v, want [1]: only the low class's bound is tight", binding)
 	}
 }
 

@@ -85,19 +85,20 @@ func MinimizeEnergyPerClass(c *cluster.Cluster, o EnergyOptions) (*Solution, err
 	return solveSLA(c, o.MaxClassDelay, nil, o.WarmStart)
 }
 
-// BindingClasses reports which bounded classes sit within tol (relative) of
-// their delay bound in the solution — the classes whose SLAs actually cost
-// energy.
-func BindingClasses(sol *Solution, bounds []float64, tol float64) []int {
-	if tol <= 0 {
-		tol = 0.02
-	}
+// bindingTol is how close, relative to its bound, a class's delay must sit
+// for BindingClasses to report it as binding.
+const bindingTol = 0.03
+
+// BindingClasses reports which bounded classes sit within bindingTol
+// (relative) of their delay bound in the solution — the classes whose SLAs
+// actually cost energy.
+func BindingClasses(sol *Solution, bounds []float64) []int {
 	var binding []int
 	for k, b := range bounds {
 		if b <= 0 || k >= len(sol.Metrics.Delay) {
 			continue
 		}
-		if sol.Metrics.Delay[k] >= b*(1-tol) {
+		if sol.Metrics.Delay[k] >= b*(1-bindingTol) {
 			binding = append(binding, k)
 		}
 	}

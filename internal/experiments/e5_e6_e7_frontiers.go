@@ -111,7 +111,7 @@ func runE7(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return []any{bounds[2], bounds[0], bounds[1], "infeasible", "-"}, nil
 		}
-		binding := core.BindingClasses(sol, bounds, 0.03)
+		binding := core.BindingClasses(sol, bounds)
 		names := ""
 		for _, k := range binding {
 			if names != "" {
