@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race examples lint fmt tidy-check bench-build check overhead-gate fuzz
+.PHONY: all build vet test race examples cmds lint fmt tidy-check bench-build check overhead-gate fuzz
 
 all: build
 
@@ -20,6 +20,13 @@ race:
 # this target) and fails on the first that exits non-zero.
 examples:
 	@for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
+# cmds runs clusterq -list, slaplan with its baselines and a metrics file,
+# and each multi-line simrun example in README.md as written there, at
+# -horizon 3000 (about 3 s; CI's test job runs this target). It fails on the
+# first that exits non-zero.
+cmds:
+	bash scripts/cmds.sh
 
 # lint runs the in-tree analyzer suite (see internal/lint); it exits non-zero
 # on any finding.
