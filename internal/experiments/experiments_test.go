@@ -95,14 +95,10 @@ func TestAnalyticTablesMatchFullResults(t *testing.T) {
 	}
 	text := string(raw)
 	for _, id := range []string{"E3", "E4", "E5", "E6", "E7", "E11", "E13", "E19"} {
-		start := strings.Index(text, "=== "+id+": ")
-		if start < 0 {
+		want, ok := section(text, id)
+		if !ok {
 			t.Errorf("%s: no section in full_results.txt", id)
 			continue
-		}
-		want := text[start:]
-		if end := strings.Index(want, "\n=== "); end >= 0 {
-			want = want[:end+1]
 		}
 		e, err := ByID(id)
 		if err != nil {
@@ -115,6 +111,65 @@ func TestAnalyticTablesMatchFullResults(t *testing.T) {
 		if got.String() != want {
 			t.Errorf("%s differs from full_results.txt:\ngot:\n%s\nwant:\n%s", id, got.String(), want)
 		}
+	}
+}
+
+// section returns experiment id's "=== id: ..." block of a suite report,
+// through the blank line that ends its last table.
+func section(report, id string) (string, bool) {
+	start := strings.Index(report, "=== "+id+": ")
+	if start < 0 {
+		return "", false
+	}
+	s := report[start:]
+	if end := strings.Index(s, "\n=== "); end >= 0 {
+		s = s[:end+1]
+	}
+	return s, true
+}
+
+// TestQuickTablesMatchGolden runs every experiment in quick mode and
+// requires its printed section to equal testdata/quick_results.txt byte for
+// byte, so a change to any simulated table fails here. E9 and E17 print
+// wall times and are left out. The golden is `clusterq -run all -quick`
+// with those two sections removed.
+func TestQuickTablesMatchGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "quick_results.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
+	for _, e := range All() {
+		if e.ID == "E9" || e.ID == "E17" {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			want, ok := section(text, e.ID)
+			if !ok {
+				t.Fatalf("no %s section in quick_results.txt", e.ID)
+			}
+			var got bytes.Buffer
+			if err := RunAndPrint(e, quickCfg(), &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() == want {
+				return
+			}
+			g, w := strings.Split(got.String(), "\n"), strings.Split(want, "\n")
+			for i := 0; i < len(g) || i < len(w); i++ {
+				var gl, wl string
+				if i < len(g) {
+					gl = g[i]
+				}
+				if i < len(w) {
+					wl = w[i]
+				}
+				if gl != wl {
+					t.Fatalf("%s differs from quick_results.txt at line %d:\ngot:  %q\nwant: %q", e.ID, i+1, gl, wl)
+				}
+			}
+		})
 	}
 }
 
