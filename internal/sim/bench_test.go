@@ -135,6 +135,25 @@ func BenchmarkCalendar(b *testing.B) {
 	}
 }
 
+// BenchmarkCalendarHeld is BenchmarkCalendar in a handler's order: next →
+// schedule → recycle over the same 512 live events, so each schedule fills
+// the popped event's slot.
+func BenchmarkCalendarHeld(b *testing.B) {
+	const live = 512
+	cal := newCalendar()
+	rng := NewRNG(7)
+	for i := 0; i < live; i++ {
+		cal.schedule(rng.Float64()*100, evArrival, 0, nil, 0, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := cal.next()
+		cal.schedule(cal.now+rng.Float64()*10, evArrival, 0, nil, 0, nil)
+		cal.recycle(e)
+	}
+}
+
 // benchStation builds a simulator around benchCluster's station, resized to
 // the given server count (see stationSim).
 func benchStation(b *testing.B, servers int, disc queueing.Discipline) (*simulator, *simStation) {

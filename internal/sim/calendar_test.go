@@ -26,11 +26,14 @@ func refLess(a, b refEvent) bool {
 // driveCalendarAgainstSorted runs the calendar through a randomized
 // workload — schedules (plain and gen-stamped, with far-future, near-term,
 // exactly-tied and exactly-now times), single pops, AdvanceTo-style drains,
-// in-place removals of scheduled events, and sequence numbers reserved now
-// but pushed later — next to a sorted slice holding the same live events,
-// and asserts that every peekTime and every pop agrees with the slice's
-// head, gen stamps included. ops bounds the workload length so the fuzz
-// harness stays fast.
+// in-place removals of scheduled events, sequence numbers reserved now but
+// pushed later, and popped events held while schedules and cancels fill
+// and move the calendar's hole, as a handler does — next to a sorted slice
+// holding the same live events. It asserts that every peekTime and every
+// pop agrees with the slice's head, gen stamps included, and that after
+// every recycle the heap holds exactly the live events, each in the slot
+// its index names. ops bounds the workload length so the fuzz harness
+// stays fast.
 func driveCalendarAgainstSorted(t *testing.T, seed uint64, ops int) {
 	t.Helper()
 	cal := newCalendar()
@@ -40,22 +43,45 @@ func driveCalendarAgainstSorted(t *testing.T, seed uint64, ops int) {
 	rng := NewRNG(seed)
 	pops := 0
 
-	popBoth := func() bool {
+	// checkSlots asserts that the heap holds exactly the live events and
+	// that each one's index names its own slot: no dead slot survives a
+	// recycle.
+	checkSlots := func() {
+		if len(cal.events) != len(ref) {
+			t.Fatalf("pop %d: heap holds %d slots, %d events are live", pops, len(cal.events), len(ref))
+		}
+		for _, r := range ref {
+			e := scheduled[r.seq]
+			if e.index < 0 || e.index >= len(cal.events) || cal.events[e.index] != e {
+				t.Fatalf("pop %d: event seq=%d claims heap slot %d, which does not hold it", pops, r.seq, e.index)
+			}
+		}
+	}
+
+	// peekBoth checks peekTime against the reference head.
+	peekBoth := func() bool {
 		pt, ok := cal.peekTime()
 		if ok != (len(ref) > 0) {
 			t.Fatalf("pop %d: peekTime ok=%v with %d scheduled", pops, ok, len(ref))
 		}
-		if !ok {
+		if ok && pt != ref[0].time {
+			t.Fatalf("pop %d: peekTime %v, want %v", pops, pt, ref[0].time)
+		}
+		return ok
+	}
+
+	// popHeld pops the head on both sides and returns the calendar's event
+	// without recycling it, so its slot is still the calendar's hole; nil
+	// when both are empty.
+	popHeld := func() *event {
+		if !peekBoth() {
 			if e := cal.next(); e != nil {
 				t.Fatalf("pop %d: next returned t=%v from an empty calendar", pops, e.time)
 			}
-			return false
+			return nil
 		}
 		want := ref[0]
 		ref = ref[1:]
-		if pt != want.time {
-			t.Fatalf("pop %d: peekTime %v, want %v", pops, pt, want.time)
-		}
 		e := cal.next()
 		if e == nil {
 			t.Fatalf("pop %d: nil with %d scheduled", pops, len(ref)+1)
@@ -68,8 +94,17 @@ func driveCalendarAgainstSorted(t *testing.T, seed uint64, ops int) {
 			t.Fatalf("pop %d: clock %v, want %v", pops, cal.now, want.time)
 		}
 		delete(scheduled, e.seq)
-		cal.recycle(e)
 		pops++
+		return e
+	}
+
+	popBoth := func() bool {
+		e := popHeld()
+		if e == nil {
+			return false
+		}
+		cal.recycle(e)
+		checkSlots()
 		return true
 	}
 
@@ -114,8 +149,7 @@ func driveCalendarAgainstSorted(t *testing.T, seed uint64, ops int) {
 		insert(r)
 	}
 
-	schedule := func() {
-		at := pickTime()
+	scheduleAt := func(at float64) {
 		if rng.Uint64()%4 == 0 {
 			pushGen(refEvent{time: at, seq: cal.reserve(), gen: rng.Uint64() % 8, kind: evTimeout})
 			return
@@ -124,6 +158,7 @@ func driveCalendarAgainstSorted(t *testing.T, seed uint64, ops int) {
 		scheduled[r.seq] = cal.schedule(at, r.kind, 0, nil, 0, nil)
 		insert(r)
 	}
+	schedule := func() { scheduleAt(pickTime()) }
 
 	// remove cancels a random live event in place, as preemption cancels a
 	// departure, and checks the event's recorded slot on the way.
@@ -164,8 +199,43 @@ func driveCalendarAgainstSorted(t *testing.T, seed uint64, ops int) {
 		}
 	}
 
+	// hold pops an event and keeps it, as a handler does, while the
+	// calendar takes schedules and cancels with the popped slot as its
+	// hole, then recycles it.
+	hold := func() {
+		e := popHeld()
+		if e == nil {
+			return
+		}
+		switch rng.Uint64() % 7 {
+		case 0: // plain and gen-stamped schedules, some under reserved seqs
+			for n := rng.Uint64() % 3; n > 0; n-- {
+				schedule()
+			}
+			pushReserved()
+		case 1: // at now, then exactly tied with a live event
+			scheduleAt(cal.now)
+			if len(ref) > 0 {
+				scheduleAt(ref[rng.Uint64()%uint64(len(ref))].time)
+			}
+		case 2: // one cancel with nothing scheduled after it
+			remove()
+		case 3: // two cancels in a row
+			remove()
+			remove()
+		case 4: // cancel then schedule, as preempt does
+			remove()
+			schedule()
+		case 5: // peek while held
+			peekBoth()
+			schedule()
+		}
+		cal.recycle(e)
+		checkSlots()
+	}
+
 	for i := 0; i < ops; i++ {
-		switch op := rng.Uint64() % 13; {
+		switch op := rng.Uint64() % 15; {
 		case op < 5:
 			schedule()
 		case op < 8:
@@ -186,8 +256,10 @@ func driveCalendarAgainstSorted(t *testing.T, seed uint64, ops int) {
 			remove()
 		case op < 11:
 			reserve()
-		default:
+		case op < 12:
 			pushReserved()
+		default:
+			hold()
 		}
 	}
 	// Drain completely: the tail must match too.

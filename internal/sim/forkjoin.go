@@ -60,10 +60,11 @@ func forkJoinRep(k int, lambda, mu, horizon float64, seed uint64) (float64, int6
 	for !cal.empty() {
 		e := cal.next()
 		now, kind, q := e.time, e.kind, e.station
-		cal.recycle(e)
 		if now > horizon {
 			break
 		}
+		// Handle first, recycle after: the handler's first schedule then
+		// fills the popped event's slot (see calendar).
 		if kind == evArrival {
 			// Arrival: fork into every queue; start service where idle.
 			cal.schedule(now+rng.Exp(lambda), evArrival, 0, nil, -1, nil)
@@ -80,6 +81,7 @@ func forkJoinRep(k int, lambda, mu, horizon float64, seed uint64) (float64, int6
 					cal.schedule(now+rng.Exp(mu), evDeparture, 0, nil, i, nil)
 				}
 			}
+			cal.recycle(e)
 			continue
 		}
 		// Departure of the head of queue q.
@@ -94,6 +96,7 @@ func forkJoinRep(k int, lambda, mu, horizon float64, seed uint64) (float64, int6
 		if queues[q].len() > 0 {
 			cal.schedule(now+rng.Exp(mu), evDeparture, 0, nil, q, nil)
 		}
+		cal.recycle(e)
 	}
 	return resp.Mean(), resp.Count()
 }

@@ -17,15 +17,18 @@ package sim
 // Lifetime invariants (what makes recycling sound):
 //
 //   - event: owned by the calendar from schedule() until next() pops it or
-//     cancel() removes it. A popped event is recycled by the run loop after
-//     the handler returns, a cancelled one at once. Handlers never retain
-//     events; a service run's dep is the only stored reference, and it is
-//     read only while the run is in service.
+//     cancel() takes it off. A popped event is recycled by the run loop after
+//     the handler returns, a cancelled one at once. Its slot may stay in the
+//     heap as the calendar's hole until a schedule refills it or a recycle,
+//     peek or pop removes it; the calendar tracks the hole by slot, so the
+//     event may be reused meanwhile. Handlers never retain events; a service
+//     run's dep is the only stored reference, and it is read only while the
+//     run is in service.
 //   - serviceRun: exactly one departure event references each run, and the
 //     run references it back (dep). A run is freed exactly once: when its
 //     departure is handled (after bankSegment/dropRun), or when it is
 //     cancelled — preemption, a breakdown victim, or a timeout in service —
-//     which removes the departure from the heap in the same step. A retune
+//     which takes the departure off the calendar in the same step. A retune
 //     keeps every run: it cancels the departure and schedules the new one
 //     in the same step. No event ever references a cancelled run, so none
 //     can reference a reused one. While in service a run records its slot,

@@ -246,21 +246,22 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 }
 
 // hasPendingEvents reports whether at least one event remains at or before
-// the horizon. It peeks rather than pops: the first past-horizon event stays
-// in the heap and the clock never commits to its time, so cal.now is bounded
-// by the horizon for the replication's whole life (asserted by
-// TestClockNeverExceedsHorizon).
+// the horizon.
 func (s *simulator) hasPendingEvents() bool {
 	t, ok := s.cal.peekTime()
 	return ok && t <= s.horizon
 }
 
 // processNextEvent pops and dispatches exactly one event, returning false —
-// without touching the calendar — when no event at or before the horizon
-// remains. This is the engine's single step; run() and the exported stepped
-// Replication are both thin loops over it.
-func (s *simulator) processNextEvent() bool {
-	if !s.hasPendingEvents() {
+// without touching the calendar — when no event at or before bound remains.
+// bound is the horizon, or AdvanceTo's earlier stop time; it must not exceed
+// the horizon. It peeks before it pops: the first event past bound stays in
+// the heap and the clock never commits to its time, so cal.now is bounded by
+// the horizon for the replication's whole life (asserted by
+// TestClockNeverExceedsHorizon). This is the engine's single step; run() and
+// the exported stepped Replication are both thin loops over it.
+func (s *simulator) processNextEvent(bound float64) bool {
+	if t, ok := s.cal.peekTime(); !ok || t > bound {
 		return false
 	}
 	e := s.cal.next()
@@ -297,7 +298,7 @@ func (s *simulator) processNextEvent() bool {
 
 // run executes the replication to the horizon.
 func (s *simulator) run() {
-	for s.processNextEvent() {
+	for s.processNextEvent(s.horizon) {
 	}
 }
 

@@ -78,7 +78,7 @@ func (r *Replication) ProcessNextEvent() bool {
 	if r.sealed {
 		return false
 	}
-	return r.s.processNextEvent()
+	return r.s.processNextEvent(r.s.horizon)
 }
 
 // AdvanceTo processes every event scheduled at or before min(t, horizon), in
@@ -87,15 +87,16 @@ func (r *Replication) ProcessNextEvent() bool {
 // horizon regardless of t. On return the flight recorder holds every event
 // processed so far.
 func (r *Replication) AdvanceTo(t float64) int {
+	bound := r.s.horizon
+	if t < bound { // a NaN t leaves the horizon
+		bound = t
+	}
 	n := 0
-	for {
-		et, ok := r.PeekNextEventTime()
-		if !ok || et > t || !r.ProcessNextEvent() {
-			r.s.tap.flushRecorder()
-			return n
-		}
+	for !r.sealed && r.s.processNextEvent(bound) {
 		n++
 	}
+	r.s.tap.flushRecorder()
+	return n
 }
 
 // Run drains the replication to the horizon — the stepped spelling of the
