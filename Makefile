@@ -55,8 +55,9 @@ bench-build:
 # validation and evaluation, a tier evaluation against its boxed reference,
 # a tier evaluation's derivatives against central differences of its
 # values, the simulator's option defaults, the event calendar against a sorted
-# reference, a station's running set against the linear scans, and the
-# flight recorder against its map model.
+# reference, a station's running set against the linear scans, the
+# flight recorder against its map model, and the window sensors against their
+# division-based reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMeanDuals$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPieceMinStart$$' -fuzztime 10s ./internal/core
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCalendarMatchesSorted$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzRunSetMatchesScan$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzRecorderMatchesModel$$' -fuzztime 10s ./internal/obs/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzWindowMatchesReference$$' -fuzztime 10s ./internal/obs/window
 
 # overhead-gate asserts the disabled-flight-recorder event loop stays near
 # the recorded baseline (results/BENCH_obs.json; CI's bench-smoke job runs

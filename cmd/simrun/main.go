@@ -86,7 +86,7 @@ func main() {
 		fleetN      = flag.Int("fleet", 0, "run this many cluster replicas under one shared clock instead of independent replications (0 disables; dynamic flags apply to every replica)")
 		fleetSpread = flag.Float64("fleet-spread", 0, "heterogeneity of the fleet: replica speeds spread evenly across [1-s, 1+s] times the configured speed (with -fleet, in [0,1))")
 
-		samplePeriod = flag.Float64("sample-period", 0, "probe sampling period in simulated seconds (0 disables the probe)")
+		samplePeriod = flag.Float64("sample-period", 0, "probe sampling period in simulated seconds (0 disables the probe; -horizon/-sample-period may be at most 1<<20 samples)")
 		metricsOut   = flag.String("metrics-out", "", "write metrics to this file (.prom/.txt for Prometheus text, else JSON)")
 		timelineOut  = flag.String("timeline-out", "", "write the probe's sampled time series to this CSV file (requires -sample-period)")
 		spanOut      = flag.String("span-out", "", "attach the flight recorder and write Chrome trace-event JSON to this file (forces 1 replication; load in Perfetto)")

@@ -132,7 +132,9 @@ func section(report, id string) (string, bool) {
 // requires its printed section to equal testdata/quick_results.txt byte for
 // byte, so a change to any simulated table fails here. E9 and E17 print
 // wall times and are left out. The golden is `clusterq -run all -quick`
-// with those two sections removed.
+// with those two sections removed. Each experiment runs twice, with one
+// sweep worker per CPU and with a single worker, against the same section:
+// a sweep's result may not depend on how its points were scheduled.
 func TestQuickTablesMatchGolden(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "quick_results.txt"))
 	if err != nil {
@@ -149,24 +151,28 @@ func TestQuickTablesMatchGolden(t *testing.T) {
 			if !ok {
 				t.Fatalf("no %s section in quick_results.txt", e.ID)
 			}
-			var got bytes.Buffer
-			if err := RunAndPrint(e, quickCfg(), &got); err != nil {
-				t.Fatal(err)
-			}
-			if got.String() == want {
-				return
-			}
-			g, w := strings.Split(got.String(), "\n"), strings.Split(want, "\n")
-			for i := 0; i < len(g) || i < len(w); i++ {
-				var gl, wl string
-				if i < len(g) {
-					gl = g[i]
+			for _, workers := range []int{0, 1} {
+				cfg := quickCfg()
+				cfg.Workers = workers
+				var got bytes.Buffer
+				if err := RunAndPrint(e, cfg, &got); err != nil {
+					t.Fatal(err)
 				}
-				if i < len(w) {
-					wl = w[i]
+				if got.String() == want {
+					continue
 				}
-				if gl != wl {
-					t.Fatalf("%s differs from quick_results.txt at line %d:\ngot:  %q\nwant: %q", e.ID, i+1, gl, wl)
+				g, w := strings.Split(got.String(), "\n"), strings.Split(want, "\n")
+				for i := 0; i < len(g) || i < len(w); i++ {
+					var gl, wl string
+					if i < len(g) {
+						gl = g[i]
+					}
+					if i < len(w) {
+						wl = w[i]
+					}
+					if gl != wl {
+						t.Fatalf("%s (workers %d) differs from quick_results.txt at line %d:\ngot:  %q\nwant: %q", e.ID, workers, i+1, gl, wl)
+					}
 				}
 			}
 		})

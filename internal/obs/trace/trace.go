@@ -182,32 +182,39 @@ func (b Breakdown) MeanBackoff() float64 { return b.mean(b.Backoff) }
 // MeanSojourn returns mean sojourn time per closed span (NaN if none).
 func (b Breakdown) MeanSojourn() float64 { return b.mean(b.Sojourn()) }
 
-// spanState is what an open span's clock is currently charging; stateFree
-// marks an empty slot of the open-span table.
+// spanState is what an open span's clock is currently charging. It indexes
+// the span's accumulators, so its values are 0..3.
 type spanState uint8
 
 const (
-	stateFree spanState = iota
-	stateQueued
+	stateQueued spanState = iota
 	stateService
 	statePreempted
 	stateBackoff
 )
 
-// openSpan tracks one in-flight job in a slot of the open-span table. fold
-// charges the elapsed time since the last event to the current state's
-// accumulator, then switches state.
+// nextState is the state each non-arrival, non-exit kind switches a span
+// to. It covers every uint8, so an unknown kind needs no bounds check and,
+// like KindServiceStop, KindTimeout and KindResume, returns the span to
+// queued (the zero state).
+var nextState = [256]spanState{
+	KindServiceStart: stateService,
+	KindPreempt:      statePreempted,
+	KindBackoff:      stateBackoff,
+}
+
+// openSpan tracks one in-flight job in a slot of the open-span table; the
+// job id and the slot's occupancy live beside it in spanTable.keys. acc
+// holds the queue, service, preempted and backoff time, indexed by
+// spanState. fold charges the elapsed time since the last event to the
+// current state's accumulator.
 type openSpan struct {
-	job       uint64
-	arrival   float64
-	lastT     float64
-	queue     float64
-	service   float64
-	preempted float64
-	backoff   float64
-	class     int32
-	attempts  int32
-	state     spanState
+	arrival  float64
+	lastT    float64
+	acc      [4]float64
+	class    int32
+	attempts int32
+	state    spanState
 }
 
 func (o *openSpan) fold(t float64) {
@@ -216,28 +223,28 @@ func (o *openSpan) fold(t float64) {
 	if dt <= 0 {
 		return
 	}
-	switch o.state {
-	case stateQueued:
-		o.queue += dt
-	case stateService:
-		o.service += dt
-	case statePreempted:
-		o.preempted += dt
-	case stateBackoff:
-		o.backoff += dt
-	}
+	o.acc[o.state&3] += dt // state is 0..3; the mask spares a bounds check
+}
+
+// slotKey is a slot's job id and whether the slot holds an open span. Any
+// uint64 is a valid id, so occupancy needs its own flag.
+type slotKey struct {
+	job  uint64
+	used bool
 }
 
 // spanTable is the span state machine: the open spans of the events applied
 // so far, in an open-addressed table keyed by job id (linear probing from a
-// multiplicative hash, a power-of-two length, stateFree slots empty), and
-// the count of events that matched no open span. Record drives the
-// recorder's own table as events arrive; Spans drives a scratch one over
-// the buffered events.
+// multiplicative hash, a power-of-two length), and the count of events that
+// matched no open span. The probe reads only keys, a dense array beside
+// open, so a run of occupied slots stays within a few cache lines. Record
+// drives the recorder's own table as events arrive; Spans drives a scratch
+// one over the buffered events.
 type spanTable struct {
-	open      []openSpan
-	n         int  // occupied slots
-	shift     uint // 64 - log2(len(open)): the hash keeps the top bits
+	keys      []slotKey
+	open      []openSpan // open[i] is the span of keys[i].job
+	n         int        // occupied slots
+	shift     uint       // 64 - log2(len(open)): the hash keeps the top bits
 	unmatched uint64
 }
 
@@ -248,12 +255,15 @@ const openInitial = 1024
 // resize replaces the table with an empty one of n slots (a power of two)
 // and re-inserts every open span.
 func (t *spanTable) resize(n int) {
-	old := t.open
+	oldKeys, oldOpen := t.keys, t.open
+	t.keys = make([]slotKey, n)
 	t.open = make([]openSpan, n)
 	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	for i := range old {
-		if old[i].state != stateFree {
-			t.open[t.slot(old[i].job)] = old[i]
+	for i, k := range oldKeys {
+		if k.used {
+			j := t.slot(k.job)
+			t.keys[j] = k
+			t.open[j] = oldOpen[i]
 		}
 	}
 }
@@ -271,9 +281,10 @@ const fibHash = 0x9E3779B97F4A7C15
 // slot returns the index of job's open span, or of the empty slot where it
 // would go. The table is never full, so the probe ends.
 func (t *spanTable) slot(job uint64) int {
-	mask := len(t.open) - 1
+	keys := t.keys
+	mask := len(keys) - 1
 	i := t.home(job)
-	for t.open[i].state != stateFree && t.open[i].job != job {
+	for keys[i].used && keys[i].job != job {
 		i = (i + 1) & mask
 	}
 	return i
@@ -283,25 +294,28 @@ func (t *spanTable) slot(job uint64) int {
 // probe run that may move back into the hole does, so no tombstones are
 // needed and lookups stay as short as at insertion.
 func (t *spanTable) remove(i int) {
-	mask := len(t.open) - 1
-	for j := (i + 1) & mask; t.open[j].state != stateFree; j = (j + 1) & mask {
+	keys := t.keys
+	mask := len(keys) - 1
+	for j := (i + 1) & mask; keys[j].used; j = (j + 1) & mask {
 		// The span at j may fill the hole at i unless its home lies
 		// cyclically in (i, j].
-		if (j-t.home(t.open[j].job))&mask >= (j-i)&mask {
+		if (j-t.home(keys[j].job))&mask >= (j-i)&mask {
+			keys[i] = keys[j]
 			t.open[i] = t.open[j]
 			i = j
 		}
 	}
-	t.open[i] = openSpan{}
+	keys[i] = slotKey{}
 	t.n--
 }
 
 // apply applies e's transition (see Record). When e closes a span, apply
-// writes it to *sp and returns true.
-func (t *spanTable) apply(e *Event, sp *Span) bool {
+// returns the span's slot, which the caller reads and then empties with
+// remove; otherwise it returns -1.
+func (t *spanTable) apply(e *Event) int {
 	i := t.slot(e.Job)
 	if e.Kind == KindArrival {
-		if t.open[i].state != stateFree {
+		if t.keys[i].used {
 			t.unmatched++ // a duplicate id: the stale span is discarded
 		} else {
 			if 4*(t.n+1) > 3*len(t.open) {
@@ -309,43 +323,42 @@ func (t *spanTable) apply(e *Event, sp *Span) bool {
 				i = t.slot(e.Job)
 			}
 			t.n++
+			t.keys[i] = slotKey{job: e.Job, used: true}
 		}
-		t.open[i] = openSpan{job: e.Job, class: e.Class, arrival: e.T, lastT: e.T, state: stateQueued}
-		return false
+		t.open[i] = openSpan{class: e.Class, arrival: e.T, lastT: e.T}
+		return -1
+	}
+	if !t.keys[i].used {
+		t.unmatched++
+		return -1
 	}
 	o := &t.open[i]
-	if o.state == stateFree {
-		t.unmatched++
-		return false
-	}
 	o.fold(e.T)
-	switch e.Kind {
-	case KindServiceStart:
-		o.state = stateService
-	case KindPreempt:
-		o.state = statePreempted
-	case KindBackoff:
-		o.state = stateBackoff
-		o.attempts++
-	case KindExit:
-		*sp = Span{
-			Job:       o.job,
-			Class:     o.class,
-			Arrival:   o.arrival,
-			End:       e.T,
-			Queue:     o.queue,
-			Service:   o.service,
-			Preempted: o.preempted,
-			Backoff:   o.backoff,
-			Attempts:  o.attempts,
-			Outcome:   Outcome(e.Value),
-		}
-		t.remove(i)
-		return true
-	default:
-		o.state = stateQueued
+	if e.Kind == KindExit {
+		return i
 	}
-	return false
+	o.state = nextState[e.Kind]
+	if o.state == stateBackoff {
+		o.attempts++
+	}
+	return -1
+}
+
+// span returns the closed span in slot i, which the exit e closes.
+func (t *spanTable) span(i int, e *Event) Span {
+	o := &t.open[i]
+	return Span{
+		Job:       t.keys[i].job,
+		Class:     o.class,
+		Arrival:   o.arrival,
+		End:       e.T,
+		Queue:     o.acc[stateQueued],
+		Service:   o.acc[stateService],
+		Preempted: o.acc[statePreempted],
+		Backoff:   o.acc[stateBackoff],
+		Attempts:  o.attempts,
+		Outcome:   Outcome(e.Value),
+	}
 }
 
 // Recorder is the flight recorder. Construct with NewRecorder; the zero
@@ -431,22 +444,24 @@ func (r *Recorder) Record(es ...Event) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var sp Span
 	for i := range es {
-		r.push(es[i])
-		if r.spans.apply(&es[i], &sp) {
-			r.close(&sp)
+		e := &es[i]
+		r.push(*e)
+		if j := r.spans.apply(e); j >= 0 {
+			r.close(&r.spans.open[j], Outcome(e.Value))
+			r.spans.remove(j)
 		}
 	}
 }
 
-// close folds a closed span into its class's aggregate. Caller holds mu.
-func (r *Recorder) close(sp *Span) {
-	for int(sp.Class) >= len(r.agg) {
+// close folds the open span o, closing with outcome, into its class's
+// aggregate. Caller holds mu.
+func (r *Recorder) close(o *openSpan, outcome Outcome) {
+	for int(o.class) >= len(r.agg) {
 		r.agg = append(r.agg, Breakdown{Class: len(r.agg)})
 	}
-	a := &r.agg[sp.Class]
-	switch sp.Outcome {
+	a := &r.agg[o.class]
+	switch outcome {
 	case OutcomeAbandoned:
 		a.Abandoned++
 	case OutcomeDropped:
@@ -454,10 +469,10 @@ func (r *Recorder) close(sp *Span) {
 	default:
 		a.Completed++
 	}
-	a.Queue += sp.Queue
-	a.Service += sp.Service
-	a.Preempted += sp.Preempted
-	a.Backoff += sp.Backoff
+	a.Queue += o.acc[stateQueued]
+	a.Service += o.acc[stateService]
+	a.Preempted += o.acc[statePreempted]
+	a.Backoff += o.acc[stateBackoff]
 }
 
 // Events returns a copy of the buffered events, oldest first.
@@ -470,11 +485,12 @@ func (r *Recorder) Events() []Event {
 	return r.copyEventsLocked()
 }
 
+// copyEventsLocked copies the ring's one or two contiguous segments, oldest
+// first. Caller holds mu.
 func (r *Recorder) copyEventsLocked() []Event {
 	out := make([]Event, r.evLen)
-	for i := 0; i < r.evLen; i++ {
-		out[i] = r.ev[(r.evHead+i)%len(r.ev)]
-	}
+	n := copy(out, r.ev[r.evHead:min(r.evHead+r.evLen, len(r.ev))])
+	copy(out[n:], r.ev)
 	return out
 }
 
@@ -508,10 +524,10 @@ func (r *Recorder) Spans() []Span {
 	var t spanTable
 	t.resize(openInitial)
 	var out []Span
-	var sp Span
 	for i := range es {
-		if t.apply(&es[i], &sp) {
-			out = append(out, sp)
+		if j := t.apply(&es[i]); j >= 0 {
+			out = append(out, t.span(j, &es[i]))
+			t.remove(j)
 		}
 	}
 	return out
@@ -584,7 +600,7 @@ func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.evHead, r.evLen, r.evDropped = 0, 0, 0
-	clear(r.spans.open)
+	clear(r.spans.keys)
 	r.spans.n, r.spans.unmatched = 0, 0
 	r.agg = r.agg[:0]
 }

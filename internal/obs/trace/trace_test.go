@@ -170,10 +170,11 @@ func TestSpanRingOverwriteKeepsAggregates(t *testing.T) {
 }
 
 // TestNewRecorderFootprint pins what a default recorder costs to build: its
-// event ring and the initial open-span table, and little else.
+// event ring and the initial open-span table (its spans and their keys), and
+// little else.
 func TestNewRecorderFootprint(t *testing.T) {
 	const slack = 16 << 10
-	want := uint64(defaultCapacity*unsafe.Sizeof(Event{}) + openInitial*unsafe.Sizeof(openSpan{}))
+	want := uint64(defaultCapacity*unsafe.Sizeof(Event{}) + openInitial*(unsafe.Sizeof(openSpan{})+unsafe.Sizeof(slotKey{})))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	r := NewRecorder(0)

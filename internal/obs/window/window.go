@@ -66,19 +66,70 @@ type bucket struct {
 	vn     int64
 }
 
-// series is one bucketed ring. cur is the absolute index (t/slot) of the
-// bucket currently being written; advancing clears expired buckets.
+// series is one bucketed ring. cur is the absolute index int64(t/slot) of
+// the bucket currently being written, pos its ring position, and next the
+// first time whose index exceeds cur: an observation before next lands in
+// the current bucket at the cost of one compare, and only one at or past it
+// (or a NaN) divides. Advancing clears expired buckets.
 type series struct {
 	slot float64
 	cur  int64
+	pos  int
+	next float64
 	b    []bucket
 }
 
 func newSeries(width float64, buckets int) *series {
-	return &series{slot: width / float64(buckets), b: make([]bucket, buckets)}
+	s := &series{slot: width / float64(buckets), b: make([]bucket, buckets)}
+	s.next = boundary(s.cur, s.slot)
+	return s
 }
 
+// boundaryMaxIndex bounds the indexes boundary searches after: below 2^52,
+// cur+1 is exact in a float64 and the quotients near it are far from int64
+// overflow, where the conversion stops being monotone.
+const boundaryMaxIndex = 1 << 52
+
+// boundarySteps bounds boundary's search; the first guess lies within a few
+// ulps of the answer.
+const boundarySteps = 64
+
+// boundary returns the least time t whose index int64(t/div) exceeds cur,
+// for a positive div. IEEE division is monotone in t and so is the
+// conversion below int64 overflow, so every time below the result has index
+// at most cur. The search starts at (cur+1)·div and walks one ulp at a time
+// over the very expression the callers evaluate. Where the search cannot
+// settle — cur too large, an overflowing product, too many steps — it
+// returns −∞, so every observation takes the division path.
+func boundary(cur int64, div float64) float64 {
+	if cur < 0 || cur >= boundaryMaxIndex {
+		return math.Inf(-1)
+	}
+	c := float64(cur+1) * div
+	for n := 0; n < boundarySteps && !math.IsInf(c, 0); n++ {
+		if int64(c/div) <= cur {
+			c = math.Nextafter(c, math.Inf(1))
+			continue
+		}
+		lo := math.Nextafter(c, math.Inf(-1))
+		if int64(lo/div) <= cur {
+			return c
+		}
+		c = lo
+	}
+	return math.Inf(-1)
+}
+
+// advance expires the buckets older than t's; before next, which is every
+// observation but one per bucket, it is a compare.
 func (s *series) advance(t float64) {
+	if !(t < s.next) {
+		s.step(t)
+	}
+}
+
+// step is advance's division path: t is at or past next, or NaN.
+func (s *series) step(t float64) {
 	idx := int64(t / s.slot)
 	if idx <= s.cur {
 		return
@@ -93,16 +144,18 @@ func (s *series) advance(t float64) {
 		}
 	}
 	s.cur = idx
+	s.pos = int(idx % int64(len(s.b)))
+	s.next = boundary(idx, s.slot)
 }
 
 func (s *series) addEvent(t float64) {
 	s.advance(t)
-	s.b[s.cur%int64(len(s.b))].events++
+	s.b[s.pos].events++
 }
 
 func (s *series) addValue(t, v float64) {
 	s.advance(t)
-	bk := &s.b[s.cur%int64(len(s.b))]
+	bk := &s.b[s.pos]
 	bk.vsum += v
 	bk.vn++
 }
@@ -134,48 +187,66 @@ func (s *series) covered(t float64) float64 {
 const tailMinSamples = 8
 
 // tail estimates a quantile over roughly the last window by rotating P²
-// sketches every window width.
+// sketches every window width. sk holds the current sketch at sk[cur] and
+// the previous epoch's at sk[cur^1], which counts only when warm; a roll
+// retires the previous sketch by copying fresh over it. next is the first
+// time of the next epoch, as in series.
 type tail struct {
-	p     float64
 	width float64
 	epoch int64
-	cur   *stats.P2Quantile
-	prev  *stats.P2Quantile
+	next  float64
+	cur   int
+	warm  bool
+	sk    [2]stats.P2Quantile
+	fresh stats.P2Quantile
 }
 
 func newTail(p, width float64) *tail {
-	return &tail{p: p, width: width, cur: stats.NewP2Quantile(p)}
+	q := &tail{width: width, fresh: *stats.NewP2Quantile(p)}
+	q.sk[0] = q.fresh
+	q.next = boundary(0, width)
+	return q
 }
 
 func (q *tail) roll(t float64) {
+	if !(t < q.next) {
+		q.step(t)
+	}
+}
+
+// step is roll's division path: t is at or past next, or NaN.
+func (q *tail) step(t float64) {
 	e := int64(t / q.width)
 	if e <= q.epoch {
 		return
 	}
-	if e == q.epoch+1 {
-		q.prev = q.cur
-	} else {
-		q.prev = nil // a whole epoch passed with no samples
+	// The current sketch becomes the previous one only if its epoch
+	// directly precedes e; otherwise a whole epoch passed with no samples.
+	q.warm = e == q.epoch+1
+	if q.warm {
+		q.cur ^= 1
 	}
-	q.cur = stats.NewP2Quantile(q.p)
+	q.sk[q.cur] = q.fresh
 	q.epoch = e
+	q.next = boundary(e, q.width)
 }
 
 func (q *tail) add(t, v float64) {
 	q.roll(t)
-	q.cur.Add(v)
+	q.sk[q.cur].Add(v)
 }
 
 func (q *tail) value(t float64) float64 {
 	q.roll(t)
-	if q.cur.Count() >= tailMinSamples {
-		return q.cur.Value()
+	cur, prev := &q.sk[q.cur], &q.sk[q.cur^1]
+	if cur.Count() >= tailMinSamples {
+		return cur.Value()
 	}
-	if q.prev != nil && q.prev.Count() > 0 {
-		return q.prev.Value()
+	if q.warm && prev.Count() > 0 {
+		return prev.Value()
 	}
-	if q.cur.Count() > 0 {
-		return q.cur.Value()
+	if cur.Count() > 0 {
+		return cur.Value()
 	}
 	return math.NaN()
 }

@@ -13,7 +13,9 @@ type Probe struct {
 	// Period is the sampling period in simulated seconds (required, > 0).
 	// Every Period the probe records, per tier, the waiting-queue length,
 	// busy servers, utilization and instantaneous power, plus the
-	// system-wide per-class in-flight counts and total power.
+	// system-wide per-class in-flight counts and total power. The timeline
+	// keeps every sample, so Horizon/Period may be at most 1<<20
+	// (1,048,576) samples.
 	Period float64
 	// Registry optionally receives the aggregated event counters
 	// (sim_events_<kind>_total) and run-level gauges after Run completes,
@@ -22,12 +24,21 @@ type Probe struct {
 	Registry *obs.Registry
 }
 
-func (p *Probe) validate() error {
+// maxProbeSamples bounds a run's timeline: Horizon/Period samples, each a
+// row the timeline keeps. A period far below the horizon would append rows
+// until memory ran out.
+const maxProbeSamples = 1 << 20
+
+func (p *Probe) validate(horizon float64) error {
 	if p == nil {
 		return nil
 	}
 	if !(p.Period > 0) {
 		return fmt.Errorf("sim: probe period %g must be positive", p.Period)
+	}
+	if !(horizon/p.Period <= maxProbeSamples) {
+		return fmt.Errorf("sim: probe period %g asks for %.3g samples over the horizon %g; at most %d (1<<20) are kept",
+			p.Period, horizon/p.Period, horizon, maxProbeSamples)
 	}
 	return nil
 }

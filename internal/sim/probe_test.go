@@ -129,6 +129,30 @@ func TestProbeRequiresPositivePeriod(t *testing.T) {
 	}
 }
 
+// TestProbeSampleLimit: a replication accepts a probe whose period gives
+// exactly maxProbeSamples samples over the horizon and rejects one a single
+// ulp finer, as well as 1e-9 s over 10^4 s and a subnormal period, whose
+// sample count overflows to +Inf. Only construction runs, never the loop.
+func TestProbeSampleLimit(t *testing.T) {
+	c := probeCluster()
+	const horizon = 1024.0
+	limit := horizon / maxProbeSamples
+	for _, tc := range []struct {
+		horizon, period float64
+		ok              bool
+	}{
+		{horizon, limit, true},
+		{horizon, math.Nextafter(limit, 0), false},
+		{1e4, 1e-9, false},
+		{horizon, math.SmallestNonzeroFloat64, false},
+	} {
+		o := Options{Horizon: tc.horizon, Probe: &Probe{Period: tc.period}}
+		if _, err := NewReplication(c, o, 1); (err == nil) != tc.ok {
+			t.Errorf("NewReplication with period %g over horizon %g: err = %v, want accepted %v", tc.period, tc.horizon, err, tc.ok)
+		}
+	}
+}
+
 func TestProgressCallbackCountsReplications(t *testing.T) {
 	c := probeCluster()
 	var calls, last atomic.Int64

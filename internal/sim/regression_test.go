@@ -196,7 +196,9 @@ func assertSetupOnlyAllocs(t *testing.T, c *cluster.Cluster, o Options) {
 // out, and a profile literal NewSinusoid or NewSquareWave would reject ran
 // anyway (a NaN phase made every rate NaN, so thinning accepted every
 // candidate and the class arrived at Mean+Amplitude), as did a Schedule
-// literal, whose unset rate bound made thinning drop every arrival.
+// literal, whose unset rate bound made thinning drop every arrival, and a
+// probe period of 1e-9 s over a 10^4 s horizon appended timeline rows until
+// memory ran out.
 var hostileOptions = []struct {
 	name string
 	o    Options
@@ -227,6 +229,7 @@ var hostileOptions = []struct {
 		Profiles: []Profile{&SquareWave{Low: 0.1, High: 0.5, Period: 100, HighFraction: math.NaN()}, nil}}},
 	{"schedule literal", Options{Horizon: 1000,
 		Profiles: []Profile{Schedule{Times: []float64{0}, Rates: []float64{0.3}}, nil}}},
+	{"probe period too fine", Options{Horizon: 1e4, Probe: &Probe{Period: 1e-9}}},
 }
 
 // TestHostileOptionsRejected pins that each hostile value is now an error

@@ -175,7 +175,7 @@ func (o *Options) defaults() error {
 	if o.Recorder != nil && o.Replications != 1 {
 		return fmt.Errorf("sim: the flight recorder requires exactly 1 replication, got %d", o.Replications)
 	}
-	if err := o.Probe.validate(); err != nil {
+	if err := o.Probe.validate(o.Horizon); err != nil {
 		return err
 	}
 	return nil

@@ -9,6 +9,8 @@ import (
 // P2Quantile estimates a single quantile of a stream without storing the
 // observations, using the P² algorithm of Jain & Chlamtac (1985). It keeps
 // five markers whose heights converge to the quantile as observations arrive.
+// It holds no pointers, so a copy is an independent estimator: copying a
+// fresh one resets another without allocating.
 type P2Quantile struct {
 	p       float64
 	count   int64
@@ -16,7 +18,7 @@ type P2Quantile struct {
 	pos     [5]float64 // actual marker positions (1-based)
 	want    [5]float64 // desired marker positions
 	inc     [5]float64 // desired position increments per observation
-	initial []float64  // first five observations, before initialization
+	initial [5]float64 // first five observations (count of them), before initialization
 }
 
 // NewP2Quantile creates an estimator for the p-quantile, 0 < p < 1.
@@ -25,9 +27,8 @@ func NewP2Quantile(p float64) *P2Quantile {
 		panic(fmt.Sprintf("stats: P2 quantile probability %g out of (0,1)", p))
 	}
 	return &P2Quantile{
-		p:       p,
-		inc:     [5]float64{0, p / 2, p, (1 + p) / 2, 1},
-		initial: make([]float64, 0, 5),
+		p:   p,
+		inc: [5]float64{0, p / 2, p, (1 + p) / 2, 1},
 	}
 }
 
@@ -36,12 +37,12 @@ func (q *P2Quantile) Count() int64 { return q.count }
 
 // Add incorporates one observation.
 func (q *P2Quantile) Add(x float64) {
-	q.count++
-	if len(q.initial) < 5 {
-		q.initial = append(q.initial, x)
-		if len(q.initial) == 5 {
-			sort.Float64s(q.initial)
-			copy(q.heights[:], q.initial)
+	if q.count < 5 {
+		q.initial[q.count] = x
+		q.count++
+		if q.count == 5 {
+			sort.Float64s(q.initial[:])
+			q.heights = q.initial
 			for i := 0; i < 5; i++ {
 				q.pos[i] = float64(i + 1)
 			}
@@ -49,6 +50,7 @@ func (q *P2Quantile) Add(x float64) {
 		}
 		return
 	}
+	q.count++
 
 	// Find the cell k containing x and update extreme heights.
 	var k int
@@ -115,8 +117,8 @@ func (q *P2Quantile) Value() float64 {
 	if q.count == 0 {
 		return math.NaN()
 	}
-	if len(q.initial) < 5 {
-		s := append([]float64(nil), q.initial...)
+	if q.count < 5 {
+		s := append([]float64(nil), q.initial[:q.count]...)
 		sort.Float64s(s)
 		// Nearest-rank, matching ExactQuantile: small-sample estimates must
 		// agree with the exact definition tests compare against.
